@@ -23,20 +23,22 @@ from .errors import EmptyDomain, TooSmall
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
 
-#: sums over more elements than this switch to exactly-rounded accumulation
-_FSUM_THRESHOLD = 1 << 16
+#: elements per block: numpy sums each block pairwise, math.fsum merges the blocks
+_BLOCK = 1 << 16
 
 
 def stable_sum(values: np.ndarray) -> float:
-    """Sum of a float array, exactly rounded when it is large.
+    """Sum of a float array by one policy at every size.
 
-    High-order central moments cancel heavily, so big images get Shewchuk
-    summation instead of plain pairwise accumulation.
+    High-order central moments cancel heavily. Each 2^16-element block is
+    summed pairwise by numpy, with error O(eps * log2(2^16) * sum|x_i|)
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and the
+    block sums are merged exactly rounded by Shewchuk's algorithm (1997) in
+    math.fsum, so the bound does not grow with the array. An array of one
+    block or less sums to float(np.sum(values)), except that -0.0 reads 0.0.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
-    if flat.size > _FSUM_THRESHOLD:
-        return math.fsum(flat)
-    return float(np.sum(flat))
+    return math.fsum(float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK))
 
 
 @dataclass
@@ -227,35 +229,33 @@ def f1_channels(img: RasterImage, xbar: float, ybar: float) -> ChannelSet:
 def compute_moment_table(
     channels: ChannelSet, xbar: float, ybar: float, required
 ) -> MomentTable:
-    """Accumulate every requested moment in one pass over the masked pixels."""
+    """Accumulate every requested moment over the masked pixels.
+
+    The pixels are walked in the blocks stable_sum uses: each moment gets one
+    pairwise partial sum per block, and the partials are merged by fsum, so
+    the power cache only ever holds one block.
+    """
     mask = channels.mask
     npix = int(np.count_nonzero(mask))
     if npix == 0:
         raise EmptyDomain("mask has no pixels")
     ys, xs = np.nonzero(mask)
-    base = (
-        xs.astype(np.float64) - xbar,
-        ys.astype(np.float64) - ybar,
-        channels.red[mask] - channels.means[0],
-        channels.green[mask] - channels.means[1],
-        channels.blue[mask] - channels.means[2],
-    )
-    pows: list[dict[int, np.ndarray]] = [{} for _ in range(5)]
-
-    def power(axis: int, e: int) -> np.ndarray:
-        cache = pows[axis]
-        if e not in cache:
-            cache[e] = base[axis] if e == 1 else power(axis, e - 1) * base[axis]
-        return cache[e]
-
-    entries: dict[MomentIndex, float] = {}
-    for idx in sorted(set(MomentIndex(*i) for i in required)):
-        vec = None
-        for axis, e in enumerate(idx):
-            if e:
-                p = power(axis, e)
-                vec = p if vec is None else vec * p
-        entries[idx] = float(npix) if vec is None else stable_sum(vec)
+    centred = [xs - xbar, ys - ybar] + [
+        p[mask] - m for p, m in zip((channels.red, channels.green, channels.blue), channels.means)
+    ]
+    partials = {idx: [] for idx in sorted(set(MomentIndex(*i) for i in required))}
+    for lo in range(0, npix, _BLOCK):
+        pows = [[None, c[lo : lo + _BLOCK]] for c in centred]  # pows[axis][e] = power e of the block
+        for idx, sums in partials.items():
+            vec = None
+            for ladder, e in zip(pows, idx):
+                while len(ladder) <= e:
+                    ladder.append(ladder[-1] * ladder[1])
+                if e:
+                    vec = ladder[e] if vec is None else vec * ladder[e]
+            if vec is not None:
+                sums.append(float(np.sum(vec)))
+    entries = {idx: math.fsum(sums) if sums else float(npix) for idx, sums in partials.items()}
     return MomentTable(k=channels.k, entries=entries, m00=float(npix), centroid=(xbar, ybar))
 
 
@@ -320,7 +320,7 @@ def moment_tables(img: RasterImage) -> tuple[MomentTable, MomentTable | None]:
     """
     cs0, xbar, ybar = raw_channels(img)
     t0 = compute_moment_table(cs0, xbar, ybar, required_indices(0))
-    _, _, eroded = derivative_channels(img)
+    eroded = stencil_eroded_mask(img.mask)
     if not eroded.any():
         return t0, None
     x1, y1 = masked_centroid(eroded)

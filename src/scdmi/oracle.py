@@ -3,35 +3,33 @@
 Cores are evaluated literally as nested sums over all tuples of masked
 pixels, with one tensor axis per integration point. No moment factorization
 is involved, so agreement with the polynomial path validates the symbolic
-expansion end to end. Centering and channel construction are shared with
-the engine so that discrepancies isolate the expansion logic.
+expansion end to end. Centering, channel construction and the summation
+policy are shared with the engine so that discrepancies isolate the
+expansion logic.
 
 Intended for tiny images only; the tuple count is guarded.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import permutations
 
 import numpy as np
 
-from .algebra import CoreSpec, InvariantSpec
+from .algebra import _PERM_SIGNS, CoreSpec, InvariantSpec
 from .engine import (
     DEGENERACY_EPS,
     RasterImage,
-    centroid_and_means,
-    derivative_channels,
     f1_channels,
     masked_centroid,
     raw_channels,
+    stable_sum,
+    stencil_eroded_mask,
 )
 from .errors import Degenerate, EmptyDomain, TooLarge
 
 #: hard ceiling on (masked pixel count) ** (integration points)
 TUPLE_GUARD = 10**8
-
-_PERM_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
 def _centered_point_values(img: RasterImage, k: int):
@@ -39,7 +37,7 @@ def _centered_point_values(img: RasterImage, k: int):
     if k == 0:
         cs, xbar, ybar = raw_channels(img)
     else:
-        _, _, eroded = derivative_channels(img)
+        eroded = stencil_eroded_mask(img.mask)
         if not eroded.any():
             raise EmptyDomain("stencil erosion left no pixels")
         xbar, ybar = masked_centroid(eroded)
@@ -95,13 +93,7 @@ def _core_sum(values, spec: CoreSpec) -> float:
         view = _triple_view(det, (p - 1, q - 1, r - 1), t)
         for _ in range(exp):
             acc = acc * view
-    # compensated merge of pairwise partial sums keeps the reference exact
-    # enough for 1e-9 comparisons without fsum-ing millions of elements
-    flat = acc.ravel()
-    step = 1 << 14
-    return math.fsum(
-        float(np.sum(flat[i : i + step])) for i in range(0, flat.size, step)
-    )
+    return stable_sum(acc)
 
 
 def brute_force_core_integral(img: RasterImage, spec: CoreSpec) -> float:

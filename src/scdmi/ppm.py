@@ -52,9 +52,9 @@ def read_ppm(path) -> RasterImage:
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     need = width * height * 3
-    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    if raw.size < need:
+    if len(data) - offset < need:
         raise ValueError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
     rgb = raw.reshape(height, width, 3).astype(np.float64) / 255.0
     return RasterImage.from_array(rgb)
 

@@ -38,7 +38,7 @@ class TestPpm:
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated pixel data"):
             read_ppm(path)
 
     def test_rejects_wide_maxval(self, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from scdmi.algebra import MomentIndex, catalogue_specs
 from scdmi.engine import (
     ChannelSet,
+    MomentTable,
     RasterImage,
     centroid_and_means,
     compute_moment_table,
@@ -17,9 +20,11 @@ from scdmi.engine import (
     raw_channels,
     required_indices,
     scdmi50,
+    stable_sum,
     stencil_eroded_mask,
 )
 from scdmi.errors import EmptyDomain, TooSmall
+from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ShapeAffine, apply_shape_affine
 
 
@@ -213,3 +218,96 @@ def test_moment_table_matches_naive_on_random_images(seed, h, w):
         )
     )
     assert table.entries[idx] == pytest.approx(naive, rel=1e-10, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# summation policy: pairwise sums of 2^16-element blocks merged by fsum
+
+BLOCK = 1 << 16
+
+
+def _ill_conditioned(seed, n):
+    """Terms spread over 16 decades whose exact sum nearly cancels to zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+    x[-1] -= math.fsum(x)
+    return x
+
+
+def _centred(cs, xbar, ybar):
+    """(xc, yc, rc, gc, bc) over the masked pixels of a channel set."""
+    ys, xs = np.nonzero(cs.mask)
+    return [xs - xbar, ys - ybar] + [
+        plane[cs.mask] - m for plane, m in zip((cs.red, cs.green, cs.blue), cs.means)
+    ]
+
+
+def _whole_array_table(cs, xbar, ybar, k):
+    """Moment table summed by one np.sum over each whole product vector, the
+    powers built by repeated multiplication in axis order."""
+    base = _centred(cs, xbar, ybar)
+    npix = float(base[0].size)
+    entries = {}
+    for idx in required_indices(k):
+        vec = None
+        for b, e in zip(base, idx):
+            if e:
+                p = b
+                for _ in range(e - 1):
+                    p = p * b
+                vec = p if vec is None else vec * p
+        entries[idx] = npix if vec is None else float(np.sum(vec))
+    return MomentTable(k, entries, npix, (xbar, ybar))
+
+
+class TestStableSum:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK])
+    def test_one_block_is_plain_numpy_sum(self, n):
+        x = np.random.default_rng(n).standard_normal(n) * 1e3
+        assert stable_sum(x) == float(np.sum(x))
+
+    @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
+    def test_error_bound_across_blocks(self, n):
+        x = _ill_conditioned(n, n)
+        assert abs(stable_sum(x) - math.fsum(x)) <= 1e-14 * float(np.sum(np.abs(x)))
+
+    def test_empty(self):
+        assert stable_sum(np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_moment_table_above_one_block(self, k):
+        img = blob_image(11, size=272)
+        if k == 0:
+            cs, xbar, ybar = raw_channels(img)
+        else:
+            xbar, ybar = masked_centroid(stencil_eroded_mask(img.mask))
+            cs = f1_channels(img, xbar, ybar)
+        assert np.count_nonzero(cs.mask) > BLOCK
+        table = compute_moment_table(cs, xbar, ybar, required_indices(k))
+        base = _centred(cs, xbar, ybar)
+        for idx, value in table.entries.items():
+            if not any(idx):
+                assert value == table.m00 == float(base[0].size)
+                continue
+            terms = np.prod([b**e for b, e in zip(base, idx)], axis=0)
+            bound = 1e-14 * float(np.sum(np.abs(terms)))
+            assert abs(value - math.fsum(terms)) <= bound, idx
+
+    @pytest.mark.parametrize(
+        "img",
+        [random_image(12, 12, 12), disk_masked_image(13, size=128, radius_frac=0.26), blob_image(14, size=256)],
+        ids=["random-12px", "disk-128px", "full-256px"],
+    )
+    def test_features_up_to_one_block_unchanged(self, img):
+        # the path before block sums and the single stencil pass: one np.sum
+        # per moment, on the mask that derivative_channels erodes
+        cs0, xbar, ybar = raw_channels(img)
+        t0 = _whole_array_table(cs0, xbar, ybar, 0)
+        _, _, eroded = derivative_channels(img)
+        x1, y1 = masked_centroid(eroded)
+        t1 = _whole_array_table(f1_channels(img, x1, y1), x1, y1, 1)
+        expected = [evaluate_invariant(s, t0 if s.k == 0 else t1) for s in catalogue_specs()]
+        fv = scdmi50(img)
+        assert img.mask.sum() <= BLOCK
+        assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
+        assert fv.valid.tolist() == [ok for _, ok in expected]
