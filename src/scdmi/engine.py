@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import InvariantSpec, MomentIndex, denominator_polynomial, catalogue_specs
-from .errors import EmptyDomain, TooSmall
+from .errors import EmptyDomain, InternalError, TooSmall
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
@@ -312,6 +312,90 @@ def evaluate_invariant(spec: InvariantSpec, table: MomentTable) -> tuple[float, 
     return num / denom, True
 
 
+@dataclass(frozen=True)
+class CompiledCatalogue:
+    """The 25 shared numerators and the quadratic core as one term array.
+
+    Term t is ``coefficients[t] * v[factors[0, t]] * ... * v[factors[-1, t]]``,
+    multiplied left to right, where v holds a table's moments in ``indices``
+    order followed by 1.0; the 1.0 slot pads shorter terms, so the padding
+    products are exact. ``bounds[i]:bounds[i+1]`` are the terms of numerator
+    i for i < 25, and the last range is the quadratic core.
+    """
+
+    indices: tuple[MomentIndex, ...]
+    factors: np.ndarray
+    coefficients: np.ndarray
+    bounds: tuple[int, ...]
+    area_exponents: tuple[float, ...]
+    denom_exponents: tuple[float, ...]
+
+
+@lru_cache(maxsize=1)
+def compiled_catalogue() -> CompiledCatalogue:
+    """Compile the catalogue once; both k share it, as they share numerators."""
+    specs = catalogue_specs()
+    shared = specs[:25]
+    for pos, spec in enumerate(specs):
+        ref = shared[pos % 25]
+        if (spec.k, spec.id, spec.numerator, spec.area_exponent, spec.denom_exponent) != (
+            pos // 25, ref.id, ref.numerator, ref.area_exponent, ref.denom_exponent
+        ):
+            raise InternalError(f"catalogue entry {pos} does not reuse numerator {ref.id}")
+    # shared numerators make required_indices(1) the same set
+    indices = tuple(sorted(required_indices(0)))
+    slot = {idx: i for i, idx in enumerate(indices)}
+    one = len(indices)
+    polys = [spec.numerator for spec in shared] + [denominator_polynomial()]
+    terms = [t for poly in polys for t in poly.terms]
+    width = max(len(t.factors) for t in terms)
+    factors = np.full((width, len(terms)), one, dtype=np.intp)
+    for col, term in enumerate(terms):
+        factors[: len(term.factors), col] = [slot[f] for f in term.factors]
+    bounds = np.cumsum([0] + [len(poly) for poly in polys])
+    return CompiledCatalogue(
+        indices=indices,
+        factors=factors,
+        coefficients=np.array([float(t.coefficient) for t in terms]),
+        bounds=tuple(int(b) for b in bounds),
+        area_exponents=tuple(float(s.area_exponent) for s in shared),
+        denom_exponents=tuple(float(s.denom_exponent) for s in shared),
+    )
+
+
+def evaluate_table(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
+    """The 25 invariants of one table, bit for bit as evaluate_invariant.
+
+    Every term is rounded in the order MomentPolynomial.evaluate uses and
+    each range is summed exactly rounded by fsum, whose result does not
+    depend on the order. The quadratic core and the degeneracy floor are
+    evaluated once. A table with a non-finite term, or whose sums overflow,
+    gives 25 invalid entries.
+    """
+    prog = compiled_catalogue()
+    invalid = np.zeros(25), np.zeros(25, dtype=bool)
+    m00 = table.m00
+    if not (m00 > 0.0):
+        return invalid
+    v = np.array([table.entries[idx] for idx in prog.indices] + [1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = prog.coefficients * v[prog.factors[0]]
+        for row in prog.factors[1:]:
+            terms *= v[row]
+    if not np.isfinite(terms).all():
+        return invalid
+    flat = terms.tolist()
+    b = prog.bounds
+    try:
+        *nums, d2 = [math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)]
+    except OverflowError:
+        return invalid
+    if not (d2 > degeneracy_floor(m00, channel_scale_sq(table))):
+        return invalid
+    values = [num / (m00**e * d2**d) for num, e, d in zip(nums, prog.area_exponents, prog.denom_exponents)]
+    return np.array(values), np.ones(25, dtype=bool)
+
+
 def moment_tables(img: RasterImage) -> tuple[MomentTable, MomentTable | None]:
     """The k=0 and k=1 tables used by the 50-instance evaluation.
 
@@ -330,15 +414,16 @@ def moment_tables(img: RasterImage) -> tuple[MomentTable, MomentTable | None]:
 
 
 def scdmi50(img: RasterImage) -> FeatureVector:
-    """Evaluate all 50 catalogued invariants on one image."""
+    """Evaluate all 50 catalogued invariants on one image.
+
+    Entries 1..25 come from the k=0 table and 26..50 from the k=1 table;
+    the k=1 entries are invalid when stencil erosion empties the mask.
+    """
     if img.width < 5 or img.height < 5:
         raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
-    t0, t1 = moment_tables(img)
     values = np.zeros(50)
     valid = np.zeros(50, dtype=bool)
-    for pos, spec in enumerate(catalogue_specs()):
-        table = t0 if spec.k == 0 else t1
-        if table is None:
-            continue
-        values[pos], valid[pos] = evaluate_invariant(spec, table)
+    for k, table in enumerate(moment_tables(img)):
+        if table is not None:
+            values[25 * k : 25 * k + 25], valid[25 * k : 25 * k + 25] = evaluate_table(table)
     return FeatureVector(values, valid)

@@ -79,20 +79,23 @@ def _core_sum(values, spec: CoreSpec) -> float:
     w = xc.size
     t = spec.width
     acc = np.ones((w,) * t)
-    for i, j, exp in spec.shape_factors:
+    if spec.shape_factors:
+        # the primitive does not depend on the factor's points: build it once
         prim = np.multiply.outer(xc, yc) - np.multiply.outer(yc, xc)
-        view = _pair_view(prim, (i - 1, j - 1), t)
-        for _ in range(exp):
-            acc = acc * view
-    for p, q, r, exp in spec.color_triples:
+        for i, j, exp in spec.shape_factors:
+            view = _pair_view(prim, (i - 1, j - 1), t)
+            for _ in range(exp):
+                acc *= view
+    if spec.color_triples:
         det = np.zeros((w, w, w))
         for (a, b, c), sign in zip(permutations((0, 1, 2)), _PERM_SIGNS):
             det += sign * (
                 _axis_view(rc, a, 3) * _axis_view(gc, b, 3) * _axis_view(bc, c, 3)
             )
-        view = _triple_view(det, (p - 1, q - 1, r - 1), t)
-        for _ in range(exp):
-            acc = acc * view
+        for p, q, r, exp in spec.color_triples:
+            view = _triple_view(det, (p - 1, q - 1, r - 1), t)
+            for _ in range(exp):
+                acc *= view
     return stable_sum(acc)
 
 

@@ -273,15 +273,11 @@ def invariance_report(
     original and the transformed image give a valid value.
     """
     base = scdmi50(img)
-    variants: list[RasterImage] = []
-    for st in shape_transforms:
-        variants.append(apply_shape_affine(img, st, out_size))
-    for ct in color_transforms:
-        variants.append(apply_color_affine(img, ct, clamp))
-    for st in shape_transforms:
-        warped = apply_shape_affine(img, st, out_size)
+    warped = [apply_shape_affine(img, st, out_size) for st in shape_transforms]
+    variants = warped + [apply_color_affine(img, ct, clamp) for ct in color_transforms]
+    for shaped in warped:
         for ct in color_transforms:
-            variants.append(apply_color_affine(warped, ct, clamp))
+            variants.append(apply_color_affine(shaped, ct, clamp))
 
     collected: list[list[float]] = [[] for _ in range(50)]
     for variant in variants:

@@ -2,8 +2,9 @@
 
 Four gates, all on internally generated seeded data:
 
-* oracle equivalence: polynomial evaluation against brute-force multi-point
-  summation on tiny random images, for every catalogued instance;
+* oracle equivalence: the feature vector scdmi50 returns against
+  brute-force multi-point summation on tiny random images, for every
+  catalogued instance;
 * channel-map exactness: unclamped channel transforms must leave every valid
   feature unchanged to floating-point noise;
 * scaling: nearest-neighbor upsampling (an exact affine map of the sample
@@ -57,15 +58,14 @@ def rows_to_csv(rows: list[VerifyRow]) -> str:
 
 
 def oracle_suite(seed: int = 0, n_images: int = 5, tol: float = ORACLE_TOL) -> list[VerifyRow]:
-    """Brute force vs polynomial path, all 50 instances on tiny images."""
+    """Brute force vs scdmi50, all 50 instances on tiny images."""
     rows: list[VerifyRow] = []
     for i in range(n_images):
         rng = np.random.default_rng(seed + i)
         img = RasterImage.from_array(rng.uniform(0.0, 1.0, size=(6, 6, 3)))
-        t0, t1 = moment_tables(img)
-        for spec in catalogue_specs():
-            table = t0 if spec.k == 0 else t1
-            value, valid = evaluate_invariant(spec, table)
+        fv = scdmi50(img)
+        for pos, spec in enumerate(catalogue_specs()):
+            value, valid = float(fv.values[pos]), bool(fv.valid[pos])
             reference = brute_force_invariant(img, spec)
             dev = abs(value - reference) / max(1.0, abs(reference))
             rows.append(

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.cli import main
@@ -129,11 +130,13 @@ class TestVerifyCommand:
         assert lines[0] == "suite,id,k,deviation,threshold,status"
         assert all(",pass" in line for line in lines[1:])
 
-    def test_injected_corruption_fails_exactly_that_instance(self, tmp_path, monkeypatch):
-        target_id, target_k = 7, 0
+    def test_injected_corruption_fails_exactly_that_instance(self, monkeypatch):
+        # the suite gates scdmi50, so the corruption goes into the catalogue
+        # scdmi50 compiles; k=0 and k=1 share numerator 7, so both rows fail
+        target_id = 7
         specs = []
         for spec in catalogue_specs():
-            if spec.id == target_id and spec.k == target_k:
+            if spec.id == target_id:
                 first = spec.numerator.terms[0]
                 corrupted = MomentPolynomial(
                     (MonomialTerm(first.coefficient + 1, first.factors),)
@@ -141,10 +144,15 @@ class TestVerifyCommand:
                 )
                 spec = dataclasses.replace(spec, numerator=corrupted)
             specs.append(spec)
-        monkeypatch.setattr(verify_mod, "catalogue_specs", lambda: tuple(specs))
-        rows = verify_mod.oracle_suite(seed=0, n_images=1)
+        monkeypatch.setattr(engine_mod, "catalogue_specs", lambda: tuple(specs))
+        engine_mod.compiled_catalogue.cache_clear()
+        try:
+            rows = verify_mod.oracle_suite(seed=0, n_images=1)
+        finally:
+            monkeypatch.undo()
+            engine_mod.compiled_catalogue.cache_clear()
         failing = {(r.id, r.k) for r in rows if not r.passed}
-        assert failing == {(f"img0_inst{target_id}", target_k)}
+        assert failing == {(f"img0_inst{target_id}", 0), (f"img0_inst{target_id}", 1)}
 
 
 class TestBenchCommand:

@@ -11,6 +11,7 @@ from scdmi.engine import (
     MomentTable,
     RasterImage,
     centroid_and_means,
+    compiled_catalogue,
     compute_moment_table,
     derivative_channels,
     evaluate_invariant,
@@ -234,6 +235,12 @@ def _ill_conditioned(seed, n):
     return x
 
 
+def _grayscale(seed, n):
+    """Equal channels: the quadratic core vanishes, so all 50 entries are invalid."""
+    g = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
+    return RasterImage(g, g.copy(), g.copy(), np.ones((n, n), bool))
+
+
 def _centred(cs, xbar, ybar):
     """(xc, yc, rc, gc, bc) over the masked pixels of a channel set."""
     ys, xs = np.nonzero(cs.mask)
@@ -295,8 +302,13 @@ class TestStableSum:
 
     @pytest.mark.parametrize(
         "img",
-        [random_image(12, 12, 12), disk_masked_image(13, size=128, radius_frac=0.26), blob_image(14, size=256)],
-        ids=["random-12px", "disk-128px", "full-256px"],
+        [
+            random_image(12, 12, 12),
+            disk_masked_image(13, size=128, radius_frac=0.26),
+            blob_image(14, size=256),
+            _grayscale(15, 12),
+        ],
+        ids=["random-12px", "disk-128px", "full-256px", "grayscale-12px"],
     )
     def test_features_up_to_one_block_unchanged(self, img):
         # the path before block sums and the single stencil pass: one np.sum
@@ -311,3 +323,54 @@ class TestStableSum:
         assert img.mask.sum() <= BLOCK
         assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
         assert fv.valid.tolist() == [ok for _, ok in expected]
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: one gather-product per table against the spec-by-spec path
+
+
+def _stripe_image(seed):
+    """Random channels on a 4-column stripe, which stencil erosion empties."""
+    img = random_image(seed, 24, 24)
+    img.mask[:] = False
+    img.mask[:, 10:14] = True
+    return img
+
+
+class TestCompiledCatalogue:
+    def test_term_counts(self):
+        prog = compiled_catalogue()
+        assert prog.factors.shape == (4, 2207)
+        assert prog.coefficients.shape == (2207,)
+        assert len(prog.bounds) == 27 and prog.bounds[-1] == 2207
+        assert prog.bounds[25] == sum(len(s.numerator) for s in catalogue_specs()[:25]) == 2202
+        assert prog.indices == tuple(sorted(required_indices(0))) == tuple(sorted(required_indices(1)))
+
+    @pytest.mark.parametrize(
+        "img", [blob_image(11, size=272), _stripe_image(16)], ids=["full-272px", "stripe-eroded-empty"]
+    )
+    def test_bit_identical_to_evaluate_invariant(self, img):
+        t0, t1 = moment_tables(img)
+        expected = [
+            (0.0, False) if table is None else evaluate_invariant(s, table)
+            for s in catalogue_specs()
+            for table in [t0 if s.k == 0 else t1]
+        ]
+        fv = scdmi50(img)
+        assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
+        assert fv.valid.tolist() == [ok for _, ok in expected]
+        if t1 is None:
+            assert fv.valid[:25].all() and not fv.valid[25:].any()
+        else:
+            assert img.mask.sum() > BLOCK and fv.valid.all()
+
+    @pytest.mark.parametrize("case", ["inf-pixel", "channels-1e60"])
+    def test_overflow_gives_invalid_entries(self, case):
+        img = blob_image(1, size=64)
+        if case == "inf-pixel":
+            img.red[32, 32] = np.inf
+        else:
+            img = RasterImage(img.red * 1e60, img.green * 1e60, img.blue * 1e60, img.mask)
+        fv = scdmi50(img)
+        assert np.isfinite(fv.values).all()
+        assert np.all(fv.values[~fv.valid] == 0.0)

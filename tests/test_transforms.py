@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scdmi.transforms as transforms_mod
 from scdmi.engine import RasterImage, scdmi50
 from scdmi.errors import Singular
 from scdmi.synthetic import blob_image, disk_masked_image
@@ -187,6 +188,20 @@ class TestInvarianceReport:
         assert len(lines) == 51
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "0"
+
+    def test_warps_each_shape_once(self, monkeypatch):
+        calls = []
+
+        def counting(img, t, out_size=None):
+            calls.append(t)
+            return apply_shape_affine(img, t, out_size)
+
+        monkeypatch.setattr(transforms_mod, "apply_shape_affine", counting)
+        img = blob_image(6, size=32)
+        sts = tuple(sample_shape_affine(s, src_size=(32, 32)) for s in range(2))
+        cts = tuple(sample_color_affine(s + 40) for s in range(3))
+        invariance_report(img, sts, cts)
+        assert [id(t) for t in calls] == [id(t) for t in sts]
 
     def test_color_only_report_is_exact(self):
         img = disk_masked_image(5, size=64, radius_frac=0.4)
