@@ -24,16 +24,12 @@ from .algebra import (
     catalogue_specs,
 )
 from .engine import (
-    ChannelSet,
     FeatureVector,
-    MomentTable,
     RasterImage,
-    centroid_and_means,
-    compute_moment_table,
-    derivative_channels,
+    centred_values,
     evaluate_invariant,
-    f1_channels,
     moment_tables,
+    moment_vector,
     scdmi50,
 )
 from .errors import (

@@ -2,16 +2,19 @@
 
 Images are three real-valued channel planes plus a boolean mask that defines
 the integration domain. Moments are plain sums over masked pixels with unit
-pixel area; pixel (column i, row j) sits at coordinates (i, j). The k=1
-channel set replaces raw channels with the radial first-derivative
+pixel area; pixel (column i, row j) sits at coordinates (i, j). One centring
+step (centred_values) gives the centred coordinates and channels for either
+derivative order: k=0 uses the raw channels, k=1 the radial first-derivative
 combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
-and denominator scale by the same channel power.
+and denominator scale by the same channel power. moment_vector sums them
+into one dense vector per k, which evaluate_table reads.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +30,20 @@ DEGENERACY_EPS = 1e-12
 _BLOCK = 1 << 16
 
 
+def _merge(partials: list[float]) -> float:
+    """Block sums merged exactly rounded by fsum.
+
+    Where fsum raises, on +inf and -inf partials or on an overflowing
+    intermediate, the result is the IEEE sum (nan or ±inf), as for a single
+    block.
+    """
+    try:
+        return math.fsum(partials)
+    except (ValueError, OverflowError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(partials))
+
+
 def stable_sum(values: np.ndarray) -> float:
     """Sum of a float array by one policy at every size.
 
@@ -38,7 +55,7 @@ def stable_sum(values: np.ndarray) -> float:
     block or less sums to float(np.sum(values)), except that -0.0 reads 0.0.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
-    return math.fsum(float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK))
+    return _merge([float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK)])
 
 
 @dataclass
@@ -87,37 +104,6 @@ class RasterImage:
 
 
 @dataclass
-class ChannelSet:
-    """Channel planes actually integrated for one derivative order.
-
-    k=0 carries the raw channels and their masked means; k=1 carries the
-    radial gradient channels on the eroded mask with means pinned to zero
-    (no mean subtraction for derivative channels).
-    """
-
-    k: int
-    red: np.ndarray
-    green: np.ndarray
-    blue: np.ndarray
-    means: tuple[float, float, float]
-    mask: np.ndarray
-
-    def __post_init__(self):
-        if self.k == 1 and any(m != 0.0 for m in self.means):
-            raise ValueError("k=1 channel means must be zero")
-
-
-@dataclass
-class MomentTable:
-    """Computed moments of one channel set, keyed by exponent tuple."""
-
-    k: int
-    entries: dict[MomentIndex, float]
-    m00: float
-    centroid: tuple[float, float]
-
-
-@dataclass
 class FeatureVector:
     """The 50 invariant values (ids 1..25 at k=0 then k=1) plus validity."""
 
@@ -132,34 +118,7 @@ class FeatureVector:
 
 
 # ---------------------------------------------------------------------------
-# centering and channel sets
-
-
-def masked_centroid(mask: np.ndarray) -> tuple[float, float]:
-    """Unweighted coordinate means over the masked pixels."""
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        raise EmptyDomain("mask has no pixels")
-    ys, xs = np.nonzero(mask)
-    return stable_sum(xs) / n, stable_sum(ys) / n
-
-
-def centroid_and_means(img: RasterImage):
-    """(x̄, ȳ, R̄, Ḡ, B̄): unweighted means over the masked pixels."""
-    mask = img.mask
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        raise EmptyDomain("mask has no pixels")
-    xbar, ybar = masked_centroid(mask)
-    means = tuple(stable_sum(plane[mask]) / n for plane in img.channels())
-    return (xbar, ybar, *means)
-
-
-def raw_channels(img: RasterImage) -> tuple[ChannelSet, float, float]:
-    """k=0 channel set plus the centroid it should be integrated around."""
-    xbar, ybar, rbar, gbar, bbar = centroid_and_means(img)
-    cs = ChannelSet(0, img.red, img.green, img.blue, (rbar, gbar, bbar), img.mask)
-    return cs, xbar, ybar
+# centring
 
 
 def _shift_bool(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
@@ -183,80 +142,43 @@ def stencil_eroded_mask(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative_channels(img: RasterImage):
-    """Unnormalized 5-point difference derivatives of each channel.
+def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
+    """Centred coordinates and channels (xc, yc, rc, gc, bc) over the k-domain.
 
-    Returns (ddx, ddy, eroded) where ddx/ddy are (3, H, W) stacks in R, G, B
-    order and eroded is the mask shrunk so every stencil tap is masked. The
-    stencil is C(x-2) - 8 C(x-1) + 8 C(x+1) - C(x+2), i.e. 12 times the true
-    derivative on smooth data.
+    Each array holds one value per domain pixel, in np.nonzero order. For
+    k=0 the domain is the mask and the channels are the raw channels minus
+    their masked means. For k=1 the domain is the stencil-eroded mask, with
+    its own centroid, and the channels are (x - x̄) dC/dx + (y - ȳ) dC/dy,
+    not mean-subtracted. dC/dx is the unnormalized 5-point difference
+    C(x-2) - 8 C(x-1) + 8 C(x+1) - C(x+2), 12 times the true derivative on
+    smooth data.
     """
-    if img.width < 5 or img.height < 5:
+    if k == 1 and (img.width < 5 or img.height < 5):
         raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
+    mask = img.mask if k == 0 else stencil_eroded_mask(img.mask)
+    n = int(np.count_nonzero(mask))
+    if n == 0:
+        raise EmptyDomain("mask has no pixels" if k == 0 else "stencil erosion left no pixels")
+    ys, xs = np.nonzero(mask)
+    xc = xs - stable_sum(xs) / n
+    yc = ys - stable_sum(ys) / n
+    if k == 0:
+        channels = [p[mask] for p in img.channels()]
+        return (xc, yc, *(c - stable_sum(c) / n for c in channels))
+    # the eroded domain lies inside the 2-pixel margin: the stencil runs on the interior only
     h, w = img.height, img.width
-    ddx = np.zeros((3, h, w))
-    ddy = np.zeros((3, h, w))
-    for c, plane in enumerate(img.channels()):
-        ddx[c, :, 2 : w - 2] = (
-            plane[:, 0 : w - 4] - 8.0 * plane[:, 1 : w - 3] + 8.0 * plane[:, 3 : w - 1] - plane[:, 4:w]
-        )
-        ddy[c, 2 : h - 2, :] = (
-            plane[0 : h - 4, :] - 8.0 * plane[1 : h - 3, :] + 8.0 * plane[3 : h - 1, :] - plane[4:h, :]
-        )
-    return ddx, ddy, stencil_eroded_mask(img.mask)
-
-
-def f1_channels(img: RasterImage, xbar: float, ybar: float) -> ChannelSet:
-    """k=1 channel set: (x - x̄) dC/dx + (y - ȳ) dC/dy on the eroded mask.
-
-    The caller supplies the centroid of the eroded mask so that moments and
-    channels are centered consistently.
-    """
-    ddx, ddy, eroded = derivative_channels(img)
-    xc = np.arange(img.width, dtype=np.float64) - xbar
-    yc = np.arange(img.height, dtype=np.float64) - ybar
-    planes = []
-    for c in range(3):
-        f1 = ddx[c] * xc[None, :] + ddy[c] * yc[:, None]
-        planes.append(np.where(eroded, f1, 0.0))
-    return ChannelSet(1, planes[0], planes[1], planes[2], (0.0, 0.0, 0.0), eroded)
+    inner = mask[2 : h - 2, 2 : w - 2]
+    channels = []
+    for p in img.channels():
+        rows, cols = p[2 : h - 2], p[:, 2 : w - 2]
+        ddx = rows[:, : w - 4] - 8.0 * rows[:, 1 : w - 3] + 8.0 * rows[:, 3 : w - 1] - rows[:, 4:]
+        ddy = cols[: h - 4] - 8.0 * cols[1 : h - 3] + 8.0 * cols[3 : h - 1] - cols[4:]
+        channels.append(ddx[inner] * xc + ddy[inner] * yc)
+    return (xc, yc, *channels)
 
 
 # ---------------------------------------------------------------------------
-# moment tables
-
-
-def compute_moment_table(
-    channels: ChannelSet, xbar: float, ybar: float, required
-) -> MomentTable:
-    """Accumulate every requested moment over the masked pixels.
-
-    The pixels are walked in the blocks stable_sum uses: each moment gets one
-    pairwise partial sum per block, and the partials are merged by fsum, so
-    the power cache only ever holds one block.
-    """
-    mask = channels.mask
-    npix = int(np.count_nonzero(mask))
-    if npix == 0:
-        raise EmptyDomain("mask has no pixels")
-    ys, xs = np.nonzero(mask)
-    centred = [xs - xbar, ys - ybar] + [
-        p[mask] - m for p, m in zip((channels.red, channels.green, channels.blue), channels.means)
-    ]
-    partials = {idx: [] for idx in sorted(set(MomentIndex(*i) for i in required))}
-    for lo in range(0, npix, _BLOCK):
-        pows = [[None, c[lo : lo + _BLOCK]] for c in centred]  # pows[axis][e] = power e of the block
-        for idx, sums in partials.items():
-            vec = None
-            for ladder, e in zip(pows, idx):
-                while len(ladder) <= e:
-                    ladder.append(ladder[-1] * ladder[1])
-                if e:
-                    vec = ladder[e] if vec is None else vec * ladder[e]
-            if vec is not None:
-                sums.append(float(np.sum(vec)))
-    entries = {idx: math.fsum(sums) if sums else float(npix) for idx, sums in partials.items()}
-    return MomentTable(k=channels.k, entries=entries, m00=float(npix), centroid=(xbar, ybar))
+# moment vectors
 
 
 @lru_cache(maxsize=None)
@@ -272,42 +194,76 @@ def required_indices(k: int) -> frozenset[MomentIndex]:
     return frozenset(idxs)
 
 
+def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
+    """Every moment the catalogue needs, in ``compiled_catalogue().indices`` order.
+
+    ``values`` are the five arrays of centred_values. The first entry is
+    m00, the pixel count. The pixels are walked in the blocks stable_sum
+    uses: each moment gets one pairwise partial sum per block, the partials
+    are merged as stable_sum merges them, and the power cache only ever
+    holds one block.
+    """
+    indices = compiled_catalogue().indices
+    npix = values[0].size
+    partials = [[] for _ in indices]
+    for lo in range(0, npix, _BLOCK):
+        pows = [[None, v[lo : lo + _BLOCK]] for v in values]  # pows[axis][e] = power e of the block
+        for idx, sums in zip(indices, partials):
+            vec = None
+            for ladder, e in zip(pows, idx):
+                while len(ladder) <= e:
+                    ladder.append(ladder[-1] * ladder[1])
+                if e:
+                    vec = ladder[e] if vec is None else vec * ladder[e]
+            if vec is not None:
+                sums.append(float(np.sum(vec)))
+    return np.array([_merge(sums) if sums else float(npix) for sums in partials])
+
+
+def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
+    """The k=0 and k=1 moment vectors used by the 50-instance evaluation.
+
+    The k=1 vector is computed on the stencil-eroded mask with its own
+    centroid; it is None when erosion empties the mask.
+    """
+    v0 = moment_vector(centred_values(img, 0))
+    try:
+        v1 = moment_vector(centred_values(img, 1))
+    except EmptyDomain:
+        v1 = None
+    return v0, v1
+
+
 # ---------------------------------------------------------------------------
 # invariant evaluation
 
-
-def channel_scale_sq(table: MomentTable) -> float:
-    """Mean per-channel variance of the integrated channel set."""
-    e = table.entries
-    v = (
-        e[MomentIndex(0, 0, 2, 0, 0)]
-        + e[MomentIndex(0, 0, 0, 2, 0)]
-        + e[MomentIndex(0, 0, 0, 0, 2)]
-    ) / (3.0 * table.m00)
-    return max(v, 0.0)
+#: the three channels' centred sums of squares, which set the degeneracy floor
+_SQUARES = (MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2))
 
 
-def degeneracy_floor(m00: float, scale_sq: float) -> float:
+def degeneracy_floor(m00: float, squares: Sequence[float]) -> float:
     """Threshold below which the quadratic color core is treated as zero.
 
-    The core scales like m00**3 times the sixth power of the channel spread,
-    so the floor is relative to both.
+    ``squares`` are the three channels' centred sums of squares. The core
+    scales like m00**3 times the sixth power of the channel spread, so the
+    floor is relative to both.
     """
+    scale_sq = max((squares[0] + squares[1] + squares[2]) / (3.0 * m00), 0.0)
     return DEGENERACY_EPS * m00**3 * scale_sq**3
 
 
-def evaluate_invariant(spec: InvariantSpec, table: MomentTable) -> tuple[float, bool]:
+def evaluate_invariant(spec: InvariantSpec, moments: Mapping[MomentIndex, float]) -> tuple[float, bool]:
     """Numerator over m00**e times the positive root of the quadratic core.
 
     Returns (0.0, False) when the core falls under the degeneracy floor,
     which happens exactly when the channel values are linearly dependent
     (grayscale or constant images).
     """
-    d2 = denominator_polynomial().evaluate(table.entries)
-    m00 = table.m00
-    if not (m00 > 0.0) or not (d2 > degeneracy_floor(m00, channel_scale_sq(table))):
+    d2 = denominator_polynomial().evaluate(moments)
+    m00 = float(moments[MomentIndex(0, 0, 0, 0, 0)])
+    if not (m00 > 0.0) or not (d2 > degeneracy_floor(m00, [float(moments[s]) for s in _SQUARES])):
         return 0.0, False
-    num = spec.numerator.evaluate(table.entries)
+    num = spec.numerator.evaluate(moments)
     denom = m00 ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent)
     return num / denom, True
 
@@ -317,10 +273,11 @@ class CompiledCatalogue:
     """The 25 shared numerators and the quadratic core as one term array.
 
     Term t is ``coefficients[t] * v[factors[0, t]] * ... * v[factors[-1, t]]``,
-    multiplied left to right, where v holds a table's moments in ``indices``
-    order followed by 1.0; the 1.0 slot pads shorter terms, so the padding
-    products are exact. ``bounds[i]:bounds[i+1]`` are the terms of numerator
-    i for i < 25, and the last range is the quadratic core.
+    multiplied left to right, where v holds a moment vector (``indices``
+    order, m00 first) followed by 1.0; the 1.0 slot pads shorter terms, so
+    the padding products are exact. ``bounds[i]:bounds[i+1]`` are the terms
+    of numerator i for i < 25, and the last range is the quadratic core.
+    ``squares`` are the slots of the three channels' sums of squares.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -329,6 +286,7 @@ class CompiledCatalogue:
     bounds: tuple[int, ...]
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
+    squares: tuple[int, ...]
 
 
 @lru_cache(maxsize=1)
@@ -360,24 +318,25 @@ def compiled_catalogue() -> CompiledCatalogue:
         bounds=tuple(int(b) for b in bounds),
         area_exponents=tuple(float(s.area_exponent) for s in shared),
         denom_exponents=tuple(float(s.denom_exponent) for s in shared),
+        squares=tuple(slot[sq] for sq in _SQUARES),
     )
 
 
-def evaluate_table(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
-    """The 25 invariants of one table, bit for bit as evaluate_invariant.
+def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 25 invariants of one moment vector, bit for bit as evaluate_invariant.
 
     Every term is rounded in the order MomentPolynomial.evaluate uses and
     each range is summed exactly rounded by fsum, whose result does not
     depend on the order. The quadratic core and the degeneracy floor are
-    evaluated once. A table with a non-finite term, or whose sums overflow,
+    evaluated once. A vector with a non-finite term, or whose sums overflow,
     gives 25 invalid entries.
     """
     prog = compiled_catalogue()
     invalid = np.zeros(25), np.zeros(25, dtype=bool)
-    m00 = table.m00
+    m00 = float(moments[0])
     if not (m00 > 0.0):
         return invalid
-    v = np.array([table.entries[idx] for idx in prog.indices] + [1.0])
+    v = np.append(moments, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = prog.coefficients * v[prog.factors[0]]
         for row in prog.factors[1:]:
@@ -390,27 +349,10 @@ def evaluate_table(table: MomentTable) -> tuple[np.ndarray, np.ndarray]:
         *nums, d2 = [math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)]
     except OverflowError:
         return invalid
-    if not (d2 > degeneracy_floor(m00, channel_scale_sq(table))):
+    if not (d2 > degeneracy_floor(m00, moments[list(prog.squares)].tolist())):
         return invalid
     values = [num / (m00**e * d2**d) for num, e, d in zip(nums, prog.area_exponents, prog.denom_exponents)]
     return np.array(values), np.ones(25, dtype=bool)
-
-
-def moment_tables(img: RasterImage) -> tuple[MomentTable, MomentTable | None]:
-    """The k=0 and k=1 tables used by the 50-instance evaluation.
-
-    The k=1 table is computed on the stencil-eroded mask with its own
-    centroid; it is None when erosion empties the mask.
-    """
-    cs0, xbar, ybar = raw_channels(img)
-    t0 = compute_moment_table(cs0, xbar, ybar, required_indices(0))
-    eroded = stencil_eroded_mask(img.mask)
-    if not eroded.any():
-        return t0, None
-    x1, y1 = masked_centroid(eroded)
-    cs1 = f1_channels(img, x1, y1)
-    t1 = compute_moment_table(cs1, x1, y1, required_indices(1))
-    return t0, t1
 
 
 def scdmi50(img: RasterImage) -> FeatureVector:
@@ -418,12 +360,11 @@ def scdmi50(img: RasterImage) -> FeatureVector:
 
     Entries 1..25 come from the k=0 table and 26..50 from the k=1 table;
     the k=1 entries are invalid when stencil erosion empties the mask.
+    Raises TooSmall on an image under 5x5 pixels.
     """
-    if img.width < 5 or img.height < 5:
-        raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
     values = np.zeros(50)
     valid = np.zeros(50, dtype=bool)
-    for k, table in enumerate(moment_tables(img)):
-        if table is not None:
-            values[25 * k : 25 * k + 25], valid[25 * k : 25 * k + 25] = evaluate_table(table)
+    for k, moments in enumerate(moment_tables(img)):
+        if moments is not None:
+            values[25 * k : 25 * k + 25], valid[25 * k : 25 * k + 25] = evaluate_table(moments)
     return FeatureVector(values, valid)

@@ -17,40 +17,11 @@ from itertools import permutations
 import numpy as np
 
 from .algebra import _PERM_SIGNS, CoreSpec, InvariantSpec
-from .engine import (
-    DEGENERACY_EPS,
-    RasterImage,
-    f1_channels,
-    masked_centroid,
-    raw_channels,
-    stable_sum,
-    stencil_eroded_mask,
-)
-from .errors import Degenerate, EmptyDomain, TooLarge
+from .engine import RasterImage, centred_values, degeneracy_floor, stable_sum
+from .errors import Degenerate, TooLarge
 
 #: hard ceiling on (masked pixel count) ** (integration points)
 TUPLE_GUARD = 10**8
-
-
-def _centered_point_values(img: RasterImage, k: int):
-    """1-D centered variable arrays (xc, yc, rc, gc, bc) over the k-domain."""
-    if k == 0:
-        cs, xbar, ybar = raw_channels(img)
-    else:
-        eroded = stencil_eroded_mask(img.mask)
-        if not eroded.any():
-            raise EmptyDomain("stencil erosion left no pixels")
-        xbar, ybar = masked_centroid(eroded)
-        cs = f1_channels(img, xbar, ybar)
-    mask = cs.mask
-    ys, xs = np.nonzero(mask)
-    return (
-        xs.astype(np.float64) - xbar,
-        ys.astype(np.float64) - ybar,
-        cs.red[mask] - cs.means[0],
-        cs.green[mask] - cs.means[1],
-        cs.blue[mask] - cs.means[2],
-    )
 
 
 def _axis_view(vec: np.ndarray, axis: int, width: int) -> np.ndarray:
@@ -101,7 +72,7 @@ def _core_sum(values, spec: CoreSpec) -> float:
 
 def brute_force_core_integral(img: RasterImage, spec: CoreSpec) -> float:
     """Nested summation of the core over all masked point tuples."""
-    values = _centered_point_values(img, spec.k)
+    values = centred_values(img, spec.k)
     w = values[0].size
     if w ** spec.width > TUPLE_GUARD:
         raise TooLarge(f"{w} pixels with {spec.width} points exceeds the tuple guard")
@@ -115,7 +86,7 @@ def brute_force_invariant(img: RasterImage, spec: InvariantSpec) -> float:
     relative floor the engine uses.
     """
     src = spec.source
-    values = _centered_point_values(img, src.k)
+    values = centred_values(img, src.k)
     w = values[0].size
     if w ** src.width > TUPLE_GUARD:
         raise TooLarge(f"{w} pixels with {src.width} points exceeds the tuple guard")
@@ -123,12 +94,7 @@ def brute_force_invariant(img: RasterImage, spec: InvariantSpec) -> float:
     denom_core = CoreSpec(color_triples=((1, 2, 3, 2),), k=src.k)
     d2 = _core_sum(values, denom_core)
     m00 = float(w)
-    _, _, rc, gc, bc = values
-    scale_sq = max(
-        (float(np.sum(rc * rc)) + float(np.sum(gc * gc)) + float(np.sum(bc * bc)))
-        / (3.0 * m00),
-        0.0,
-    )
-    if not (d2 > DEGENERACY_EPS * m00**3 * scale_sq**3):
+    squares = [float(np.sum(c * c)) for c in values[2:]]
+    if not (d2 > degeneracy_floor(m00, squares)):
         raise Degenerate("quadratic color core underflows the degeneracy floor")
     return numer / (m00 ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))

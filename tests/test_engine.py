@@ -5,20 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdmi import engine
 from scdmi.algebra import MomentIndex, catalogue_specs
 from scdmi.engine import (
-    ChannelSet,
-    MomentTable,
     RasterImage,
-    centroid_and_means,
+    centred_values,
     compiled_catalogue,
-    compute_moment_table,
-    derivative_channels,
     evaluate_invariant,
-    f1_channels,
-    masked_centroid,
     moment_tables,
-    raw_channels,
+    moment_vector,
     required_indices,
     scdmi50,
     stable_sum,
@@ -34,42 +29,55 @@ def random_image(seed, h, w):
     return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(h, w, 3)))
 
 
+def as_mapping(moments):
+    """A moment vector keyed by index, as evaluate_invariant reads it."""
+    return dict(zip(compiled_catalogue().indices, moments))
+
+
+def slot(idx):
+    return compiled_catalogue().indices.index(idx)
+
+
 class TestCentroid:
     def test_full_mask_5x3(self):
         img = RasterImage.from_array(np.zeros((3, 5, 3)))
-        xbar, ybar, *_ = centroid_and_means(img)
-        assert (xbar, ybar) == (2.0, 1.0)
+        xc, yc, *_ = centred_values(img, 0)
+        assert xc.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0] * 3
+        assert yc.tolist() == [-1.0] * 5 + [0.0] * 5 + [1.0] * 5
 
     def test_constant_channels(self):
         img = RasterImage.from_array(np.full((4, 4, 3), 0.25))
-        _, _, rbar, gbar, bbar = centroid_and_means(img)
-        assert (rbar, gbar, bbar) == (0.25, 0.25, 0.25)
+        _, _, rc, gc, bc = centred_values(img, 0)
+        # every channel mean is exactly 0.25
+        assert np.all(rc == 0.0) and np.all(gc == 0.0) and np.all(bc == 0.0)
 
     def test_empty_mask(self):
         img = RasterImage.from_array(np.zeros((4, 4, 3)), mask=np.zeros((4, 4), bool))
         with pytest.raises(EmptyDomain):
-            centroid_and_means(img)
+            centred_values(img, 0)
+        with pytest.raises(EmptyDomain):
+            centred_values(_stripe_image(16), 1)
 
 
 class TestDerivatives:
     def test_ramp_derivative_is_12(self):
         h, w = 7, 9
-        x = np.tile(np.arange(w, dtype=float), (h, 1))
-        img = RasterImage(x, x, x, np.ones((h, w), bool))
-        ddx, ddy, eroded = derivative_channels(img)
-        assert np.allclose(ddx[0][eroded], 12.0)
-        assert np.allclose(ddy[0][eroded], 0.0)
+        yy, xx = np.mgrid[0:h, 0:w].astype(float)
+        img = RasterImage(xx, yy, xx, np.ones((h, w), bool))
+        xc, yc, rc, gc, _ = centred_values(img, 1)
+        # dC/dx = 12 and dC/dy = 0 on an x ramp; the reverse on a y ramp
+        assert np.allclose(rc, 12.0 * xc)
+        assert np.allclose(gc, 12.0 * yc)
 
     def test_constant_channel_zero_derivative(self):
         img = RasterImage.from_array(np.full((6, 6, 3), 0.7))
-        ddx, ddy, eroded = derivative_channels(img)
+        _, _, *channels = centred_values(img, 1)
         # the stencil of a constant cancels to rounding noise
-        assert np.allclose(ddx[:, eroded], 0.0, atol=1e-13)
-        assert np.allclose(ddy[:, eroded], 0.0, atol=1e-13)
+        assert np.allclose(channels, 0.0, atol=1e-13)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
-            derivative_channels(RasterImage.from_array(np.zeros((4, 4, 3))))
+            centred_values(RasterImage.from_array(np.zeros((4, 4, 3))), 1)
 
     def test_eroded_mask_margin(self):
         mask = np.ones((8, 8), bool)
@@ -78,17 +86,28 @@ class TestDerivatives:
         expected[2:6, 2:6] = True
         assert np.array_equal(eroded, expected)
 
+    def test_scdmi50_erodes_once(self, monkeypatch):
+        calls = []
+
+        def counting(mask):
+            calls.append(mask)
+            return stencil_eroded_mask(mask)
+
+        monkeypatch.setattr(engine, "stencil_eroded_mask", counting)
+        scdmi50(random_image(17, 12, 12))
+        assert len(calls) == 1
+
 
 class TestF1Channels:
     def test_linear_ramp_gives_12_xc(self):
         h = w = 9
         x = np.tile(np.arange(w, dtype=float), (h, 1))
         img = RasterImage(x, x, x, np.ones((h, w), bool))
-        _, _, eroded = derivative_channels(img)
-        xbar, ybar = masked_centroid(eroded)
-        cs = f1_channels(img, xbar, ybar)
-        xc = np.tile(np.arange(w, dtype=float), (h, 1)) - xbar
-        assert np.allclose(cs.red[eroded], 12.0 * xc[eroded])
+        xc, _, rc, _, _ = centred_values(img, 1)
+        # k=1 is centred on the eroded mask's own centroid
+        _, xs = np.nonzero(stencil_eroded_mask(img.mask))
+        assert np.array_equal(xc, xs - xs.mean())
+        assert np.allclose(rc, 12.0 * xc)
 
     def test_euler_relation_on_radial_quadratic(self):
         # the stencil is exact on quadratics, so F1 of |P - center|^2 equals
@@ -97,43 +116,44 @@ class TestF1Channels:
         yy, xx = np.mgrid[0:h, 0:w].astype(float)
         mask = np.ones((h, w), bool)
         eroded = stencil_eroded_mask(mask)
-        xbar, ybar = masked_centroid(eroded)
+        xbar, ybar = xx[eroded].mean(), yy[eroded].mean()
         c = (xx - xbar) ** 2 + (yy - ybar) ** 2
         img = RasterImage(c, c, c, mask)
-        cs = f1_channels(img, xbar, ybar)
-        assert np.allclose(cs.red[eroded], 24.0 * c[eroded], rtol=1e-12)
+        _, _, rc, _, _ = centred_values(img, 1)
+        assert np.allclose(rc, 24.0 * c[eroded], rtol=1e-12)
 
     def test_means_are_zero(self):
-        cs = f1_channels(random_image(0, 7, 7), 3.0, 3.0)
-        assert cs.means == (0.0, 0.0, 0.0)
-        assert cs.k == 1
+        # k=1 channels are not mean-subtracted: each is the stencil formula itself
+        img = random_image(0, 7, 7)
+        xc, yc, rc, _, _ = centred_values(img, 1)
+        p = img.red
+        expected = [
+            (p[y, x - 2] - 8.0 * p[y, x - 1] + 8.0 * p[y, x + 1] - p[y, x + 2]) * dx
+            + (p[y - 2, x] - 8.0 * p[y - 1, x] + 8.0 * p[y + 1, x] - p[y + 2, x]) * dy
+            for (y, x), dx, dy in zip(zip(*np.nonzero(stencil_eroded_mask(img.mask))), xc, yc)
+        ]
+        assert np.array_equal(rc, expected)
 
 
 class TestMomentTable:
     def test_m00_is_masked_count(self):
         img = random_image(1, 6, 7)
         img.mask[0, :] = False
-        cs, xbar, ybar = raw_channels(img)
-        table = compute_moment_table(cs, xbar, ybar, [MomentIndex(0, 0, 0, 0, 0)])
-        assert table.m00 == 35.0
-        assert table.entries[MomentIndex(0, 0, 0, 0, 0)] == 35.0
+        assert compiled_catalogue().indices[0] == MomentIndex(0, 0, 0, 0, 0)
+        assert moment_vector(centred_values(img, 0))[0] == 35.0
 
     def test_first_central_moments_vanish(self):
         img = random_image(2, 8, 8)
-        cs, xbar, ybar = raw_channels(img)
-        table = compute_moment_table(
-            cs, xbar, ybar, [MomentIndex(1, 0, 0, 0, 0), MomentIndex(0, 1, 0, 0, 0)]
-        )
-        assert abs(table.entries[MomentIndex(1, 0, 0, 0, 0)]) <= 1e-9 * table.m00
-        assert abs(table.entries[MomentIndex(0, 1, 0, 0, 0)]) <= 1e-9 * table.m00
+        vec = moment_vector(centred_values(img, 0))
+        assert abs(vec[slot(MomentIndex(1, 0, 0, 0, 0))]) <= 1e-9 * vec[0]
+        assert abs(vec[slot(MomentIndex(0, 1, 0, 0, 0))]) <= 1e-9 * vec[0]
 
     def test_against_naive_double_loop(self):
         img = random_image(3, 8, 8)
-        cs, xbar, ybar = raw_channels(img)
-        required = sorted(required_indices(0))
-        table = compute_moment_table(cs, xbar, ybar, required)
-        rbar, gbar, bbar = cs.means
-        for idx in required:
+        vec = moment_vector(centred_values(img, 0))
+        xbar = ybar = 3.5
+        rbar, gbar, bbar = img.red.mean(), img.green.mean(), img.blue.mean()
+        for idx, value in zip(compiled_catalogue().indices, vec):
             total = 0.0
             for y in range(8):
                 for x in range(8):
@@ -144,7 +164,7 @@ class TestMomentTable:
                         * (img.green[y, x] - gbar) ** idx.beta
                         * (img.blue[y, x] - bbar) ** idx.gamma
                     )
-            assert table.entries[idx] == pytest.approx(total, rel=1e-12, abs=1e-12)
+            assert value == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 class TestEvaluate:
@@ -197,9 +217,9 @@ class TestEvaluate:
     def test_validity_flag_matches_spec_claim(self):
         # valid=False exactly when the quadratic core underflows its floor
         img = random_image(9, 7, 7)
-        t0, t1 = moment_tables(img)
+        v0, v1 = moment_tables(img)
         for spec in catalogue_specs():
-            value, ok = evaluate_invariant(spec, t0 if spec.k == 0 else t1)
+            value, ok = evaluate_invariant(spec, as_mapping(v0 if spec.k == 0 else v1))
             assert ok
             assert np.isfinite(value)
 
@@ -208,17 +228,16 @@ class TestEvaluate:
 @settings(max_examples=25, deadline=None)
 def test_moment_table_matches_naive_on_random_images(seed, h, w):
     img = random_image(seed, h, w)
-    cs, xbar, ybar = raw_channels(img)
     idx = MomentIndex(2, 1, 1, 0, 0)
-    table = compute_moment_table(cs, xbar, ybar, [idx])
-    xs = np.arange(w) - xbar
-    ys = np.arange(h) - ybar
+    value = moment_vector(centred_values(img, 0))[slot(idx)]
+    xs = np.arange(w) - (w - 1) / 2
+    ys = np.arange(h) - (h - 1) / 2
     naive = float(
         np.sum(
-            xs[None, :] ** 2 * ys[:, None] ** 1 * (img.red - cs.means[0])
+            xs[None, :] ** 2 * ys[:, None] ** 1 * (img.red - img.red.mean())
         )
     )
-    assert table.entries[idx] == pytest.approx(naive, rel=1e-10, abs=1e-10)
+    assert value == pytest.approx(naive, rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +260,31 @@ def _grayscale(seed, n):
     return RasterImage(g, g.copy(), g.copy(), np.ones((n, n), bool))
 
 
-def _centred(cs, xbar, ybar):
-    """(xc, yc, rc, gc, bc) over the masked pixels of a channel set."""
-    ys, xs = np.nonzero(cs.mask)
-    return [xs - xbar, ys - ybar] + [
-        plane[cs.mask] - m for plane, m in zip((cs.red, cs.green, cs.blue), cs.means)
-    ]
+def _plane_centred(img, k):
+    """(xc, yc, rc, gc, bc) built on whole planes: the stencil over the full
+    frame, the k=1 channels as planes, each gathered at the domain last."""
+    mask = img.mask if k == 0 else stencil_eroded_mask(img.mask)
+    n = np.count_nonzero(mask)
+    ys, xs = np.nonzero(mask)
+    xbar, ybar = stable_sum(xs) / n, stable_sum(ys) / n
+    if k == 0:
+        planes = [p - stable_sum(p[mask]) / n for p in img.channels()]
+    else:
+        h, w = mask.shape
+        xc = np.arange(w, dtype=np.float64) - xbar
+        yc = np.arange(h, dtype=np.float64) - ybar
+        planes = []
+        for p in img.channels():
+            ddx, ddy = np.zeros((h, w)), np.zeros((h, w))
+            ddx[:, 2 : w - 2] = p[:, 0 : w - 4] - 8.0 * p[:, 1 : w - 3] + 8.0 * p[:, 3 : w - 1] - p[:, 4:w]
+            ddy[2 : h - 2, :] = p[0 : h - 4, :] - 8.0 * p[1 : h - 3, :] + 8.0 * p[3 : h - 1, :] - p[4:h, :]
+            planes.append(ddx * xc[None, :] + ddy * yc[:, None])
+    return [xs - xbar, ys - ybar] + [p[mask] for p in planes]
 
 
-def _whole_array_table(cs, xbar, ybar, k):
-    """Moment table summed by one np.sum over each whole product vector, the
-    powers built by repeated multiplication in axis order."""
-    base = _centred(cs, xbar, ybar)
+def _whole_array_table(base, k):
+    """Moments summed by one np.sum over each whole product vector, the
+    powers built by repeated multiplication in axis order, keyed by index."""
     npix = float(base[0].size)
     entries = {}
     for idx in required_indices(k):
@@ -264,7 +296,7 @@ def _whole_array_table(cs, xbar, ybar, k):
                     p = p * b
                 vec = p if vec is None else vec * p
         entries[idx] = npix if vec is None else float(np.sum(vec))
-    return MomentTable(k, entries, npix, (xbar, ybar))
+    return entries
 
 
 class TestStableSum:
@@ -281,20 +313,22 @@ class TestStableSum:
     def test_empty(self):
         assert stable_sum(np.zeros(0)) == 0.0
 
+    def test_nonfinite_blocks_merge_to_ieee_result(self):
+        # fsum raises on these block sums; one block would give nan and inf
+        x = np.zeros(BLOCK + 1)
+        x[0], x[-1] = np.inf, -np.inf
+        assert math.isnan(stable_sum(x))
+        assert stable_sum(np.full(2 * BLOCK, 2.5e303)) == np.inf
+
     @pytest.mark.parametrize("k", [0, 1])
     def test_moment_table_above_one_block(self, k):
         img = blob_image(11, size=272)
-        if k == 0:
-            cs, xbar, ybar = raw_channels(img)
-        else:
-            xbar, ybar = masked_centroid(stencil_eroded_mask(img.mask))
-            cs = f1_channels(img, xbar, ybar)
-        assert np.count_nonzero(cs.mask) > BLOCK
-        table = compute_moment_table(cs, xbar, ybar, required_indices(k))
-        base = _centred(cs, xbar, ybar)
-        for idx, value in table.entries.items():
+        base = centred_values(img, k)
+        assert base[0].size > BLOCK
+        vec = moment_vector(base)
+        for idx, value in zip(compiled_catalogue().indices, vec):
             if not any(idx):
-                assert value == table.m00 == float(base[0].size)
+                assert value == float(base[0].size)
                 continue
             terms = np.prod([b**e for b, e in zip(base, idx)], axis=0)
             bound = 1e-14 * float(np.sum(np.abs(terms)))
@@ -311,13 +345,10 @@ class TestStableSum:
         ids=["random-12px", "disk-128px", "full-256px", "grayscale-12px"],
     )
     def test_features_up_to_one_block_unchanged(self, img):
-        # the path before block sums and the single stencil pass: one np.sum
-        # per moment, on the mask that derivative_channels erodes
-        cs0, xbar, ybar = raw_channels(img)
-        t0 = _whole_array_table(cs0, xbar, ybar, 0)
-        _, _, eroded = derivative_channels(img)
-        x1, y1 = masked_centroid(eroded)
-        t1 = _whole_array_table(f1_channels(img, x1, y1), x1, y1, 1)
+        # the path before block sums and the one centring step: whole planes,
+        # one np.sum per moment, spec by spec
+        t0 = _whole_array_table(_plane_centred(img, 0), 0)
+        t1 = _whole_array_table(_plane_centred(img, 1), 1)
         expected = [evaluate_invariant(s, t0 if s.k == 0 else t1) for s in catalogue_specs()]
         fv = scdmi50(img)
         assert img.mask.sum() <= BLOCK
@@ -326,7 +357,7 @@ class TestStableSum:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: one gather-product per table against the spec-by-spec path
+# compiled evaluation: one gather-product per moment vector against the spec-by-spec path
 
 
 def _stripe_image(seed):
@@ -345,32 +376,46 @@ class TestCompiledCatalogue:
         assert len(prog.bounds) == 27 and prog.bounds[-1] == 2207
         assert prog.bounds[25] == sum(len(s.numerator) for s in catalogue_specs()[:25]) == 2202
         assert prog.indices == tuple(sorted(required_indices(0))) == tuple(sorted(required_indices(1)))
+        assert [prog.indices[i] for i in prog.squares] == [
+            MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
+        ]
 
     @pytest.mark.parametrize(
         "img", [blob_image(11, size=272), _stripe_image(16)], ids=["full-272px", "stripe-eroded-empty"]
     )
     def test_bit_identical_to_evaluate_invariant(self, img):
-        t0, t1 = moment_tables(img)
+        v0, v1 = moment_tables(img)
         expected = [
-            (0.0, False) if table is None else evaluate_invariant(s, table)
+            (0.0, False) if moments is None else evaluate_invariant(s, as_mapping(moments))
             for s in catalogue_specs()
-            for table in [t0 if s.k == 0 else t1]
+            for moments in [v0 if s.k == 0 else v1]
         ]
         fv = scdmi50(img)
         assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
         assert fv.valid.tolist() == [ok for _, ok in expected]
-        if t1 is None:
+        if v1 is None:
             assert fv.valid[:25].all() and not fv.valid[25:].any()
         else:
             assert img.mask.sum() > BLOCK and fv.valid.all()
 
-    @pytest.mark.parametrize("case", ["inf-pixel", "channels-1e60"])
+    @pytest.mark.parametrize(
+        "case", ["inf-pixel", "channels-1e60", "pm-inf-two-blocks", "mean-overflow-two-blocks"]
+    )
     def test_overflow_gives_invalid_entries(self, case):
         img = blob_image(1, size=64)
         if case == "inf-pixel":
             img.red[32, 32] = np.inf
-        else:
+        elif case == "channels-1e60":
             img = RasterImage(img.red * 1e60, img.green * 1e60, img.blue * 1e60, img.mask)
+        else:
+            # 272 px is more than one 2^16-pixel block; fsum raised on the block sums
+            img = blob_image(1, size=272)
+            if case == "pm-inf-two-blocks":
+                img.red[10, 10], img.red[260, 260] = np.inf, -np.inf
+            else:
+                img = RasterImage(2.5e303 + 1e300 * img.red, img.green, img.blue, img.mask)
         fv = scdmi50(img)
         assert np.isfinite(fv.values).all()
         assert np.all(fv.values[~fv.valid] == 0.0)
+        if case.endswith("two-blocks"):
+            assert not fv.valid.any()
