@@ -249,10 +249,12 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 
 @dataclass
 class FeatureCache:
-    """Shares loaded images and invariant vectors across descriptor kinds."""
+    """Shares loaded images, invariant vectors and descriptor matrices of one
+    dataset across descriptor kinds and protocols."""
 
     images: dict[int, RasterImage] = field(default_factory=dict)
     invariants: dict[int, FeatureVector] = field(default_factory=dict)
+    descriptors: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def image(self, idx: int, item: DatasetItem) -> RasterImage:
         if idx not in self.images:
@@ -270,6 +272,8 @@ def descriptor_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, validity) for every dataset item, in dataset order."""
     cache = cache if cache is not None else FeatureCache()
+    if kind in cache.descriptors:
+        return cache.descriptors[kind]
     n = len(dataset.items)
     dim = DESCRIPTOR_DIMS[kind]
     feats = np.zeros((n, dim))
@@ -289,6 +293,7 @@ def descriptor_matrix(
             valid[i] = fv.valid[25:]
         else:
             feats[i] = baseline_descriptor(cache.image(i, item), kind)
+    cache.descriptors[kind] = feats, valid
     return feats, valid
 
 

@@ -160,21 +160,24 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
     if n == 0:
         raise EmptyDomain("mask has no pixels" if k == 0 else "stencil erosion left no pixels")
     ys, xs = np.nonzero(mask)
-    xc = xs - stable_sum(xs) / n
-    yc = ys - stable_sum(ys) / n
-    if k == 0:
-        channels = [p[mask] for p in img.channels()]
-        return (xc, yc, *(c - stable_sum(c) / n for c in channels))
-    # the eroded domain lies inside the 2-pixel margin: the stencil runs on the interior only
-    h, w = img.height, img.width
-    inner = mask[2 : h - 2, 2 : w - 2]
-    channels = []
-    for p in img.channels():
-        rows, cols = p[2 : h - 2], p[:, 2 : w - 2]
-        ddx = rows[:, : w - 4] - 8.0 * rows[:, 1 : w - 3] + 8.0 * rows[:, 3 : w - 1] - rows[:, 4:]
-        ddy = cols[: h - 4] - 8.0 * cols[1 : h - 3] + 8.0 * cols[3 : h - 1] - cols[4:]
-        channels.append(ddx[inner] * xc + ddy[inner] * yc)
-    return (xc, yc, *channels)
+    # non-finite or overflowing channels give nan or inf values, which
+    # evaluate_table turns into invalid entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xs - stable_sum(xs) / n
+        yc = ys - stable_sum(ys) / n
+        if k == 0:
+            channels = [p[mask] for p in img.channels()]
+            return (xc, yc, *(c - stable_sum(c) / n for c in channels))
+        # the eroded domain lies inside the 2-pixel margin: the stencil runs on the interior only
+        h, w = img.height, img.width
+        inner = mask[2 : h - 2, 2 : w - 2]
+        channels = []
+        for p in img.channels():
+            rows, cols = p[2 : h - 2], p[:, 2 : w - 2]
+            ddx = rows[:, : w - 4] - 8.0 * rows[:, 1 : w - 3] + 8.0 * rows[:, 3 : w - 1] - rows[:, 4:]
+            ddy = cols[: h - 4] - 8.0 * cols[1 : h - 3] + 8.0 * cols[3 : h - 1] - cols[4:]
+            channels.append(ddx[inner] * xc + ddy[inner] * yc)
+        return (xc, yc, *channels)
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +209,18 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     indices = compiled_catalogue().indices
     npix = values[0].size
     partials = [[] for _ in indices]
-    for lo in range(0, npix, _BLOCK):
-        pows = [[None, v[lo : lo + _BLOCK]] for v in values]  # pows[axis][e] = power e of the block
-        for idx, sums in zip(indices, partials):
-            vec = None
-            for ladder, e in zip(pows, idx):
-                while len(ladder) <= e:
-                    ladder.append(ladder[-1] * ladder[1])
-                if e:
-                    vec = ladder[e] if vec is None else vec * ladder[e]
-            if vec is not None:
-                sums.append(float(np.sum(vec)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, npix, _BLOCK):
+            pows = [[None, v[lo : lo + _BLOCK]] for v in values]  # pows[axis][e] = power e of the block
+            for idx, sums in zip(indices, partials):
+                vec = None
+                for ladder, e in zip(pows, idx):
+                    while len(ladder) <= e:
+                        ladder.append(ladder[-1] * ladder[1])
+                    if e:
+                        vec = ladder[e] if vec is None else vec * ladder[e]
+                if vec is not None:
+                    sums.append(float(np.sum(vec)))
     return np.array([_merge(sums) if sums else float(npix) for sums in partials])
 
 

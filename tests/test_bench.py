@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scdmi import bench as bench_mod
 from scdmi.bench import (
     ALL_KINDS,
     DESCRIPTOR_DIMS,
@@ -17,6 +18,7 @@ from scdmi.bench import (
     generate_retrieval_dataset,
     knn_classify,
     precision_recall,
+    run_benchmark,
 )
 from scdmi.engine import RasterImage
 from scdmi.synthetic import blob_image
@@ -219,6 +221,19 @@ class TestProtocols:
         assert np.array_equal(full[:, 25:], k1)
         assert np.array_equal(v_full[:, :25], v0)
         assert np.array_equal(v_full[:, 25:], v1)
+
+    def test_run_benchmark_computes_each_baseline_once_per_image(self, monkeypatch):
+        ds = tiny_dataset()
+        calls = []
+        real = bench_mod.baseline_descriptor
+
+        def counting(img, kind):
+            calls.append(kind)
+            return real(img, kind)
+
+        monkeypatch.setattr(bench_mod, "baseline_descriptor", counting)
+        run_benchmark(ds)
+        assert len(calls) == 4 * len(ds.items)
 
 
 class TestGenerators:

@@ -1,10 +1,22 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from scdmi.algebra import CoreSpec, catalogue_specs
-from scdmi.engine import RasterImage, compiled_catalogue, evaluate_invariant, moment_tables
+from scdmi import verify as verify_mod
+from scdmi.algebra import _PERM_SIGNS, CoreSpec, catalogue_specs
+from scdmi.engine import (
+    FeatureVector,
+    RasterImage,
+    centred_values,
+    compiled_catalogue,
+    evaluate_invariant,
+    moment_tables,
+    scdmi50,
+    stable_sum,
+)
 from scdmi.errors import Degenerate, TooLarge
-from scdmi.oracle import brute_force_core_integral, brute_force_invariant
+from scdmi.oracle import brute_force_core_integral, brute_force_features, brute_force_invariant
 from scdmi.transforms import ShapeAffine, apply_shape_affine
 
 
@@ -93,3 +105,98 @@ class TestBruteForceInvariant:
             a = brute_force_invariant(img, spec)
             b = brute_force_invariant(rotated, spec)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
+
+def naive_core_sum(values, spec):
+    """The whole integrand as one w**t tensor, each factor power multiplied in
+    one at a time, then summed: the reference for the oracle's plan."""
+    xc, yc, rc, gc, bc = values
+    w, t = xc.size, spec.width
+
+    def view(vec, axis):
+        shape = [1] * t
+        shape[axis - 1] = w
+        return vec.reshape(shape)
+
+    acc = np.ones((w,) * t)
+    for i, j, exp in spec.shape_factors:
+        for _ in range(exp):
+            acc = acc * (view(xc, i) * view(yc, j) - view(yc, i) * view(xc, j))
+    for p, q, r, exp in spec.color_triples:
+        det = sum(
+            sign * view(rc, a) * view(gc, b) * view(bc, c)
+            for (a, b, c), sign in zip(permutations((p, q, r)), _PERM_SIGNS)
+        )
+        for _ in range(exp):
+            acc = acc * det
+    return stable_sum(acc), float(np.sum(np.abs(acc)))
+
+
+def corner_masked_image(seed):
+    """7x7 with its four corners masked off: 45 px at k=0, a 3x3 k=1 domain."""
+    rng = np.random.default_rng(seed)
+    mask = np.ones((7, 7), dtype=bool)
+    mask[[0, 0, -1, -1], [0, -1, 0, -1]] = False
+    return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(7, 7, 3)), mask)
+
+
+class TestBruteForceFeatures:
+    @pytest.mark.parametrize("img", [random_image(6), corner_masked_image(7)], ids=["6x6", "7x7-corners"])
+    def test_equals_per_spec_invariant(self, img):
+        fv = brute_force_features(img)
+        assert fv.valid.all()
+        for pos, spec in enumerate(catalogue_specs()):
+            reference = brute_force_invariant(img, spec)
+            assert abs(fv.values[pos] - reference) <= 1e-12 * abs(reference)
+
+    def test_empty_erosion_and_grayscale_are_invalid(self):
+        rgb = np.random.default_rng(8).uniform(0.0, 1.0, size=(6, 6, 3))
+        mask = np.zeros((6, 6), dtype=bool)
+        mask[:4] = True  # four rows: the stencil erosion leaves nothing
+        stripe = RasterImage.from_array(rgb, mask)
+        fv = brute_force_features(stripe)
+        assert fv.valid[:25].all() and not fv.valid[25:].any()
+        gray = RasterImage.from_array(rgb[:, :, :1].repeat(3, axis=2))
+        assert not brute_force_features(gray).valid.any()
+
+    def test_core_sum_matches_full_tensor(self):
+        img = random_image(9, 4, 4)
+        values = centred_values(img, 0)
+        cores = [spec.source for spec in catalogue_specs()[:25]] + [
+            DENOM_CORE,
+            CoreSpec(),
+            CoreSpec(shape_factors=((1, 2, 2),)),
+            CoreSpec(shape_factors=((1, 3, 2),)),
+            CoreSpec(shape_factors=((2, 3, 1),), color_triples=((1, 2, 4, 1),)),
+        ]
+        for spec in cores:
+            reference, scale = naive_core_sum(values, spec)
+            assert abs(brute_force_core_integral(img, spec) - reference) <= 1e-12 * scale
+
+
+class TestOracleGate:
+    def test_engine_matches_oracle_on_masked_domain(self):
+        img = corner_masked_image(7)
+        assert [centred_values(img, k)[0].size for k in (0, 1)] == [45, 9]
+        fv, ref = scdmi50(img), brute_force_features(img)
+        assert fv.valid.all() and ref.valid.all()
+        assert verify_mod.oracle_deviations(fv.values, ref.values).max() <= verify_mod.ORACLE_TOL
+
+    def test_one_percent_error_fails_every_nonzero_row(self, monkeypatch):
+        honest = verify_mod.scdmi50
+
+        def off_by_one_percent(img):
+            fv = honest(img)
+            return FeatureVector(fv.values * 1.01, fv.valid)
+
+        monkeypatch.setattr(verify_mod, "scdmi50", off_by_one_percent)
+        rows = verify_mod.oracle_suite(seed=0, n_images=5)
+        nonzero = set()
+        for i in range(5):
+            ref = brute_force_features(random_image(i)).values
+            for pos, spec in enumerate(catalogue_specs()):
+                s_k = np.abs(ref[25 * spec.k : 25 * spec.k + 25]).max()
+                if abs(ref[pos]) > 1e-12 * s_k:
+                    nonzero.add((f"img{i}_inst{spec.id}", spec.k))
+        assert len(nonzero) == 175
+        assert {(r.id, r.k) for r in rows if not r.passed} == nonzero
