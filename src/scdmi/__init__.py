@@ -27,7 +27,6 @@ from .engine import (
     FeatureVector,
     RasterImage,
     centred_values,
-    evaluate_invariant,
     moment_tables,
     moment_vector,
     scdmi50,

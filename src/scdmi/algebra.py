@@ -17,14 +17,13 @@ the moment table they are evaluated against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import InternalError, InvalidSpec, ParseError
+from .errors import InvalidSpec, ParseError
 
 #: variable kinds attached to one integration point, in canonical axis order
 VAR_KINDS = "XYRGB"
@@ -85,19 +84,6 @@ class MomentPolynomial:
 
     def indices(self) -> frozenset[MomentIndex]:
         return frozenset(f for t in self.terms for f in t.factors)
-
-    def evaluate(self, values: Mapping[MomentIndex, float]) -> float:
-        """Evaluate against a moment table. Missing indices are a caller bug."""
-        parts = []
-        for term in self.terms:
-            prod = float(term.coefficient)
-            for f in term.factors:
-                try:
-                    prod *= values[f]
-                except KeyError:
-                    raise InternalError(f"moment index {f} not in table") from None
-            parts.append(prod)
-        return math.fsum(parts)
 
     def __len__(self) -> int:
         return len(self.terms)

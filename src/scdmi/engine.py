@@ -14,13 +14,13 @@ into one dense vector per k, which evaluate_table reads.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .algebra import InvariantSpec, MomentIndex, denominator_polynomial, catalogue_specs
+from .algebra import MomentIndex, denominator_polynomial, catalogue_specs
 from .errors import EmptyDomain, InternalError, TooSmall
 
 #: relative floor below which the quadratic color core counts as degenerate
@@ -256,22 +256,6 @@ def degeneracy_floor(m00: float, squares: Sequence[float]) -> float:
     return DEGENERACY_EPS * m00**3 * scale_sq**3
 
 
-def evaluate_invariant(spec: InvariantSpec, moments: Mapping[MomentIndex, float]) -> tuple[float, bool]:
-    """Numerator over m00**e times the positive root of the quadratic core.
-
-    Returns (0.0, False) when the core falls under the degeneracy floor,
-    which happens exactly when the channel values are linearly dependent
-    (grayscale or constant images).
-    """
-    d2 = denominator_polynomial().evaluate(moments)
-    m00 = float(moments[MomentIndex(0, 0, 0, 0, 0)])
-    if not (m00 > 0.0) or not (d2 > degeneracy_floor(m00, [float(moments[s]) for s in _SQUARES])):
-        return 0.0, False
-    num = spec.numerator.evaluate(moments)
-    denom = m00 ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent)
-    return num / denom, True
-
-
 @dataclass(frozen=True)
 class CompiledCatalogue:
     """The 25 shared numerators and the quadratic core as one term array.
@@ -326,33 +310,46 @@ def compiled_catalogue() -> CompiledCatalogue:
     )
 
 
-def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 25 invariants of one moment vector, bit for bit as evaluate_invariant.
+def core_sums(moments: np.ndarray) -> np.ndarray:
+    """The 25 numerator sums and the quadratic core D2 of one moment vector.
 
-    Every term is rounded in the order MomentPolynomial.evaluate uses and
-    each range is summed exactly rounded by fsum, whose result does not
-    depend on the order. The quadratic core and the degeneracy floor are
-    evaluated once. A vector with a non-finite term, or whose sums overflow,
-    gives 25 invalid entries.
+    Every term is rounded in one fixed order, the coefficient times the
+    factors in sorted order, and each range is summed exactly rounded by
+    fsum, whose result does not depend on the order of the terms. All 26
+    sums are nan when a term is non-finite or a sum overflows.
+    """
+    prog = compiled_catalogue()
+    v = np.append(moments, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = prog.coefficients * v[prog.factors[0]]
+        for row in prog.factors[1:]:
+            terms *= v[row]
+    b = prog.bounds
+    if np.isfinite(terms).all():
+        flat = terms.tolist()
+        try:
+            return np.array([math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)])
+        except OverflowError:
+            pass
+    return np.full(len(b) - 1, np.nan)
+
+
+def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 25 invariants of one moment vector: each numerator sum over m00**e * D2**d.
+
+    D2 and the degeneracy floor are evaluated once. A vector whose m00 is
+    not positive, whose core sums are not all finite, or whose D2 falls
+    under the floor gives 25 invalid entries.
     """
     prog = compiled_catalogue()
     invalid = np.zeros(25), np.zeros(25, dtype=bool)
     m00 = float(moments[0])
     if not (m00 > 0.0):
         return invalid
-    v = np.append(moments, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = prog.coefficients * v[prog.factors[0]]
-        for row in prog.factors[1:]:
-            terms *= v[row]
-    if not np.isfinite(terms).all():
+    sums = core_sums(moments)
+    if not np.isfinite(sums).all():
         return invalid
-    flat = terms.tolist()
-    b = prog.bounds
-    try:
-        *nums, d2 = [math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)]
-    except OverflowError:
-        return invalid
+    *nums, d2 = sums.tolist()
     if not (d2 > degeneracy_floor(m00, moments[list(prog.squares)].tolist())):
         return invalid
     values = [num / (m00**e * d2**d) for num, e, d in zip(nums, prog.area_exponents, prog.denom_exponents)]

@@ -109,7 +109,7 @@ def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
 def _normalizer(dom: _Domain) -> float:
     """The quadratic colour core; Degenerate where it underflows the engine's floor."""
     d2 = _core_sum(dom, _D2)
-    squares = [float(np.sum(c * c)) for c in dom.values[2:]]
+    squares = [stable_sum(c * c) for c in dom.values[2:]]
     if not (d2 > degeneracy_floor(float(dom.size), squares)):
         raise Degenerate("quadratic color core underflows the degeneracy floor")
     return d2

@@ -155,6 +155,22 @@ class TestVerifyCommand:
         assert failing == {(f"img0_inst{target_id}", 0), (f"img0_inst{target_id}", 1)}
 
 
+    def test_scaling_suite_sums_moment_vectors_only_inside_scdmi50(self, monkeypatch):
+        # 2 images x 2 k, all inside scdmi50: the negative controls reuse its values
+        calls = []
+        honest = engine_mod.moment_vector
+
+        def counting(values):
+            calls.append(values[0].size)
+            return honest(values)
+
+        monkeypatch.setattr(engine_mod, "moment_vector", counting)
+        # a direct import into the suite's module is counted too
+        monkeypatch.setattr(verify_mod, "moment_vector", counting, raising=False)
+        verify_mod.scaling_suite(seed=0)
+        assert len(calls) == 4
+
+
 class TestBenchCommand:
     def test_synthetic_outputs_and_determinism(self, tmp_path):
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4",

@@ -11,8 +11,8 @@ from scdmi.engine import (
     RasterImage,
     centred_values,
     compiled_catalogue,
-    evaluate_invariant,
-    moment_tables,
+    core_sums,
+    evaluate_table,
     moment_vector,
     required_indices,
     scdmi50,
@@ -27,11 +27,6 @@ from scdmi.transforms import ShapeAffine, apply_shape_affine
 def random_image(seed, h, w):
     rng = np.random.default_rng(seed)
     return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(h, w, 3)))
-
-
-def as_mapping(moments):
-    """A moment vector keyed by index, as evaluate_invariant reads it."""
-    return dict(zip(compiled_catalogue().indices, moments))
 
 
 def slot(idx):
@@ -215,13 +210,16 @@ class TestEvaluate:
         assert np.array_equal(a.valid, b.valid)
 
     def test_validity_flag_matches_spec_claim(self):
-        # valid=False exactly when the quadratic core underflows its floor
-        img = random_image(9, 7, 7)
-        v0, v1 = moment_tables(img)
-        for spec in catalogue_specs():
-            value, ok = evaluate_invariant(spec, as_mapping(v0 if spec.k == 0 else v1))
-            assert ok
-            assert np.isfinite(value)
+        # valid=False exactly when the k-domain is empty or the quadratic
+        # core underflows its floor
+        fv = scdmi50(random_image(9, 7, 7))
+        assert fv.valid.all()
+        assert np.isfinite(fv.values).all()
+        stripe = scdmi50(_stripe_image(16))
+        assert stripe.valid[:25].all() and not stripe.valid[25:].any()
+        assert np.all(stripe.values[25:] == 0.0)
+        big = blob_image(11, size=272)
+        assert big.mask.sum() > BLOCK and scdmi50(big).valid.all()
 
 
 @given(st.integers(0, 10000), st.integers(5, 9), st.integers(5, 9))
@@ -282,12 +280,13 @@ def _plane_centred(img, k):
     return [xs - xbar, ys - ybar] + [p[mask] for p in planes]
 
 
-def _whole_array_table(base, k):
+def _whole_array_table(base):
     """Moments summed by one np.sum over each whole product vector, the
-    powers built by repeated multiplication in axis order, keyed by index."""
+    powers built by repeated multiplication in axis order, in
+    compiled_catalogue().indices order."""
     npix = float(base[0].size)
-    entries = {}
-    for idx in required_indices(k):
+    entries = []
+    for idx in compiled_catalogue().indices:
         vec = None
         for b, e in zip(base, idx):
             if e:
@@ -295,8 +294,8 @@ def _whole_array_table(base, k):
                 for _ in range(e - 1):
                     p = p * b
                 vec = p if vec is None else vec * p
-        entries[idx] = npix if vec is None else float(np.sum(vec))
-    return entries
+        entries.append(npix if vec is None else float(np.sum(vec)))
+    return np.array(entries)
 
 
 class TestStableSum:
@@ -346,18 +345,17 @@ class TestStableSum:
     )
     def test_features_up_to_one_block_unchanged(self, img):
         # the path before block sums and the one centring step: whole planes,
-        # one np.sum per moment, spec by spec
-        t0 = _whole_array_table(_plane_centred(img, 0), 0)
-        t1 = _whole_array_table(_plane_centred(img, 1), 1)
-        expected = [evaluate_invariant(s, t0 if s.k == 0 else t1) for s in catalogue_specs()]
+        # one np.sum per moment
+        expected = [evaluate_table(_whole_array_table(_plane_centred(img, k))) for k in (0, 1)]
         fv = scdmi50(img)
         assert img.mask.sum() <= BLOCK
-        assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
-        assert fv.valid.tolist() == [ok for _, ok in expected]
+        values = np.concatenate([v for v, _ in expected])
+        assert np.array_equal(fv.values.view(np.int64), values.view(np.int64))
+        assert fv.valid.tolist() == np.concatenate([ok for _, ok in expected]).tolist()
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: one gather-product per moment vector against the spec-by-spec path
+# compiled evaluation: one gather-product per moment vector
 
 
 def _stripe_image(seed):
@@ -380,23 +378,12 @@ class TestCompiledCatalogue:
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
 
-    @pytest.mark.parametrize(
-        "img", [blob_image(11, size=272), _stripe_image(16)], ids=["full-272px", "stripe-eroded-empty"]
-    )
-    def test_bit_identical_to_evaluate_invariant(self, img):
-        v0, v1 = moment_tables(img)
-        expected = [
-            (0.0, False) if moments is None else evaluate_invariant(s, as_mapping(moments))
-            for s in catalogue_specs()
-            for moments in [v0 if s.k == 0 else v1]
-        ]
-        fv = scdmi50(img)
-        assert np.array_equal(fv.values.view(np.int64), np.array([v for v, _ in expected]).view(np.int64))
-        assert fv.valid.tolist() == [ok for _, ok in expected]
-        if v1 is None:
-            assert fv.valid[:25].all() and not fv.valid[25:].any()
-        else:
-            assert img.mask.sum() > BLOCK and fv.valid.all()
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_d2_is_six_gram_determinants(self, k):
+        values = centred_values(disk_masked_image(13, size=128, radius_frac=0.26), k)
+        c = np.stack(values[2:])
+        expected = 6.0 * np.linalg.det(c @ c.T)
+        assert abs(core_sums(moment_vector(values))[-1] - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize(
         "case", ["inf-pixel", "channels-1e60", "pm-inf-two-blocks", "mean-overflow-two-blocks"]
