@@ -7,6 +7,8 @@ transform tooling, and a retrieval benchmark.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     CoreSpec,
     InvariantSpec,
@@ -56,4 +58,7 @@ from .transforms import (
     upsample_nearest,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules their imports bind
+__all__ = [
+    name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -27,6 +27,9 @@ from .transforms import (
 
 CHI2_EPS = 1e-10
 SIGMA_FLOOR = 1e-12
+#: elements (queries x gallery items x dims) per ranking block: bounds the
+#: ranking temporaries, not the results
+RANK_BLOCK_ELEMENTS = 1 << 16
 
 
 class DescriptorKind(enum.Enum):
@@ -103,9 +106,28 @@ def chi_square_distance(a: np.ndarray, b: np.ndarray, eps: float = CHI2_EPS) -> 
     return float(np.sum((a - b) ** 2 / (np.abs(a) + np.abs(b) + eps)))
 
 
-def _chi2_to_gallery(query: np.ndarray, gallery: np.ndarray, eps: float = CHI2_EPS) -> np.ndarray:
-    diff = gallery - query[None, :]
-    return np.sum(diff * diff / (np.abs(gallery) + np.abs(query)[None, :] + eps), axis=1)
+def _chi2_rows(queries: np.ndarray, gallery: np.ndarray):
+    """(first query, distances) per block of queries.
+
+    Row q of a block holds the chi-square distances from query lo + q to
+    every gallery row. Each distance is reduced over the contiguous feature
+    axis, one row at a time, exactly as for a single query, so the values do
+    not depend on the block size. A block holds as many queries as keep its
+    two buffers within RANK_BLOCK_ELEMENTS elements each, and at least one.
+    """
+    abs_gallery = np.abs(gallery)
+    step = max(1, RANK_BLOCK_ELEMENTS // gallery.size)
+    shape = (min(step, len(queries)), *gallery.shape)
+    diff_buf, den_buf = np.empty(shape), np.empty(shape)
+    for lo in range(0, len(queries), step):
+        q = queries[lo : lo + step, None, :]
+        diff, den = diff_buf[: len(q)], den_buf[: len(q)]
+        np.subtract(gallery, q, out=diff)
+        diff *= diff
+        np.add(abs_gallery, np.abs(q), out=den)
+        den += CHI2_EPS
+        diff /= den
+        yield lo, np.sum(diff, axis=2)
 
 
 def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
@@ -143,9 +165,12 @@ def _hu_invariants(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return np.zeros(7)
     x = xs - stable_sum(w * xs) / m00
     y = ys - stable_sum(w * ys) / m00
+    # powers by multiplication: x**3 takes numpy's slow pow() path
+    xp = [1.0, x, x * x, x * x * x]
+    yp = [1.0, y, y * y, y * y * y]
 
     def mu(p, q):
-        return stable_sum(w * x**p * y**q)
+        return stable_sum(w * xp[p] * yp[q])
 
     def eta(p, q):
         return mu(p, q) / m00 ** (1.0 + (p + q) / 2.0)
@@ -188,8 +213,9 @@ def _color_moments(img: RasterImage) -> np.ndarray:
         n = max(v.size, 1)
         mean = stable_sum(v) / n
         centered = v - mean
-        var = stable_sum(centered**2) / n
-        mu3 = stable_sum(centered**3) / n
+        sq = centered * centered
+        var = stable_sum(sq) / n
+        mu3 = stable_sum(sq * centered) / n
         out.extend([mean, float(np.sqrt(max(var, 0.0))), mu3])
     return np.array(out)
 
@@ -249,12 +275,13 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 
 @dataclass
 class FeatureCache:
-    """Shares loaded images, invariant vectors and descriptor matrices of one
-    dataset across descriptor kinds and protocols."""
+    """Shares loaded images, invariant vectors, descriptor matrices and their
+    normalized forms of one dataset across descriptor kinds and protocols."""
 
     images: dict[int, RasterImage] = field(default_factory=dict)
     invariants: dict[int, FeatureVector] = field(default_factory=dict)
     descriptors: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    normalized: dict[DescriptorKind, np.ndarray] = field(default_factory=dict)
 
     def image(self, idx: int, item: DatasetItem) -> RasterImage:
         if idx not in self.images:
@@ -297,6 +324,16 @@ def descriptor_matrix(
     return feats, valid
 
 
+def normalized_matrix(
+    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
+) -> np.ndarray:
+    """feature_normalize of descriptor_matrix, computed once per kind and cache."""
+    cache = cache if cache is not None else FeatureCache()
+    if kind not in cache.normalized:
+        cache.normalized[kind] = feature_normalize(*descriptor_matrix(dataset, kind, cache))
+    return cache.normalized[kind]
+
+
 # ---------------------------------------------------------------------------
 # protocols
 
@@ -315,12 +352,12 @@ def knn_classify(
         sel = splits[labels == label]
         if "train" not in sel or "test" not in sel:
             raise ValueError(f"class {label!r} missing from one split")
-    feats, valid = descriptor_matrix(dataset, kind, cache)
-    normed = feature_normalize(feats, valid)
+    normed = normalized_matrix(dataset, kind, cache)
+    codes = np.unique(labels, return_inverse=True)[1]
     correct = 0
-    for ti in test:
-        d = _chi2_to_gallery(normed[ti], normed[train])
-        correct += bool(labels[train[int(np.argmin(d))]] == labels[ti])
+    for lo, d in _chi2_rows(normed[test], normed[train]):
+        nearest = train[np.argmin(d, axis=1)]
+        correct += int(np.count_nonzero(codes[nearest] == codes[test[lo : lo + len(d)]]))
     return correct / int(test.size)
 
 
@@ -335,26 +372,31 @@ def precision_recall(
     for label in np.unique(labels):
         if int(np.sum(labels == label)) < 2:
             raise ValueError(f"class {label!r} needs at least 2 members for retrieval")
-    feats, valid = descriptor_matrix(dataset, kind, cache)
-    normed = feature_normalize(feats, valid)
+    normed = normalized_matrix(dataset, kind, cache)
+    codes = np.unique(labels, return_inverse=True)[1]
     n = len(dataset.items)
     recall_levels = np.linspace(0.0, 1.0, levels)
+    cols = np.arange(n - 1)
+    ranks = cols + 1
     acc = np.zeros(levels)
-    for qi in range(n):
-        others = np.concatenate([np.arange(qi), np.arange(qi + 1, n)])
-        d = _chi2_to_gallery(normed[qi], normed[others])
-        order = others[np.argsort(d, kind="stable")]
-        rel = (labels[order] == labels[qi]).astype(np.float64)
-        n_rel = rel.sum()
-        cum = np.cumsum(rel)
-        ranks = np.arange(1, order.size + 1)
+    for lo, d in _chi2_rows(normed, normed):
+        # row q lists every item but query q, in index order
+        own = cols + (cols >= np.arange(lo, lo + len(d))[:, None])
+        perm = np.argsort(np.take_along_axis(d, own, axis=1), axis=1, kind="stable")
+        order = np.take_along_axis(own, perm, axis=1)
+        rel = codes[order] == codes[lo : lo + len(d), None]
+        cum = np.cumsum(rel, axis=1, dtype=np.float64)
         precision = cum / ranks
-        recall = cum / n_rel
-        # interpolated: best precision at any rank reaching the recall level
-        best_to_right = np.maximum.accumulate(precision[::-1])[::-1]
-        for li, r in enumerate(recall_levels):
-            pos = int(np.searchsorted(recall, r, side="left"))
-            acc[li] += best_to_right[min(pos, order.size - 1)]
+        recall = cum / cum[:, -1:]
+        # interpolated: best precision at any rank reaching the recall level;
+        # recall rises along a row to exactly 1.0 at the last rank, so the
+        # first rank reaching r is the count of ranks below r
+        best_to_right = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+        pos = np.count_nonzero(recall[:, :, None] < recall_levels, axis=1)
+        picked = np.take_along_axis(best_to_right, pos, axis=1)
+        # rows are added one query at a time so every sum rounds as a per-query loop's does
+        for row in picked:
+            acc += row
     return PRCurve(recall_levels, acc / n)
 
 

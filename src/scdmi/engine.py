@@ -206,19 +206,19 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     are merged as stable_sum merges them, and the power cache only ever
     holds one block.
     """
-    indices = compiled_catalogue().indices
+    prog = compiled_catalogue()
     npix = values[0].size
-    partials = [[] for _ in indices]
+    partials = [[] for _ in prog.indices]
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, npix, _BLOCK):
             pows = [[None, v[lo : lo + _BLOCK]] for v in values]  # pows[axis][e] = power e of the block
-            for idx, sums in zip(indices, partials):
+            for factors, sums in zip(prog.plan, partials):
                 vec = None
-                for ladder, e in zip(pows, idx):
+                for axis, e in factors:
+                    ladder = pows[axis]
                     while len(ladder) <= e:
                         ladder.append(ladder[-1] * ladder[1])
-                    if e:
-                        vec = ladder[e] if vec is None else vec * ladder[e]
+                    vec = ladder[e] if vec is None else vec * ladder[e]
                 if vec is not None:
                     sums.append(float(np.sum(vec)))
     return np.array([_merge(sums) if sums else float(npix) for sums in partials])
@@ -266,6 +266,8 @@ class CompiledCatalogue:
     the padding products are exact. ``bounds[i]:bounds[i+1]`` are the terms
     of numerator i for i < 25, and the last range is the quadratic core.
     ``squares`` are the slots of the three channels' sums of squares.
+    ``plan`` holds, per moment, its non-zero (axis, exponent) pairs in axis
+    order: the factors moment_vector multiplies.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -275,6 +277,7 @@ class CompiledCatalogue:
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
     squares: tuple[int, ...]
+    plan: tuple[tuple[tuple[int, int], ...], ...]
 
 
 @lru_cache(maxsize=1)
@@ -307,6 +310,7 @@ def compiled_catalogue() -> CompiledCatalogue:
         area_exponents=tuple(float(s.area_exponent) for s in shared),
         denom_exponents=tuple(float(s.denom_exponent) for s in shared),
         squares=tuple(slot[sq] for sq in _SQUARES),
+        plan=tuple(tuple((axis, e) for axis, e in enumerate(idx) if e) for idx in indices),
     )
 
 

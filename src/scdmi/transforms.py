@@ -106,29 +106,24 @@ def apply_shape_affine(
     y0c = np.clip(y0, 0, h_in - 1)
     y1c = np.clip(y1, 0, h_in - 1)
 
-    mask = img.mask
-    out_mask = (
-        inb
-        & mask[y0c, x0c]
-        & mask[y0c, x1c]
-        & mask[y1c, x0c]
-        & mask[y1c, x1c]
-    )
+    # one flat index y * W + x per tap serves the mask and all three planes
+    taps = [y * w_in + x for y in (y0c, y1c) for x in (x0c, x1c)]
+    flat_mask = img.mask.ravel()
+    out_mask = inb
+    for tap in taps:
+        out_mask = out_mask & flat_mask.take(tap)
 
     w00 = (1.0 - fx) * (1.0 - fy)
     w01 = fx * (1.0 - fy)
     w10 = (1.0 - fx) * fy
     w11 = fx * fy
-    planes = []
-    for plane in img.channels():
-        out = (
-            w00 * plane[y0c, x0c]
-            + w01 * plane[y0c, x1c]
-            + w10 * plane[y1c, x0c]
-            + w11 * plane[y1c, x1c]
-        )
-        planes.append(np.where(out_mask, out, 0.0))
-    return RasterImage(planes[0], planes[1], planes[2], out_mask)
+    planes = np.stack(img.channels()).reshape(3, -1)
+    # the weighted taps are added in the fixed order 00, 01, 10, 11, which sets the rounding
+    out = w00 * planes.take(taps[0], axis=1)
+    for weight, tap in zip((w01, w10, w11), taps[1:]):
+        out += weight * planes.take(tap, axis=1)
+    out = np.where(out_mask, out, 0.0)
+    return RasterImage(out[0], out[1], out[2], out_mask)
 
 
 def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) -> RasterImage:

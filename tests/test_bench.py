@@ -13,6 +13,7 @@ from scdmi.bench import (
     LabeledDataset,
     baseline_descriptor,
     chi_square_distance,
+    descriptor_matrix,
     feature_normalize,
     generate_classification_dataset,
     generate_retrieval_dataset,
@@ -20,7 +21,7 @@ from scdmi.bench import (
     precision_recall,
     run_benchmark,
 )
-from scdmi.engine import RasterImage
+from scdmi.engine import RasterImage, stable_sum
 from scdmi.synthetic import blob_image
 from scdmi.transforms import ColorAffine, apply_color_affine
 
@@ -123,6 +124,15 @@ class TestBaselines:
         img = RasterImage.from_array(np.full((8, 8, 3), 0.5))
         cm = baseline_descriptor(img, DescriptorKind.COLOR_MOMENTS)
         assert np.allclose(cm, [0.5, 0.0, 0.0] * 3)
+
+    def test_third_moment_by_multiplication_matches_power(self):
+        # (c * c) * c rounds twice and c**3 once: the sums differ by a few ulp of sum |c|^3
+        img = random_image(5, 31, 29)
+        cm = baseline_descriptor(img, DescriptorKind.COLOR_MOMENTS)
+        for plane, mu3 in zip(img.channels(), cm[2::3]):
+            c = plane.ravel() - stable_sum(plane) / plane.size
+            bound = 4 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 3)) / plane.size
+            assert abs(mu3 - stable_sum(c**3) / plane.size) <= bound
 
 
 def tiny_dataset(n_classes=2, per_class=6):
@@ -234,6 +244,119 @@ class TestProtocols:
         monkeypatch.setattr(bench_mod, "baseline_descriptor", counting)
         run_benchmark(ds)
         assert len(calls) == 4 * len(ds.items)
+
+
+def chi2_to_gallery(query, gallery, eps=bench_mod.CHI2_EPS):
+    diff = gallery - query[None, :]
+    return np.sum(diff * diff / (np.abs(gallery) + np.abs(query)[None, :] + eps), axis=1)
+
+
+def knn_reference(dataset, kind, cache):
+    """1-NN accuracy by one distance row per test query."""
+    labels = dataset.labels()
+    splits = dataset.splits()
+    train = np.nonzero(splits == "train")[0]
+    test = np.nonzero(splits == "test")[0]
+    feats, valid = descriptor_matrix(dataset, kind, cache)
+    normed = feature_normalize(feats, valid)
+    correct = 0
+    for ti in test:
+        d = chi2_to_gallery(normed[ti], normed[train])
+        correct += bool(labels[train[int(np.argmin(d))]] == labels[ti])
+    return correct / int(test.size)
+
+
+def precision_recall_reference(dataset, kind, cache, levels=11):
+    """Interpolated PR curve by one ranking per query."""
+    labels = dataset.labels()
+    feats, valid = descriptor_matrix(dataset, kind, cache)
+    normed = feature_normalize(feats, valid)
+    n = len(dataset.items)
+    recall_levels = np.linspace(0.0, 1.0, levels)
+    acc = np.zeros(levels)
+    for qi in range(n):
+        others = np.concatenate([np.arange(qi), np.arange(qi + 1, n)])
+        d = chi2_to_gallery(normed[qi], normed[others])
+        order = others[np.argsort(d, kind="stable")]
+        rel = (labels[order] == labels[qi]).astype(np.float64)
+        n_rel = rel.sum()
+        cum = np.cumsum(rel)
+        ranks = np.arange(1, order.size + 1)
+        precision = cum / ranks
+        recall = cum / n_rel
+        best_to_right = np.maximum.accumulate(precision[::-1])[::-1]
+        for li, r in enumerate(recall_levels):
+            pos = int(np.searchsorted(recall, r, side="left"))
+            acc[li] += best_to_right[min(pos, order.size - 1)]
+    return acc / n
+
+
+def random_feature_dataset(seed, n, dims=5):
+    """Uneven classes over precomputed features: few distinct values make
+    tied distances, and about a fifth of the entries are invalid."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(2, 9)))
+    sizes[-1] -= sum(sizes) - n
+    if sizes[-1] < 2:
+        sizes[-2:] = [sizes[-2] + sizes[-1]]
+    items = []
+    for c, size in enumerate(sizes):
+        # each class's first member trains and its last is tested
+        middle = ["train" if rng.random() < 0.2 else "test" for _ in range(size - 2)]
+        items += [DatasetItem(label=f"c{c:02d}", split=sp) for sp in ["train", *middle, "test"]]
+    feats = rng.integers(-2, 3, size=(n, dims)) * rng.choice([1e-3, 1.0, 1e3], size=dims)
+    feats[rng.integers(0, n, size=n // 4)] = feats[rng.integers(0, n, size=n // 4)]
+    valid = rng.random((n, dims)) > 0.2
+    cache = FeatureCache()
+    cache.descriptors[DescriptorKind.HU7] = feats, valid
+    return LabeledDataset(items), cache
+
+
+class TestRankingExactness:
+    """The blocked ranking equals the per-query loop bit for bit."""
+
+    CASES = [(0, 17), (1, 32), (2, 33), (3, 70), (4, 101), (5, 131)]
+
+    @pytest.fixture(params=[1, 7, None], ids=["1-query", "7-query", "default"])
+    def block(self, request, monkeypatch):
+        # budgets of 1 or 7 queries against the largest gallery, or the default;
+        # the 1-query budget splits every case into blocks with a partial last one
+        if request.param is not None:
+            monkeypatch.setattr(bench_mod, "RANK_BLOCK_ELEMENTS", request.param * 131 * 5)
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_knn_equals_per_query_loop(self, seed, n, block):
+        ds, cache = random_feature_dataset(seed, n)
+        kind = DescriptorKind.HU7
+        assert knn_classify(ds, kind, cache) == knn_reference(ds, kind, cache)
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_precision_recall_equals_per_query_loop(self, seed, n, block):
+        ds, cache = random_feature_dataset(seed, n)
+        kind = DescriptorKind.HU7
+        for levels in (11, 21):
+            curve = precision_recall(ds, kind, cache, levels)
+            assert curve.precision.tolist() == precision_recall_reference(ds, kind, cache, levels).tolist()
+
+    def test_datasets_have_ties(self):
+        ds, cache = random_feature_dataset(3, 70)
+        normed = feature_normalize(*cache.descriptors[DescriptorKind.HU7])
+        d = chi2_to_gallery(normed[0], normed[1:])
+        assert len(np.unique(d)) < d.size
+
+    def test_normalizes_once_per_kind(self, monkeypatch):
+        calls = []
+        real = bench_mod.feature_normalize
+
+        def counting(raw, valid=None):
+            calls.append(raw.shape)
+            return real(raw, valid)
+
+        monkeypatch.setattr(bench_mod, "feature_normalize", counting)
+        run_benchmark(tiny_dataset())
+        assert len(calls) == len(ALL_KINDS)
 
 
 class TestGenerators:

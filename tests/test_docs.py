@@ -1,5 +1,6 @@
 import re
 from pathlib import Path
+from types import ModuleType
 
 import scdmi
 
@@ -15,3 +16,8 @@ def test_readme_entry_points_import():
     assert "scdmi50" in namespace
     for name in scdmi.__all__:
         assert getattr(scdmi, name) is not None, name
+
+
+def test_all_exports_no_modules():
+    modules = [name for name in scdmi.__all__ if isinstance(getattr(scdmi, name), ModuleType)]
+    assert modules == []

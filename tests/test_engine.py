@@ -143,6 +143,28 @@ class TestMomentTable:
         assert abs(vec[slot(MomentIndex(1, 0, 0, 0, 0))]) <= 1e-9 * vec[0]
         assert abs(vec[slot(MomentIndex(0, 1, 0, 0, 0))]) <= 1e-9 * vec[0]
 
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize(
+        "img", [random_image(4, 9, 11), disk_masked_image(5, size=96, radius_frac=0.26), blob_image(6, size=272)]
+    )
+    def test_plan_equals_walk_over_all_axes(self, img, k):
+        # every index walked over its five axes, each power built on demand
+        values = centred_values(img, k)
+        partials = [[] for _ in compiled_catalogue().indices]
+        for lo in range(0, values[0].size, BLOCK):
+            pows = [[None, v[lo : lo + BLOCK]] for v in values]
+            for idx, sums in zip(compiled_catalogue().indices, partials):
+                vec = None
+                for ladder, e in zip(pows, idx):
+                    while len(ladder) <= e:
+                        ladder.append(ladder[-1] * ladder[1])
+                    if e:
+                        vec = ladder[e] if vec is None else vec * ladder[e]
+                if vec is not None:
+                    sums.append(float(np.sum(vec)))
+        expected = [math.fsum(sums) if sums else float(values[0].size) for sums in partials]
+        assert moment_vector(values).tolist() == expected
+
     def test_against_naive_double_loop(self):
         img = random_image(3, 8, 8)
         vec = moment_vector(centred_values(img, 0))

@@ -26,6 +26,70 @@ def random_image(seed, h=16, w=16):
     return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(h, w, 3)))
 
 
+def two_index_warp(img, t, out_size=None):
+    """The bilinear warp with one two-index gather per tap and plane."""
+    w_in, h_in = img.width, img.height
+    w_out, h_out = out_size if out_size is not None else (w_in, h_in)
+    a = t.matrix
+    det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+    gx = np.arange(w_out, dtype=np.float64)[None, :] - t.offset[0]
+    gy = np.arange(h_out, dtype=np.float64)[:, None] - t.offset[1]
+    sx = inv[0, 0] * gx + inv[0, 1] * gy
+    sy = inv[1, 0] * gx + inv[1, 1] * gy
+    x0f = np.floor(sx)
+    y0f = np.floor(sy)
+    fx = sx - x0f
+    fy = sy - y0f
+    x0 = x0f.astype(np.int64)
+    y0 = y0f.astype(np.int64)
+    x1 = x0 + (fx > 0)
+    y1 = y0 + (fy > 0)
+    inb = (x0 >= 0) & (x1 <= w_in - 1) & (y0 >= 0) & (y1 <= h_in - 1)
+    x0c = np.clip(x0, 0, w_in - 1)
+    x1c = np.clip(x1, 0, w_in - 1)
+    y0c = np.clip(y0, 0, h_in - 1)
+    y1c = np.clip(y1, 0, h_in - 1)
+    mask = img.mask
+    out_mask = inb & mask[y0c, x0c] & mask[y0c, x1c] & mask[y1c, x0c] & mask[y1c, x1c]
+    w00 = (1.0 - fx) * (1.0 - fy)
+    w01 = fx * (1.0 - fy)
+    w10 = (1.0 - fx) * fy
+    w11 = fx * fy
+    planes = []
+    for plane in img.channels():
+        out = (
+            w00 * plane[y0c, x0c]
+            + w01 * plane[y0c, x1c]
+            + w10 * plane[y1c, x0c]
+            + w11 * plane[y1c, x1c]
+        )
+        planes.append(np.where(out_mask, out, 0.0))
+    return RasterImage(planes[0], planes[1], planes[2], out_mask)
+
+
+class TestWarpGatherExactness:
+    """apply_shape_affine equals the two-index-gather warp bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "src,out", [((24, 24), None), ((31, 19), None), ((20, 26), (33, 15)), ((40, 36), (17, 22))]
+    )
+    def test_random_maps_and_partial_masks(self, seed, src, out):
+        rng = np.random.default_rng(seed)
+        w, h = src
+        img = RasterImage.from_array(rng.uniform(-1.0, 2.0, size=(h, w, 3)), rng.random((h, w)) > 0.25)
+        t = sample_shape_affine(seed + 50, det_range=(0.5, 2.0), max_condition=3.0, src_size=src, out_size=out)
+        # a random shift moves part of the domain out of frame
+        t = ShapeAffine(t.matrix, t.offset + rng.uniform(-4.0, 4.0, size=2))
+        got = apply_shape_affine(img, t, out)
+        ref = two_index_warp(img, t, out)
+        assert 0 < ref.mask.sum() < ref.mask.size
+        for a, b in zip((*got.channels(), got.mask), (*ref.channels(), ref.mask)):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 class TestShapeAffine:
     def test_singular_matrix_rejected(self):
         with pytest.raises(Singular):
