@@ -106,28 +106,35 @@ def chi_square_distance(a: np.ndarray, b: np.ndarray, eps: float = CHI2_EPS) -> 
     return float(np.sum((a - b) ** 2 / (np.abs(a) + np.abs(b) + eps)))
 
 
-def _chi2_rows(queries: np.ndarray, gallery: np.ndarray):
-    """(first query, distances) per block of queries.
+def _chi2_matrix(normed: np.ndarray) -> np.ndarray:
+    """All-pairs chi-square distances between the rows of ``normed``.
 
-    Row q of a block holds the chi-square distances from query lo + q to
-    every gallery row. Each distance is reduced over the contiguous feature
-    axis, one row at a time, exactly as for a single query, so the values do
-    not depend on the block size. A block holds as many queries as keep its
-    two buffers within RANK_BLOCK_ELEMENTS elements each, and at least one.
+    Each distance is reduced over the contiguous feature axis, one pair at
+    a time, exactly as for a single query, so the values do not depend on
+    the blocking. Every term (g - q)^2 / (|g| + |q| + eps) is
+    symmetric in q and g, so the matrix equals its transpose bit for bit:
+    only the blocks on and above the diagonal are computed, and the rest is
+    mirrored. A block holds as many queries as keep its two buffers within
+    RANK_BLOCK_ELEMENTS elements each, and at least one.
     """
-    abs_gallery = np.abs(gallery)
-    step = max(1, RANK_BLOCK_ELEMENTS // gallery.size)
-    shape = (min(step, len(queries)), *gallery.shape)
+    n = len(normed)
+    out = np.empty((n, n))
+    abs_normed = np.abs(normed)
+    step = max(1, RANK_BLOCK_ELEMENTS // normed.size)
+    shape = (min(step, n), *normed.shape)
     diff_buf, den_buf = np.empty(shape), np.empty(shape)
-    for lo in range(0, len(queries), step):
-        q = queries[lo : lo + step, None, :]
-        diff, den = diff_buf[: len(q)], den_buf[: len(q)]
-        np.subtract(gallery, q, out=diff)
+    for lo in range(0, n, step):
+        q = normed[lo : lo + step, None, :]
+        diff, den = diff_buf[: len(q), : n - lo], den_buf[: len(q), : n - lo]
+        np.subtract(normed[lo:], q, out=diff)
         diff *= diff
-        np.add(abs_gallery, np.abs(q), out=den)
+        np.add(abs_normed[lo:], np.abs(q), out=den)
         den += CHI2_EPS
         diff /= den
-        yield lo, np.sum(diff, axis=2)
+        d = np.sum(diff, axis=2)
+        out[lo : lo + len(q), lo:] = d
+        out[lo:, lo : lo + len(q)] = d.T
+    return out
 
 
 def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
@@ -275,13 +282,17 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 
 @dataclass
 class FeatureCache:
-    """Shares loaded images, invariant vectors, descriptor matrices and their
-    normalized forms of one dataset across descriptor kinds and protocols."""
+    """Shares loaded images, invariant vectors, descriptor matrices, their
+    normalized forms and the last kind's distance matrix of one dataset
+    across descriptor kinds and protocols."""
 
     images: dict[int, RasterImage] = field(default_factory=dict)
     invariants: dict[int, FeatureVector] = field(default_factory=dict)
     descriptors: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     normalized: dict[DescriptorKind, np.ndarray] = field(default_factory=dict)
+    #: the all-pairs distance matrix of one kind at a time: n x n floats
+    distance_kind: DescriptorKind | None = None
+    distances: np.ndarray | None = None
 
     def image(self, idx: int, item: DatasetItem) -> RasterImage:
         if idx not in self.images:
@@ -334,6 +345,22 @@ def normalized_matrix(
     return cache.normalized[kind]
 
 
+def distance_matrix(
+    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
+) -> np.ndarray:
+    """All-pairs chi-square distances of normalized_matrix, in dataset order.
+
+    The cache keeps the matrix of the last kind asked for, and drops it
+    before building another, so it holds at most one.
+    """
+    cache = cache if cache is not None else FeatureCache()
+    if cache.distance_kind is not kind:
+        cache.distance_kind, cache.distances = None, None
+        cache.distances = _chi2_matrix(normalized_matrix(dataset, kind, cache))
+        cache.distance_kind = kind
+    return cache.distances
+
+
 # ---------------------------------------------------------------------------
 # protocols
 
@@ -352,13 +379,10 @@ def knn_classify(
         sel = splits[labels == label]
         if "train" not in sel or "test" not in sel:
             raise ValueError(f"class {label!r} missing from one split")
-    normed = normalized_matrix(dataset, kind, cache)
     codes = np.unique(labels, return_inverse=True)[1]
-    correct = 0
-    for lo, d in _chi2_rows(normed[test], normed[train]):
-        nearest = train[np.argmin(d, axis=1)]
-        correct += int(np.count_nonzero(codes[nearest] == codes[test[lo : lo + len(d)]]))
-    return correct / int(test.size)
+    d = distance_matrix(dataset, kind, cache)[np.ix_(test, train)]
+    nearest = train[np.argmin(d, axis=1)]
+    return int(np.count_nonzero(codes[nearest] == codes[test])) / int(test.size)
 
 
 def precision_recall(
@@ -372,14 +396,18 @@ def precision_recall(
     for label in np.unique(labels):
         if int(np.sum(labels == label)) < 2:
             raise ValueError(f"class {label!r} needs at least 2 members for retrieval")
-    normed = normalized_matrix(dataset, kind, cache)
+    cache = cache if cache is not None else FeatureCache()
+    distances = distance_matrix(dataset, kind, cache)
     codes = np.unique(labels, return_inverse=True)[1]
     n = len(dataset.items)
     recall_levels = np.linspace(0.0, 1.0, levels)
     cols = np.arange(n - 1)
     ranks = cols + 1
     acc = np.zeros(levels)
-    for lo, d in _chi2_rows(normed, normed):
+    # ranked in the query blocks the distances were computed in
+    step = max(1, RANK_BLOCK_ELEMENTS // normalized_matrix(dataset, kind, cache).size)
+    for lo in range(0, n, step):
+        d = distances[lo : lo + step]
         # row q lists every item but query q, in index order
         own = cols + (cols >= np.arange(lo, lo + len(d))[:, None])
         perm = np.argsort(np.take_along_axis(d, own, axis=1), axis=1, kind="stable")

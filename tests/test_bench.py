@@ -14,6 +14,7 @@ from scdmi.bench import (
     baseline_descriptor,
     chi_square_distance,
     descriptor_matrix,
+    distance_matrix,
     feature_normalize,
     generate_classification_dataset,
     generate_retrieval_dataset,
@@ -339,6 +340,33 @@ class TestRankingExactness:
         for levels in (11, 21):
             curve = precision_recall(ds, kind, cache, levels)
             assert curve.precision.tolist() == precision_recall_reference(ds, kind, cache, levels).tolist()
+
+    @pytest.mark.parametrize("seed,n", CASES)
+    def test_distance_matrix_equals_per_query_rows(self, seed, n, block):
+        ds, cache = random_feature_dataset(seed, n)
+        kind = DescriptorKind.HU7
+        d = distance_matrix(ds, kind, cache)
+        normed = feature_normalize(*cache.descriptors[kind])
+        for q in range(n):
+            assert np.array_equal(d[q].view(np.int64), chi2_to_gallery(normed[q], normed).view(np.int64))
+        assert cache.distance_kind is kind and cache.distances is d
+
+    def test_one_distance_matrix_per_kind_held_one_at_a_time(self, monkeypatch):
+        held = []
+        real = bench_mod._chi2_matrix
+
+        def recording(normed):
+            held.append(cache.distances is not None)
+            return real(normed)
+
+        monkeypatch.setattr(bench_mod, "_chi2_matrix", recording)
+        cache = FeatureCache()
+        ds = tiny_dataset()
+        for kind in ALL_KINDS:
+            knn_classify(ds, kind, cache)
+            precision_recall(ds, kind, cache)
+        # knn and retrieval share each kind's matrix, and the last one is dropped before the next is built
+        assert held == [False] * len(ALL_KINDS)
 
     def test_datasets_have_ties(self):
         ds, cache = random_feature_dataset(3, 70)

@@ -19,9 +19,14 @@ from scdmi.engine import (
     stable_sum,
     stencil_eroded_mask,
 )
-from scdmi.errors import EmptyDomain, TooSmall
+from scdmi.errors import EmptyDomain, InternalError, TooSmall
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ShapeAffine, apply_shape_affine
+
+
+#: pixels per summation block, and elements per product chunk in moment_vector
+BLOCK = 1 << 16
+CHUNK = engine._CHUNK
 
 
 def random_image(seed, h, w):
@@ -148,22 +153,19 @@ class TestMomentTable:
         "img", [random_image(4, 9, 11), disk_masked_image(5, size=96, radius_frac=0.26), blob_image(6, size=272)]
     )
     def test_plan_equals_walk_over_all_axes(self, img, k):
-        # every index walked over its five axes, each power built on demand
         values = centred_values(img, k)
-        partials = [[] for _ in compiled_catalogue().indices]
-        for lo in range(0, values[0].size, BLOCK):
-            pows = [[None, v[lo : lo + BLOCK]] for v in values]
-            for idx, sums in zip(compiled_catalogue().indices, partials):
-                vec = None
-                for ladder, e in zip(pows, idx):
-                    while len(ladder) <= e:
-                        ladder.append(ladder[-1] * ladder[1])
-                    if e:
-                        vec = ladder[e] if vec is None else vec * ladder[e]
-                if vec is not None:
-                    sums.append(float(np.sum(vec)))
-        expected = [math.fsum(sums) if sums else float(values[0].size) for sums in partials]
-        assert moment_vector(values).tolist() == expected
+        assert moment_vector(values).tolist() == _walk_over_all_axes(values)
+
+    @pytest.mark.parametrize(
+        "n", [1, 7, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK, BLOCK + 1]
+    )
+    def test_walk_at_chunk_and_block_boundaries(self, n):
+        # the product rows per chunk fall from 2 to 1 at CHUNK / 2 pixels, and
+        # a second block starts at BLOCK + 1; magnitudes spread over decades
+        rng = np.random.default_rng(n)
+        values = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)]
+        expected = np.array(_walk_over_all_axes(values))
+        assert np.array_equal(moment_vector(values).view(np.int64), expected.view(np.int64))
 
     def test_against_naive_double_loop(self):
         img = random_image(3, 8, 8)
@@ -263,7 +265,22 @@ def test_moment_table_matches_naive_on_random_images(seed, h, w):
 # ---------------------------------------------------------------------------
 # summation policy: pairwise sums of 2^16-element blocks merged by fsum
 
-BLOCK = 1 << 16
+def _walk_over_all_axes(values):
+    """Every index walked over its five axes, each power built on demand, one
+    np.sum per product vector and block, the blocks merged by fsum."""
+    partials = [[] for _ in compiled_catalogue().indices]
+    for lo in range(0, values[0].size, BLOCK):
+        pows = [[None, v[lo : lo + BLOCK]] for v in values]
+        for idx, sums in zip(compiled_catalogue().indices, partials):
+            vec = None
+            for ladder, e in zip(pows, idx):
+                while len(ladder) <= e:
+                    ladder.append(ladder[-1] * ladder[1])
+                if e:
+                    vec = ladder[e] if vec is None else vec * ladder[e]
+            if vec is not None:
+                sums.append(float(np.sum(vec)))
+    return [math.fsum(sums) if sums else float(values[0].size) for sums in partials]
 
 
 def _ill_conditioned(seed, n):
@@ -302,6 +319,36 @@ def _plane_centred(img, k):
     return [xs - xbar, ys - ybar] + [p[mask] for p in planes]
 
 
+def _masked(seed, size, mask):
+    img = random_image(seed, size, size)
+    img.mask[:] = mask
+    return img
+
+
+def _crop_case(name):
+    """A 40 px image whose mask exercises the bounding-box crop."""
+    size = 40
+    yy, xx = np.mgrid[0:size, 0:size]
+    if name.startswith("edge-"):
+        # a 12 x 16 block flush against one frame edge
+        y0, x0 = {"edge-top": (0, 11), "edge-bottom": (size - 12, 7), "edge-left": (9, 0), "edge-right": (13, size - 16)}[name]
+        mask = (yy >= y0) & (yy < y0 + 12) & (xx >= x0) & (xx < x0 + 16)
+    elif name == "cross":
+        # touches all four edges at once
+        mask = (abs(yy - 17) <= 3) | (abs(xx - 22) <= 4)
+    elif name == "hole":
+        r2 = (yy - 19.5) ** 2 + (xx - 21) ** 2
+        mask = (r2 <= 13.0**2) & (r2 >= 4.0**2)
+    elif name == "two-blobs":
+        mask = ((yy - 9) ** 2 + (xx - 10) ** 2 <= 36) | ((yy - 29) ** 2 + (xx - 30) ** 2 <= 49)
+    elif name == "irregular":
+        # no symmetry, so the centroid is not a short binary fraction and a
+        # coordinate left in box units would round differently
+        mask = ((yy - 14.3) ** 2 + (xx - 19.1) ** 2 <= 41) | ((yy - 21.7) ** 2 / 2 + (xx - 27.4) ** 2 <= 30)
+        mask[16, 12:30:3] = False
+    return _masked(sum(map(ord, name)), size, mask)
+
+
 def _whole_array_table(base):
     """Moments summed by one np.sum over each whole product vector, the
     powers built by repeated multiplication in axis order, in
@@ -318,6 +365,42 @@ def _whole_array_table(base):
                 vec = p if vec is None else vec * p
         entries.append(npix if vec is None else float(np.sum(vec)))
     return np.array(entries)
+
+
+class TestBoundingBoxCrop:
+    """centred_values crops to the mask's bounding box: the values must be
+    those of the whole-frame computation, bit for bit."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize(
+        "name", ["edge-top", "edge-bottom", "edge-left", "edge-right", "cross", "hole", "two-blobs", "irregular"]
+    )
+    def test_equals_whole_frame(self, name, k):
+        img = _crop_case(name)
+        got, expected = centred_values(img, k), _plane_centred(img, k)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_three_pixel_square_on_large_frame(self):
+        mask = np.zeros((128, 128), bool)
+        mask[60:63, 70:73] = True
+        img = _masked(3, 128, mask)
+        got, expected = centred_values(img, 0), _plane_centred(img, 0)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        # the crop is 3x3, but only the frame decides TooSmall
+        with pytest.raises(EmptyDomain):
+            centred_values(img, 1)
+        fv = scdmi50(img)
+        assert not fv.valid[25:].any() and np.all(fv.values[25:] == 0.0)
+
+    def test_small_frame_is_still_too_small(self):
+        img = random_image(4, 4, 4)
+        with pytest.raises(TooSmall):
+            centred_values(img, 1)
+        with pytest.raises(TooSmall):
+            scdmi50(img)
 
 
 class TestStableSum:
@@ -399,6 +482,63 @@ class TestCompiledCatalogue:
         assert [prog.indices[i] for i in prog.squares] == [
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
+
+    def test_layout_sums_every_moment_once_and_forms_each_prefix_once(self):
+        prog = compiled_catalogue()
+        dump = len(prog.indices)
+        sums = {}  # moment slot -> exponents of the product summed into it
+        formed = []  # exponents of every product multiplied
+
+        def exponents(*rows):
+            e = [0] * 5
+            for r in rows:
+                axis, power = prog.powers[r]
+                e[axis] += power
+            return tuple(e)
+
+        for r, s in enumerate(prog.power_slots):
+            if s != dump:
+                sums.setdefault(s, []).append(exponents(r))
+        for group in prog.products:
+            for second, s in zip(range(group.lo, group.hi), group.slots):
+                formed.append(exponents(group.row, second))
+                if s != dump:
+                    sums.setdefault(s, []).append(formed[-1])
+            for child in group.prefixes:
+                assert group.lo <= child.row < group.hi
+                for third, s in zip(range(child.lo, child.hi), child.slots):
+                    formed.append(exponents(group.row, child.row, third))
+                    assert s != dump
+                    sums.setdefault(s, []).append(formed[-1])
+        assert sorted(sums) == list(range(1, dump))
+        assert all(sums[s] == [tuple(prog.indices[s])] for s in sums)
+        assert len(set(formed)) == len(formed)
+        prefixes = {idx[:2] for idx in prog.indices if idx[0] and idx[1] and any(idx[2:])}
+        assert len(prefixes) == 10
+        assert sum(1 for e in formed if e[:2] in prefixes and not any(e[2:])) == len(prefixes)
+        # the build fills each power from the one below it, before it is read
+        built = set()
+        for row, axis, source in prog.build:
+            assert prog.powers[row][0] == axis
+            assert source < 0 if prog.powers[row][1] == 1 else source in built
+            built.add(row)
+        assert built == set(range(len(prog.powers)))
+
+    def test_table_rows(self):
+        prog = compiled_catalogue()
+        assert prog.powers == (
+            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1),
+            (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2),
+        )
+
+    @pytest.mark.parametrize(
+        "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
+        ids=["gap-in-second-factors", "four-factors"],
+    )
+    def test_layout_rejects_catalogues_it_cannot_walk(self, extra):
+        indices = (MomentIndex(0, 0, 0, 0, 0), *extra)
+        with pytest.raises(InternalError):
+            engine._power_layout(indices)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_d2_is_six_gram_determinants(self, k):
