@@ -34,7 +34,6 @@ from .engine import (
     scdmi50,
 )
 from .errors import (
-    Degenerate,
     EmptyDomain,
     InternalError,
     InvalidSpec,
@@ -44,7 +43,7 @@ from .errors import (
     TooLarge,
     TooSmall,
 )
-from .oracle import brute_force_core_integral, brute_force_features, brute_force_invariant
+from .oracle import brute_force_core_integral, brute_force_features
 from .ppm import read_ppm, write_ppm
 from .transforms import (
     ColorAffine,

@@ -27,6 +27,13 @@ from .transforms import (
 
 CHI2_EPS = 1e-10
 SIGMA_FLOOR = 1e-12
+#: bins per chromaticity coordinate of RG_HISTOGRAM (r and g: 60 dims)
+RG_BINS = 30
+#: bins per channel of TRANSFORMED_COLOR_DIST over z in [-3, 3] (60 dims)
+TCD_BINS = 20
+TCD_SPAN = 3.0
+#: share of each synthetic class, base image first, in the train split
+TRAIN_FRACTION = 0.1
 #: elements (queries x gallery items x dims) per ranking block: bounds the
 #: ranking temporaries, not the results
 RANK_BLOCK_ELEMENTS = 1 << 16
@@ -48,8 +55,8 @@ DESCRIPTOR_DIMS = {
     DescriptorKind.SCDMI1_25: 25,
     DescriptorKind.HU7: 7,
     DescriptorKind.COLOR_MOMENTS: 9,
-    DescriptorKind.RG_HISTOGRAM: 60,
-    DescriptorKind.TRANSFORMED_COLOR_DIST: 60,
+    DescriptorKind.RG_HISTOGRAM: 2 * RG_BINS,
+    DescriptorKind.TRANSFORMED_COLOR_DIST: 3 * TCD_BINS,
 }
 
 
@@ -96,14 +103,6 @@ class PRCurve:
 
 # ---------------------------------------------------------------------------
 # distances and normalization
-
-
-def chi_square_distance(a: np.ndarray, b: np.ndarray, eps: float = CHI2_EPS) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sum((a - b) ** 2 / (np.abs(a) + np.abs(b) + eps)))
 
 
 def _chi2_matrix(normed: np.ndarray) -> np.ndarray:
@@ -227,30 +226,28 @@ def _color_moments(img: RasterImage) -> np.ndarray:
     return np.array(out)
 
 
-def _rg_histogram(img: RasterImage, bins: int = 30) -> np.ndarray:
-    # 30 bins per chromaticity coordinate, concatenated (60 dims); pixels
-    # with zero channel sum carry no chromaticity and are skipped
+def _rg_histogram(img: RasterImage) -> np.ndarray:
+    # RG_BINS bins per chromaticity coordinate, concatenated; pixels with
+    # zero channel sum carry no chromaticity and are skipped
     r = img.red[img.mask]
     g = img.green[img.mask]
     b = img.blue[img.mask]
     s = r + g + b
     keep = np.abs(s) > SIGMA_FLOOR
     if not keep.any():
-        return np.zeros(2 * bins)
+        return np.zeros(2 * RG_BINS)
     rn = r[keep] / s[keep]
     gn = g[keep] / s[keep]
     out = []
     for v in (rn, gn):
-        idx = np.clip((v * bins).astype(np.int64), 0, bins - 1)
-        h = np.bincount(idx, minlength=bins).astype(np.float64)
+        idx = np.clip((v * RG_BINS).astype(np.int64), 0, RG_BINS - 1)
+        h = np.bincount(idx, minlength=RG_BINS).astype(np.float64)
         out.append(h / h.sum())
     return np.concatenate(out)
 
 
-def _transformed_color_distribution(
-    img: RasterImage, bins: int = 20, span: float = 3.0
-) -> np.ndarray:
-    # 20-bin histogram of the standardized values per channel (60 dims)
+def _transformed_color_distribution(img: RasterImage) -> np.ndarray:
+    # TCD_BINS-bin histogram of the standardized values per channel
     out = []
     for plane in img.channels():
         v = plane[img.mask]
@@ -258,8 +255,8 @@ def _transformed_color_distribution(
         mean = stable_sum(v) / n
         sigma = float(np.sqrt(max(stable_sum((v - mean) ** 2) / n, 0.0)))
         z = (v - mean) / max(sigma, SIGMA_FLOOR)
-        idx = np.clip(((z + span) / (2 * span) * bins).astype(np.int64), 0, bins - 1)
-        h = np.bincount(idx, minlength=bins).astype(np.float64)
+        idx = np.clip(((z + TCD_SPAN) / (2 * TCD_SPAN) * TCD_BINS).astype(np.int64), 0, TCD_BINS - 1)
+        h = np.bincount(idx, minlength=TCD_BINS).astype(np.float64)
         out.append(h / max(h.sum(), 1.0))
     return np.concatenate(out)
 
@@ -306,10 +303,9 @@ class FeatureCache:
 
 
 def descriptor_matrix(
-    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
+    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, validity) for every dataset item, in dataset order."""
-    cache = cache if cache is not None else FeatureCache()
     if kind in cache.descriptors:
         return cache.descriptors[kind]
     n = len(dataset.items)
@@ -335,25 +331,19 @@ def descriptor_matrix(
     return feats, valid
 
 
-def normalized_matrix(
-    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
-) -> np.ndarray:
+def normalized_matrix(dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache) -> np.ndarray:
     """feature_normalize of descriptor_matrix, computed once per kind and cache."""
-    cache = cache if cache is not None else FeatureCache()
     if kind not in cache.normalized:
         cache.normalized[kind] = feature_normalize(*descriptor_matrix(dataset, kind, cache))
     return cache.normalized[kind]
 
 
-def distance_matrix(
-    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
-) -> np.ndarray:
+def distance_matrix(dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache) -> np.ndarray:
     """All-pairs chi-square distances of normalized_matrix, in dataset order.
 
     The cache keeps the matrix of the last kind asked for, and drops it
     before building another, so it holds at most one.
     """
-    cache = cache if cache is not None else FeatureCache()
     if cache.distance_kind is not kind:
         cache.distance_kind, cache.distances = None, None
         cache.distances = _chi2_matrix(normalized_matrix(dataset, kind, cache))
@@ -380,6 +370,7 @@ def knn_classify(
         if "train" not in sel or "test" not in sel:
             raise ValueError(f"class {label!r} missing from one split")
     codes = np.unique(labels, return_inverse=True)[1]
+    cache = cache if cache is not None else FeatureCache()
     d = distance_matrix(dataset, kind, cache)[np.ix_(test, train)]
     nearest = train[np.argmin(d, axis=1)]
     return int(np.count_nonzero(codes[nearest] == codes[test])) / int(test.size)
@@ -439,14 +430,14 @@ def generate_classification_dataset(
     n_transforms: int = 20,
     size: int = 128,
     seed: int = 0,
-    train_fraction: float = 0.1,
     clamp: bool = False,
 ) -> LabeledDataset:
     """Per class: one disk-masked base image plus combined warp+channel copies.
 
     The mask disk is sized so every sampled warp keeps the transported domain
     inside the frame, which is what makes the invariant features stable. The
-    first ~10% of each class (base image first) forms the train split.
+    first TRAIN_FRACTION of each class, at least one image and the base
+    image first, forms the train split.
     """
     items: list[DatasetItem] = []
     for c in range(n_classes):
@@ -462,7 +453,7 @@ def generate_classification_dataset(
             )
             ct = sample_color_affine(tseed + 1, max_condition=5.0, offset_range=(-0.15, 0.15))
             imgs.append(apply_color_affine(apply_shape_affine(base, st), ct, clamp=clamp))
-        n_train = max(1, round(train_fraction * len(imgs)))
+        n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
         for idx, im in enumerate(imgs):
             items.append(
                 DatasetItem(
@@ -506,17 +497,12 @@ def generate_retrieval_dataset(
 
 def run_benchmark(
     dataset: LabeledDataset,
-    kinds: tuple[DescriptorKind, ...] = ALL_KINDS,
-    with_classification: bool = True,
-    with_retrieval: bool = True,
 ) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
-    """Accuracy and PR curve per descriptor kind over one dataset."""
+    """Accuracy and PR curve of every descriptor kind over one dataset."""
     cache = FeatureCache()
     accuracies: dict[DescriptorKind, float] = {}
     curves: dict[DescriptorKind, PRCurve] = {}
-    for kind in kinds:
-        if with_classification:
-            accuracies[kind] = knn_classify(dataset, kind, cache)
-        if with_retrieval:
-            curves[kind] = precision_recall(dataset, kind, cache)
+    for kind in ALL_KINDS:
+        accuracies[kind] = knn_classify(dataset, kind, cache)
+        curves[kind] = precision_recall(dataset, kind, cache)
     return accuracies, curves

@@ -4,7 +4,8 @@ Subcommands:
   gen       dump the 50 instance polynomials, the shared denominator and a
             manifest CSV
   features  evaluate the 50-entry feature vector on P6 PPM images
-  verify    run the oracle-equivalence, channel-exactness and scaling suites
+  verify    run the oracle-equivalence, channel-exactness, scaling and
+            degeneracy suites
   bench     classification + retrieval benchmark on a manifest or synthetic
             dataset
 
@@ -25,7 +26,6 @@ from .algebra import denominator_polynomial, serialize_polynomial, catalogue_spe
 from .bench import (
     ALL_KINDS,
     DatasetItem,
-    DescriptorKind,
     LabeledDataset,
     generate_classification_dataset,
     run_benchmark,
@@ -82,7 +82,7 @@ def cmd_features(args) -> int:
     for path in args.images:
         try:
             fv = scdmi50(read_ppm(path))
-        except Exception as exc:  # per-file: report and continue
+        except (ValueError, OSError) as exc:  # a bad file: report it and go on
             failures += 1
             print(f"error: {path}: {exc}", file=sys.stderr)
             continue
@@ -103,7 +103,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows, ok = run_all(seed=args.seed, tol_color=args.tol_color, tol_shape=args.tol_shape)
+    rows, ok = run_all(seed=args.seed)
     out = _ensure_out(args.out)
     target = out / "verify.csv"
     target.write_text(rows_to_csv(rows))
@@ -206,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the verification suites")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", default="scdmi_out")
-    p_ver.add_argument("--tol-color", type=float, default=1e-9)
-    p_ver.add_argument("--tol-shape", type=float, default=0.01)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="classification/retrieval benchmark")

@@ -92,11 +92,6 @@ class RasterImage:
     def channels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.red, self.green, self.blue)
 
-    def copy(self) -> "RasterImage":
-        return RasterImage(
-            self.red.copy(), self.green.copy(), self.blue.copy(), self.mask.copy()
-        )
-
     @classmethod
     def from_array(cls, rgb: np.ndarray, mask: np.ndarray | None = None) -> "RasterImage":
         """Build from an (H, W, 3) array; mask defaults to all-true."""
@@ -203,19 +198,6 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
 
 # ---------------------------------------------------------------------------
 # moment vectors
-
-
-@lru_cache(maxsize=None)
-def required_indices(k: int) -> frozenset[MomentIndex]:
-    """Every moment index the 50-instance evaluation needs at this k."""
-    idxs = set(denominator_polynomial().indices())
-    idxs.add(MomentIndex(0, 0, 0, 0, 0))
-    idxs.add(MomentIndex(1, 0, 0, 0, 0))
-    idxs.add(MomentIndex(0, 1, 0, 0, 0))
-    for spec in catalogue_specs():
-        if spec.k == k:
-            idxs |= spec.numerator.indices()
-    return frozenset(idxs)
 
 
 def _sum_products(
@@ -424,21 +406,17 @@ def _power_layout(indices: Sequence[MomentIndex]):
 
 @lru_cache(maxsize=1)
 def compiled_catalogue() -> CompiledCatalogue:
-    """Compile the catalogue once; both k share it, as they share numerators."""
-    specs = catalogue_specs()
-    shared = specs[:25]
-    for pos, spec in enumerate(specs):
-        ref = shared[pos % 25]
-        if (spec.k, spec.id, spec.numerator, spec.area_exponent, spec.denom_exponent) != (
-            pos // 25, ref.id, ref.numerator, ref.area_exponent, ref.denom_exponent
-        ):
-            raise InternalError(f"catalogue entry {pos} does not reuse numerator {ref.id}")
-    # shared numerators make required_indices(1) the same set
-    indices = tuple(sorted(required_indices(0)))
-    slot = {idx: i for i, idx in enumerate(indices)}
-    one = len(indices)
+    """Compile the catalogue once; both k share it, as they share numerators.
+
+    The moments are m00, the pixel count, then exactly the indices that some
+    term reads, in sorted order.
+    """
+    shared = catalogue_specs()[:25]
     polys = [spec.numerator for spec in shared] + [denominator_polynomial()]
     terms = [t for poly in polys for t in poly.terms]
+    indices = (MomentIndex(0, 0, 0, 0, 0), *sorted({f for t in terms for f in t.factors}))
+    slot = {idx: i for i, idx in enumerate(indices)}
+    one = len(indices)
     width = max(len(t.factors) for t in terms)
     factors = np.full((width, len(terms)), one, dtype=np.intp)
     for col, term in enumerate(terms):

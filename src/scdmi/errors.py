@@ -29,10 +29,6 @@ class TooLarge(ScdmiError, ValueError):
     """Brute-force point enumeration would exceed the safety guard."""
 
 
-class Degenerate(ScdmiError, ArithmeticError):
-    """The denominator underflows: the invariant is undefined on this image."""
-
-
 class Singular(ScdmiError, ValueError):
     """Transform matrix is singular or nearly so."""
 

@@ -25,9 +25,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .algebra import _PERM_SIGNS, CoreSpec, InvariantSpec, catalogue_specs
+from .algebra import _PERM_SIGNS, CoreSpec, catalogue_specs
 from .engine import FeatureVector, RasterImage, centred_values, degeneracy_floor, stable_sum
-from .errors import Degenerate, EmptyDomain, TooLarge
+from .errors import EmptyDomain, TooLarge
 
 #: hard ceiling on (masked pixel count) ** (integration points)
 TUPLE_GUARD = 10**8
@@ -106,34 +106,16 @@ def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
     return stable_sum(partials)
 
 
-def _normalizer(dom: _Domain) -> float:
-    """The quadratic colour core; Degenerate where it underflows the engine's floor."""
+def _normalizer(dom: _Domain) -> float | None:
+    """The quadratic colour core; None where it underflows the engine's floor."""
     d2 = _core_sum(dom, _D2)
     squares = [stable_sum(c * c) for c in dom.values[2:]]
-    if not (d2 > degeneracy_floor(float(dom.size), squares)):
-        raise Degenerate("quadratic color core underflows the degeneracy floor")
-    return d2
-
-
-def _invariant(dom: _Domain, spec: InvariantSpec, d2: float) -> float:
-    numer = _core_sum(dom, spec.source)
-    return numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
+    return d2 if d2 > degeneracy_floor(float(dom.size), squares) else None
 
 
 def brute_force_core_integral(img: RasterImage, spec: CoreSpec) -> float:
     """Nested summation of the core over all masked point tuples."""
     return _core_sum(_Domain(img, spec.k, spec.width), spec)
-
-
-def brute_force_invariant(img: RasterImage, spec: InvariantSpec) -> float:
-    """Normalized invariant computed entirely by brute force.
-
-    Raises Degenerate when the quadratic color core underflows the same
-    relative floor the engine uses.
-    """
-    src = spec.source
-    dom = _Domain(img, src.k, max(src.width, _D2.width))
-    return _invariant(dom, spec, _normalizer(dom))
 
 
 def brute_force_features(img: RasterImage) -> FeatureVector:
@@ -155,12 +137,12 @@ def brute_force_features(img: RasterImage) -> FeatureVector:
             if k == 0:
                 raise
             continue
-        try:
-            d2 = _normalizer(dom)
-        except Degenerate:
+        d2 = _normalizer(dom)
+        if d2 is None:
             continue
         for pos, spec in enumerate(specs):
             if spec.k == k:
-                values[pos] = _invariant(dom, spec, d2)
+                numer = _core_sum(dom, spec.source)
+                values[pos] = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
                 valid[pos] = True
     return FeatureVector(values, valid)

@@ -14,14 +14,11 @@ import numpy as np
 from .engine import RasterImage
 
 
-def blob_image(
-    seed: int,
-    size: int = 128,
-    n_blobs: int = 6,
-    spread: float = 0.30,
-    lo: float = 0.08,
-    hi: float = 0.92,
-) -> RasterImage:
+#: every blob image is rescaled jointly into [CHANNEL_LO, CHANNEL_HI]
+CHANNEL_LO, CHANNEL_HI = 0.08, 0.92
+
+
+def blob_image(seed: int, size: int = 128, n_blobs: int = 6, spread: float = 0.30) -> RasterImage:
     """Full-mask smooth image with blob centers within ``spread``*size of center."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
@@ -35,27 +32,19 @@ def blob_image(
         planes += amp[:, None, None] * bump[None, :, :]
     # joint linear rescale: a diagonal channel map, keeps channels independent
     pmin, pmax = float(planes.min()), float(planes.max())
-    scale = (hi - lo) / max(pmax - pmin, 1e-9)
-    planes = lo + (planes - pmin) * scale
+    scale = (CHANNEL_HI - CHANNEL_LO) / max(pmax - pmin, 1e-9)
+    planes = CHANNEL_LO + (planes - pmin) * scale
     return RasterImage(planes[0], planes[1], planes[2], np.ones((size, size), dtype=bool))
 
 
-def disk_masked_image(
-    seed: int,
-    size: int = 256,
-    radius_frac: float = 0.20,
-    n_blobs: int = 6,
-    content_frac: float | None = None,
-) -> RasterImage:
-    """Blob image whose mask is a centered disk.
+def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_blobs: int = 6) -> RasterImage:
+    """Blob image whose mask is a centered disk, blob centers within 0.7 of its radius.
 
     A disk domain transported by a warp stays inside the frame as long as the
     transform's largest singular value times the radius fits, so feature
     deviations measure interpolation error rather than domain cropping.
     """
-    if content_frac is None:
-        content_frac = 0.7 * radius_frac
-    img = blob_image(seed, size=size, spread=content_frac, n_blobs=n_blobs)
+    img = blob_image(seed, size=size, spread=0.7 * radius_frac, n_blobs=n_blobs)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     c = (size - 1) / 2.0
     mask = (xx - c) ** 2 + (yy - c) ** 2 <= (radius_frac * size) ** 2

@@ -241,12 +241,10 @@ class InvarianceReport:
         return "\n".join(lines) + "\n"
 
 
-def relative_deviation(
-    reference: np.ndarray, transformed: np.ndarray, floor: float = DEVIATION_FLOOR
-) -> np.ndarray:
+def relative_deviation(reference: np.ndarray, transformed: np.ndarray) -> np.ndarray:
     ref = np.asarray(reference, dtype=np.float64)
     new = np.asarray(transformed, dtype=np.float64)
-    return np.abs(new - ref) / np.maximum(np.abs(ref), floor)
+    return np.abs(new - ref) / np.maximum(np.abs(ref), DEVIATION_FLOOR)
 
 
 def feature_deviations(base: FeatureVector, other: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
@@ -260,7 +258,6 @@ def invariance_report(
     shape_transforms: tuple[ShapeAffine, ...] = (),
     color_transforms: tuple[ColorAffine, ...] = (),
     clamp: bool = False,
-    out_size: tuple[int, int] | None = None,
 ) -> InvarianceReport:
     """Feature deviations for every shape-only, color-only and composed variant.
 
@@ -268,7 +265,7 @@ def invariance_report(
     original and the transformed image give a valid value.
     """
     base = scdmi50(img)
-    warped = [apply_shape_affine(img, st, out_size) for st in shape_transforms]
+    warped = [apply_shape_affine(img, st) for st in shape_transforms]
     variants = warped + [apply_color_affine(img, ct, clamp) for ct in color_transforms]
     for shaped in warped:
         for ct in color_transforms:

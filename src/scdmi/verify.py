@@ -34,6 +34,7 @@ from .transforms import (
     upsample_nearest,
 )
 
+#: the gates' thresholds; no argument or flag can change them
 ORACLE_TOL = 1e-9
 COLOR_TOL = 1e-9
 SCALING_TOL = 0.01
@@ -76,7 +77,7 @@ def oracle_deviations(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.abs(values - reference) / denom
 
 
-def oracle_suite(seed: int = 0, n_images: int = 5, tol: float = ORACLE_TOL) -> list[VerifyRow]:
+def oracle_suite(seed: int = 0, n_images: int = 5) -> list[VerifyRow]:
     """Brute force vs scdmi50, all 50 instances on tiny images."""
     rows: list[VerifyRow] = []
     for i in range(n_images):
@@ -92,21 +93,19 @@ def oracle_suite(seed: int = 0, n_images: int = 5, tol: float = ORACLE_TOL) -> l
                     id=f"img{i}_inst{spec.id}",
                     k=spec.k,
                     deviation=dev,
-                    threshold=tol,
-                    passed=bool(fv.valid[pos] and ref.valid[pos] and dev <= tol),
+                    threshold=ORACLE_TOL,
+                    passed=bool(fv.valid[pos] and ref.valid[pos] and dev <= ORACLE_TOL),
                 )
             )
     return rows
 
 
-def color_exactness_suite(
-    seed: int = 0, n_transforms: int = 20, size: int = 128, tol: float = COLOR_TOL
-) -> list[VerifyRow]:
-    """Unclamped channel maps (det > 0, condition <= 10) leave features fixed."""
-    img = blob_image(seed + 17, size=size)
+def color_exactness_suite(seed: int = 0) -> list[VerifyRow]:
+    """20 unclamped channel maps (det > 0, condition <= 10) leave features fixed."""
+    img = blob_image(seed + 17, size=128)
     base = scdmi50(img)
     rows: list[VerifyRow] = []
-    for t in range(n_transforms):
+    for t in range(20):
         ct = sample_color_affine(seed * 1009 + t, max_condition=10.0, offset_range=(-0.3, 0.3))
         fv = scdmi50(apply_color_affine(img, ct, clamp=False))
         devs, both = feature_deviations(base, fv)
@@ -117,18 +116,18 @@ def color_exactness_suite(
                 id=f"transform{t}",
                 k=-1,
                 deviation=worst,
-                threshold=tol,
-                passed=bool(both.any() and worst <= tol),
+                threshold=COLOR_TOL,
+                passed=bool(both.any() and worst <= COLOR_TOL),
             )
         )
     return rows
 
 
-def scaling_suite(seed: int = 0, tol: float = SCALING_TOL) -> list[VerifyRow]:
+def scaling_suite(seed: int = 0) -> list[VerifyRow]:
     """Sampling-density consistency pins the area exponent.
 
     2x pixel replication multiplies the pixel count by 4 and maps the sample
-    grid affinely, so valid k=0 features should move by less than ``tol``.
+    grid affinely, so valid k=0 features should move by less than SCALING_TOL.
     k=1 features are excluded: the difference stencil does not commute with
     staircase replication, so their deviation measures stencil artifacts, not
     the exponent. The negative-control rows re-evaluate with the rejected
@@ -154,8 +153,8 @@ def scaling_suite(seed: int = 0, tol: float = SCALING_TOL) -> list[VerifyRow]:
                 id=f"inst{spec.id}",
                 k=spec.k,
                 deviation=dev,
-                threshold=tol,
-                passed=bool(ok_small and ok_big and dev <= tol),
+                threshold=SCALING_TOL,
+                passed=bool(ok_small and ok_big and dev <= SCALING_TOL),
             )
         )
         # rejected reading: replace width by n + N in the area exponent
@@ -178,8 +177,8 @@ def scaling_suite(seed: int = 0, tol: float = SCALING_TOL) -> list[VerifyRow]:
                 id=f"inst{spec.id}",
                 k=spec.k,
                 deviation=bad_dev,
-                threshold=tol,
-                passed=bool(bad_dev > tol),
+                threshold=SCALING_TOL,
+                passed=bool(bad_dev > SCALING_TOL),
             )
         )
     return rows
@@ -211,15 +210,11 @@ def degeneracy_suite(seed: int = 0) -> list[VerifyRow]:
     return rows
 
 
-def run_all(
-    seed: int = 0,
-    tol_color: float = COLOR_TOL,
-    tol_shape: float = SCALING_TOL,
-) -> tuple[list[VerifyRow], bool]:
+def run_all(seed: int = 0) -> tuple[list[VerifyRow], bool]:
     rows = (
         oracle_suite(seed=seed)
-        + color_exactness_suite(seed=seed, tol=tol_color)
-        + scaling_suite(seed=seed, tol=tol_shape)
+        + color_exactness_suite(seed=seed)
+        + scaling_suite(seed=seed)
         + degeneracy_suite(seed=seed)
     )
     return rows, all(r.passed for r in rows)

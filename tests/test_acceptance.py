@@ -51,10 +51,11 @@ def report(criterion: int, name: str, passed: bool, detail: str = ""):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
-    rows = oracle_suite(seed=0, n_images=5, tol=1e-9)
+    rows = oracle_suite(seed=0, n_images=5)
     elapsed = time.time() - t0
     worst = max(r.deviation for r in rows)
     ok = all(r.passed for r in rows) and len(rows) == 250 and elapsed < 60.0
+    ok = ok and all(r.threshold == 1e-9 for r in rows)
     report(1, "oracle equivalence", ok, f"worst rel dev {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -73,10 +74,11 @@ def test_criterion_2_worked_polynomial_reproduction():
 
 def test_criterion_3_color_affine_exactness():
     t0 = time.time()
-    rows = color_exactness_suite(seed=0, n_transforms=20, size=128, tol=1e-9)
+    rows = color_exactness_suite(seed=0)
     elapsed = time.time() - t0
     worst = max(r.deviation for r in rows)
     ok = all(r.passed for r in rows) and len(rows) == 20 and elapsed < 30.0
+    ok = ok and all(r.threshold == 1e-9 for r in rows)
     report(3, "color-affine exactness", ok, f"worst rel dev {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -130,7 +132,7 @@ def test_criterion_5_resampled_shape_invariance():
 
 
 def test_criterion_6_normalization_pinning():
-    rows = scaling_suite(seed=0, tol=0.01)
+    rows = scaling_suite(seed=0)
     positive = [r for r in rows if r.suite == "scaling"]
     control = [r for r in rows if r.suite == "scaling_negative_control"]
     worst = max(r.deviation for r in positive)
@@ -140,6 +142,7 @@ def test_criterion_6_normalization_pinning():
         and all(r.passed for r in control)
         and len(positive) == 25
         and len(control) == 25
+        and all(r.threshold == 0.01 for r in rows)
     )
     report(
         6,

@@ -211,6 +211,7 @@ class TestCatalogue:
             assert s0.source.color_triples == s1.source.color_triples
             assert s1.numerator is s0.numerator
             assert s1.area_exponent == s0.area_exponent
+            assert s1.denom_exponent == s0.denom_exponent
 
     def test_index_bounds(self):
         for spec in catalogue_specs():
@@ -219,6 +220,12 @@ class TestCatalogue:
                 assert idx.alpha + idx.beta + idx.gamma <= 1
         for idx in denominator_polynomial().indices():
             assert idx.alpha + idx.beta + idx.gamma == 2
+        # the engine sums m00, then exactly the moments some term of either k reads
+        read = denominator_polynomial().indices().union(*(s.numerator.indices() for s in catalogue_specs()))
+        m00 = MomentIndex(0, 0, 0, 0, 0)
+        assert m00 not in read
+        assert compiled_catalogue().indices == (m00, *sorted(read))
+        assert len(read) == 74
 
     def test_every_instance_is_nonzero_and_point_coupled(self):
         # a point with no channel factor and odd coordinate degree would

@@ -12,7 +12,6 @@ from scdmi.bench import (
     FeatureCache,
     LabeledDataset,
     baseline_descriptor,
-    chi_square_distance,
     descriptor_matrix,
     distance_matrix,
     feature_normalize,
@@ -33,25 +32,24 @@ def random_image(seed, h=24, w=24):
 
 
 class TestChiSquare:
+    """Properties of the all-pairs chi-square matrix the protocols rank by."""
+
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert chi_square_distance(v, v) == 0.0
+        d = bench_mod._chi2_matrix(np.array([v, v, -v]))
+        assert d[0, 0] == d[0, 1] == d[1, 0] == d[2, 2] == 0.0
 
     def test_orthogonal_unit_vectors(self):
-        d = chi_square_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert d == pytest.approx(2.0, rel=1e-9)
+        d = bench_mod._chi2_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert d[0, 1] == pytest.approx(2.0, rel=1e-9)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            chi_square_distance(np.zeros(3), np.zeros(4))
-
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
+    @given(st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), min_size=1, max_size=8))
     @settings(max_examples=100)
-    def test_symmetry_and_nonnegativity(self, vals):
-        a = np.array(vals)
-        b = a[::-1].copy()
-        assert chi_square_distance(a, b) == pytest.approx(chi_square_distance(b, a))
-        assert chi_square_distance(a, b) >= 0.0
+    def test_symmetry_and_nonnegativity(self, rows):
+        d = bench_mod._chi2_matrix(np.array(rows))
+        assert np.array_equal(d, d.T)
+        assert (np.diag(d) == 0.0).all()
+        assert (d >= 0.0).all()
 
 
 class TestFeatureNormalize:

@@ -7,7 +7,9 @@ import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.cli import main
+import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage
+from scdmi.errors import InternalError
 from scdmi.ppm import read_ppm, write_ppm
 from scdmi.synthetic import blob_image
 from scdmi.transforms import ColorAffine, apply_color_affine
@@ -121,6 +123,17 @@ class TestFeatures:
         )
         assert rc == 0
 
+    def test_program_error_propagates(self, tmp_path, monkeypatch):
+        # only a bad file is reported and skipped; a fault of the program is raised
+        write_ppm(tmp_path / "ok.ppm", blob_image(1, size=16))
+
+        def broken(img):
+            raise InternalError("moment not precomputed")
+
+        monkeypatch.setattr(cli_mod, "scdmi50", broken)
+        with pytest.raises(InternalError):
+            main(["features", str(tmp_path / "ok.ppm"), "--out", str(tmp_path / "out")])
+
 
 class TestVerifyCommand:
     def test_default_run_passes(self, tmp_path):
@@ -129,6 +142,11 @@ class TestVerifyCommand:
         lines = (out / "verify.csv").read_text().strip().split("\n")
         assert lines[0] == "suite,id,k,deviation,threshold,status"
         assert all(",pass" in line for line in lines[1:])
+
+    @pytest.mark.parametrize("flag", ["--tol-shape", "--tol-color"])
+    def test_gates_cannot_be_loosened(self, tmp_path, flag):
+        assert main(["verify", flag, "0.05", "--out", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v").exists()
 
     def test_injected_corruption_fails_exactly_that_instance(self, monkeypatch):
         # the suite gates scdmi50, so the corruption goes into the catalogue

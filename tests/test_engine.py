@@ -14,7 +14,6 @@ from scdmi.engine import (
     core_sums,
     evaluate_table,
     moment_vector,
-    required_indices,
     scdmi50,
     stable_sum,
     stencil_eroded_mask,
@@ -143,10 +142,13 @@ class TestMomentTable:
         assert moment_vector(centred_values(img, 0))[0] == 35.0
 
     def test_first_central_moments_vanish(self):
+        # no term reads m10 or m01, so they are checked on the centred coordinates
         img = random_image(2, 8, 8)
-        vec = moment_vector(centred_values(img, 0))
-        assert abs(vec[slot(MomentIndex(1, 0, 0, 0, 0))]) <= 1e-9 * vec[0]
-        assert abs(vec[slot(MomentIndex(0, 1, 0, 0, 0))]) <= 1e-9 * vec[0]
+        img.mask[0, :3] = False
+        for k in (0, 1):
+            xc, yc, *_ = centred_values(img, k)
+            assert abs(stable_sum(xc)) <= 1e-12 * xc.size
+            assert abs(stable_sum(yc)) <= 1e-12 * yc.size
 
     @pytest.mark.parametrize("k", [0, 1])
     @pytest.mark.parametrize(
@@ -478,7 +480,7 @@ class TestCompiledCatalogue:
         assert prog.coefficients.shape == (2207,)
         assert len(prog.bounds) == 27 and prog.bounds[-1] == 2207
         assert prog.bounds[25] == sum(len(s.numerator) for s in catalogue_specs()[:25]) == 2202
-        assert prog.indices == tuple(sorted(required_indices(0))) == tuple(sorted(required_indices(1)))
+        assert len(prog.indices) == 75
         assert [prog.indices[i] for i in prog.squares] == [
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
