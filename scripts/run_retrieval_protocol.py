@@ -14,7 +14,14 @@ Usage:
 import argparse
 import csv
 
-from scdmi.bench import ALL_KINDS, FeatureCache, generate_retrieval_dataset, precision_recall
+from scdmi.bench import (
+    ALL_KINDS,
+    FeatureCache,
+    LabeledDataset,
+    keep_rows,
+    precision_recall,
+    retrieval_class,
+)
 
 
 def main() -> int:
@@ -27,15 +34,17 @@ def main() -> int:
     ap.add_argument("--out", default="pr_curves.csv")
     args = ap.parse_args()
 
-    dataset = generate_retrieval_dataset(
-        n_classes=args.classes,
-        n_views=args.views,
-        n_color_transforms=args.color_transforms,
-        size=args.size,
-        seed=args.seed,
-    )
-    print(f"dataset: {len(dataset.items)} images, {args.classes} classes")
+    # one class of images at a time: only labels, splits and rows are kept
     cache = FeatureCache()
+    items = []
+    for c in range(args.classes):
+        keep_rows(
+            retrieval_class(c, args.views, args.color_transforms, args.size, args.seed),
+            items,
+            cache,
+        )
+    dataset = LabeledDataset(items)
+    print(f"dataset: {len(dataset.items)} images, {args.classes} classes")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "recall_level", "precision"])

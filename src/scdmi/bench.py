@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FeatureVector, RasterImage, scdmi50, stable_sum
+from .engine import RasterImage, scdmi50, stable_sum
 from .ppm import read_ppm
 from .synthetic import disk_masked_image
 from .transforms import (
@@ -277,29 +277,63 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 # feature extraction over datasets
 
 
+BASELINE_KINDS = (
+    DescriptorKind.HU7,
+    DescriptorKind.COLOR_MOMENTS,
+    DescriptorKind.RG_HISTOGRAM,
+    DescriptorKind.TRANSFORMED_COLOR_DIST,
+)
+
+
+#: (values, validity) of one item under every descriptor kind
+DescriptorRows = dict[DescriptorKind, tuple[np.ndarray, np.ndarray]]
+
+
+def descriptor_rows(img: RasterImage) -> DescriptorRows:
+    """(values, validity) of every descriptor kind for one image: one
+    scdmi50 call, whose two halves are views of the SCDMI50 row, and each
+    baseline once."""
+    fv = scdmi50(img)
+    rows = {
+        DescriptorKind.SCDMI50: (fv.values, fv.valid),
+        DescriptorKind.SCDMI0_25: (fv.values[:25], fv.valid[:25]),
+        DescriptorKind.SCDMI1_25: (fv.values[25:], fv.valid[25:]),
+    }
+    for kind in BASELINE_KINDS:
+        row = baseline_descriptor(img, kind)
+        rows[kind] = row, np.ones(row.shape, dtype=bool)
+    return rows
+
+
 @dataclass
 class FeatureCache:
-    """Shares loaded images, invariant vectors, descriptor matrices, their
+    """Shares the descriptor rows of each item, descriptor matrices, their
     normalized forms and the last kind's distance matrix of one dataset
-    across descriptor kinds and protocols."""
+    across descriptor kinds and protocols.
 
-    images: dict[int, RasterImage] = field(default_factory=dict)
-    invariants: dict[int, FeatureVector] = field(default_factory=dict)
+    It holds no image: the first touch of an item loads its image, computes
+    the rows of every kind from it and lets it go.
+    """
+
+    rows: dict[int, DescriptorRows] = field(default_factory=dict)
     descriptors: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     normalized: dict[DescriptorKind, np.ndarray] = field(default_factory=dict)
     #: the all-pairs distance matrix of one kind at a time: n x n floats
     distance_kind: DescriptorKind | None = None
     distances: np.ndarray | None = None
 
-    def image(self, idx: int, item: DatasetItem) -> RasterImage:
-        if idx not in self.images:
-            self.images[idx] = item.load_image()
-        return self.images[idx]
+    def item_rows(self, idx: int, item: DatasetItem) -> DescriptorRows:
+        if idx not in self.rows:
+            self.rows[idx] = descriptor_rows(item.load_image())
+        return self.rows[idx]
 
-    def invariant(self, idx: int, item: DatasetItem) -> FeatureVector:
-        if idx not in self.invariants:
-            self.invariants[idx] = scdmi50(self.image(idx, item))
-        return self.invariants[idx]
+
+def keep_rows(members: list[DatasetItem], items: list[DatasetItem], cache: FeatureCache) -> None:
+    """Computes the rows of ``members`` as the next entries of ``items`` and
+    appends them by label and split alone, so that their images can go."""
+    for item in members:
+        cache.item_rows(len(items), item)
+        items.append(DatasetItem(item.label, item.split))
 
 
 def descriptor_matrix(
@@ -310,23 +344,10 @@ def descriptor_matrix(
         return cache.descriptors[kind]
     n = len(dataset.items)
     dim = DESCRIPTOR_DIMS[kind]
-    feats = np.zeros((n, dim))
-    valid = np.ones((n, dim), dtype=bool)
+    feats = np.empty((n, dim))
+    valid = np.empty((n, dim), dtype=bool)
     for i, item in enumerate(dataset.items):
-        if kind is DescriptorKind.SCDMI50:
-            fv = cache.invariant(i, item)
-            feats[i] = fv.values
-            valid[i] = fv.valid
-        elif kind is DescriptorKind.SCDMI0_25:
-            fv = cache.invariant(i, item)
-            feats[i] = fv.values[:25]
-            valid[i] = fv.valid[:25]
-        elif kind is DescriptorKind.SCDMI1_25:
-            fv = cache.invariant(i, item)
-            feats[i] = fv.values[25:]
-            valid[i] = fv.valid[25:]
-        else:
-            feats[i] = baseline_descriptor(cache.image(i, item), kind)
+        feats[i], valid[i] = cache.item_rows(i, item)[kind]
     cache.descriptors[kind] = feats, valid
     return feats, valid
 
@@ -425,6 +446,40 @@ def precision_recall(
 ALL_KINDS = tuple(DescriptorKind)
 
 
+def classification_class(
+    c: int,
+    n_transforms: int = 20,
+    size: int = 128,
+    seed: int = 0,
+    clamp: bool = False,
+) -> list[DatasetItem]:
+    """Class ``c`` of generate_classification_dataset: its disk-masked base
+    image, then its combined warp+channel copies.
+
+    The mask disk is sized so every sampled warp keeps the transported domain
+    inside the frame, which is what makes the invariant features stable. The
+    first TRAIN_FRACTION of the class, at least one image and the base image
+    first, forms its train split.
+    """
+    base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
+    imgs = [base]
+    for t in range(n_transforms):
+        tseed = (seed * 7_777_777 + c * 131 + t) * 2 + 1
+        st = sample_shape_affine(
+            tseed,
+            det_range=(0.65, 1.55),
+            max_condition=2.0,
+            src_size=(size, size),
+        )
+        ct = sample_color_affine(tseed + 1, max_condition=5.0, offset_range=(-0.15, 0.15))
+        imgs.append(apply_color_affine(apply_shape_affine(base, st), ct, clamp=clamp))
+    n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
+    return [
+        DatasetItem(label=f"class{c:03d}", split="train" if idx < n_train else "test", image=im)
+        for idx, im in enumerate(imgs)
+    ]
+
+
 def generate_classification_dataset(
     n_classes: int = 20,
     n_transforms: int = 20,
@@ -432,37 +487,42 @@ def generate_classification_dataset(
     seed: int = 0,
     clamp: bool = False,
 ) -> LabeledDataset:
-    """Per class: one disk-masked base image plus combined warp+channel copies.
+    """classification_class for every class, in class order, images kept."""
+    return LabeledDataset(
+        [
+            item
+            for c in range(n_classes)
+            for item in classification_class(c, n_transforms, size, seed, clamp)
+        ]
+    )
 
-    The mask disk is sized so every sampled warp keeps the transported domain
-    inside the frame, which is what makes the invariant features stable. The
-    first TRAIN_FRACTION of each class, at least one image and the base
-    image first, forms the train split.
-    """
-    items: list[DatasetItem] = []
-    for c in range(n_classes):
-        base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
-        imgs = [base]
-        for t in range(n_transforms):
-            tseed = (seed * 7_777_777 + c * 131 + t) * 2 + 1
-            st = sample_shape_affine(
-                tseed,
-                det_range=(0.65, 1.55),
-                max_condition=2.0,
-                src_size=(size, size),
-            )
-            ct = sample_color_affine(tseed + 1, max_condition=5.0, offset_range=(-0.15, 0.15))
-            imgs.append(apply_color_affine(apply_shape_affine(base, st), ct, clamp=clamp))
-        n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
-        for idx, im in enumerate(imgs):
+
+def retrieval_class(
+    c: int,
+    n_views: int = 5,
+    n_color_transforms: int = 6,
+    size: int = 128,
+    seed: int = 0,
+) -> list[DatasetItem]:
+    """Class ``c`` of generate_retrieval_dataset: warped views of one base
+    image, each under channel maps."""
+    base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
+    views = [base]
+    for v in range(n_views - 1):
+        vseed = (seed * 3_333_331 + c * 17 + v) * 2 + 1
+        st = sample_shape_affine(
+            vseed, det_range=(0.7, 1.45), max_condition=1.8, src_size=(size, size)
+        )
+        views.append(apply_shape_affine(base, st))
+    items = []
+    for vi, view in enumerate(views):
+        for t in range(n_color_transforms):
+            cseed = seed * 9_999_991 + c * 731 + vi * 37 + t
+            ct = sample_color_affine(cseed, max_condition=5.0, offset_range=(-0.15, 0.15))
             items.append(
-                DatasetItem(
-                    label=f"class{c:03d}",
-                    split="train" if idx < n_train else "test",
-                    image=im,
-                )
+                DatasetItem(label=f"class{c:03d}", split="test", image=apply_color_affine(view, ct))
             )
-    return LabeledDataset(items)
+    return items
 
 
 def generate_retrieval_dataset(
@@ -472,34 +532,21 @@ def generate_retrieval_dataset(
     size: int = 128,
     seed: int = 0,
 ) -> LabeledDataset:
-    """Per class: warped views of one base image, each under channel maps."""
-    items: list[DatasetItem] = []
-    for c in range(n_classes):
-        base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
-        views = [base]
-        for v in range(n_views - 1):
-            vseed = (seed * 3_333_331 + c * 17 + v) * 2 + 1
-            st = sample_shape_affine(
-                vseed, det_range=(0.7, 1.45), max_condition=1.8, src_size=(size, size)
-            )
-            views.append(apply_shape_affine(base, st))
-        for vi, view in enumerate(views):
-            for t in range(n_color_transforms):
-                cseed = seed * 9_999_991 + c * 731 + vi * 37 + t
-                ct = sample_color_affine(cseed, max_condition=5.0, offset_range=(-0.15, 0.15))
-                items.append(
-                    DatasetItem(
-                        label=f"class{c:03d}", split="test", image=apply_color_affine(view, ct)
-                    )
-                )
-    return LabeledDataset(items)
+    """retrieval_class for every class, in class order, images kept."""
+    return LabeledDataset(
+        [
+            item
+            for c in range(n_classes)
+            for item in retrieval_class(c, n_views, n_color_transforms, size, seed)
+        ]
+    )
 
 
 def run_benchmark(
-    dataset: LabeledDataset,
+    dataset: LabeledDataset, cache: FeatureCache | None = None
 ) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
     """Accuracy and PR curve of every descriptor kind over one dataset."""
-    cache = FeatureCache()
+    cache = cache if cache is not None else FeatureCache()
     accuracies: dict[DescriptorKind, float] = {}
     curves: dict[DescriptorKind, PRCurve] = {}
     for kind in ALL_KINDS:

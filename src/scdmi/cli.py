@@ -26,8 +26,10 @@ from .algebra import denominator_polynomial, serialize_polynomial, catalogue_spe
 from .bench import (
     ALL_KINDS,
     DatasetItem,
+    FeatureCache,
     LabeledDataset,
-    generate_classification_dataset,
+    classification_class,
+    keep_rows,
     run_benchmark,
 )
 from .engine import scdmi50
@@ -130,47 +132,54 @@ def _load_manifest(path: Path) -> LabeledDataset:
     return LabeledDataset(items)
 
 
-def _write_synthetic(dataset: LabeledDataset, out: Path) -> None:
-    img_dir = out / "dataset"
-    img_dir.mkdir(parents=True, exist_ok=True)
+def _export_class(members: list[DatasetItem], start: int, writer, out: Path) -> None:
+    for i, item in enumerate(members, start=start):
+        name = f"dataset/{item.label}_{i:04d}.ppm"
+        # masked-out pixels are baked to black in the exported copies;
+        # the benchmark itself runs on the in-memory masked images
+        img = item.image
+        write_ppm(
+            out / name,
+            type(img)(
+                np.where(img.mask, img.red, 0.0),
+                np.where(img.mask, img.green, 0.0),
+                np.where(img.mask, img.blue, 0.0),
+                img.mask,
+            ),
+        )
+        writer.writerow([name, item.label, item.split])
+
+
+def _synthetic_dataset(args, out: Path, cache: FeatureCache) -> LabeledDataset:
+    """Generates, exports and featurizes the synthetic dataset one class at a
+    time; only labels, splits and the cache's rows outlive a class."""
+    (out / "dataset").mkdir(parents=True, exist_ok=True)
+    items: list[DatasetItem] = []
     with (out / "dataset_manifest.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "label", "split"])
-        for i, item in enumerate(dataset.items):
-            name = f"dataset/{item.label}_{i:04d}.ppm"
-            # masked-out pixels are baked to black in the exported copies;
-            # the benchmark itself runs on the in-memory masked images
-            img = item.image
-            write_ppm(
-                out / name,
-                type(img)(
-                    np.where(img.mask, img.red, 0.0),
-                    np.where(img.mask, img.green, 0.0),
-                    np.where(img.mask, img.blue, 0.0),
-                    img.mask,
-                ),
-            )
-            w.writerow([name, item.label, item.split])
+        for c in range(args.classes):
+            # rebinding frees the previous class only once this one is allocated above it;
+            # freed first, it sat at the top of the heap, glibc returned it to the OS and every
+            # class faulted its pages back in: repeated in-process runs took about 10% longer
+            members = classification_class(c, args.transforms, args.size, args.seed, args.clamp)
+            _export_class(members, len(items), w, out)
+            keep_rows(members, items, cache)
+    return LabeledDataset(items)
 
 
 def cmd_bench(args) -> int:
     out = _ensure_out(args.out)
+    cache = FeatureCache()
     if args.synthetic:
-        dataset = generate_classification_dataset(
-            n_classes=args.classes,
-            n_transforms=args.transforms,
-            size=args.size,
-            seed=args.seed,
-            clamp=args.clamp,
-        )
-        _write_synthetic(dataset, out)
+        dataset = _synthetic_dataset(args, out, cache)
     elif args.manifest is not None:
         dataset = _load_manifest(Path(args.manifest))
     else:
         print("error: bench needs a manifest path or --synthetic", file=sys.stderr)
         return 2
 
-    accuracies, curves = run_benchmark(dataset)
+    accuracies, curves = run_benchmark(dataset, cache)
     with (out / "accuracy.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "accuracy"])

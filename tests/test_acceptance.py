@@ -20,9 +20,7 @@ from scdmi.transforms import (
     apply_color_affine,
     apply_shape_affine,
     feature_deviations,
-    sample_color_affine,
     sample_shape_affine,
-    upsample_nearest,
 )
 from scdmi.verify import color_exactness_suite, oracle_suite, scaling_suite
 

@@ -10,7 +10,6 @@ from scdmi.algebra import (
     MonomialTerm,
     PointVar,
     _color_poly,
-    _poly_mul,
     _poly_neg,
     _shape_poly,
     denominator_polynomial,

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from scdmi.bench import (
     FeatureCache,
     LabeledDataset,
     baseline_descriptor,
+    classification_class,
     descriptor_matrix,
     distance_matrix,
     feature_normalize,
@@ -19,9 +22,11 @@ from scdmi.bench import (
     generate_retrieval_dataset,
     knn_classify,
     precision_recall,
+    retrieval_class,
     run_benchmark,
 )
 from scdmi.engine import RasterImage, stable_sum
+from scdmi.ppm import write_ppm
 from scdmi.synthetic import blob_image
 from scdmi.transforms import ColorAffine, apply_color_affine
 
@@ -244,6 +249,34 @@ class TestProtocols:
         run_benchmark(ds)
         assert len(calls) == 4 * len(ds.items)
 
+    def test_manifest_images_load_once_and_are_not_kept(self, tmp_path, monkeypatch):
+        items = []
+        for c in range(2):
+            for i in range(4):
+                path = tmp_path / f"im_{c}_{i}.ppm"
+                write_ppm(path, blob_image(10 * c + i, size=24))
+                items.append(DatasetItem(label=f"c{c}", split="train" if i == 0 else "test", path=str(path)))
+        # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet
+        loaded, alive_at_scdmi50 = [], []
+        real_read, real_scdmi50 = bench_mod.read_ppm, bench_mod.scdmi50
+
+        def reading(path):
+            img = real_read(path)
+            loaded.append((path, weakref.ref(img)))
+            return img
+
+        def counting(img):
+            alive_at_scdmi50.append(sum(ref() is not None for _, ref in loaded))
+            return real_scdmi50(img)
+
+        monkeypatch.setattr(bench_mod, "read_ppm", reading)
+        monkeypatch.setattr(bench_mod, "scdmi50", counting)
+        run_benchmark(LabeledDataset(items))
+        assert sorted(path for path, _ in loaded) == sorted(it.path for it in items)
+        # each image is featurized while it is the only one loaded, then let go
+        assert alive_at_scdmi50 == [1] * len(items)
+        assert all(ref() is None for _, ref in loaded)
+
 
 def chi2_to_gallery(query, gallery, eps=bench_mod.CHI2_EPS):
     diff = gallery - query[None, :]
@@ -400,6 +433,24 @@ class TestGenerators:
             n_classes=2, n_views=2, n_color_transforms=3, size=48, seed=1
         )
         assert len(ds.items) == 12
+
+    def test_per_class_generators_give_the_dataset_items(self):
+        pairs = [
+            (
+                generate_classification_dataset(n_classes=3, n_transforms=4, size=48, seed=1, clamp=True),
+                [it for c in range(3) for it in classification_class(c, 4, 48, seed=1, clamp=True)],
+            ),
+            (
+                generate_retrieval_dataset(n_classes=2, n_views=2, n_color_transforms=3, size=48, seed=1),
+                [it for c in range(2) for it in retrieval_class(c, 2, 3, 48, seed=1)],
+            ),
+        ]
+        for ds, per_class in pairs:
+            assert len(ds.items) == len(per_class)
+            for a, b in zip(ds.items, per_class):
+                assert (a.label, a.split) == (b.label, b.split)
+                for pa, pb in zip((*a.image.channels(), a.image.mask), (*b.image.channels(), b.image.mask)):
+                    assert pa.dtype == pb.dtype and pa.tobytes() == pb.tobytes()
 
     def test_generator_determinism(self):
         a = generate_classification_dataset(n_classes=2, n_transforms=2, size=48, seed=9)

@@ -1,8 +1,11 @@
+import csv
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
+import scdmi.bench as bench_mod
 import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
@@ -211,9 +214,49 @@ class TestBenchCommand:
         assert len(pr_lines) == 1 + 7 * 11
         assert (a / "dataset_manifest.csv").exists()
 
-    def test_manifest_driven_run(self, tmp_path):
-        import csv
+    def test_synthetic_run_holds_one_class_of_images(self, tmp_path, monkeypatch):
+        # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet
+        copies, alive_at_scdmi50 = [], []
+        real_color, real_scdmi50 = bench_mod.apply_color_affine, bench_mod.scdmi50
 
+        def recording(*args, **kwargs):
+            img = real_color(*args, **kwargs)
+            copies.append(weakref.ref(img))
+            return img
+
+        def counting(img):
+            alive_at_scdmi50.append(sum(ref() is not None for ref in copies))
+            return real_scdmi50(img)
+
+        monkeypatch.setattr(bench_mod, "apply_color_affine", recording)
+        monkeypatch.setattr(bench_mod, "scdmi50", counting)
+        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert len(copies) == 3 * 4 and len(alive_at_scdmi50) == 3 * 5
+        # at most one class of images: its base image plus four mapped copies, of which
+        # the copies are recorded; no image of an earlier class is left
+        assert max(alive_at_scdmi50) == 4
+
+    def test_synthetic_run_scores_the_generated_dataset(self, tmp_path):
+        # class-by-class featurizing scores what the whole dataset held in memory scores
+        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48",
+                "--seed", "2", "--clamp"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        ds = bench_mod.generate_classification_dataset(3, 4, 48, seed=2, clamp=True)
+        accuracies, curves = bench_mod.run_benchmark(ds)
+        with (tmp_path / "accuracy.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [[k.value, repr(accuracies[k])] for k in bench_mod.ALL_KINDS]
+        with (tmp_path / "pr_curves.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                [k.value, repr(float(r)), repr(float(p))]
+                for k in bench_mod.ALL_KINDS
+                for r, p in zip(curves[k].recall_levels, curves[k].precision)
+            ]
+        with (tmp_path / "dataset_manifest.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(label, split) for _, label, split in rows] == [(it.label, it.split) for it in ds.items]
+
+    def test_manifest_driven_run(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()
         rows = []
