@@ -35,7 +35,6 @@ from .engine import (
 )
 from .errors import (
     EmptyDomain,
-    InternalError,
     InvalidSpec,
     ParseError,
     ScdmiError,

@@ -8,7 +8,8 @@ derivative order: k=0 uses the raw channels, k=1 the radial first-derivative
 combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
 and denominator scale by the same channel power. moment_vector sums them
-into one dense vector per k, which evaluate_table reads.
+into one dense vector per k, one matrix product per chunk of pixels, and
+evaluate_table reads that vector.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import MomentIndex, denominator_polynomial, catalogue_specs
-from .errors import EmptyDomain, InternalError, TooSmall
+from .errors import EmptyDomain, TooSmall
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
@@ -30,13 +30,12 @@ DEGENERACY_EPS = 1e-12
 #: elements per block: numpy sums each block pairwise, math.fsum merges the blocks
 _BLOCK = 1 << 16
 
-#: elements per product temporary in moment_vector: a block's products are
-#: formed and summed this many elements at a time, and at least one row
-_CHUNK = 1 << 15
+#: pixels per chunk in moment_vector: one matrix product per chunk, chunk sums merged by fsum
+_CHUNK = 1 << 11
 
 
 def _merge(partials: list[float]) -> float:
-    """Block sums merged exactly rounded by fsum.
+    """Block or chunk sums merged exactly rounded by fsum.
 
     Where fsum raises, on +inf and -inf partials or on an overflowing
     intermediate, the result is the IEEE sum (nan or ±inf), as for a single
@@ -58,6 +57,8 @@ def stable_sum(values: np.ndarray) -> float:
     block sums are merged exactly rounded by Shewchuk's algorithm (1997) in
     math.fsum, so the bound does not grow with the array. An array of one
     block or less sums to float(np.sum(values)), except that -0.0 reads 0.0.
+    moment_vector sums its products by BLAS dot products per chunk instead,
+    and merges those partials by the same fsum.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
     return _merge([float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK)])
@@ -200,76 +201,38 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
 # moment vectors
 
 
-def _sum_products(
-    first: np.ndarray, table: np.ndarray | list[np.ndarray], group: ProductGroup, out: np.ndarray, step: int
-):
-    """Sum ``first * table[group.lo:group.hi]`` into out, ``step`` rows at a time.
-
-    A product that prefixes further moments is handed on while its chunk is
-    alive, so it is formed once.
-    """
-    for start in range(group.lo, group.hi, step):
-        stop = min(start + step, group.hi)
-        # one-row chunks work on a list of rows as on a table
-        prod = first * (table[start:stop] if step > 1 else table[start][None])
-        out[group.slots[start - group.lo : stop - group.lo]] = np.add.reduce(prod, axis=-1)
-        for child in group.prefixes:
-            if start <= child.row < stop:
-                _sum_products(prod[child.row - start], table, child, out, step)
-
-
-def _block_sums(prog: CompiledCatalogue, block: Sequence[np.ndarray], out: np.ndarray):
-    """Sum every moment's product over one block into its slot of ``out``.
-
-    The block's axis powers are the rows of one table, filled in
-    ``prog.build`` order. Each product is one multiply of a row by a
-    contiguous slice of the table, a chunk of at most _CHUNK elements, and
-    each row is reduced on its own, so every moment gets the pairwise sum
-    np.sum gives its product vector. Where a chunk is one row, nothing is
-    broadcast over a slice, and the table is a list of separate rows: one
-    allocation of several megabytes, freed, would raise glibc's dynamic
-    mmap threshold, and the heap it then keeps raised the peak RSS of
-    full-frame extraction by about 10%.
-    """
-    n = block[0].size
-    step = max(1, _CHUNK // n)
-    if step > 1:
-        table = np.empty((len(prog.build), n))
-        for row, axis, source in prog.build:
-            if source < 0:
-                table[row] = block[axis]
-            else:
-                np.multiply(table[source], block[axis], out=table[row])
-        out[prog.power_slots] = np.add.reduce(table, axis=-1)
-    else:
-        table = [None] * len(prog.build)
-        for row, axis, source in prog.build:
-            table[row] = block[axis] if source < 0 else table[source] * block[axis]
-        dump = len(out) - 1
-        for power, slot in zip(table, prog.power_slots):
-            if slot != dump:
-                out[slot] = np.add.reduce(power)
-    for group in prog.products:
-        _sum_products(table[group.row], table, group, out, step)
-
-
 def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     """Every moment the catalogue needs, in ``compiled_catalogue().indices`` order.
 
-    ``values`` are the five arrays of centred_values. The first entry is
-    m00, the pixel count. The pixels are walked in the blocks stable_sum
-    uses: each moment gets one pairwise partial sum per block (see
-    _block_sums), and the partials are merged as stable_sum merges them.
+    ``values`` are the five arrays of centred_values; the first entry is m00,
+    the pixel count. Per chunk of _CHUNK pixels, the axis powers fill the
+    right factors T and left products L (see CompiledCatalogue), and one
+    matrix product L @ T.T holds every other moment's chunk sum. A chunk's
+    dot product errs by at most (_CHUNK - 1) u sum|products| in any order
+    (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
+    a product carries at most d = 5 roundings (total degree 6), and fsum
+    merges the chunk sums as stable_sum merges its blocks, so each moment is
+    within (_CHUNK + d) u sum|products| at any size. Its last bits depend on
+    the BLAS kernel, so on the machine.
     """
     prog = compiled_catalogue()
     npix = values[0].size
-    starts = range(0, npix, _BLOCK)
-    # one column per moment slot, plus a last column for products no moment sums
-    partials = np.empty((len(starts), len(prog.indices) + 1))
+    starts = range(0, npix, _CHUNK)
+    partials = np.empty((len(starts), len(prog.indices) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for out, lo in zip(partials, starts):
-            _block_sums(prog, [v[lo : lo + _BLOCK] for v in values], out)
-    return np.array([float(npix)] + [_merge(sums) for sums in partials.T[1:-1].tolist()])
+            chunk = [v[lo : lo + _CHUNK] for v in values]
+            powers = []
+            for axis, below in prog.ladder:
+                powers.append(chunk[axis] if below < 0 else powers[below] * chunk[axis])
+            right = np.array([powers[r] for r in prog.right_rows])
+            left = np.empty((len(prog.left_rows), chunk[0].size))
+            for row, factors in zip(left, prog.left_rows):
+                row[:] = powers[factors[0]] if factors else 1.0
+                for f in factors[1:]:
+                    row *= powers[f]
+            out[:] = (left @ right.T)[prog.left_idx, prog.right_idx]
+    return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
 
 
 def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
@@ -315,9 +278,17 @@ class CompiledCatalogue:
     of numerator i for i < 25, and the last range is the quadratic core.
     ``squares`` are the slots of the three channels' sums of squares.
 
-    ``powers``, ``build``, ``power_slots`` and ``products`` are the layout
-    moment_vector walks (see _power_layout). Slot ``len(indices)`` takes the
-    sums of table rows and products that no moment needs.
+    The rest is the layout moment_vector sums by. Every moment after m00 is
+    a left product times a right factor: the right factor is its last
+    non-zero axis power in axis order, and the left product is its other
+    powers multiplied in axis order, or 1. Any moment splits this way.
+    ``ladder`` lists the axis powers to build (16 here) as (axis, ladder
+    position of the power one below, or -1), each after the one below it.
+    ``right_rows`` are the ladder positions of the distinct right factors,
+    the rows of T (12 here); ``left_rows`` are the ladder positions
+    multiplied into each distinct left product, the rows of L (23 here, the
+    empty one being 1). Moment slot s + 1 is entry ``(left_idx[s],
+    right_idx[s])`` of L @ T.T.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -327,81 +298,24 @@ class CompiledCatalogue:
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
     squares: tuple[int, ...]
-    powers: tuple[tuple[int, int], ...]
-    build: tuple[tuple[int, int, int], ...]
-    power_slots: np.ndarray
-    products: tuple[ProductGroup, ...]
+    ladder: tuple[tuple[int, int], ...]
+    right_rows: tuple[int, ...]
+    left_rows: tuple[tuple[int, ...], ...]
+    left_idx: np.ndarray
+    right_idx: np.ndarray
 
 
-class ProductGroup(NamedTuple):
-    """Products of one factor with the contiguous power-table rows lo:hi.
-
-    At the top level the factor is table row ``row``. In ``prefixes`` of a
-    group, ``row`` is the table row of the second factor, and the factor is
-    that group's product with it. ``slots[j]`` is the moment slot that takes
-    the sum of product j.
-    """
-
-    row: int
-    lo: int
-    hi: int
-    slots: np.ndarray
-    prefixes: tuple[ProductGroup, ...]
-
-
-def _power_layout(indices: Sequence[MomentIndex]):
-    """(powers, build, power_slots, products) of the moments ``indices``, m00 first.
-
-    The table rows are x^1..x^P, y^Q..y^1, then the colours exponent by
-    exponent (r, g, b, r^2, g^2, b^2). A moment's non-zero axis powers, in
-    axis order, are its factors: one factor is a table row; two are a row
-    times a row; three are the product of the first two, formed once, times
-    a row. With this row order the second factors of one first factor, and
-    the third factors of one prefix, are contiguous rows, which is what lets
-    each group be one broadcast multiply. ``build`` fills the table in
-    exponent order, each power from the one below it. Raises InternalError
-    where a catalogue breaks the layout.
-    """
-    if not indices or any(indices[0]) or not all(any(idx) for idx in indices[1:]):
-        raise InternalError("m00 must be the first moment and the only one without factors")
-    top = [max(idx[axis] for idx in indices) for axis in range(5)]
-    colour = max(top[2:])
-    powers = (
-        [(0, e) for e in range(1, top[0] + 1)]
-        + [(1, e) for e in range(top[1], 0, -1)]
-        + [(axis, e) for e in range(1, colour + 1) for axis in (2, 3, 4)]
-    )
-    row = {power: i for i, power in enumerate(powers)}
-    build = tuple(
-        (row[axis, e], axis, row[axis, e - 1] if e > 1 else -1) for axis, e in sorted(powers, key=lambda p: p[1])
-    )
-    dump = len(indices)
-    power_slots = np.full(len(powers), dump, dtype=np.intp)
-    pairs: dict[int, dict[int, int]] = {}
-    triples: dict[tuple[int, int], dict[int, int]] = {}
-    for slot, idx in enumerate(indices[1:], start=1):
-        rows = [row[axis, e] for axis, e in enumerate(idx) if e]
-        if len(rows) == 1:
-            power_slots[rows[0]] = slot
-        elif len(rows) == 2:
-            pairs.setdefault(rows[0], {})[rows[1]] = slot
-        elif len(rows) == 3:
-            pairs.setdefault(rows[0], {}).setdefault(rows[1], dump)
-            triples.setdefault((rows[0], rows[1]), {})[rows[2]] = slot
-        else:
-            raise InternalError(f"moment {idx.text()} has more than three factors")
-
-    def group(factor: int, slots: dict[int, int], prefixes: tuple[ProductGroup, ...]) -> ProductGroup:
-        lo, hi = min(slots), max(slots) + 1
-        if len(slots) != hi - lo:
-            raise InternalError(f"the factors after {factor} are not contiguous table rows")
-        return ProductGroup(factor, lo, hi, np.array([slots[r] for r in range(lo, hi)], dtype=np.intp), prefixes)
-
-    products = []
-    for first, seconds in sorted(pairs.items()):
-        prefixes = [group(second, triples[first, second], ()) for second in sorted(seconds) if (first, second) in triples]
-        products.append(group(first, seconds, tuple(prefixes)))
-    return tuple(powers), build, power_slots, tuple(products)
+def _product_layout(indices: Sequence[MomentIndex]):
+    """CompiledCatalogue's (ladder, right_rows, left_rows, left_idx, right_idx) for ``indices``, m00 first."""
+    factors = [[(axis, e) for axis, e in enumerate(idx) if e] for idx in indices[1:]]
+    powers = sorted({(axis, e) for f in factors for axis, top in f for e in range(1, top + 1)}, key=lambda p: p[::-1])
+    pos = {power: i for i, power in enumerate(powers)}
+    ladder = tuple((axis, pos[axis, e - 1] if e > 1 else -1) for axis, e in powers)
+    rights = sorted({f[-1] for f in factors})
+    lefts = sorted({tuple(f[:-1]) for f in factors})
+    left_idx = np.array([lefts.index(tuple(f[:-1])) for f in factors], dtype=np.intp)
+    right_idx = np.array([rights.index(f[-1]) for f in factors], dtype=np.intp)
+    return ladder, tuple(pos[r] for r in rights), tuple(tuple(pos[p] for p in f) for f in lefts), left_idx, right_idx
 
 
 @lru_cache(maxsize=1)
@@ -422,7 +336,7 @@ def compiled_catalogue() -> CompiledCatalogue:
     for col, term in enumerate(terms):
         factors[: len(term.factors), col] = [slot[f] for f in term.factors]
     bounds = np.cumsum([0] + [len(poly) for poly in polys])
-    powers, build, power_slots, products = _power_layout(indices)
+    ladder, right_rows, left_rows, left_idx, right_idx = _product_layout(indices)
     return CompiledCatalogue(
         indices=indices,
         factors=factors,
@@ -431,10 +345,11 @@ def compiled_catalogue() -> CompiledCatalogue:
         area_exponents=tuple(float(s.area_exponent) for s in shared),
         denom_exponents=tuple(float(s.denom_exponent) for s in shared),
         squares=tuple(slot[sq] for sq in _SQUARES),
-        powers=powers,
-        build=build,
-        power_slots=power_slots,
-        products=products,
+        ladder=ladder,
+        right_rows=right_rows,
+        left_rows=left_rows,
+        left_idx=left_idx,
+        right_idx=right_idx,
     )
 
 

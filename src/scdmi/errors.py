@@ -31,7 +31,3 @@ class TooLarge(ScdmiError, ValueError):
 
 class Singular(ScdmiError, ValueError):
     """Transform matrix is singular or nearly so."""
-
-
-class InternalError(ScdmiError, RuntimeError):
-    """A moment index was needed but not precomputed."""

@@ -12,7 +12,6 @@ from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.cli import main
 import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage
-from scdmi.errors import InternalError
 from scdmi.ppm import read_ppm, write_ppm
 from scdmi.synthetic import blob_image
 from scdmi.transforms import ColorAffine, apply_color_affine
@@ -131,10 +130,10 @@ class TestFeatures:
         write_ppm(tmp_path / "ok.ppm", blob_image(1, size=16))
 
         def broken(img):
-            raise InternalError("moment not precomputed")
+            raise RuntimeError("fault in the feature pass")
 
         monkeypatch.setattr(cli_mod, "scdmi50", broken)
-        with pytest.raises(InternalError):
+        with pytest.raises(RuntimeError):
             main(["features", str(tmp_path / "ok.ppm"), "--out", str(tmp_path / "out")])
 
 

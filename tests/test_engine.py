@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +22,17 @@ from scdmi.engine import (
     stable_sum,
     stencil_eroded_mask,
 )
-from scdmi.errors import EmptyDomain, InternalError, TooSmall
+from scdmi.errors import EmptyDomain, TooSmall
 from scdmi.synthetic import blob_image, disk_masked_image
-from scdmi.transforms import ShapeAffine, apply_shape_affine
+from scdmi.transforms import ShapeAffine, apply_shape_affine, relative_deviation
+from scdmi.verify import ORACLE_TOL
 
 
-#: pixels per summation block, and elements per product chunk in moment_vector
+#: elements per stable_sum block, and pixels per matrix-product chunk in moment_vector
 BLOCK = 1 << 16
 CHUNK = engine._CHUNK
+#: multiplies that form one product vector: the catalogue's highest total degree less one
+MULTIPLIES = max(sum(idx) for idx in compiled_catalogue().indices) - 1
 
 
 def random_image(seed, h, w):
@@ -155,19 +162,19 @@ class TestMomentTable:
         "img", [random_image(4, 9, 11), disk_masked_image(5, size=96, radius_frac=0.26), blob_image(6, size=272)]
     )
     def test_plan_equals_walk_over_all_axes(self, img, k):
-        values = centred_values(img, k)
-        assert moment_vector(values).tolist() == _walk_over_all_axes(values)
+        _assert_within_dot_bound(centred_values(img, k))
 
     @pytest.mark.parametrize(
-        "n", [1, 7, CHUNK // 2 - 1, CHUNK // 2, CHUNK // 2 + 1, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK, BLOCK + 1]
+        "n",
+        [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+        + [8 * CHUNK - 1, 8 * CHUNK, 8 * CHUNK + 1, 16 * CHUNK - 1, 16 * CHUNK, 16 * CHUNK + 1, BLOCK, BLOCK + 1],
     )
     def test_walk_at_chunk_and_block_boundaries(self, n):
-        # the product rows per chunk fall from 2 to 1 at CHUNK / 2 pixels, and
-        # a second block starts at BLOCK + 1; magnitudes spread over decades
+        # the last chunk is short by one, full or one pixel long, and up to
+        # 2^16 + 1 pixels many chunk sums are merged; magnitudes spread over
+        # decades
         rng = np.random.default_rng(n)
-        values = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)]
-        expected = np.array(_walk_over_all_axes(values))
-        assert np.array_equal(moment_vector(values).view(np.int64), expected.view(np.int64))
+        _assert_within_dot_bound([rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)])
 
     def test_against_naive_double_loop(self):
         img = random_image(3, 8, 8)
@@ -265,24 +272,37 @@ def test_moment_table_matches_naive_on_random_images(seed, h, w):
 
 
 # ---------------------------------------------------------------------------
-# summation policy: pairwise sums of 2^16-element blocks merged by fsum
+# summation policy: in-chunk sums merged by fsum
 
 def _walk_over_all_axes(values):
-    """Every index walked over its five axes, each power built on demand, one
-    np.sum per product vector and block, the blocks merged by fsum."""
-    partials = [[] for _ in compiled_catalogue().indices]
-    for lo in range(0, values[0].size, BLOCK):
-        pows = [[None, v[lo : lo + BLOCK]] for v in values]
-        for idx, sums in zip(compiled_catalogue().indices, partials):
-            vec = None
-            for ladder, e in zip(pows, idx):
-                while len(ladder) <= e:
-                    ladder.append(ladder[-1] * ladder[1])
-                if e:
-                    vec = ladder[e] if vec is None else vec * ladder[e]
-            if vec is not None:
-                sums.append(float(np.sum(vec)))
-    return [math.fsum(sums) if sums else float(values[0].size) for sums in partials]
+    """Every index's product vector, walked over its five axes with each power
+    built on demand from the one below it; None for m00."""
+    pows = [[None, v] for v in values]
+    products = []
+    for idx in compiled_catalogue().indices:
+        vec = None
+        for ladder, e in zip(pows, idx):
+            while len(ladder) <= e:
+                ladder.append(ladder[-1] * ladder[1])
+            if e:
+                vec = ladder[e] if vec is None else vec * ladder[e]
+        products.append(vec)
+    return products
+
+
+def _assert_within_dot_bound(values):
+    """Each moment is within (CHUNK + MULTIPLIES) * 2^-53 * sum|products| of
+    the exactly rounded sum of the walk's product vector, m00 exactly the
+    pixel count: a product carries at most MULTIPLIES roundings, a chunk's
+    dot product adds at most CHUNK - 1 in any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1) and the fsum merge one more."""
+    got = moment_vector(values)
+    for idx, value, vec in zip(compiled_catalogue().indices, got, _walk_over_all_axes(values)):
+        if vec is None:
+            assert value == float(values[0].size)
+            continue
+        bound = (CHUNK + MULTIPLIES) * 2.0**-53 * float(np.sum(np.abs(vec)))
+        assert abs(value - math.fsum(vec)) <= bound, idx
 
 
 def _ill_conditioned(seed, n):
@@ -452,13 +472,17 @@ class TestStableSum:
     )
     def test_features_up_to_one_block_unchanged(self, img):
         # the path before block sums and the one centring step: whole planes,
-        # one np.sum per moment
+        # one np.sum per moment; the centring is that path's bit for bit, and
+        # the features, summed in another order, within 1e-12 relative
+        for k in (0, 1):
+            for a, b in zip(centred_values(img, k), _plane_centred(img, k)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
         expected = [evaluate_table(_whole_array_table(_plane_centred(img, k))) for k in (0, 1)]
         fv = scdmi50(img)
         assert img.mask.sum() <= BLOCK
         values = np.concatenate([v for v, _ in expected])
-        assert np.array_equal(fv.values.view(np.int64), values.view(np.int64))
         assert fv.valid.tolist() == np.concatenate([ok for _, ok in expected]).tolist()
+        assert np.all(np.abs(fv.values - values) <= 1e-12 * np.abs(values))
 
 
 # ---------------------------------------------------------------------------
@@ -484,63 +508,6 @@ class TestCompiledCatalogue:
         assert [prog.indices[i] for i in prog.squares] == [
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
-
-    def test_layout_sums_every_moment_once_and_forms_each_prefix_once(self):
-        prog = compiled_catalogue()
-        dump = len(prog.indices)
-        sums = {}  # moment slot -> exponents of the product summed into it
-        formed = []  # exponents of every product multiplied
-
-        def exponents(*rows):
-            e = [0] * 5
-            for r in rows:
-                axis, power = prog.powers[r]
-                e[axis] += power
-            return tuple(e)
-
-        for r, s in enumerate(prog.power_slots):
-            if s != dump:
-                sums.setdefault(s, []).append(exponents(r))
-        for group in prog.products:
-            for second, s in zip(range(group.lo, group.hi), group.slots):
-                formed.append(exponents(group.row, second))
-                if s != dump:
-                    sums.setdefault(s, []).append(formed[-1])
-            for child in group.prefixes:
-                assert group.lo <= child.row < group.hi
-                for third, s in zip(range(child.lo, child.hi), child.slots):
-                    formed.append(exponents(group.row, child.row, third))
-                    assert s != dump
-                    sums.setdefault(s, []).append(formed[-1])
-        assert sorted(sums) == list(range(1, dump))
-        assert all(sums[s] == [tuple(prog.indices[s])] for s in sums)
-        assert len(set(formed)) == len(formed)
-        prefixes = {idx[:2] for idx in prog.indices if idx[0] and idx[1] and any(idx[2:])}
-        assert len(prefixes) == 10
-        assert sum(1 for e in formed if e[:2] in prefixes and not any(e[2:])) == len(prefixes)
-        # the build fills each power from the one below it, before it is read
-        built = set()
-        for row, axis, source in prog.build:
-            assert prog.powers[row][0] == axis
-            assert source < 0 if prog.powers[row][1] == 1 else source in built
-            built.add(row)
-        assert built == set(range(len(prog.powers)))
-
-    def test_table_rows(self):
-        prog = compiled_catalogue()
-        assert prog.powers == (
-            (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 5), (1, 4), (1, 3), (1, 2), (1, 1),
-            (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2),
-        )
-
-    @pytest.mark.parametrize(
-        "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
-        ids=["gap-in-second-factors", "four-factors"],
-    )
-    def test_layout_rejects_catalogues_it_cannot_walk(self, extra):
-        indices = (MomentIndex(0, 0, 0, 0, 0), *extra)
-        with pytest.raises(InternalError):
-            engine._power_layout(indices)
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_d2_is_six_gram_determinants(self, k):
@@ -570,3 +537,75 @@ class TestCompiledCatalogue:
         assert np.all(fv.values[~fv.valid] == 0.0)
         if case.endswith("two-blocks"):
             assert not fv.valid.any()
+
+
+# ---------------------------------------------------------------------------
+# full affine invariance, exactly, on the point set
+
+
+def _rotation(rng, dim):
+    """A random rotation of R^dim, det +1."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _random_map(rng, dim, max_condition):
+    """Rotation times diagonal times rotation: det > 0, condition under max_condition."""
+    s = np.exp(rng.uniform(0.0, np.log(max_condition), dim))
+    return _rotation(rng, dim) @ np.diag(s) @ _rotation(rng, dim)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("seed", range(6))
+def test_point_set_full_affine_invariance(seed, k):
+    """The moments are sums over points, so the paper's invariance holds on
+    the point set with no resampling. Each domain point's coordinates are
+    mapped by A (a shear in general, det 2) and its channels by M; it then
+    stands for an area of det A, so the mapped moment vector is multiplied by
+    det A. At k=0 the channels also take an offset and are recentred; at k=1
+    the radial channel x·∇C is unchanged by a linear map of the coordinates,
+    so only M acts on it. This is the exact check of the k=1 area exponents."""
+    img = disk_masked_image(seed, size=48, radius_frac=0.3) if seed % 2 else blob_image(seed, size=32)
+    rng = np.random.default_rng([seed, k])
+    xc, yc, *channels = centred_values(img, k)
+    a = _random_map(rng, 2, 5.0)
+    a *= np.sqrt(2.0 / np.linalg.det(a))
+    coords = a @ np.stack([xc, yc])
+    coords -= coords.mean(axis=1, keepdims=True)
+    colours = _random_map(rng, 3, 10.0) @ np.stack(channels)
+    if k == 0:
+        colours += rng.uniform(-0.3, 0.3, (3, 1))
+        colours -= colours.mean(axis=1, keepdims=True)
+    ref, ok = evaluate_table(moment_vector((xc, yc, *channels)))
+    mapped = moment_vector((*coords, *colours))
+    got, got_ok = evaluate_table(np.linalg.det(a) * mapped)
+    assert ok.any() and got_ok.tolist() == ok.tolist()
+    assert relative_deviation(ref, got)[ok].max() <= ORACLE_TOL
+    # negative control: without the area factor every valid entry moves
+    off, off_ok = evaluate_table(mapped)
+    assert off_ok.tolist() == ok.tolist()
+    assert relative_deviation(ref, off)[ok].min() > 1.0
+
+
+_THREADS_SCRIPT = """
+from scdmi import scdmi50
+from scdmi.synthetic import blob_image, disk_masked_image
+for img in (disk_masked_image(13, size=128, radius_frac=0.26), blob_image(11, size=272)):
+    fv = scdmi50(img)
+    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())
+"""
+
+
+def test_features_do_not_depend_on_blas_threads():
+    # the chunk sums are BLAS matrix products; a 128 px disk and a 272 px
+    # frame of more than 2^16 pixels, each in a fresh process per thread count
+    src = str(Path(engine.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+        runs.append(proc.stdout.splitlines())
+    assert len(runs[0]) == 2 and runs[0] == runs[1]
