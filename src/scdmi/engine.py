@@ -7,8 +7,8 @@ step (centred_values) gives the centred coordinates and channels for either
 derivative order: k=0 uses the raw channels, k=1 the radial first-derivative
 combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
-and denominator scale by the same channel power. moment_vector sums them
-into one dense vector per k, one matrix product per chunk of pixels, and
+and denominator scale by the same channel power. moment_vector sums their
+products into one dense vector per k, by the policy of stable_sum, and
 evaluate_table reads that vector.
 """
 
@@ -30,12 +30,9 @@ DEGENERACY_EPS = 1e-12
 #: elements per block: numpy sums each block pairwise, math.fsum merges the blocks
 _BLOCK = 1 << 16
 
-#: pixels per chunk in moment_vector: one matrix product per chunk, chunk sums merged by fsum
-_CHUNK = 1 << 11
-
 
 def _merge(partials: list[float]) -> float:
-    """Block or chunk sums merged exactly rounded by fsum.
+    """Block sums merged exactly rounded by fsum.
 
     Where fsum raises, on +inf and -inf partials or on an overflowing
     intermediate, the result is the IEEE sum (nan or ±inf), as for a single
@@ -57,8 +54,7 @@ def stable_sum(values: np.ndarray) -> float:
     block sums are merged exactly rounded by Shewchuk's algorithm (1997) in
     math.fsum, so the bound does not grow with the array. An array of one
     block or less sums to float(np.sum(values)), except that -0.0 reads 0.0.
-    moment_vector sums its products by BLAS dot products per chunk instead,
-    and merges those partials by the same fsum.
+    moment_vector sums every moment's product vector by this policy.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
     return _merge([float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK)])
@@ -205,33 +201,32 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     """Every moment the catalogue needs, in ``compiled_catalogue().indices`` order.
 
     ``values`` are the five arrays of centred_values; the first entry is m00,
-    the pixel count. Per chunk of _CHUNK pixels, the axis powers fill the
-    right factors T and left products L (see CompiledCatalogue), and one
-    matrix product L @ T.T holds every other moment's chunk sum. A chunk's
-    dot product errs by at most (_CHUNK - 1) u sum|products| in any order
-    (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms, 3.1),
-    a product carries at most d = 5 roundings (total degree 6), and fsum
-    merges the chunk sums as stable_sum merges its blocks, so each moment is
-    within (_CHUNK + d) u sum|products| at any size. Its last bits depend on
-    the BLAS kernel, so on the machine.
+    the pixel count. The pixels are walked in the blocks stable_sum uses,
+    each block's product vectors built by ``compiled_catalogue().steps``. A
+    product vector no later step reads is formed in one scratch array. Each
+    is summed pairwise by numpy and the block sums are merged by fsum, so
+    every moment is the stable_sum of its product vector, whatever numpy's
+    BLAS.
     """
     prog = compiled_catalogue()
     npix = values[0].size
-    starts = range(0, npix, _CHUNK)
+    starts = range(0, npix, _BLOCK)
     partials = np.empty((len(starts), len(prog.indices) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for out, lo in zip(partials, starts):
-            chunk = [v[lo : lo + _CHUNK] for v in values]
-            powers = []
-            for axis, below in prog.ladder:
-                powers.append(chunk[axis] if below < 0 else powers[below] * chunk[axis])
-            right = np.array([powers[r] for r in prog.right_rows])
-            left = np.empty((len(prog.left_rows), chunk[0].size))
-            for row, factors in zip(left, prog.left_rows):
-                row[:] = powers[factors[0]] if factors else 1.0
-                for f in factors[1:]:
-                    row *= powers[f]
-            out[:] = (left @ right.T)[prog.left_idx, prog.right_idx]
+            block = [v[lo : lo + _BLOCK] for v in values]
+            product = np.empty(block[0].size)
+            rows = []
+            for a, b, slot, keep in prog.steps:
+                if b < 0:
+                    row = block[a]
+                elif keep:
+                    row = rows[a] * rows[b]
+                else:
+                    row = np.multiply(rows[a], rows[b], out=product)
+                rows.append(row)
+                if slot:
+                    out[slot - 1] = np.add.reduce(row)
     return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
 
 
@@ -278,17 +273,15 @@ class CompiledCatalogue:
     of numerator i for i < 25, and the last range is the quadratic core.
     ``squares`` are the slots of the three channels' sums of squares.
 
-    The rest is the layout moment_vector sums by. Every moment after m00 is
-    a left product times a right factor: the right factor is its last
-    non-zero axis power in axis order, and the left product is its other
-    powers multiplied in axis order, or 1. Any moment splits this way.
-    ``ladder`` lists the axis powers to build (16 here) as (axis, ladder
-    position of the power one below, or -1), each after the one below it.
-    ``right_rows`` are the ladder positions of the distinct right factors,
-    the rows of T (12 here); ``left_rows`` are the ladder positions
-    multiplied into each distinct left product, the rows of L (23 here, the
-    empty one being 1). Moment slot s + 1 is entry ``(left_idx[s],
-    right_idx[s])`` of L @ T.T.
+    ``steps`` build every moment's product vector over a block of pixels,
+    one row per step. Step (a, -1, slot, keep) is centred array a; step
+    (a, b, slot, keep) is row a times row b, rows counted in step order. The
+    rows are the axis powers, each the one below it times the axis, then the
+    moments' products: a moment's non-zero axis powers multiplied left to
+    right in axis order (x, y, r, g, b), each product its prefix times one
+    power, so a prefix shared by several moments is formed once. Any
+    catalogue builds this way. A row whose ``slot`` is not 0 is summed into
+    that moment slot, and ``keep`` marks the rows a later step reads.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -298,24 +291,28 @@ class CompiledCatalogue:
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
     squares: tuple[int, ...]
-    ladder: tuple[tuple[int, int], ...]
-    right_rows: tuple[int, ...]
-    left_rows: tuple[tuple[int, ...], ...]
-    left_idx: np.ndarray
-    right_idx: np.ndarray
+    steps: tuple[tuple[int, int, int, bool], ...]
 
 
-def _product_layout(indices: Sequence[MomentIndex]):
-    """CompiledCatalogue's (ladder, right_rows, left_rows, left_idx, right_idx) for ``indices``, m00 first."""
-    factors = [[(axis, e) for axis, e in enumerate(idx) if e] for idx in indices[1:]]
+def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int, bool], ...]:
+    """CompiledCatalogue's ``steps`` for the moments ``indices``, m00 first."""
+    factors = [tuple((axis, e) for axis, e in enumerate(idx) if e) for idx in indices[1:]]
     powers = sorted({(axis, e) for f in factors for axis, top in f for e in range(1, top + 1)}, key=lambda p: p[::-1])
-    pos = {power: i for i, power in enumerate(powers)}
-    ladder = tuple((axis, pos[axis, e - 1] if e > 1 else -1) for axis, e in powers)
-    rights = sorted({f[-1] for f in factors})
-    lefts = sorted({tuple(f[:-1]) for f in factors})
-    left_idx = np.array([lefts.index(tuple(f[:-1])) for f in factors], dtype=np.intp)
-    right_idx = np.array([rights.index(f[-1]) for f in factors], dtype=np.intp)
-    return ladder, tuple(pos[r] for r in rights), tuple(tuple(pos[p] for p in f) for f in lefts), left_idx, right_idx
+    products = sorted({f[:n] for f in factors for n in range(2, len(f) + 1)}, key=lambda f: (len(f), f))
+    keys = [(p,) for p in powers] + products
+    row = {key: i for i, key in enumerate(keys)}
+    sources = []
+    for key in keys:
+        axis, e = key[-1]
+        if len(key) > 1:
+            sources.append((row[key[:-1]], row[key[-1:]]))
+        elif e > 1:
+            sources.append((row[(axis, e - 1),], row[(axis, 1),]))
+        else:
+            sources.append((axis, -1))
+    read = {i for a, b in sources if b >= 0 for i in (a, b)}
+    slot = {f: s for s, f in enumerate(factors, start=1)}
+    return tuple((a, b, slot.get(key, 0), i in read) for i, (key, (a, b)) in enumerate(zip(keys, sources)))
 
 
 @lru_cache(maxsize=1)
@@ -336,7 +333,7 @@ def compiled_catalogue() -> CompiledCatalogue:
     for col, term in enumerate(terms):
         factors[: len(term.factors), col] = [slot[f] for f in term.factors]
     bounds = np.cumsum([0] + [len(poly) for poly in polys])
-    ladder, right_rows, left_rows, left_idx, right_idx = _product_layout(indices)
+
     return CompiledCatalogue(
         indices=indices,
         factors=factors,
@@ -345,11 +342,7 @@ def compiled_catalogue() -> CompiledCatalogue:
         area_exponents=tuple(float(s.area_exponent) for s in shared),
         denom_exponents=tuple(float(s.denom_exponent) for s in shared),
         squares=tuple(slot[sq] for sq in _SQUARES),
-        ladder=ladder,
-        right_rows=right_rows,
-        left_rows=left_rows,
-        left_idx=left_idx,
-        right_idx=right_idx,
+        steps=_product_steps(indices),
     )
 
 

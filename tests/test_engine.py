@@ -28,11 +28,8 @@ from scdmi.transforms import ShapeAffine, apply_shape_affine, relative_deviation
 from scdmi.verify import ORACLE_TOL
 
 
-#: elements per stable_sum block, and pixels per matrix-product chunk in moment_vector
+#: pixels per summation block
 BLOCK = 1 << 16
-CHUNK = engine._CHUNK
-#: multiplies that form one product vector: the catalogue's highest total degree less one
-MULTIPLIES = max(sum(idx) for idx in compiled_catalogue().indices) - 1
 
 
 def random_image(seed, h, w):
@@ -162,19 +159,21 @@ class TestMomentTable:
         "img", [random_image(4, 9, 11), disk_masked_image(5, size=96, radius_frac=0.26), blob_image(6, size=272)]
     )
     def test_plan_equals_walk_over_all_axes(self, img, k):
-        _assert_within_dot_bound(centred_values(img, k))
+        values = centred_values(img, k)
+        assert moment_vector(values).tolist() == _walk_over_all_axes(values)
 
     @pytest.mark.parametrize(
-        "n",
-        [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
-        + [8 * CHUNK - 1, 8 * CHUNK, 8 * CHUNK + 1, 16 * CHUNK - 1, 16 * CHUNK, 16 * CHUNK + 1, BLOCK, BLOCK + 1],
+        "n", [1, 7, BLOCK // 4 - 1, BLOCK // 4, BLOCK // 4 + 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1]
+        + [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
     )
     def test_walk_at_chunk_and_block_boundaries(self, n):
-        # the last chunk is short by one, full or one pixel long, and up to
-        # 2^16 + 1 pixels many chunk sums are merged; magnitudes spread over
-        # decades
+        # numpy's pairwise sum splits its input in halves, so sizes either
+        # side of a power of two; a second block starts at BLOCK + 1 and a
+        # third at 2 * BLOCK + 1; magnitudes spread over decades
         rng = np.random.default_rng(n)
-        _assert_within_dot_bound([rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)])
+        values = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)]
+        expected = np.array(_walk_over_all_axes(values))
+        assert np.array_equal(moment_vector(values).view(np.int64), expected.view(np.int64))
 
     def test_against_naive_double_loop(self):
         img = random_image(3, 8, 8)
@@ -272,37 +271,24 @@ def test_moment_table_matches_naive_on_random_images(seed, h, w):
 
 
 # ---------------------------------------------------------------------------
-# summation policy: in-chunk sums merged by fsum
+# summation policy: pairwise sums of 2^16-element blocks merged by fsum
 
 def _walk_over_all_axes(values):
-    """Every index's product vector, walked over its five axes with each power
-    built on demand from the one below it; None for m00."""
-    pows = [[None, v] for v in values]
-    products = []
-    for idx in compiled_catalogue().indices:
-        vec = None
-        for ladder, e in zip(pows, idx):
-            while len(ladder) <= e:
-                ladder.append(ladder[-1] * ladder[1])
-            if e:
-                vec = ladder[e] if vec is None else vec * ladder[e]
-        products.append(vec)
-    return products
-
-
-def _assert_within_dot_bound(values):
-    """Each moment is within (CHUNK + MULTIPLIES) * 2^-53 * sum|products| of
-    the exactly rounded sum of the walk's product vector, m00 exactly the
-    pixel count: a product carries at most MULTIPLIES roundings, a chunk's
-    dot product adds at most CHUNK - 1 in any order (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1) and the fsum merge one more."""
-    got = moment_vector(values)
-    for idx, value, vec in zip(compiled_catalogue().indices, got, _walk_over_all_axes(values)):
-        if vec is None:
-            assert value == float(values[0].size)
-            continue
-        bound = (CHUNK + MULTIPLIES) * 2.0**-53 * float(np.sum(np.abs(vec)))
-        assert abs(value - math.fsum(vec)) <= bound, idx
+    """Every index walked over its five axes, each power built on demand, one
+    np.sum per product vector and block, the blocks merged by fsum."""
+    partials = [[] for _ in compiled_catalogue().indices]
+    for lo in range(0, values[0].size, BLOCK):
+        pows = [[None, v[lo : lo + BLOCK]] for v in values]
+        for idx, sums in zip(compiled_catalogue().indices, partials):
+            vec = None
+            for ladder, e in zip(pows, idx):
+                while len(ladder) <= e:
+                    ladder.append(ladder[-1] * ladder[1])
+                if e:
+                    vec = ladder[e] if vec is None else vec * ladder[e]
+            if vec is not None:
+                sums.append(float(np.sum(vec)))
+    return [math.fsum(sums) if sums else float(values[0].size) for sums in partials]
 
 
 def _ill_conditioned(seed, n):
@@ -472,17 +458,13 @@ class TestStableSum:
     )
     def test_features_up_to_one_block_unchanged(self, img):
         # the path before block sums and the one centring step: whole planes,
-        # one np.sum per moment; the centring is that path's bit for bit, and
-        # the features, summed in another order, within 1e-12 relative
-        for k in (0, 1):
-            for a, b in zip(centred_values(img, k), _plane_centred(img, k)):
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        # one np.sum per moment
         expected = [evaluate_table(_whole_array_table(_plane_centred(img, k))) for k in (0, 1)]
         fv = scdmi50(img)
         assert img.mask.sum() <= BLOCK
         values = np.concatenate([v for v, _ in expected])
+        assert np.array_equal(fv.values.view(np.int64), values.view(np.int64))
         assert fv.valid.tolist() == np.concatenate([ok for _, ok in expected]).tolist()
-        assert np.all(np.abs(fv.values - values) <= 1e-12 * np.abs(values))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +479,19 @@ def _stripe_image(seed):
     return img
 
 
+def _step_exponents(steps):
+    """The exponents of each step's row, checking that a step reads only
+    earlier rows that are kept."""
+    rows = []
+    for a, b, _, _ in steps:
+        if b < 0:
+            rows.append(tuple(int(axis == a) for axis in range(5)))
+        else:
+            assert a < len(rows) and b < len(rows) and steps[a][3] and steps[b][3]
+            rows.append(tuple(x + y for x, y in zip(rows[a], rows[b])))
+    return rows
+
+
 class TestCompiledCatalogue:
     def test_term_counts(self):
         prog = compiled_catalogue()
@@ -507,6 +502,33 @@ class TestCompiledCatalogue:
         assert len(prog.indices) == 75
         assert [prog.indices[i] for i in prog.squares] == [
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
+        ]
+
+    def test_layout_sums_every_moment_once_and_forms_each_prefix_once(self):
+        prog = compiled_catalogue()
+        rows = _step_exponents(prog.steps)
+        # every moment slot is summed once, from the row of its own exponents
+        summed = {slot: rows[i] for i, (_, _, slot, _) in enumerate(prog.steps) if slot}
+        assert sorted(summed) == list(range(1, len(prog.indices)))
+        assert all(summed[slot] == tuple(prog.indices[slot]) for slot in summed)
+        # no row is formed twice, among them the ten x^p y^q prefixes that
+        # moments with colour factors share
+        assert len(set(rows)) == len(rows) == 89
+        prefixes = {(*idx[:2], 0, 0, 0) for idx in prog.indices if idx[0] and idx[1] and any(idx[2:])}
+        assert len(prefixes) == 10 and prefixes <= set(rows)
+        # a row is kept exactly when a later step reads it
+        read = {i for a, b, _, _ in prog.steps if b >= 0 for i in (a, b)}
+        assert [keep for *_, keep in prog.steps] == [i in read for i in range(len(rows))]
+
+    @pytest.mark.parametrize(
+        "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
+        ids=["gap-in-second-factors", "four-factors"],
+    )
+    def test_steps_build_any_catalogue(self, extra):
+        steps = engine._product_steps((MomentIndex(0, 0, 0, 0, 0), *extra))
+        rows = _step_exponents(steps)
+        assert sorted((slot, rows[i]) for i, (_, _, slot, _) in enumerate(steps) if slot) == [
+            (slot, tuple(idx)) for slot, idx in enumerate(extra, start=1)
         ]
 
     @pytest.mark.parametrize("k", [0, 1])
@@ -599,9 +621,14 @@ for img in (disk_masked_image(13, size=128, radius_frac=0.26), blob_image(11, si
 """
 
 
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].find("openblas") < 0,
+    reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
+)
 def test_features_do_not_depend_on_blas_threads():
-    # the chunk sums are BLAS matrix products; a 128 px disk and a 272 px
-    # frame of more than 2^16 pixels, each in a fresh process per thread count
+    # nothing in scdmi50 may depend on how many threads numpy's BLAS runs: a
+    # 128 px disk and a 272 px frame of more than 2^16 pixels, each in a
+    # fresh process per thread count
     src = str(Path(engine.__file__).resolve().parents[1])
     runs = []
     for threads in ("1", "2"):
