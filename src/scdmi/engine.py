@@ -203,7 +203,8 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     ``values`` are the five arrays of centred_values; the first entry is m00,
     the pixel count. The pixels are walked in the blocks stable_sum uses,
     each block's product vectors built by ``compiled_catalogue().steps``. A
-    product vector no later step reads is formed in one scratch array. Each
+    product vector no later step reads is formed in one scratch array, and
+    any other is dropped after the last step that reads it. Each
     is summed pairwise by numpy and the block sums are merged by fsum, so
     every moment is the stable_sum of its product vector, whatever numpy's
     BLAS.
@@ -217,7 +218,7 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
             block = [v[lo : lo + _BLOCK] for v in values]
             product = np.empty(block[0].size)
             rows = []
-            for a, b, slot, keep in prog.steps:
+            for a, b, slot, keep, drop in prog.steps:
                 if b < 0:
                     row = block[a]
                 elif keep:
@@ -227,6 +228,8 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
                 rows.append(row)
                 if slot:
                     out[slot - 1] = np.add.reduce(row)
+                for r in drop:
+                    rows[r] = None
     return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
 
 
@@ -274,14 +277,15 @@ class CompiledCatalogue:
     ``squares`` are the slots of the three channels' sums of squares.
 
     ``steps`` build every moment's product vector over a block of pixels,
-    one row per step. Step (a, -1, slot, keep) is centred array a; step
-    (a, b, slot, keep) is row a times row b, rows counted in step order. The
-    rows are the axis powers, each the one below it times the axis, then the
-    moments' products: a moment's non-zero axis powers multiplied left to
-    right in axis order (x, y, r, g, b), each product its prefix times one
-    power, so a prefix shared by several moments is formed once. Any
-    catalogue builds this way. A row whose ``slot`` is not 0 is summed into
-    that moment slot, and ``keep`` marks the rows a later step reads.
+    one row per step. Step (a, -1, slot, keep, drop) is centred array a;
+    step (a, b, slot, keep, drop) is row a times row b, rows counted in
+    step order. The rows are the axis powers, each the one below it times
+    the axis, then the moments' products: a moment's non-zero axis powers
+    multiplied left to right in axis order (x, y, r, g, b), each product
+    its prefix times one power, so a prefix shared by several moments is
+    formed once. Any catalogue builds this way. A row whose ``slot`` is not
+    0 is summed into that moment slot. ``keep`` marks the rows a later step
+    reads, and ``drop`` lists the rows this step reads for the last time.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -291,14 +295,16 @@ class CompiledCatalogue:
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
     squares: tuple[int, ...]
-    steps: tuple[tuple[int, int, int, bool], ...]
+    steps: tuple[tuple[int, int, int, bool, tuple[int, ...]], ...]
 
 
-def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int, bool], ...]:
+def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int, bool, tuple[int, ...]], ...]:
     """CompiledCatalogue's ``steps`` for the moments ``indices``, m00 first."""
     factors = [tuple((axis, e) for axis, e in enumerate(idx) if e) for idx in indices[1:]]
     powers = sorted({(axis, e) for f in factors for axis, top in f for e in range(1, top + 1)}, key=lambda p: p[::-1])
-    products = sorted({f[:n] for f in factors for n in range(2, len(f) + 1)}, key=lambda f: (len(f), f))
+    # in tuple order the products that extend a prefix follow it with nothing
+    # between them, so a shared prefix is dropped soon after it is formed
+    products = sorted({f[:n] for f in factors for n in range(2, len(f) + 1)})
     keys = [(p,) for p in powers] + products
     row = {key: i for i, key in enumerate(keys)}
     sources = []
@@ -310,9 +316,13 @@ def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int,
             sources.append((row[(axis, e - 1),], row[(axis, 1),]))
         else:
             sources.append((axis, -1))
-    read = {i for a, b in sources if b >= 0 for i in (a, b)}
+    last = {}
+    for step, (a, b) in enumerate(sources):
+        if b >= 0:
+            last[a] = last[b] = step
+    drops = [tuple(r for r in sorted(last) if last[r] == step) for step in range(len(keys))]
     slot = {f: s for s, f in enumerate(factors, start=1)}
-    return tuple((a, b, slot.get(key, 0), i in read) for i, (key, (a, b)) in enumerate(zip(keys, sources)))
+    return tuple((a, b, slot.get(key, 0), i in last, drops[i]) for i, (key, (a, b)) in enumerate(zip(keys, sources)))
 
 
 @lru_cache(maxsize=1)

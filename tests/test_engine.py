@@ -483,12 +483,15 @@ def _step_exponents(steps):
     """The exponents of each step's row, checking that a step reads only
     earlier rows that are kept."""
     rows = []
-    for a, b, _, _ in steps:
+    dropped = set()
+    for a, b, _, _, drop in steps:
         if b < 0:
             rows.append(tuple(int(axis == a) for axis in range(5)))
         else:
             assert a < len(rows) and b < len(rows) and steps[a][3] and steps[b][3]
+            assert a not in dropped and b not in dropped
             rows.append(tuple(x + y for x, y in zip(rows[a], rows[b])))
+        dropped.update(drop)
     return rows
 
 
@@ -508,7 +511,7 @@ class TestCompiledCatalogue:
         prog = compiled_catalogue()
         rows = _step_exponents(prog.steps)
         # every moment slot is summed once, from the row of its own exponents
-        summed = {slot: rows[i] for i, (_, _, slot, _) in enumerate(prog.steps) if slot}
+        summed = {slot: rows[i] for i, (_, _, slot, _, _) in enumerate(prog.steps) if slot}
         assert sorted(summed) == list(range(1, len(prog.indices)))
         assert all(summed[slot] == tuple(prog.indices[slot]) for slot in summed)
         # no row is formed twice, among them the ten x^p y^q prefixes that
@@ -516,9 +519,16 @@ class TestCompiledCatalogue:
         assert len(set(rows)) == len(rows) == 89
         prefixes = {(*idx[:2], 0, 0, 0) for idx in prog.indices if idx[0] and idx[1] and any(idx[2:])}
         assert len(prefixes) == 10 and prefixes <= set(rows)
-        # a row is kept exactly when a later step reads it
-        read = {i for a, b, _, _ in prog.steps if b >= 0 for i in (a, b)}
-        assert [keep for *_, keep in prog.steps] == [i in read for i in range(len(rows))]
+        # a row is kept exactly when a later step reads it, and dropped once,
+        # by the last step that reads it
+        read = {i for a, b, *_ in prog.steps if b >= 0 for i in (a, b)}
+        assert [step[3] for step in prog.steps] == [i in read for i in range(len(rows))]
+        drops = [r for *_, drop in prog.steps for r in drop]
+        assert sorted(drops) == sorted(read)
+        # the ten prefixes are dropped as soon as their three colour moments
+        # are formed, so at most one is held at a time
+        held = [i for i, step in enumerate(prog.steps) if step[1] >= 0 and rows[i] in prefixes]
+        assert all(prog.steps[i + 3][4] == (i,) for i in held)
 
     @pytest.mark.parametrize(
         "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
@@ -527,7 +537,7 @@ class TestCompiledCatalogue:
     def test_steps_build_any_catalogue(self, extra):
         steps = engine._product_steps((MomentIndex(0, 0, 0, 0, 0), *extra))
         rows = _step_exponents(steps)
-        assert sorted((slot, rows[i]) for i, (_, _, slot, _) in enumerate(steps) if slot) == [
+        assert sorted((slot, rows[i]) for i, (_, _, slot, *_) in enumerate(steps) if slot) == [
             (slot, tuple(idx)) for slot, idx in enumerate(extra, start=1)
         ]
 
