@@ -9,12 +9,17 @@ combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
 and denominator scale by the same channel power. moment_vector sums their
 products into one dense vector per k, by the policy of stable_sum, and
-evaluate_table reads that vector.
+evaluate_table reads that vector. moment_tables runs the k=1 pass beside
+the k=0 pass, in a second thread, when the mask holds more than one leaf of
+pixels and the process may use more than one CPU; the vectors are the same
+bit for bit either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +34,10 @@ DEGENERACY_EPS = 1e-12
 
 #: elements per block: numpy sums each block pairwise, math.fsum merges the blocks
 _BLOCK = 1 << 16
+
+#: most pixels whose product vectors moment_vector forms at once; a leaf of
+#: numpy's pairwise split of a block, so any size gives the same sums
+_LEAF = 1 << 15
 
 
 def _merge(partials: list[float]) -> float:
@@ -174,23 +183,46 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
         xs += x0
     planes = [p[box] for p in img.channels()]
     # non-finite or overflowing channels give nan or inf values, which
-    # evaluate_table turns into invalid entries
+    # evaluate_table turns into invalid entries; every array is centred and
+    # combined in place, by the same IEEE operations in the same order as
+    # the expressions x - mean and a * b + c * d, and each coordinate array
+    # is freed once centred
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = xs - stable_sum(xs) / n
-        yc = ys - stable_sum(ys) / n
+        xc = xs.astype(np.float64)
+        del xs
+        xc -= stable_sum(xc) / n
+        yc = ys.astype(np.float64)
+        del ys
+        yc -= stable_sum(yc) / n
         if k == 0:
             channels = [p[mask] for p in planes]
-            return (xc, yc, *(c - stable_sum(c) / n for c in channels))
-        # the eroded domain lies inside the 2-pixel margin: the stencil runs on the interior only
+            for c in channels:
+                c -= stable_sum(c) / n
+            return (xc, yc, *channels)
+        # the eroded domain lies inside the 2-pixel margin: the stencil runs
+        # on the interior only and is gathered at the domain at once
         h, w = mask.shape
         inner = mask[2 : h - 2, 2 : w - 2]
         channels = []
         for p in planes:
             rows, cols = p[2 : h - 2], p[:, 2 : w - 2]
-            ddx = rows[:, : w - 4] - 8.0 * rows[:, 1 : w - 3] + 8.0 * rows[:, 3 : w - 1] - rows[:, 4:]
-            ddy = cols[: h - 4] - 8.0 * cols[1 : h - 3] + 8.0 * cols[3 : h - 1] - cols[4:]
-            channels.append(ddx[inner] * xc + ddy[inner] * yc)
+            ddx = _stencil(rows[:, : w - 4], rows[:, 1 : w - 3], rows[:, 3 : w - 1], rows[:, 4:])[inner]
+            ddx *= xc
+            ddy = _stencil(cols[: h - 4], cols[1 : h - 3], cols[3 : h - 1], cols[4:])[inner]
+            ddy *= yc
+            ddx += ddy
+            del ddy
+            channels.append(ddx)
         return (xc, yc, *channels)
+
+
+def _stencil(m2: np.ndarray, m1: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """m2 - 8 m1 + 8 p1 - p2 in one new array, rounded as that expression is."""
+    out = np.multiply(8.0, m1)
+    np.subtract(m2, out, out=out)
+    out += np.multiply(8.0, p1)
+    out -= p2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -201,49 +233,100 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     """Every moment the catalogue needs, in ``compiled_catalogue().indices`` order.
 
     ``values`` are the five arrays of centred_values; the first entry is m00,
-    the pixel count. The pixels are walked in the blocks stable_sum uses,
-    each block's product vectors built by ``compiled_catalogue().steps``. A
-    product vector no later step reads is formed in one scratch array, and
-    any other is dropped after the last step that reads it. Each
-    is summed pairwise by numpy and the block sums are merged by fsum, so
-    every moment is the stable_sum of its product vector, whatever numpy's
-    BLAS.
+    the pixel count. The pixels are walked in the blocks stable_sum uses.
+    Each block is split as numpy's pairwise sum splits its input, n at n // 2
+    rounded down to a multiple of 8, down to leaves of at most ``_LEAF``
+    pixels. Over each leaf ``compiled_catalogue().steps`` build the product
+    vectors: one no later step reads is formed in one scratch array, and any
+    other is dropped after the last step that reads it. Each is reduced by
+    numpy's pairwise sum, and the leaf sums are added back up the same tree,
+    so every block sum is bit for bit numpy's sum of the block, whatever the
+    leaf size. The block sums are merged by fsum, so every moment is the
+    stable_sum of its product vector, whatever numpy's BLAS.
     """
     prog = compiled_catalogue()
     npix = values[0].size
     starts = range(0, npix, _BLOCK)
     partials = np.empty((len(starts), len(prog.indices) - 1))
+    scratch = np.empty(min(npix, _LEAF))
     with np.errstate(over="ignore", invalid="ignore"):
-        for out, lo in zip(partials, starts):
-            block = [v[lo : lo + _BLOCK] for v in values]
-            product = np.empty(block[0].size)
-            rows = []
-            for a, b, slot, keep, drop in prog.steps:
-                if b < 0:
-                    row = block[a]
-                elif keep:
-                    row = rows[a] * rows[b]
-                else:
-                    row = np.multiply(rows[a], rows[b], out=product)
-                rows.append(row)
-                if slot:
-                    out[slot - 1] = np.add.reduce(row)
-                for r in drop:
-                    rows[r] = None
+        for i, lo in enumerate(starts):
+            partials[i] = _tree_sums([v[lo : lo + _BLOCK] for v in values], prog, scratch)
     return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
+
+
+def _tree_sums(block: list[np.ndarray], prog: CompiledCatalogue, scratch: np.ndarray) -> np.ndarray:
+    """The moment sums of one block, summed over numpy's pairwise split of it."""
+    n = block[0].size
+    if n > _LEAF:
+        half = n // 2 - n // 2 % 8
+        left = _tree_sums([v[:half] for v in block], prog, scratch)
+        return left + _tree_sums([v[half:] for v in block], prog, scratch)
+    sums = np.empty(len(prog.indices) - 1)
+    product = scratch[:n]
+    rows = []
+    for a, b, slot, keep, drop in prog.steps:
+        if b < 0:
+            row = block[a]
+        elif keep:
+            row = rows[a] * rows[b]
+        else:
+            row = np.multiply(rows[a], rows[b], out=product)
+        rows.append(row)
+        if slot:
+            sums[slot - 1] = np.add.reduce(row)
+        for r in drop:
+            rows[r] = None
+    return sums
+
+
+def _k1_vector(img: RasterImage) -> np.ndarray | None:
+    """The k=1 moment vector, or None when stencil erosion empties the mask."""
+    try:
+        return moment_vector(centred_values(img, 1))
+    except EmptyDomain:
+        return None
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
     """The k=0 and k=1 moment vectors used by the 50-instance evaluation.
 
     The k=1 vector is computed on the stencil-eroded mask with its own
-    centroid; it is None when erosion empties the mask.
+    centroid; it is None when erosion empties the mask. When the mask holds
+    more than one leaf (``_LEAF`` pixels) and the process may use more than
+    one CPU, the k=1 pass runs in a second thread while this thread runs the
+    k=0 pass: numpy releases the interpreter lock inside each large array
+    operation, so the two passes overlap, at the cost of about one pass's
+    arrays in peak memory. Otherwise the passes run one after the other.
+    Both ways call the same functions, so the vectors are bit for bit the
+    same, and an exception from either pass propagates with its type.
     """
-    v0 = moment_vector(centred_values(img, 0))
+    if np.count_nonzero(img.mask) <= _LEAF or _cpu_count() < 2:
+        return moment_vector(centred_values(img, 0)), _k1_vector(img)
+    k1: list = []
+
+    def run() -> None:
+        try:
+            k1.append((_k1_vector(img), None))
+        except BaseException as exc:  # re-raised by the calling thread below
+            k1.append((None, exc))
+
+    worker = threading.Thread(target=run, name="scdmi-k1")
+    worker.start()
     try:
-        v1 = moment_vector(centred_values(img, 1))
-    except EmptyDomain:
-        v1 = None
+        v0 = moment_vector(centred_values(img, 0))
+    finally:
+        worker.join()
+    v1, exc = k1[0]
+    if exc is not None:
+        raise exc
     return v0, v1
 
 
@@ -276,14 +359,16 @@ class CompiledCatalogue:
     of numerator i for i < 25, and the last range is the quadratic core.
     ``squares`` are the slots of the three channels' sums of squares.
 
-    ``steps`` build every moment's product vector over a block of pixels,
+    ``steps`` build every moment's product vector over a leaf of pixels,
     one row per step. Step (a, -1, slot, keep, drop) is centred array a;
     step (a, b, slot, keep, drop) is row a times row b, rows counted in
-    step order. The rows are the axis powers, each the one below it times
-    the axis, then the moments' products: a moment's non-zero axis powers
-    multiplied left to right in axis order (x, y, r, g, b), each product
-    its prefix times one power, so a prefix shared by several moments is
-    formed once. Any catalogue builds this way. A row whose ``slot`` is not
+    step order. A power is the one below it times the axis, and a moment's
+    product is its non-zero axis powers multiplied left to right in axis
+    order (x, y, r, g, b), each product its prefix times one power, so a
+    prefix shared by several moments is formed once. The moments and their
+    prefixes come in tuple order, each power formed just before its first
+    reader, so few product rows are held at once (five for this
+    catalogue). Any catalogue builds this way. A row whose ``slot`` is not
     0 is summed into that moment slot. ``keep`` marks the rows a later step
     reads, and ``drop`` lists the rows this step reads for the last time.
     """
@@ -301,21 +386,32 @@ class CompiledCatalogue:
 def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int, bool, tuple[int, ...]], ...]:
     """CompiledCatalogue's ``steps`` for the moments ``indices``, m00 first."""
     factors = [tuple((axis, e) for axis, e in enumerate(idx) if e) for idx in indices[1:]]
-    powers = sorted({(axis, e) for f in factors for axis, top in f for e in range(1, top + 1)}, key=lambda p: p[::-1])
-    # in tuple order the products that extend a prefix follow it with nothing
-    # between them, so a shared prefix is dropped soon after it is formed
-    products = sorted({f[:n] for f in factors for n in range(2, len(f) + 1)})
-    keys = [(p,) for p in powers] + products
-    row = {key: i for i, key in enumerate(keys)}
-    sources = []
-    for key in keys:
-        axis, e = key[-1]
-        if len(key) > 1:
-            sources.append((row[key[:-1]], row[key[-1:]]))
-        elif e > 1:
-            sources.append((row[(axis, e - 1),], row[(axis, 1),]))
-        else:
-            sources.append((axis, -1))
+    row: dict = {}
+    keys, sources = [], []
+
+    def form(key: tuple) -> int:
+        """The row of ``key``, formed after its two sources if not yet formed."""
+        if key not in row:
+            axis, e = key[-1]
+            if len(key) > 1:
+                src = (form(key[:-1]), form(key[-1:]))
+            elif e > 1:
+                src = (form(((axis, e - 1),)), form(((axis, 1),)))
+            else:
+                src = (axis, -1)
+            row[key] = len(keys)
+            keys.append(key)
+            sources.append(src)
+        return row[key]
+
+    # the centred arrays first, then every moment and product prefix in tuple
+    # order, each power formed just before its first reader: x^p is held only
+    # while the moments that start with it are formed, and the products that
+    # extend a prefix follow it with nothing between them
+    for axis in sorted({axis for f in factors for axis, _ in f}):
+        form(((axis, 1),))
+    for key in sorted({f[:n] for f in factors for n in range(1, len(f) + 1)}):
+        form(key)
     last = {}
     for step, (a, b) in enumerate(sources):
         if b >= 0:
@@ -406,7 +502,10 @@ def scdmi50(img: RasterImage) -> FeatureVector:
     """Evaluate all 50 catalogued invariants on one image.
 
     Entries 1..25 come from the k=0 table and 26..50 from the k=1 table;
-    the k=1 entries are invalid when stencil erosion empties the mask.
+    the k=1 entries are invalid when stencil erosion empties the mask. The
+    tables come from moment_tables, which on masks of more than ``_LEAF``
+    pixels builds them side by side on two threads when it may; the
+    entries are bit for bit the same with one CPU or more.
     Raises TooSmall on an image under 5x5 pixels.
     """
     values = np.zeros(50)

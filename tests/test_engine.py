@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ from scdmi.verify import ORACLE_TOL
 
 #: pixels per summation block
 BLOCK = 1 << 16
+#: most pixels per leaf of a block's pairwise split in moment_vector
+LEAF = engine._LEAF
 
 
 def random_image(seed, h, w):
@@ -163,13 +166,20 @@ class TestMomentTable:
         assert moment_vector(values).tolist() == _walk_over_all_axes(values)
 
     @pytest.mark.parametrize(
-        "n", [1, 7, BLOCK // 4 - 1, BLOCK // 4, BLOCK // 4 + 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1]
-        + [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+        "n",
+        sorted(
+            {1, 7, BLOCK // 4 - 1, BLOCK // 4, BLOCK // 4 + 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1}
+            | {BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1}
+            | {LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 9, BLOCK + 3 * LEAF + 5}
+        ),
     )
     def test_walk_at_chunk_and_block_boundaries(self, n):
         # numpy's pairwise sum splits its input in halves, so sizes either
         # side of a power of two; a second block starts at BLOCK + 1 and a
-        # third at 2 * BLOCK + 1; magnitudes spread over decades
+        # third at 2 * BLOCK + 1; a block of more than LEAF pixels is split
+        # into leaves at n // 2 rounded down to a multiple of 8, which the
+        # last block of 2 * LEAF + 9 or BLOCK + 3 * LEAF + 5 pixels puts off
+        # its middle whenever it is split; magnitudes spread over decades
         rng = np.random.default_rng(n)
         values = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n) for _ in range(5)]
         expected = np.array(_walk_over_all_axes(values))
@@ -529,6 +539,15 @@ class TestCompiledCatalogue:
         # are formed, so at most one is held at a time
         held = [i for i, step in enumerate(prog.steps) if step[1] >= 0 and rows[i] in prefixes]
         assert all(prog.steps[i + 3][4] == (i,) for i in held)
+        # each power is formed just before its first reader, so at most five
+        # product rows are held at once
+        alive, most = set(), 0
+        for i, (_, b, _, keep, drop) in enumerate(prog.steps):
+            if b >= 0 and keep:
+                alive.add(i)
+            most = max(most, len(alive))
+            alive.difference_update(drop)
+        assert most == 5
 
     @pytest.mark.parametrize(
         "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
@@ -646,3 +665,92 @@ def test_features_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
         runs.append(proc.stdout.splitlines())
     assert len(runs[0]) == 2 and runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# moment_tables: the k=1 pass beside the k=0 pass on masks of more than a leaf
+
+
+def _large_images():
+    return [blob_image(11, size=272), disk_masked_image(16, size=512, radius_frac=0.45)]
+
+
+@pytest.mark.parametrize("img", _large_images(), ids=["full-272px", "disk-512px"])
+def test_concurrent_tables_equal_each_pass(img, monkeypatch):
+    # with more than one CPU the k=1 pass runs off the calling thread, and
+    # either way scdmi50 reads each pass exactly as it is computed alone
+    assert img.mask.sum() > LEAF
+    off_main = []
+    centre = engine.centred_values
+
+    def spy(img, k):
+        if k == 1:
+            off_main.append(threading.current_thread() is not threading.main_thread())
+        return centre(img, k)
+
+    monkeypatch.setattr(engine, "centred_values", spy)
+    fv = scdmi50(img)
+    assert off_main == [engine._cpu_count() > 1]
+    expected = [evaluate_table(moment_vector(centre(img, k))) for k in (0, 1)]
+    values = np.concatenate([v for v, _ in expected])
+    assert np.array_equal(fv.values.view(np.int64), values.view(np.int64))
+    assert fv.valid.tolist() == np.concatenate([ok for _, ok in expected]).tolist()
+
+
+def test_k1_error_propagates_with_its_type(monkeypatch):
+    centre = engine.centred_values
+
+    def failing(img, k):
+        if k == 1:
+            raise RuntimeError("k=1 centring failed")
+        return centre(img, k)
+
+    monkeypatch.setattr(engine, "centred_values", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="k=1 centring failed"):
+        scdmi50(_large_images()[0])
+    assert threading.active_count() == threads
+
+
+def test_large_mask_that_erosion_empties():
+    # 4-pixel stripes, 4 apart: more than a leaf of pixels, none of them
+    # with the stencil's whole cross on the mask
+    img = random_image(17, 272, 272)
+    img.mask[:] = (np.arange(272) // 4 % 2 == 0)[None, :]
+    assert img.mask.sum() > LEAF and not stencil_eroded_mask(img.mask).any()
+    fv = scdmi50(img)
+    assert fv.valid[:25].all() and not fv.valid[25:].any()
+    values, _ = evaluate_table(moment_vector(centred_values(img, 0)))
+    assert np.array_equal(fv.values[:25].view(np.int64), values.view(np.int64))
+
+
+_AFFINITY_SCRIPT = """
+import os, sys
+from scdmi import engine, scdmi50
+from scdmi.synthetic import blob_image, disk_masked_image
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(engine._cpu_count() > 1)
+for img in (blob_image(11, size=272), disk_masked_image(16, size=512, radius_frac=0.45)):
+    fv = scdmi50(img)
+    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a process that may run on more than one CPU and can be pinned to one",
+)
+def test_features_do_not_depend_on_cpu_count():
+    # a fresh process pinned to one CPU runs the passes one after the other,
+    # one free to use every CPU runs them side by side: the same bytes
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = {}
+    for cpus in ("one", "all"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _AFFINITY_SCRIPT, cpus], env=env, capture_output=True, text=True, check=True
+        )
+        runs[cpus] = proc.stdout.splitlines()
+    assert runs["one"][0] == "False" and runs["all"][0] == "True"
+    assert len(runs["one"]) == 3 and runs["one"][1:] == runs["all"][1:]
