@@ -185,14 +185,12 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
     # non-finite or overflowing channels give nan or inf values, which
     # evaluate_table turns into invalid entries; every array is centred and
     # combined in place, by the same IEEE operations in the same order as
-    # the expressions x - mean and a * b + c * d, and each coordinate array
-    # is freed once centred
+    # the expressions x - mean and a * b + c * d, and the integer
+    # coordinates (views of one array) are dropped once converted
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = xs.astype(np.float64)
-        del xs
+        xc, yc = xs.astype(np.float64), ys.astype(np.float64)
+        del xs, ys
         xc -= stable_sum(xc) / n
-        yc = ys.astype(np.float64)
-        del ys
         yc -= stable_sum(yc) / n
         if k == 0:
             channels = [p[mask] for p in planes]
