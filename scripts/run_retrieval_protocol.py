@@ -16,15 +16,15 @@ import csv
 
 from scdmi.bench import (
     ALL_KINDS,
-    FeatureCache,
-    LabeledDataset,
-    keep_rows,
+    chi2_matrix,
+    feature_normalize,
+    featurize,
     precision_recall,
     retrieval_class,
 )
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--classes", type=int, default=30)
@@ -32,24 +32,22 @@ def main() -> int:
     ap.add_argument("--color-transforms", type=int, default=6)
     ap.add_argument("--size", type=int, default=128)
     ap.add_argument("--out", default="pr_curves.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     # one class of images at a time: only labels, splits and rows are kept
-    cache = FeatureCache()
-    items = []
-    for c in range(args.classes):
-        keep_rows(
-            retrieval_class(c, args.views, args.color_transforms, args.size, args.seed),
-            items,
-            cache,
-        )
-    dataset = LabeledDataset(items)
-    print(f"dataset: {len(dataset.items)} images, {args.classes} classes")
+    features = featurize(
+        item
+        for c in range(args.classes)
+        for item in retrieval_class(c, args.views, args.color_transforms, args.size, args.seed)
+    )
+    print(f"dataset: {len(features.labels)} images, {args.classes} classes")
     with open(args.out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "recall_level", "precision"])
         for kind in ALL_KINDS:
-            curve = precision_recall(dataset, kind, cache)
+            # the distance matrix is dropped as soon as the curve is ranked
+            normed = feature_normalize(*features.matrices[kind])
+            curve = precision_recall(chi2_matrix(normed), features.labels)
             for r, p in zip(curve.recall_levels, curve.precision):
                 w.writerow([kind.value, repr(float(r)), repr(float(p))])
             print(f"{kind.value:24s} interpolated AUC {curve.area():.4f}")

@@ -11,12 +11,12 @@ around per-dimension median magnitudes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import RasterImage, scdmi50, stable_sum
-from .ppm import read_ppm
 from .synthetic import disk_masked_image
 from .transforms import (
     apply_color_affine,
@@ -34,9 +34,11 @@ TCD_BINS = 20
 TCD_SPAN = 3.0
 #: share of each synthetic class, base image first, in the train split
 TRAIN_FRACTION = 0.1
-#: elements (queries x gallery items x dims) per ranking block: bounds the
-#: ranking temporaries, not the results
+#: elements per block of queries: queries x items x dims for distances and
+#: queries x items x PR_LEVELS for ranking; bounds the temporaries, not the results
 RANK_BLOCK_ELEMENTS = 1 << 16
+#: recall levels 0.0, 0.1, .., 1.0 of the interpolated precision-recall curve
+PR_LEVELS = 11
 
 
 class DescriptorKind(enum.Enum):
@@ -47,47 +49,6 @@ class DescriptorKind(enum.Enum):
     COLOR_MOMENTS = "COLOR_MOMENTS"
     RG_HISTOGRAM = "RG_HISTOGRAM"
     TRANSFORMED_COLOR_DIST = "TRANSFORMED_COLOR_DIST"
-
-
-DESCRIPTOR_DIMS = {
-    DescriptorKind.SCDMI50: 50,
-    DescriptorKind.SCDMI0_25: 25,
-    DescriptorKind.SCDMI1_25: 25,
-    DescriptorKind.HU7: 7,
-    DescriptorKind.COLOR_MOMENTS: 9,
-    DescriptorKind.RG_HISTOGRAM: 2 * RG_BINS,
-    DescriptorKind.TRANSFORMED_COLOR_DIST: 3 * TCD_BINS,
-}
-
-
-@dataclass
-class DatasetItem:
-    label: str
-    split: str  # "train" | "test"
-    path: str | None = None
-    image: RasterImage | None = None
-
-    def load_image(self) -> RasterImage:
-        if self.image is not None:
-            return self.image
-        if self.path is None:
-            raise ValueError("dataset item has neither image nor path")
-        return read_ppm(self.path)
-
-
-@dataclass
-class LabeledDataset:
-    items: list[DatasetItem]
-
-    def __post_init__(self):
-        if len({it.label for it in self.items}) < 2:
-            raise ValueError("dataset needs at least 2 classes")
-
-    def labels(self) -> np.ndarray:
-        return np.array([it.label for it in self.items])
-
-    def splits(self) -> np.ndarray:
-        return np.array([it.split for it in self.items])
 
 
 @dataclass
@@ -105,7 +66,7 @@ class PRCurve:
 # distances and normalization
 
 
-def _chi2_matrix(normed: np.ndarray) -> np.ndarray:
+def chi2_matrix(normed: np.ndarray) -> np.ndarray:
     """All-pairs chi-square distances between the rows of ``normed``.
 
     Each distance is reduced over the contiguous feature axis, one pair at
@@ -277,6 +238,7 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 # feature extraction over datasets
 
 
+ALL_KINDS = tuple(DescriptorKind)
 BASELINE_KINDS = (
     DescriptorKind.HU7,
     DescriptorKind.COLOR_MOMENTS,
@@ -305,83 +267,49 @@ def descriptor_rows(img: RasterImage) -> DescriptorRows:
     return rows
 
 
+#: one dataset item: its label, its split ("train" or "test") and its image
+LabeledImage = tuple[str, str, RasterImage]
+
+
 @dataclass
-class FeatureCache:
-    """Shares the descriptor rows of each item, descriptor matrices, their
-    normalized forms and the last kind's distance matrix of one dataset
-    across descriptor kinds and protocols.
+class Features:
+    """Every descriptor kind's (values, validity) matrices over one dataset,
+    one row per item in item order, with the items' labels and splits."""
 
-    It holds no image: the first touch of an item loads its image, computes
-    the rows of every kind from it and lets it go.
+    labels: np.ndarray
+    splits: np.ndarray
+    matrices: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]]
+
+
+def featurize(items: Iterable[LabeledImage]) -> Features:
+    """Runs descriptor_rows once per image and keeps its rows, not the image.
+
+    ``items`` may be a generator, so that only the images it holds are alive
+    while they are featurized.
     """
-
-    rows: dict[int, DescriptorRows] = field(default_factory=dict)
-    descriptors: dict[DescriptorKind, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    normalized: dict[DescriptorKind, np.ndarray] = field(default_factory=dict)
-    #: the all-pairs distance matrix of one kind at a time: n x n floats
-    distance_kind: DescriptorKind | None = None
-    distances: np.ndarray | None = None
-
-    def item_rows(self, idx: int, item: DatasetItem) -> DescriptorRows:
-        if idx not in self.rows:
-            self.rows[idx] = descriptor_rows(item.load_image())
-        return self.rows[idx]
-
-
-def keep_rows(members: list[DatasetItem], items: list[DatasetItem], cache: FeatureCache) -> None:
-    """Computes the rows of ``members`` as the next entries of ``items`` and
-    appends them by label and split alone, so that their images can go."""
-    for item in members:
-        cache.item_rows(len(items), item)
-        items.append(DatasetItem(item.label, item.split))
-
-
-def descriptor_matrix(
-    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache
-) -> tuple[np.ndarray, np.ndarray]:
-    """(features, validity) for every dataset item, in dataset order."""
-    if kind in cache.descriptors:
-        return cache.descriptors[kind]
-    n = len(dataset.items)
-    dim = DESCRIPTOR_DIMS[kind]
-    feats = np.empty((n, dim))
-    valid = np.empty((n, dim), dtype=bool)
-    for i, item in enumerate(dataset.items):
-        feats[i], valid[i] = cache.item_rows(i, item)[kind]
-    cache.descriptors[kind] = feats, valid
-    return feats, valid
-
-
-def normalized_matrix(dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache) -> np.ndarray:
-    """feature_normalize of descriptor_matrix, computed once per kind and cache."""
-    if kind not in cache.normalized:
-        cache.normalized[kind] = feature_normalize(*descriptor_matrix(dataset, kind, cache))
-    return cache.normalized[kind]
-
-
-def distance_matrix(dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache) -> np.ndarray:
-    """All-pairs chi-square distances of normalized_matrix, in dataset order.
-
-    The cache keeps the matrix of the last kind asked for, and drops it
-    before building another, so it holds at most one.
-    """
-    if cache.distance_kind is not kind:
-        cache.distance_kind, cache.distances = None, None
-        cache.distances = _chi2_matrix(normalized_matrix(dataset, kind, cache))
-        cache.distance_kind = kind
-    return cache.distances
+    labels: list[str] = []
+    splits: list[str] = []
+    rows: list[DescriptorRows] = []
+    for label, split, img in items:
+        labels.append(label)
+        splits.append(split)
+        rows.append(descriptor_rows(img))
+    if len(set(labels)) < 2:
+        raise ValueError("dataset needs at least 2 classes")
+    matrices = {
+        kind: (np.array([r[kind][0] for r in rows]), np.array([r[kind][1] for r in rows]))
+        for kind in ALL_KINDS
+    }
+    return Features(np.array(labels), np.array(splits), matrices)
 
 
 # ---------------------------------------------------------------------------
 # protocols
 
 
-def knn_classify(
-    dataset: LabeledDataset, kind: DescriptorKind, cache: FeatureCache | None = None
-) -> float:
-    """1-nearest-neighbor accuracy of test items against train items."""
-    labels = dataset.labels()
-    splits = dataset.splits()
+def knn_classify(distances: np.ndarray, labels: np.ndarray, splits: np.ndarray) -> float:
+    """1-nearest-neighbor accuracy of test items against train items, from
+    the all-pairs ``distances`` of chi2_matrix."""
     train = np.nonzero(splits == "train")[0]
     test = np.nonzero(splits == "test")[0]
     if train.size == 0 or test.size == 0:
@@ -391,33 +319,25 @@ def knn_classify(
         if "train" not in sel or "test" not in sel:
             raise ValueError(f"class {label!r} missing from one split")
     codes = np.unique(labels, return_inverse=True)[1]
-    cache = cache if cache is not None else FeatureCache()
-    d = distance_matrix(dataset, kind, cache)[np.ix_(test, train)]
+    d = distances[np.ix_(test, train)]
     nearest = train[np.argmin(d, axis=1)]
     return int(np.count_nonzero(codes[nearest] == codes[test])) / int(test.size)
 
 
-def precision_recall(
-    dataset: LabeledDataset,
-    kind: DescriptorKind,
-    cache: FeatureCache | None = None,
-    levels: int = 11,
-) -> PRCurve:
-    """Leave-one-out retrieval, interpolated precision averaged over queries."""
-    labels = dataset.labels()
+def precision_recall(distances: np.ndarray, labels: np.ndarray) -> PRCurve:
+    """Leave-one-out retrieval over the all-pairs ``distances`` of
+    chi2_matrix, interpolated precision averaged over queries."""
     for label in np.unique(labels):
         if int(np.sum(labels == label)) < 2:
             raise ValueError(f"class {label!r} needs at least 2 members for retrieval")
-    cache = cache if cache is not None else FeatureCache()
-    distances = distance_matrix(dataset, kind, cache)
     codes = np.unique(labels, return_inverse=True)[1]
-    n = len(dataset.items)
-    recall_levels = np.linspace(0.0, 1.0, levels)
+    n = len(labels)
+    recall_levels = np.linspace(0.0, 1.0, PR_LEVELS)
     cols = np.arange(n - 1)
     ranks = cols + 1
-    acc = np.zeros(levels)
-    # ranked in the query blocks the distances were computed in
-    step = max(1, RANK_BLOCK_ELEMENTS // normalized_matrix(dataset, kind, cache).size)
+    acc = np.zeros(PR_LEVELS)
+    # the (queries x ranks x levels) recall comparison is a block's largest temporary
+    step = max(1, RANK_BLOCK_ELEMENTS // (n * PR_LEVELS))
     for lo in range(0, n, step):
         d = distances[lo : lo + step]
         # row q lists every item but query q, in index order
@@ -440,10 +360,26 @@ def precision_recall(
     return PRCurve(recall_levels, acc / n)
 
 
+def run_benchmark(
+    features: Features,
+) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
+    """Accuracy and PR curve of every descriptor kind over one dataset.
+
+    Each kind is normalized once and its distance matrix is built once,
+    read by both protocols and dropped before the next kind's is built.
+    """
+    accuracies: dict[DescriptorKind, float] = {}
+    curves: dict[DescriptorKind, PRCurve] = {}
+    for kind in ALL_KINDS:
+        distances = chi2_matrix(feature_normalize(*features.matrices[kind]))
+        accuracies[kind] = knn_classify(distances, features.labels, features.splits)
+        curves[kind] = precision_recall(distances, features.labels)
+        del distances
+    return accuracies, curves
+
+
 # ---------------------------------------------------------------------------
 # synthetic datasets
-
-ALL_KINDS = tuple(DescriptorKind)
 
 
 def classification_class(
@@ -452,9 +388,9 @@ def classification_class(
     size: int = 128,
     seed: int = 0,
     clamp: bool = False,
-) -> list[DatasetItem]:
-    """Class ``c`` of generate_classification_dataset: its disk-masked base
-    image, then its combined warp+channel copies.
+) -> list[LabeledImage]:
+    """Class ``c`` of the synthetic classification dataset: its disk-masked
+    base image, then its combined warp+channel copies.
 
     The mask disk is sized so every sampled warp keeps the transported domain
     inside the frame, which is what makes the invariant features stable. The
@@ -475,26 +411,8 @@ def classification_class(
         imgs.append(apply_color_affine(apply_shape_affine(base, st), ct, clamp=clamp))
     n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
     return [
-        DatasetItem(label=f"class{c:03d}", split="train" if idx < n_train else "test", image=im)
-        for idx, im in enumerate(imgs)
+        (f"class{c:03d}", "train" if idx < n_train else "test", im) for idx, im in enumerate(imgs)
     ]
-
-
-def generate_classification_dataset(
-    n_classes: int = 20,
-    n_transforms: int = 20,
-    size: int = 128,
-    seed: int = 0,
-    clamp: bool = False,
-) -> LabeledDataset:
-    """classification_class for every class, in class order, images kept."""
-    return LabeledDataset(
-        [
-            item
-            for c in range(n_classes)
-            for item in classification_class(c, n_transforms, size, seed, clamp)
-        ]
-    )
 
 
 def retrieval_class(
@@ -503,9 +421,9 @@ def retrieval_class(
     n_color_transforms: int = 6,
     size: int = 128,
     seed: int = 0,
-) -> list[DatasetItem]:
-    """Class ``c`` of generate_retrieval_dataset: warped views of one base
-    image, each under channel maps."""
+) -> list[LabeledImage]:
+    """Class ``c`` of the synthetic retrieval dataset, every item in the test
+    split: warped views of one base image, each under channel maps."""
     base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
     views = [base]
     for v in range(n_views - 1):
@@ -519,37 +437,5 @@ def retrieval_class(
         for t in range(n_color_transforms):
             cseed = seed * 9_999_991 + c * 731 + vi * 37 + t
             ct = sample_color_affine(cseed, max_condition=5.0, offset_range=(-0.15, 0.15))
-            items.append(
-                DatasetItem(label=f"class{c:03d}", split="test", image=apply_color_affine(view, ct))
-            )
+            items.append((f"class{c:03d}", "test", apply_color_affine(view, ct)))
     return items
-
-
-def generate_retrieval_dataset(
-    n_classes: int = 30,
-    n_views: int = 5,
-    n_color_transforms: int = 6,
-    size: int = 128,
-    seed: int = 0,
-) -> LabeledDataset:
-    """retrieval_class for every class, in class order, images kept."""
-    return LabeledDataset(
-        [
-            item
-            for c in range(n_classes)
-            for item in retrieval_class(c, n_views, n_color_transforms, size, seed)
-        ]
-    )
-
-
-def run_benchmark(
-    dataset: LabeledDataset, cache: FeatureCache | None = None
-) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
-    """Accuracy and PR curve of every descriptor kind over one dataset."""
-    cache = cache if cache is not None else FeatureCache()
-    accuracies: dict[DescriptorKind, float] = {}
-    curves: dict[DescriptorKind, PRCurve] = {}
-    for kind in ALL_KINDS:
-        accuracies[kind] = knn_classify(dataset, kind, cache)
-        curves[kind] = precision_recall(dataset, kind, cache)
-    return accuracies, curves

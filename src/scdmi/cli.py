@@ -17,21 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .algebra import denominator_polynomial, serialize_polynomial, catalogue_specs
-from .bench import (
-    ALL_KINDS,
-    DatasetItem,
-    FeatureCache,
-    LabeledDataset,
-    classification_class,
-    keep_rows,
-    run_benchmark,
-)
+from .bench import ALL_KINDS, LabeledImage, classification_class, featurize, run_benchmark
 from .engine import scdmi50
 from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
@@ -114,8 +107,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _load_manifest(path: Path) -> LabeledDataset:
-    items = []
+def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
+    """(image path, label, split) of every row, each row checked before any
+    image is read."""
+    rows = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -128,16 +123,15 @@ def _load_manifest(path: Path) -> LabeledDataset:
             rel, label, split = (c.strip() for c in row)
             if split not in ("train", "test"):
                 raise ValueError(f"{path}:{lineno}: split must be train or test, got {split!r}")
-            items.append(DatasetItem(label=label, split=split, path=str(path.parent / rel)))
-    return LabeledDataset(items)
+            rows.append((str(path.parent / rel), label, split))
+    return rows
 
 
-def _export_class(members: list[DatasetItem], start: int, writer, out: Path) -> None:
-    for i, item in enumerate(members, start=start):
-        name = f"dataset/{item.label}_{i:04d}.ppm"
+def _export_class(members: list[LabeledImage], start: int, writer, out: Path) -> None:
+    for i, (label, split, img) in enumerate(members, start=start):
+        name = f"dataset/{label}_{i:04d}.ppm"
         # masked-out pixels are baked to black in the exported copies;
         # the benchmark itself runs on the in-memory masked images
-        img = item.image
         write_ppm(
             out / name,
             type(img)(
@@ -147,39 +141,35 @@ def _export_class(members: list[DatasetItem], start: int, writer, out: Path) -> 
                 img.mask,
             ),
         )
-        writer.writerow([name, item.label, item.split])
+        writer.writerow([name, label, split])
 
 
-def _synthetic_dataset(args, out: Path, cache: FeatureCache) -> LabeledDataset:
-    """Generates, exports and featurizes the synthetic dataset one class at a
-    time; only labels, splits and the cache's rows outlive a class."""
+def _synthetic_items(args, out: Path) -> Iterator[LabeledImage]:
+    """Generates and exports the synthetic dataset one class at a time and
+    yields its items, so that only one class of images is alive."""
     (out / "dataset").mkdir(parents=True, exist_ok=True)
-    items: list[DatasetItem] = []
     with (out / "dataset_manifest.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["path", "label", "split"])
+        start = 0
         for c in range(args.classes):
             # rebinding frees the previous class only once this one is allocated above it;
             # freed first, it sat at the top of the heap, glibc returned it to the OS and every
             # class faulted its pages back in: repeated in-process runs took about 10% longer
             members = classification_class(c, args.transforms, args.size, args.seed, args.clamp)
-            _export_class(members, len(items), w, out)
-            keep_rows(members, items, cache)
-    return LabeledDataset(items)
+            _export_class(members, start, w, out)
+            start += len(members)
+            yield from members
 
 
 def cmd_bench(args) -> int:
     out = _ensure_out(args.out)
-    cache = FeatureCache()
     if args.synthetic:
-        dataset = _synthetic_dataset(args, out, cache)
-    elif args.manifest is not None:
-        dataset = _load_manifest(Path(args.manifest))
+        items = _synthetic_items(args, out)
     else:
-        print("error: bench needs a manifest path or --synthetic", file=sys.stderr)
-        return 2
-
-    accuracies, curves = run_benchmark(dataset, cache)
+        rows = _load_manifest(Path(args.manifest))
+        items = ((label, split, read_ppm(path)) for path, label, split in rows)
+    accuracies, curves = run_benchmark(featurize(items))
     with (out / "accuracy.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "accuracy"])
@@ -218,8 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="classification/retrieval benchmark")
-    p_bench.add_argument("manifest", nargs="?", help="dataset manifest CSV (path,label,split)")
-    p_bench.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
+    dataset = p_bench.add_mutually_exclusive_group(required=True)
+    dataset.add_argument("manifest", nargs="?", help="dataset manifest CSV (path,label,split)")
+    dataset.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
     p_bench.add_argument("--classes", type=int, default=10)
     p_bench.add_argument("--transforms", type=int, default=20)
     p_bench.add_argument("--size", type=int, default=96)

@@ -40,7 +40,8 @@ def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 def read_ppm(path) -> RasterImage:
     data = Path(path).read_bytes()
-    if data[:2] != b"P6":
+    # the magic number is the whole first token: "P66" is not "P6"
+    if data[:2] != b"P6" or not data[2:3].isspace():
         raise ValueError(f"{path}: not a binary P6 PPM")
     toks, offset = _tokens(data, 4)
     try:

@@ -21,6 +21,8 @@ from .errors import Singular
 DEVIATION_FLOOR = 1e-12
 
 _MIN_DET = 1e-6
+#: sample_color_affine scales its map by a factor drawn log-uniformly from this range
+COLOR_SCALE_RANGE = (0.6, 1.5)
 
 
 @dataclass
@@ -67,18 +69,14 @@ class ColorAffine:
 # applying transforms
 
 
-def apply_shape_affine(
-    img: RasterImage, t: ShapeAffine, out_size: tuple[int, int] | None = None
-) -> RasterImage:
-    """Inverse-mapping warp with bilinear interpolation.
+def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
+    """Inverse-mapping warp with bilinear interpolation into the input's frame.
 
-    ``out_size`` is (width, height), defaulting to the input size. Taps with
-    zero bilinear weight are not required to be masked, so grid-exact maps
-    (identity, integer shifts, quarter-turn rotations) copy pixels and the
-    mask verbatim.
+    Taps with zero bilinear weight are not required to be masked, so
+    grid-exact maps (identity, integer shifts, quarter-turn rotations) copy
+    pixels and the mask verbatim.
     """
     w_in, h_in = img.width, img.height
-    w_out, h_out = out_size if out_size is not None else (w_in, h_in)
     a = t.matrix
     det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if abs(det) < _MIN_DET:
@@ -86,8 +84,8 @@ def apply_shape_affine(
     # adjugate inverse keeps grid-aligned maps exact in floating point
     inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
 
-    gx = np.arange(w_out, dtype=np.float64)[None, :] - t.offset[0]
-    gy = np.arange(h_out, dtype=np.float64)[:, None] - t.offset[1]
+    gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
+    gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
     sx = inv[0, 0] * gx + inv[0, 1] * gy
     sy = inv[1, 0] * gx + inv[1, 1] * gy
 
@@ -157,14 +155,13 @@ def sample_shape_affine(
     det_range: tuple[float, float] = (0.5, 2.0),
     max_condition: float = 3.0,
     src_size: tuple[int, int] | None = None,
-    out_size: tuple[int, int] | None = None,
 ) -> ShapeAffine:
     """Seeded random coordinate map with bounded determinant and condition.
 
     Built as rotation * diag * rotation with log-uniform determinant and
     condition, so det_range=(1,1) with max_condition=1 degenerates to a pure
-    rotation. When sizes are given the offset maps the source center onto the
-    output center to keep content in frame.
+    rotation. When ``src_size`` (width, height) is given, the map fixes the
+    center of that frame, to keep content in frame.
     """
     lo, hi = det_range
     if not (0.0 < lo <= hi):
@@ -180,11 +177,8 @@ def sample_shape_affine(
     matrix = _rot2(th1) @ np.diag([s1, s2]) @ _rot2(th2)
     offset = np.zeros(2)
     if src_size is not None:
-        if out_size is None:
-            out_size = src_size
-        src_c = np.array([(src_size[0] - 1) / 2.0, (src_size[1] - 1) / 2.0])
-        out_c = np.array([(out_size[0] - 1) / 2.0, (out_size[1] - 1) / 2.0])
-        offset = out_c - matrix @ src_c
+        center = np.array([(src_size[0] - 1) / 2.0, (src_size[1] - 1) / 2.0])
+        offset = center - matrix @ center
     return ShapeAffine(matrix, offset)
 
 
@@ -192,14 +186,13 @@ def sample_color_affine(
     seed: int,
     max_condition: float = 3.0,
     offset_range: tuple[float, float] = (-0.2, 0.2),
-    scale_range: tuple[float, float] = (0.6, 1.5),
 ) -> ColorAffine:
     """Seeded random channel map with positive determinant.
 
     Symmetric positive-definite construction (rotation-conjugated diagonal)
-    times a global scale: max_condition=1 with zero offsets collapses to a
-    positive multiple of the identity, and the determinant is positive by
-    construction.
+    times a global scale drawn log-uniformly from COLOR_SCALE_RANGE:
+    max_condition=1 with zero offsets collapses to a positive multiple of
+    the identity, and the determinant is positive by construction.
     """
     if max_condition < 1.0:
         raise ValueError("max_condition must be >= 1")
@@ -210,7 +203,8 @@ def sample_color_affine(
         q[:, 0] = -q[:, 0]
     half = 0.5 * np.log(max_condition)
     s = np.exp(rng.uniform(-half, half, size=3))
-    lam = float(np.exp(rng.uniform(np.log(scale_range[0]), np.log(scale_range[1]))))
+    lo, hi = COLOR_SCALE_RANGE
+    lam = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     matrix = lam * (q @ np.diag(s) @ q.T)
     offset = rng.uniform(offset_range[0], offset_range[1], size=3)
     return ColorAffine(matrix, offset)

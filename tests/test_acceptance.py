@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from scdmi.algebra import CoreSpec, normalization_exponents, catalogue_specs
-from scdmi.bench import ALL_KINDS, DescriptorKind, FeatureCache, generate_classification_dataset, knn_classify
+from scdmi.bench import ALL_KINDS, DescriptorKind, classification_class, featurize, run_benchmark
 from scdmi.cli import main
 from scdmi.engine import RasterImage, scdmi50
 from scdmi.oracle import brute_force_core_integral
@@ -168,9 +168,8 @@ def test_criterion_7_degeneracy_handling():
 
 def test_criterion_8_qualitative_ordering():
     t0 = time.time()
-    ds = generate_classification_dataset(n_classes=20, n_transforms=20, size=128, seed=0)
-    cache = FeatureCache()
-    acc = {kind: knn_classify(ds, kind, cache) for kind in ALL_KINDS}
+    features = featurize(item for c in range(20) for item in classification_class(c, 20, size=128, seed=0))
+    acc = run_benchmark(features)[0]
     elapsed = time.time() - t0
     baselines = (
         DescriptorKind.TRANSFORMED_COLOR_DIST,

@@ -8,23 +8,20 @@ from hypothesis import strategies as st
 from scdmi import bench as bench_mod
 from scdmi.bench import (
     ALL_KINDS,
-    DESCRIPTOR_DIMS,
-    DatasetItem,
     DescriptorKind,
-    FeatureCache,
-    LabeledDataset,
+    Features,
     baseline_descriptor,
+    chi2_matrix,
     classification_class,
-    descriptor_matrix,
-    distance_matrix,
     feature_normalize,
-    generate_classification_dataset,
-    generate_retrieval_dataset,
+    featurize,
     knn_classify,
     precision_recall,
     retrieval_class,
     run_benchmark,
 )
+from scdmi.cli import main
+import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage, stable_sum
 from scdmi.ppm import write_ppm
 from scdmi.synthetic import blob_image
@@ -41,17 +38,17 @@ class TestChiSquare:
 
     def test_identical_vectors(self):
         v = np.array([1.0, 2.0, 3.0])
-        d = bench_mod._chi2_matrix(np.array([v, v, -v]))
+        d = chi2_matrix(np.array([v, v, -v]))
         assert d[0, 0] == d[0, 1] == d[1, 0] == d[2, 2] == 0.0
 
     def test_orthogonal_unit_vectors(self):
-        d = bench_mod._chi2_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        d = chi2_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert d[0, 1] == pytest.approx(2.0, rel=1e-9)
 
     @given(st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_symmetry_and_nonnegativity(self, rows):
-        d = bench_mod._chi2_matrix(np.array(rows))
+        d = chi2_matrix(np.array(rows))
         assert np.array_equal(d, d.T)
         assert (np.diag(d) == 0.0).all()
         assert (d >= 0.0).all()
@@ -98,10 +95,14 @@ class TestFeatureNormalize:
 class TestBaselines:
     def test_dimensions_match_kinds(self):
         img = random_image(0)
-        for kind in ALL_KINDS:
-            if kind.name.startswith("SCDMI"):
-                continue
-            assert baseline_descriptor(img, kind).shape == (DESCRIPTOR_DIMS[kind],)
+        dims = {
+            DescriptorKind.HU7: 7,
+            DescriptorKind.COLOR_MOMENTS: 9,
+            DescriptorKind.RG_HISTOGRAM: 2 * bench_mod.RG_BINS,
+            DescriptorKind.TRANSFORMED_COLOR_DIST: 3 * bench_mod.TCD_BINS,
+        }
+        for kind, dim in dims.items():
+            assert baseline_descriptor(img, kind).shape == (dim,)
 
     def test_hu_on_constant_gray_is_zero(self):
         img = RasterImage.from_array(np.full((16, 16, 3), 0.5))
@@ -139,56 +140,57 @@ class TestBaselines:
             assert abs(mu3 - stable_sum(c**3) / plane.size) <= bound
 
 
-def tiny_dataset(n_classes=2, per_class=6):
-    items = []
-    for c in range(n_classes):
-        for i in range(per_class):
-            items.append(
-                DatasetItem(
-                    label=f"c{c}",
-                    split="train" if i < 2 else "test",
-                    image=blob_image(100 * c + i // 3, size=24),
-                )
-            )
-    return LabeledDataset(items)
+def tiny_items(n_classes=2, per_class=6):
+    return [
+        (f"c{c}", "train" if i < 2 else "test", blob_image(100 * c + i // 3, size=24))
+        for c in range(n_classes)
+        for i in range(per_class)
+    ]
+
+
+def kind_distances(features, kind):
+    return chi2_matrix(feature_normalize(*features.matrices[kind]))
+
+
+def knn_of(items, kind):
+    features = featurize(items)
+    return knn_classify(kind_distances(features, kind), features.labels, features.splits)
+
+
+def pr_of(items, kind):
+    features = featurize(items)
+    return precision_recall(kind_distances(features, kind), features.labels)
 
 
 class TestProtocols:
     def test_dataset_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            LabeledDataset([DatasetItem(label="only", split="train", image=random_image(0))])
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            featurize([("only", "train", random_image(0)), ("only", "test", random_image(1))])
 
     def test_test_equals_train_gives_perfect_accuracy(self):
         images = [blob_image(s, size=24) for s in range(4)]
         items = []
         for c, img in enumerate(images):
-            items.append(DatasetItem(label=f"c{c}", split="train", image=img))
-            items.append(DatasetItem(label=f"c{c}", split="test", image=img))
-        acc = knn_classify(LabeledDataset(items), DescriptorKind.COLOR_MOMENTS)
-        assert acc == 1.0
+            items.append((f"c{c}", "train", img))
+            items.append((f"c{c}", "test", img))
+        assert knn_of(items, DescriptorKind.COLOR_MOMENTS) == 1.0
 
     def test_missing_split_raises(self):
         items = [
-            DatasetItem(label="a", split="train", image=random_image(0)),
-            DatasetItem(label="a", split="test", image=random_image(1)),
-            DatasetItem(label="b", split="train", image=random_image(2)),
+            ("a", "train", random_image(0)),
+            ("a", "test", random_image(1)),
+            ("b", "train", random_image(2)),
         ]
-        with pytest.raises(ValueError):
-            knn_classify(LabeledDataset(items), DescriptorKind.COLOR_MOMENTS)
+        with pytest.raises(ValueError, match="missing from one split"):
+            knn_of(items, DescriptorKind.COLOR_MOMENTS)
 
     def test_permuted_labels_near_chance(self):
         rng = np.random.default_rng(3)
-        items = []
-        for i in range(120):
-            items.append(
-                DatasetItem(
-                    label=f"c{rng.integers(0, 2)}",
-                    split="train" if i < 12 else "test",
-                    image=random_image(1000 + i),
-                )
-            )
-        ds = LabeledDataset(items)
-        acc = knn_classify(ds, DescriptorKind.COLOR_MOMENTS)
+        items = [
+            (f"c{rng.integers(0, 2)}", "train" if i < 12 else "test", random_image(1000 + i))
+            for i in range(120)
+        ]
+        acc = knn_of(items, DescriptorKind.COLOR_MOMENTS)
         assert 0.3 <= acc <= 0.7
 
     def test_tight_clusters_give_perfect_pr(self):
@@ -203,41 +205,38 @@ class TestProtocols:
                     np.clip(base.blue + noise, 0, 1),
                     base.mask,
                 )
-                items.append(DatasetItem(label=f"c{c}", split="test", image=img))
-        curve = precision_recall(LabeledDataset(items), DescriptorKind.COLOR_MOMENTS)
+                items.append((f"c{c}", "test", img))
+        curve = pr_of(items, DescriptorKind.COLOR_MOMENTS)
         assert np.allclose(curve.precision, 1.0)
         assert 0.0 <= curve.area() <= 1.0
 
     def test_pr_curve_monotone_nonincreasing(self):
-        ds = tiny_dataset()
-        curve = precision_recall(ds, DescriptorKind.RG_HISTOGRAM)
+        curve = pr_of(tiny_items(), DescriptorKind.RG_HISTOGRAM)
         assert np.all(np.diff(curve.precision) <= 1e-12)
         assert np.all((curve.precision >= 0) & (curve.precision <= 1))
 
     def test_pr_needs_two_members_per_class(self):
         items = [
-            DatasetItem(label="a", split="test", image=random_image(0)),
-            DatasetItem(label="b", split="test", image=random_image(1)),
-            DatasetItem(label="b", split="test", image=random_image(2)),
+            ("a", "test", random_image(0)),
+            ("b", "test", random_image(1)),
+            ("b", "test", random_image(2)),
         ]
-        with pytest.raises(ValueError):
-            precision_recall(LabeledDataset(items), DescriptorKind.COLOR_MOMENTS)
+        with pytest.raises(ValueError, match="at least 2 members"):
+            pr_of(items, DescriptorKind.COLOR_MOMENTS)
 
     def test_scdmi_kinds_slice_the_same_cache(self):
-        ds = tiny_dataset()
-        cache = FeatureCache()
-        from scdmi.bench import descriptor_matrix
-
-        full, v_full = descriptor_matrix(ds, DescriptorKind.SCDMI50, cache)
-        k0, v0 = descriptor_matrix(ds, DescriptorKind.SCDMI0_25, cache)
-        k1, v1 = descriptor_matrix(ds, DescriptorKind.SCDMI1_25, cache)
+        # the two 25-entry kinds are the halves of the SCDMI50 rows
+        matrices = featurize(tiny_items()).matrices
+        full, v_full = matrices[DescriptorKind.SCDMI50]
+        k0, v0 = matrices[DescriptorKind.SCDMI0_25]
+        k1, v1 = matrices[DescriptorKind.SCDMI1_25]
         assert np.array_equal(full[:, :25], k0)
         assert np.array_equal(full[:, 25:], k1)
         assert np.array_equal(v_full[:, :25], v0)
         assert np.array_equal(v_full[:, 25:], v1)
 
     def test_run_benchmark_computes_each_baseline_once_per_image(self, monkeypatch):
-        ds = tiny_dataset()
+        items = tiny_items()
         calls = []
         real = bench_mod.baseline_descriptor
 
@@ -246,19 +245,21 @@ class TestProtocols:
             return real(img, kind)
 
         monkeypatch.setattr(bench_mod, "baseline_descriptor", counting)
-        run_benchmark(ds)
-        assert len(calls) == 4 * len(ds.items)
+        run_benchmark(featurize(items))
+        assert len(calls) == 4 * len(items)
 
     def test_manifest_images_load_once_and_are_not_kept(self, tmp_path, monkeypatch):
-        items = []
-        for c in range(2):
-            for i in range(4):
-                path = tmp_path / f"im_{c}_{i}.ppm"
-                write_ppm(path, blob_image(10 * c + i, size=24))
-                items.append(DatasetItem(label=f"c{c}", split="train" if i == 0 else "test", path=str(path)))
+        paths = []
+        with (tmp_path / "manifest.csv").open("w") as fh:
+            for c in range(2):
+                for i in range(4):
+                    path = tmp_path / f"im_{c}_{i}.ppm"
+                    write_ppm(path, blob_image(10 * c + i, size=24))
+                    paths.append(str(path))
+                    fh.write(f"{path.name},c{c},{'train' if i == 0 else 'test'}\n")
         # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet
         loaded, alive_at_scdmi50 = [], []
-        real_read, real_scdmi50 = bench_mod.read_ppm, bench_mod.scdmi50
+        real_read, real_scdmi50 = cli_mod.read_ppm, bench_mod.scdmi50
 
         def reading(path):
             img = real_read(path)
@@ -269,12 +270,12 @@ class TestProtocols:
             alive_at_scdmi50.append(sum(ref() is not None for _, ref in loaded))
             return real_scdmi50(img)
 
-        monkeypatch.setattr(bench_mod, "read_ppm", reading)
+        monkeypatch.setattr(cli_mod, "read_ppm", reading)
         monkeypatch.setattr(bench_mod, "scdmi50", counting)
-        run_benchmark(LabeledDataset(items))
-        assert sorted(path for path, _ in loaded) == sorted(it.path for it in items)
+        assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(path for path, _ in loaded) == sorted(paths)
         # each image is featurized while it is the only one loaded, then let go
-        assert alive_at_scdmi50 == [1] * len(items)
+        assert alive_at_scdmi50 == [1] * len(paths)
         assert all(ref() is None for _, ref in loaded)
 
 
@@ -283,14 +284,12 @@ def chi2_to_gallery(query, gallery, eps=bench_mod.CHI2_EPS):
     return np.sum(diff * diff / (np.abs(gallery) + np.abs(query)[None, :] + eps), axis=1)
 
 
-def knn_reference(dataset, kind, cache):
+def knn_reference(features, kind):
     """1-NN accuracy by one distance row per test query."""
-    labels = dataset.labels()
-    splits = dataset.splits()
+    labels, splits = features.labels, features.splits
     train = np.nonzero(splits == "train")[0]
     test = np.nonzero(splits == "test")[0]
-    feats, valid = descriptor_matrix(dataset, kind, cache)
-    normed = feature_normalize(feats, valid)
+    normed = feature_normalize(*features.matrices[kind])
     correct = 0
     for ti in test:
         d = chi2_to_gallery(normed[ti], normed[train])
@@ -298,12 +297,11 @@ def knn_reference(dataset, kind, cache):
     return correct / int(test.size)
 
 
-def precision_recall_reference(dataset, kind, cache, levels=11):
+def precision_recall_reference(features, kind, levels):
     """Interpolated PR curve by one ranking per query."""
-    labels = dataset.labels()
-    feats, valid = descriptor_matrix(dataset, kind, cache)
-    normed = feature_normalize(feats, valid)
-    n = len(dataset.items)
+    labels = features.labels
+    normed = feature_normalize(*features.matrices[kind])
+    n = len(labels)
     recall_levels = np.linspace(0.0, 1.0, levels)
     acc = np.zeros(levels)
     for qi in range(n):
@@ -323,8 +321,8 @@ def precision_recall_reference(dataset, kind, cache, levels=11):
     return acc / n
 
 
-def random_feature_dataset(seed, n, dims=5):
-    """Uneven classes over precomputed features: few distinct values make
+def random_features(seed, n, dims=5):
+    """Uneven classes over precomputed HU7 features: few distinct values make
     tied distances, and about a fifth of the entries are invalid."""
     rng = np.random.default_rng(seed)
     sizes = []
@@ -333,17 +331,16 @@ def random_feature_dataset(seed, n, dims=5):
     sizes[-1] -= sum(sizes) - n
     if sizes[-1] < 2:
         sizes[-2:] = [sizes[-2] + sizes[-1]]
-    items = []
+    labels, splits = [], []
     for c, size in enumerate(sizes):
         # each class's first member trains and its last is tested
         middle = ["train" if rng.random() < 0.2 else "test" for _ in range(size - 2)]
-        items += [DatasetItem(label=f"c{c:02d}", split=sp) for sp in ["train", *middle, "test"]]
+        labels += [f"c{c:02d}"] * size
+        splits += ["train", *middle, "test"]
     feats = rng.integers(-2, 3, size=(n, dims)) * rng.choice([1e-3, 1.0, 1e3], size=dims)
     feats[rng.integers(0, n, size=n // 4)] = feats[rng.integers(0, n, size=n // 4)]
     valid = rng.random((n, dims)) > 0.2
-    cache = FeatureCache()
-    cache.descriptors[DescriptorKind.HU7] = feats, valid
-    return LabeledDataset(items), cache
+    return Features(np.array(labels), np.array(splits), {DescriptorKind.HU7: (feats, valid)})
 
 
 class TestRankingExactness:
@@ -353,55 +350,55 @@ class TestRankingExactness:
 
     @pytest.fixture(params=[1, 7, None], ids=["1-query", "7-query", "default"])
     def block(self, request, monkeypatch):
-        # budgets of 1 or 7 queries against the largest gallery, or the default;
-        # the 1-query budget splits every case into blocks with a partial last one
+        # distance blocks of 1 or 7 queries against the largest gallery, or the default;
+        # the 1-query budget splits every case into blocks with a partial last one, and
+        # ranking blocks hold 1 or 3 queries of 131 at 11 recall levels
         if request.param is not None:
             monkeypatch.setattr(bench_mod, "RANK_BLOCK_ELEMENTS", request.param * 131 * 5)
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_knn_equals_per_query_loop(self, seed, n, block):
-        ds, cache = random_feature_dataset(seed, n)
+        features = random_features(seed, n)
         kind = DescriptorKind.HU7
-        assert knn_classify(ds, kind, cache) == knn_reference(ds, kind, cache)
+        got = knn_classify(kind_distances(features, kind), features.labels, features.splits)
+        assert got == knn_reference(features, kind)
 
     @pytest.mark.parametrize("seed,n", CASES)
-    def test_precision_recall_equals_per_query_loop(self, seed, n, block):
-        ds, cache = random_feature_dataset(seed, n)
+    def test_precision_recall_equals_per_query_loop(self, seed, n, block, monkeypatch):
+        features = random_features(seed, n)
         kind = DescriptorKind.HU7
         for levels in (11, 21):
-            curve = precision_recall(ds, kind, cache, levels)
-            assert curve.precision.tolist() == precision_recall_reference(ds, kind, cache, levels).tolist()
+            monkeypatch.setattr(bench_mod, "PR_LEVELS", levels)
+            curve = precision_recall(kind_distances(features, kind), features.labels)
+            assert curve.precision.tolist() == precision_recall_reference(features, kind, levels).tolist()
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_distance_matrix_equals_per_query_rows(self, seed, n, block):
-        ds, cache = random_feature_dataset(seed, n)
+        features = random_features(seed, n)
         kind = DescriptorKind.HU7
-        d = distance_matrix(ds, kind, cache)
-        normed = feature_normalize(*cache.descriptors[kind])
+        d = kind_distances(features, kind)
+        normed = feature_normalize(*features.matrices[kind])
         for q in range(n):
             assert np.array_equal(d[q].view(np.int64), chi2_to_gallery(normed[q], normed).view(np.int64))
-        assert cache.distance_kind is kind and cache.distances is d
 
     def test_one_distance_matrix_per_kind_held_one_at_a_time(self, monkeypatch):
-        held = []
-        real = bench_mod._chi2_matrix
+        built, held = [], []
+        real = bench_mod.chi2_matrix
 
         def recording(normed):
-            held.append(cache.distances is not None)
-            return real(normed)
+            held.append(sum(ref() is not None for ref in built))
+            out = real(normed)
+            built.append(weakref.ref(out))
+            return out
 
-        monkeypatch.setattr(bench_mod, "_chi2_matrix", recording)
-        cache = FeatureCache()
-        ds = tiny_dataset()
-        for kind in ALL_KINDS:
-            knn_classify(ds, kind, cache)
-            precision_recall(ds, kind, cache)
+        monkeypatch.setattr(bench_mod, "chi2_matrix", recording)
+        run_benchmark(featurize(tiny_items()))
         # knn and retrieval share each kind's matrix, and the last one is dropped before the next is built
-        assert held == [False] * len(ALL_KINDS)
+        assert held == [0] * len(ALL_KINDS)
 
     def test_datasets_have_ties(self):
-        ds, cache = random_feature_dataset(3, 70)
-        normed = feature_normalize(*cache.descriptors[DescriptorKind.HU7])
+        features = random_features(3, 70)
+        normed = feature_normalize(*features.matrices[DescriptorKind.HU7])
         d = chi2_to_gallery(normed[0], normed[1:])
         assert len(np.unique(d)) < d.size
 
@@ -414,47 +411,51 @@ class TestRankingExactness:
             return real(raw, valid)
 
         monkeypatch.setattr(bench_mod, "feature_normalize", counting)
-        run_benchmark(tiny_dataset())
+        run_benchmark(featurize(tiny_items()))
         assert len(calls) == len(ALL_KINDS)
+
+
+def classification_items(n_classes, *args, **kwargs):
+    return [item for c in range(n_classes) for item in classification_class(c, *args, **kwargs)]
+
+
+def retrieval_items(n_classes, *args, **kwargs):
+    return [item for c in range(n_classes) for item in retrieval_class(c, *args, **kwargs)]
 
 
 class TestGenerators:
     def test_classification_dataset_counts_and_splits(self):
-        ds = generate_classification_dataset(n_classes=3, n_transforms=4, size=48, seed=1)
-        assert len(ds.items) == 15
-        labels = ds.labels()
-        splits = ds.splits()
+        items = classification_items(3, n_transforms=4, size=48, seed=1)
+        assert len(items) == 15
+        labels = np.array([label for label, _, _ in items])
+        splits = np.array([split for _, split, _ in items])
         for label in np.unique(labels):
             sel = splits[labels == label]
             assert "train" in sel and "test" in sel
 
     def test_retrieval_dataset_counts(self):
-        ds = generate_retrieval_dataset(
-            n_classes=2, n_views=2, n_color_transforms=3, size=48, seed=1
-        )
-        assert len(ds.items) == 12
+        items = retrieval_items(2, n_views=2, n_color_transforms=3, size=48, seed=1)
+        assert len(items) == 12
 
     def test_per_class_generators_give_the_dataset_items(self):
-        pairs = [
-            (
-                generate_classification_dataset(n_classes=3, n_transforms=4, size=48, seed=1, clamp=True),
-                [it for c in range(3) for it in classification_class(c, 4, 48, seed=1, clamp=True)],
-            ),
-            (
-                generate_retrieval_dataset(n_classes=2, n_views=2, n_color_transforms=3, size=48, seed=1),
-                [it for c in range(2) for it in retrieval_class(c, 2, 3, 48, seed=1)],
-            ),
-        ]
-        for ds, per_class in pairs:
-            assert len(ds.items) == len(per_class)
-            for a, b in zip(ds.items, per_class):
-                assert (a.label, a.split) == (b.label, b.split)
-                for pa, pb in zip((*a.image.channels(), a.image.mask), (*b.image.channels(), b.image.mask)):
-                    assert pa.dtype == pb.dtype and pa.tobytes() == pb.tobytes()
+        # featurizing a generator that holds one class at a time gives the
+        # features of the whole dataset held in memory, bit for bit
+        for per_class, args in (
+            (classification_class, (4, 48, 1, True)),
+            (retrieval_class, (2, 3, 48, 1)),
+        ):
+            held = featurize([item for c in range(3) for item in per_class(c, *args)])
+            streamed = featurize(item for c in range(3) for item in per_class(c, *args))
+            assert held.labels.tolist() == streamed.labels.tolist()
+            assert held.splits.tolist() == streamed.splits.tolist()
+            for kind in ALL_KINDS:
+                for a, b in zip(held.matrices[kind], streamed.matrices[kind]):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_generator_determinism(self):
-        a = generate_classification_dataset(n_classes=2, n_transforms=2, size=48, seed=9)
-        b = generate_classification_dataset(n_classes=2, n_transforms=2, size=48, seed=9)
-        for ia, ib in zip(a.items, b.items):
-            assert np.array_equal(ia.image.red, ib.image.red)
-            assert np.array_equal(ia.image.mask, ib.image.mask)
+        a = classification_items(2, n_transforms=2, size=48, seed=9)
+        b = classification_items(2, n_transforms=2, size=48, seed=9)
+        for (la, sa, ia), (lb, sb, ib) in zip(a, b):
+            assert (la, sa) == (lb, sb)
+            assert np.array_equal(ia.red, ib.red)
+            assert np.array_equal(ia.mask, ib.mask)

@@ -36,9 +36,11 @@ class TestPpm:
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P5\n2 2\n255\n" + bytes(4))
-        with pytest.raises(ValueError):
-            read_ppm(path)
+        # the magic number is the whole first token, not its first two bytes
+        for data in (b"P5\n2 2\n255\n" + bytes(4), b"P66 2 2 255\n" + bytes(12)):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="not a binary P6 PPM"):
+                read_ppm(path)
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "short.ppm"
@@ -241,8 +243,8 @@ class TestBenchCommand:
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48",
                 "--seed", "2", "--clamp"]
         assert main(args + ["--out", str(tmp_path)]) == 0
-        ds = bench_mod.generate_classification_dataset(3, 4, 48, seed=2, clamp=True)
-        accuracies, curves = bench_mod.run_benchmark(ds)
+        items = [item for c in range(3) for item in bench_mod.classification_class(c, 4, 48, 2, True)]
+        accuracies, curves = bench_mod.run_benchmark(bench_mod.featurize(items))
         with (tmp_path / "accuracy.csv").open(newline="") as fh:
             assert list(csv.reader(fh))[1:] == [[k.value, repr(accuracies[k])] for k in bench_mod.ALL_KINDS]
         with (tmp_path / "pr_curves.csv").open(newline="") as fh:
@@ -253,7 +255,7 @@ class TestBenchCommand:
             ]
         with (tmp_path / "dataset_manifest.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
-        assert [(label, split) for _, label, split in rows] == [(it.label, it.split) for it in ds.items]
+        assert [(label, split) for _, label, split in rows] == [(label, split) for label, split, _ in items]
 
     def test_manifest_driven_run(self, tmp_path):
         data = tmp_path / "data"
@@ -279,4 +281,9 @@ class TestBenchCommand:
         assert rc == 2
 
     def test_bench_without_dataset_is_usage_error(self, tmp_path):
-        assert main(["bench", "--out", str(tmp_path / "o")]) == 2
+        # neither a manifest nor --synthetic, or both: the manifest is never silently ignored
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,split\n")
+        for inputs in ([], [str(manifest), "--synthetic"]):
+            assert main(["bench", *inputs, "--out", str(tmp_path / "o")]) == 2
+            assert not (tmp_path / "o").exists()

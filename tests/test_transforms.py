@@ -26,15 +26,14 @@ def random_image(seed, h=16, w=16):
     return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(h, w, 3)))
 
 
-def two_index_warp(img, t, out_size=None):
+def two_index_warp(img, t):
     """The bilinear warp with one two-index gather per tap and plane."""
     w_in, h_in = img.width, img.height
-    w_out, h_out = out_size if out_size is not None else (w_in, h_in)
     a = t.matrix
     det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    gx = np.arange(w_out, dtype=np.float64)[None, :] - t.offset[0]
-    gy = np.arange(h_out, dtype=np.float64)[:, None] - t.offset[1]
+    gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
+    gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
     sx = inv[0, 0] * gx + inv[0, 1] * gy
     sy = inv[1, 0] * gx + inv[1, 1] * gy
     x0f = np.floor(sx)
@@ -76,14 +75,15 @@ class TestWarpGatherExactness:
         "src,out", [((24, 24), None), ((31, 19), None), ((20, 26), (33, 15)), ((40, 36), (17, 22))]
     )
     def test_random_maps_and_partial_masks(self, seed, src, out):
+        # ``out``, when given, is a frame the map fixes the center of in place of the image's own
         rng = np.random.default_rng(seed)
         w, h = src
         img = RasterImage.from_array(rng.uniform(-1.0, 2.0, size=(h, w, 3)), rng.random((h, w)) > 0.25)
-        t = sample_shape_affine(seed + 50, det_range=(0.5, 2.0), max_condition=3.0, src_size=src, out_size=out)
+        t = sample_shape_affine(seed + 50, det_range=(0.5, 2.0), max_condition=3.0, src_size=out or src)
         # a random shift moves part of the domain out of frame
         t = ShapeAffine(t.matrix, t.offset + rng.uniform(-4.0, 4.0, size=2))
-        got = apply_shape_affine(img, t, out)
-        ref = two_index_warp(img, t, out)
+        got = apply_shape_affine(img, t)
+        ref = two_index_warp(img, t)
         assert 0 < ref.mask.sum() < ref.mask.size
         for a, b in zip((*got.channels(), got.mask), (*ref.channels(), ref.mask)):
             assert a.shape == b.shape and a.dtype == b.dtype
@@ -135,11 +135,12 @@ class TestShapeAffine:
         assert np.all(out.red[~out.mask] == 0.0)
 
     def test_out_size(self):
-        img = random_image(4, 8, 8)
-        out = apply_shape_affine(img, ShapeAffine.identity(), out_size=(12, 10))
-        assert (out.width, out.height) == (12, 10)
-        assert np.array_equal(out.red[:8, :8], img.red)
-        assert not out.mask[:, 8:].any()
+        # the output has the input's frame: a map that halves the image leaves the rest of it masked
+        img = random_image(4, 8, 12)
+        out = apply_shape_affine(img, ShapeAffine(0.5 * np.eye(2)))
+        assert (out.width, out.height) == (12, 8)
+        assert out.mask[:4, :6].all() and np.array_equal(out.red[:4, :6], img.red[::2, ::2])
+        assert out.mask.sum() == 4 * 6
 
 
 class TestColorAffine:
@@ -256,9 +257,9 @@ class TestInvarianceReport:
     def test_warps_each_shape_once(self, monkeypatch):
         calls = []
 
-        def counting(img, t, out_size=None):
+        def counting(img, t):
             calls.append(t)
-            return apply_shape_affine(img, t, out_size)
+            return apply_shape_affine(img, t)
 
         monkeypatch.setattr(transforms_mod, "apply_shape_affine", counting)
         img = blob_image(6, size=32)
