@@ -1,8 +1,8 @@
 """Shape-color differential moment invariants.
 
-Symbolic construction of the 50-instance invariant catalogue, evaluation on
-masked raster images, a brute-force verification oracle, coordinate/channel
-transform tooling, and a retrieval benchmark.
+Symbolic construction of the 25-instance invariant catalogue, evaluation of
+its 50 features on masked raster images, a brute-force verification oracle,
+coordinate/channel transform tooling, and a retrieval benchmark.
 """
 
 __version__ = "0.1.0"
@@ -15,13 +15,9 @@ from .algebra import (
     MomentIndex,
     MomentPolynomial,
     MonomialTerm,
-    PointVar,
     denominator_polynomial,
-    expand_color_primitive,
     expand_core,
-    expand_shape_primitive,
     normalization_exponents,
-    parse_polynomial,
     serialize_polynomial,
     catalogue_specs,
 )
@@ -36,7 +32,6 @@ from .engine import (
 from .errors import (
     EmptyDomain,
     InvalidSpec,
-    ParseError,
     ScdmiError,
     Singular,
     TooLarge,

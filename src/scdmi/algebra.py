@@ -8,11 +8,11 @@ polynomial whose variables are generalized moments indexed by
 ``(p, q, alpha, beta, gamma)``. This module builds those polynomials in a
 canonical form, computes the normalization exponents that make the ratio
 invariant under nonsingular coordinate and channel maps, and provides the
-catalogue of 50 instances plus a line-oriented text format for them.
+catalogue of 25 instances plus a serializer for their polynomials.
 
-The expansion is channel-agnostic: the same polynomial describes both the
-raw-channel (k=0) and gradient-derived (k=1) instances, which differ only in
-the moment table they are evaluated against.
+The expansion is channel-agnostic: each polynomial describes both the
+raw-channel (k=0) and the gradient-derived (k=1) instance of its id, which
+differ only in the moment table they are evaluated against.
 """
 
 from __future__ import annotations
@@ -21,26 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from operator import add
+from typing import NamedTuple
 
-from .errors import InvalidSpec, ParseError
-
-#: variable kinds attached to one integration point, in canonical axis order
-VAR_KINDS = "XYRGB"
+from .errors import InvalidSpec
 
 #: column permutation signs of a 3x3 determinant, in itertools order
 _PERM_SIGNS = (1, -1, -1, 1, 1, -1)
 
-
-class PointVar(NamedTuple):
-    """One integrand variable at an integration point.
-
-    ``kind`` is one of "XYRGB": X and Y are centered coordinates, R/G/B are
-    the centered (k=0) or derived (k=1) channel values at that point.
-    """
-
-    point: int
-    kind: str
+#: position of each variable (x, y, r, g, b) in a point's 5 exponents
+_X, _Y, _R, _G, _B = range(5)
 
 
 class MomentIndex(NamedTuple):
@@ -51,9 +41,6 @@ class MomentIndex(NamedTuple):
     alpha: int
     beta: int
     gamma: int
-
-    def text(self) -> str:
-        return ",".join(str(e) for e in self)
 
 
 @dataclass(frozen=True)
@@ -99,14 +86,11 @@ class CoreSpec:
 
     ``shape_factors`` holds (i, j, exponent) with i < j, one entry per
     distinct coordinate-determinant factor; ``color_triples`` holds
-    (p, q, r, exponent) with p < q < r. ``k`` selects the channel set the
-    resulting polynomial is meant to be evaluated on (0: raw channels,
-    1: first-order radial gradient channels).
+    (p, q, r, exponent) with p < q < r.
     """
 
     shape_factors: tuple[tuple[int, int, int], ...] = ()
     color_triples: tuple[tuple[int, int, int, int], ...] = ()
-    k: int = 0
 
     def __post_init__(self):
         object.__setattr__(
@@ -115,8 +99,6 @@ class CoreSpec:
         object.__setattr__(
             self, "color_triples", tuple(tuple(int(v) for v in f) for f in self.color_triples)
         )
-        if self.k not in (0, 1):
-            raise InvalidSpec(f"k must be 0 or 1, got {self.k}")
         for f in self.shape_factors:
             if len(f) != 3:
                 raise InvalidSpec(f"shape factor {f} must be (i, j, exponent)")
@@ -137,17 +119,9 @@ class CoreSpec:
     # -- derived counts (never stored) --
 
     @property
-    def shape_points(self) -> tuple[int, ...]:
-        return tuple(sorted({p for i, j, _ in self.shape_factors for p in (i, j)}))
-
-    @property
-    def color_points(self) -> tuple[int, ...]:
-        return tuple(sorted({p for pq in self.color_triples for p in pq[:3]}))
-
-    @property
     def shape_point_count(self) -> int:
         """n: number of distinct points used by the shape factors."""
-        return len(self.shape_points)
+        return len({p for i, j, _ in self.shape_factors for p in (i, j)})
 
     @property
     def shape_degree(self) -> int:
@@ -157,7 +131,7 @@ class CoreSpec:
     @property
     def color_point_count(self) -> int:
         """N: number of distinct points used by the color triples."""
-        return len(self.color_points)
+        return len({p for f in self.color_triples for p in f[:3]})
 
     @property
     def color_degree(self) -> int:
@@ -171,24 +145,8 @@ class CoreSpec:
         The empty core still integrates 1 over a single point, giving the
         area moment.
         """
-        pts = self.shape_points + self.color_points
-        return max(pts) if pts else 1
-
-    def shape_multiplicities(self) -> dict[int, int]:
-        """d_i: how many shape primitives touch each point."""
-        out = {pt: 0 for pt in range(1, self.width + 1)}
-        for i, j, exp in self.shape_factors:
-            out[i] += exp
-            out[j] += exp
-        return out
-
-    def color_multiplicities(self) -> dict[int, int]:
-        """D_i: how many color primitives touch each point."""
-        out = {pt: 0 for pt in range(1, self.width + 1)}
-        for p, q, r, exp in self.color_triples:
-            for pt in (p, q, r):
-                out[pt] += exp
-        return out
+        last = [j for _, j, _ in self.shape_factors] + [r for _, _, r, _ in self.color_triples]
+        return max(last, default=1)
 
 
 @dataclass(frozen=True)
@@ -197,7 +155,6 @@ class InvariantSpec:
     the exact normalization exponents and the core it came from."""
 
     id: int
-    k: int
     numerator: MomentPolynomial
     area_exponent: Fraction
     denom_exponent: Fraction
@@ -205,73 +162,32 @@ class InvariantSpec:
 
 
 # ---------------------------------------------------------------------------
-# primitive expansion over point variables
+# core expansion into moment polynomials
 
-# a monomial over point variables: sorted ((PointVar, exponent), ...) pairs
-Monomial = tuple[tuple[PointVar, int], ...]
-PointPolynomial = dict[Monomial, int]
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[PointVar, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+# An expansion monomial is a flat tuple of 5 exponents per integration point,
+# point t's (x, y, r, g, b) exponents at 5*(t-1) .. 5*t-1, mapped to its
+# integer coefficient. A product adds exponents elementwise.
 
 
-def _poly_mul(a: PointPolynomial, b: PointPolynomial) -> PointPolynomial:
-    out: PointPolynomial = {}
+def _monomial(width: int, *variables: tuple[int, int]) -> tuple[int, ...]:
+    """The product of (point, variable) pairs, each to the first power."""
+    exps = [0] * (5 * width)
+    for point, var in variables:
+        exps[5 * (point - 1) + var] += 1
+    return tuple(exps)
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            key = _mono_mul(ma, mb)
+            key = tuple(map(add, ma, mb))
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c
             elif key in out:
                 del out[key]
     return out
-
-
-def _poly_neg(a: PointPolynomial) -> PointPolynomial:
-    return {m: -c for m, c in a.items()}
-
-
-def _shape_poly(i: int, j: int) -> PointPolynomial:
-    # X_i Y_j - X_j Y_i, without the ordering check (used by tests to probe
-    # antisymmetry); monomial keys are kept in canonical sorted form
-    return {
-        tuple(sorted(((PointVar(i, "X"), 1), (PointVar(j, "Y"), 1)))): 1,
-        tuple(sorted(((PointVar(j, "X"), 1), (PointVar(i, "Y"), 1)))): -1,
-    }
-
-
-def _color_poly(cols: Sequence[int]) -> PointPolynomial:
-    # 3x3 determinant with rows (R, G, B) and the given columns
-    out: PointPolynomial = {}
-    for (a, b, c), sign in zip(permutations(cols), _PERM_SIGNS):
-        mono = tuple(
-            sorted(((PointVar(a, "R"), 1), (PointVar(b, "G"), 1), (PointVar(c, "B"), 1)))
-        )
-        out[mono] = out.get(mono, 0) + sign
-    return out
-
-
-def expand_shape_primitive(i: int, j: int) -> PointPolynomial:
-    """Two-term cross product of centered coordinates at points i < j."""
-    if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j):
-        raise InvalidSpec(f"shape primitive needs 1 <= i < j, got ({i},{j})")
-    return _shape_poly(i, j)
-
-
-def expand_color_primitive(p: int, q: int, r: int) -> PointPolynomial:
-    """Six-term Leibniz expansion of the channel determinant at p < q < r."""
-    if not (isinstance(p, int) and isinstance(q, int) and isinstance(r, int) and 1 <= p < q < r):
-        raise InvalidSpec(f"color primitive needs 1 <= p < q < r, got ({p},{q},{r})")
-    return _color_poly((p, q, r))
-
-
-# ---------------------------------------------------------------------------
-# core expansion into moment polynomials
 
 
 def expand_core(spec: CoreSpec) -> MomentPolynomial:
@@ -283,24 +199,24 @@ def expand_core(spec: CoreSpec) -> MomentPolynomial:
     not touch contribute the area moment (all-zero index). The result is
     canonical: identical specs yield identical polynomials.
     """
-    poly: PointPolynomial = {(): 1}
+    width = spec.width
+    poly = {(0,) * (5 * width): 1}
     for i, j, exp in spec.shape_factors:
-        factor = expand_shape_primitive(i, j)
+        # x_i y_j - x_j y_i
+        factor = {_monomial(width, (i, _X), (j, _Y)): 1, _monomial(width, (j, _X), (i, _Y)): -1}
         for _ in range(exp):
             poly = _poly_mul(poly, factor)
     for p, q, r, exp in spec.color_triples:
-        factor = expand_color_primitive(p, q, r)
+        # the channel determinant's six Leibniz terms
+        leibniz = zip(permutations((p, q, r)), _PERM_SIGNS)
+        factor = {_monomial(width, (a, _R), (b, _G), (c, _B)): sign for (a, b, c), sign in leibniz}
         for _ in range(exp):
             poly = _poly_mul(poly, factor)
 
-    width = spec.width
     acc: dict[tuple[MomentIndex, ...], int] = {}
     for mono, coeff in poly.items():
-        exps = {pt: [0, 0, 0, 0, 0] for pt in range(1, width + 1)}
-        for var, e in mono:
-            exps[var.point][VAR_KINDS.index(var.kind)] += e
-        factors = tuple(sorted(MomentIndex(*exps[pt]) for pt in exps))
-        acc[factors] = acc.get(factors, 0) + coeff
+        key = tuple(sorted(MomentIndex(*mono[s : s + 5]) for s in range(0, len(mono), 5)))
+        acc[key] = acc.get(key, 0) + coeff
 
     terms = tuple(
         MonomialTerm(coeff, factors) for factors, coeff in sorted(acc.items()) if coeff != 0
@@ -333,7 +249,7 @@ def normalization_exponents(spec: CoreSpec) -> tuple[Fraction, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the 50-instance catalogue
+# the 25-instance catalogue
 
 # one row per instance: (color triple, ((i, j, exponent), ...))
 # Factor point pairs are normalized to increasing order, which at most flips
@@ -373,33 +289,16 @@ _CATALOGUE: tuple[tuple[tuple[int, int, int], tuple[tuple[int, int, int], ...]],
 
 @lru_cache(maxsize=1)
 def catalogue_specs() -> tuple[InvariantSpec, ...]:
-    """All 50 instances: ids 1..25 with k=0 followed by ids 1..25 with k=1.
+    """The 25 instances, ids 1..25.
 
-    The k=1 instances reuse the k=0 polynomials unchanged; only the moment
-    table they are evaluated on differs.
+    Each instance gives two features, one per moment table: feature entry
+    25*k + id - 1 is instance ``id`` evaluated on the k table.
     """
-    numerators = []
-    for triple, shape in _CATALOGUE:
-        core = CoreSpec(shape_factors=shape, color_triples=((*triple, 1),), k=0)
-        numerators.append((core, expand_core(core)))
-
     specs = []
-    for k in (0, 1):
-        for row_id, ((triple, shape), (core0, numerator)) in enumerate(
-            zip(_CATALOGUE, numerators), start=1
-        ):
-            source = CoreSpec(shape_factors=shape, color_triples=((*triple, 1),), k=k)
-            e, denom_exp = normalization_exponents(source)
-            specs.append(
-                InvariantSpec(
-                    id=row_id,
-                    k=k,
-                    numerator=numerator,
-                    area_exponent=e,
-                    denom_exponent=denom_exp,
-                    source=source,
-                )
-            )
+    for row_id, (triple, shape) in enumerate(_CATALOGUE, start=1):
+        source = CoreSpec(shape_factors=shape, color_triples=((*triple, 1),))
+        e, denom_exp = normalization_exponents(source)
+        specs.append(InvariantSpec(row_id, expand_core(source), e, denom_exp, source))
     return tuple(specs)
 
 
@@ -411,40 +310,6 @@ def serialize_polynomial(poly: MomentPolynomial) -> str:
     """One term per line: ``<coeff> <p,q,a,b,g> <p,q,a,b,g> ...``."""
     lines = []
     for term in poly.terms:
-        parts = [str(term.coefficient)] + [f.text() for f in term.factors]
+        parts = [str(term.coefficient)] + [",".join(str(e) for e in f) for f in term.factors]
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_polynomial(text: str) -> MomentPolynomial:
-    """Inverse of :func:`serialize_polynomial`; round-trips exactly.
-
-    Terms are re-canonicalized on input, so reordered or duplicated lines
-    still parse to the same polynomial.
-    """
-    acc: dict[tuple[MomentIndex, ...], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            coeff = int(tokens[0])
-        except ValueError:
-            raise ParseError(f"bad coefficient {tokens[0]!r}", lineno) from None
-        factors = []
-        for tok in tokens[1:]:
-            fields = tok.split(",")
-            if len(fields) != 5:
-                raise ParseError(f"index {tok!r} must have 5 comma-separated entries", lineno)
-            try:
-                exps = [int(x) for x in fields]
-            except ValueError:
-                raise ParseError(f"non-integer exponent in {tok!r}", lineno) from None
-            if any(e < 0 for e in exps):
-                raise ParseError(f"negative exponent in {tok!r}", lineno)
-            factors.append(MomentIndex(*exps))
-        key = tuple(sorted(factors))
-        acc[key] = acc.get(key, 0) + coeff
-    terms = tuple(MonomialTerm(c, f) for f, c in sorted(acc.items()) if c != 0)
-    return MomentPolynomial(terms)

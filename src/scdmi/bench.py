@@ -11,7 +11,7 @@ around per-dimension median magnitudes.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +235,34 @@ def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# dataset rules, each checked on labels and splits alone, so that a manifest
+# is checked before any of its images is read
+
+
+def check_classes(labels: Sequence[str]) -> None:
+    """A dataset needs at least 2 classes."""
+    if len(set(labels)) < 2:
+        raise ValueError("dataset needs at least 2 classes")
+
+
+def check_splits(labels: np.ndarray, splits: np.ndarray) -> None:
+    """Classification needs every class in both the train and the test split."""
+    if "train" not in splits or "test" not in splits:
+        raise ValueError("classification needs nonempty train and test splits")
+    for label in np.unique(labels):
+        sel = splits[labels == label]
+        if "train" not in sel or "test" not in sel:
+            raise ValueError(f"class {str(label)!r} missing from one split")
+
+
+def check_members(labels: np.ndarray) -> None:
+    """Retrieval needs at least 2 members in every class."""
+    for label in np.unique(labels):
+        if int(np.sum(labels == label)) < 2:
+            raise ValueError(f"class {str(label)!r} needs at least 2 members for retrieval")
+
+
+# ---------------------------------------------------------------------------
 # feature extraction over datasets
 
 
@@ -294,8 +322,7 @@ def featurize(items: Iterable[LabeledImage]) -> Features:
         labels.append(label)
         splits.append(split)
         rows.append(descriptor_rows(img))
-    if len(set(labels)) < 2:
-        raise ValueError("dataset needs at least 2 classes")
+    check_classes(labels)
     matrices = {
         kind: (np.array([r[kind][0] for r in rows]), np.array([r[kind][1] for r in rows]))
         for kind in ALL_KINDS
@@ -310,14 +337,9 @@ def featurize(items: Iterable[LabeledImage]) -> Features:
 def knn_classify(distances: np.ndarray, labels: np.ndarray, splits: np.ndarray) -> float:
     """1-nearest-neighbor accuracy of test items against train items, from
     the all-pairs ``distances`` of chi2_matrix."""
+    check_splits(labels, splits)
     train = np.nonzero(splits == "train")[0]
     test = np.nonzero(splits == "test")[0]
-    if train.size == 0 or test.size == 0:
-        raise ValueError("classification needs nonempty train and test splits")
-    for label in np.unique(labels):
-        sel = splits[labels == label]
-        if "train" not in sel or "test" not in sel:
-            raise ValueError(f"class {label!r} missing from one split")
     codes = np.unique(labels, return_inverse=True)[1]
     d = distances[np.ix_(test, train)]
     nearest = train[np.argmin(d, axis=1)]
@@ -327,9 +349,7 @@ def knn_classify(distances: np.ndarray, labels: np.ndarray, splits: np.ndarray) 
 def precision_recall(distances: np.ndarray, labels: np.ndarray) -> PRCurve:
     """Leave-one-out retrieval over the all-pairs ``distances`` of
     chi2_matrix, interpolated precision averaged over queries."""
-    for label in np.unique(labels):
-        if int(np.sum(labels == label)) < 2:
-            raise ValueError(f"class {label!r} needs at least 2 members for retrieval")
+    check_members(labels)
     codes = np.unique(labels, return_inverse=True)[1]
     n = len(labels)
     recall_levels = np.linspace(0.0, 1.0, PR_LEVELS)

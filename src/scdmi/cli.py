@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  gen       dump the 50 instance polynomials, the shared denominator and a
-            manifest CSV
+  gen       dump the 25 instance polynomials once per k, the shared
+            denominator and a manifest CSV
   features  evaluate the 50-entry feature vector on P6 PPM images
   verify    run the oracle-equivalence, channel-exactness, scaling and
             degeneracy suites
@@ -24,7 +24,15 @@ import numpy as np
 
 from . import __version__
 from .algebra import denominator_polynomial, serialize_polynomial, catalogue_specs
-from .bench import ALL_KINDS, LabeledImage, classification_class, featurize, run_benchmark
+from .bench import (
+    ALL_KINDS,
+    LabeledImage,
+    check_classes,
+    check_splits,
+    classification_class,
+    featurize,
+    run_benchmark,
+)
 from .engine import scdmi50
 from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
@@ -39,29 +47,29 @@ def _ensure_out(path_str: str) -> Path:
 def cmd_gen(args) -> int:
     out = _ensure_out(args.out)
     specs = catalogue_specs()
-    for spec in specs:
-        (out / f"scdmi_k{spec.k}_{spec.id}.poly").write_text(
-            serialize_polynomial(spec.numerator)
-        )
+    for k in (0, 1):
+        for spec in specs:
+            (out / f"scdmi_k{k}_{spec.id}.poly").write_text(serialize_polynomial(spec.numerator))
     (out / "denominator.poly").write_text(serialize_polynomial(denominator_polynomial()))
     with (out / "manifest.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "k", "n", "m", "N", "M", "e", "term_count"])
-        for spec in specs:
-            src = spec.source
-            w.writerow(
-                [
-                    spec.id,
-                    spec.k,
-                    src.shape_point_count,
-                    src.shape_degree,
-                    src.color_point_count,
-                    src.color_degree,
-                    str(spec.area_exponent),
-                    len(spec.numerator),
-                ]
-            )
-    print(f"wrote {len(specs) + 1} polynomial files and manifest.csv to {out}")
+        for k in (0, 1):
+            for spec in specs:
+                src = spec.source
+                w.writerow(
+                    [
+                        spec.id,
+                        k,
+                        src.shape_point_count,
+                        src.shape_degree,
+                        src.color_point_count,
+                        src.color_degree,
+                        str(spec.area_exponent),
+                        len(spec.numerator),
+                    ]
+                )
+    print(f"wrote {2 * len(specs) + 1} polynomial files and manifest.csv to {out}")
     return 0
 
 
@@ -108,8 +116,8 @@ def cmd_verify(args) -> int:
 
 
 def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
-    """(image path, label, split) of every row, each row checked before any
-    image is read."""
+    """(image path, label, split) of every row. Each row, and the dataset
+    rules over all labels and splits, are checked before any image is read."""
     rows = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -124,6 +132,11 @@ def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
             if split not in ("train", "test"):
                 raise ValueError(f"{path}:{lineno}: split must be train or test, got {split!r}")
             rows.append((str(path.parent / rel), label, split))
+    labels = np.array([label for _, label, _ in rows])
+    splits = np.array([split for _, _, split in rows])
+    check_classes(labels)
+    # a class in both splits has 2 members, so retrieval's rule holds too
+    check_splits(labels, splits)
     return rows
 
 

@@ -111,7 +111,7 @@ class RasterImage:
 
 @dataclass
 class FeatureVector:
-    """The 50 invariant values (ids 1..25 at k=0 then k=1) plus validity."""
+    """The 50 invariant values plus validity: entry 25*k + id - 1 is instance id on table k."""
 
     values: np.ndarray
     valid: np.ndarray
@@ -294,7 +294,7 @@ def _cpu_count() -> int:
 
 
 def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
-    """The k=0 and k=1 moment vectors used by the 50-instance evaluation.
+    """The k=0 and k=1 moment vectors used by the 50-feature evaluation.
 
     The k=1 vector is computed on the stencil-eroded mask with its own
     centroid; it is None when erosion empties the mask. When the mask holds
@@ -426,7 +426,7 @@ def compiled_catalogue() -> CompiledCatalogue:
     The moments are m00, the pixel count, then exactly the indices that some
     term reads, in sorted order.
     """
-    shared = catalogue_specs()[:25]
+    shared = catalogue_specs()
     polys = [spec.numerator for spec in shared] + [denominator_polynomial()]
     terms = [t for poly in polys for t in poly.terms]
     indices = (MomentIndex(0, 0, 0, 0, 0), *sorted({f for t in terms for f in t.factors}))
@@ -497,7 +497,7 @@ def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scdmi50(img: RasterImage) -> FeatureVector:
-    """Evaluate all 50 catalogued invariants on one image.
+    """Evaluate the 25 catalogued invariants on both moment tables of one image.
 
     Entries 1..25 come from the k=0 table and 26..50 from the k=1 table;
     the k=1 entries are invalid when stencil erosion empties the mask. The

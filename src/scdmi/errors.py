@@ -9,14 +9,6 @@ class InvalidSpec(ScdmiError, ValueError):
     """A core or invariant specification violates its structural rules."""
 
 
-class ParseError(ScdmiError, ValueError):
-    """Malformed polynomial text. Carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class EmptyDomain(ScdmiError, ValueError):
     """No masked pixels to integrate over."""
 

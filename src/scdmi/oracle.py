@@ -113,9 +113,9 @@ def _normalizer(dom: _Domain) -> float | None:
     return d2 if d2 > degeneracy_floor(float(dom.size), squares) else None
 
 
-def brute_force_core_integral(img: RasterImage, spec: CoreSpec) -> float:
-    """Nested summation of the core over all masked point tuples."""
-    return _core_sum(_Domain(img, spec.k, spec.width), spec)
+def brute_force_core_integral(img: RasterImage, spec: CoreSpec, k: int) -> float:
+    """Nested summation of the core over all point tuples of the k domain."""
+    return _core_sum(_Domain(img, k, spec.width), spec)
 
 
 def brute_force_features(img: RasterImage) -> FeatureVector:
@@ -140,9 +140,8 @@ def brute_force_features(img: RasterImage) -> FeatureVector:
         d2 = _normalizer(dom)
         if d2 is None:
             continue
-        for pos, spec in enumerate(specs):
-            if spec.k == k:
-                numer = _core_sum(dom, spec.source)
-                values[pos] = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
-                valid[pos] = True
+        for pos, spec in enumerate(specs, start=25 * k):
+            numer = _core_sum(dom, spec.source)
+            values[pos] = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
+            valid[pos] = True
     return FeatureVector(values, valid)

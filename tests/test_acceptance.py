@@ -60,7 +60,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_worked_polynomial_reproduction():
     from scdmi.algebra import denominator_polynomial
 
-    spec3 = next(s for s in catalogue_specs() if s.id == 3 and s.k == 0)
+    spec3 = next(s for s in catalogue_specs() if s.id == 3)
     num = [(t.coefficient, tuple(tuple(f) for f in t.factors)) for t in spec3.numerator.terms]
     den = [
         (t.coefficient, tuple(tuple(f) for f in t.factors))
@@ -205,15 +205,15 @@ def test_criterion_9_sign_covariance():
     # even color degree: a custom quadratic-color core must be unchanged. It
     # lies outside the catalogue, so the oracle sums it, on an image small
     # enough for the oracle's tuple guard
-    even_core = CoreSpec(shape_factors=((1, 2, 2),), color_triples=((1, 2, 3, 2),), k=0)
-    d2_core = CoreSpec(color_triples=((1, 2, 3, 2),), k=0)
+    even_core = CoreSpec(shape_factors=((1, 2, 2),), color_triples=((1, 2, 3, 2),))
+    d2_core = CoreSpec(color_triples=((1, 2, 3, 2),))
     e, dexp = normalization_exponents(even_core)
     small = blob_image(23, size=12)
     even = []
     for im in (small, apply_color_affine(small, flip)):
         n = float(np.count_nonzero(im.mask))
-        d2 = brute_force_core_integral(im, d2_core)
-        even.append(brute_force_core_integral(im, even_core) / (n ** float(e) * d2 ** float(dexp)))
+        d2 = brute_force_core_integral(im, d2_core, 0)
+        even.append(brute_force_core_integral(im, even_core, 0) / (n ** float(e) * d2 ** float(dexp)))
     va, vb = even
     worst_even = abs(vb - va) / max(abs(va), 1e-12)
     ok = worst_odd <= 1e-9 and worst_even <= 1e-9 and va != 0.0

@@ -1,89 +1,36 @@
+import hashlib
+from collections import Counter
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdmi.algebra import (
+    _PERM_SIGNS,
     CoreSpec,
     MomentIndex,
     MomentPolynomial,
     MonomialTerm,
-    PointVar,
-    _color_poly,
-    _poly_neg,
-    _shape_poly,
     denominator_polynomial,
-    expand_color_primitive,
     expand_core,
-    expand_shape_primitive,
     normalization_exponents,
-    parse_polynomial,
     serialize_polynomial,
     catalogue_specs,
 )
 from scdmi.engine import compiled_catalogue, core_sums
-from scdmi.errors import InvalidSpec, ParseError
+from scdmi.errors import InvalidSpec
 from fractions import Fraction
 
 
-def mono(*vars_exps):
-    return tuple(sorted((PointVar(p, k), e) for p, k, e in vars_exps))
-
-
-class TestPrimitives:
-    def test_shape_primitive_12(self):
-        poly = expand_shape_primitive(1, 2)
-        assert poly == {
-            mono((1, "X", 1), (2, "Y", 1)): 1,
-            mono((2, "X", 1), (1, "Y", 1)): -1,
-        }
-
-    def test_shape_primitive_13(self):
-        poly = expand_shape_primitive(1, 3)
-        assert poly == {
-            mono((1, "X", 1), (3, "Y", 1)): 1,
-            mono((3, "X", 1), (1, "Y", 1)): -1,
-        }
-
-    @pytest.mark.parametrize("pair", [(2, 2), (3, 1), (0, 1)])
-    def test_shape_primitive_rejects_bad_pairs(self, pair):
-        with pytest.raises(InvalidSpec):
-            expand_shape_primitive(*pair)
-
-    def test_color_primitive_123(self):
-        poly = expand_color_primitive(1, 2, 3)
-        expected = {
-            mono((1, "R", 1), (2, "G", 1), (3, "B", 1)): 1,
-            mono((1, "R", 1), (3, "G", 1), (2, "B", 1)): -1,
-            mono((2, "R", 1), (1, "G", 1), (3, "B", 1)): -1,
-            mono((2, "R", 1), (3, "G", 1), (1, "B", 1)): 1,
-            mono((3, "R", 1), (1, "G", 1), (2, "B", 1)): 1,
-            mono((3, "R", 1), (2, "G", 1), (1, "B", 1)): -1,
-        }
-        assert poly == expected
-
-    def test_color_primitive_124_relabels_column(self):
-        p123 = expand_color_primitive(1, 2, 3)
-        p124 = expand_color_primitive(1, 2, 4)
-        relabeled = {
-            tuple(sorted(((PointVar(4 if v.point == 3 else v.point, v.kind), e) for v, e in m))): c
-            for m, c in p123.items()
-        }
-        assert p124 == relabeled
-
-    @pytest.mark.parametrize("triple", [(1, 1, 2), (2, 1, 3), (1, 3, 3)])
-    def test_color_primitive_rejects_bad_triples(self, triple):
-        with pytest.raises(InvalidSpec):
-            expand_color_primitive(*triple)
-
-    @pytest.mark.parametrize("swap", [(0, 1), (0, 2), (1, 2)])
-    def test_determinant_antisymmetry(self, swap):
-        cols = [1, 2, 3]
-        cols[swap[0]], cols[swap[1]] = cols[swap[1]], cols[swap[0]]
-        assert _color_poly(tuple(cols)) == _poly_neg(_color_poly((1, 2, 3)))
-
-    def test_shape_antisymmetry(self):
-        assert _shape_poly(2, 1) == _poly_neg(_shape_poly(1, 2))
+def test_perm_signs_are_permutation_parities():
+    # the expansion and the oracle both read the determinant's signs from this tuple
+    perms = list(permutations((0, 1, 2)))
+    assert len(_PERM_SIGNS) == len(perms)
+    for perm, sign in zip(perms, _PERM_SIGNS):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        assert sign == (-1) ** inversions
 
 
 class TestCoreSpec:
@@ -94,18 +41,14 @@ class TestCoreSpec:
         assert spec.color_point_count == 3
         assert spec.color_degree == 1
         assert spec.width == 3
-        assert spec.shape_multiplicities() == {1: 3, 2: 1, 3: 2}
-        assert spec.color_multiplicities() == {1: 1, 2: 1, 3: 1}
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpec):
-            CoreSpec(shape_factors=((2, 2, 1),))
-        with pytest.raises(InvalidSpec):
-            CoreSpec(shape_factors=((1, 2, 0),))
-        with pytest.raises(InvalidSpec):
-            CoreSpec(color_triples=((1, 1, 2, 1),))
-        with pytest.raises(InvalidSpec):
-            CoreSpec(k=2)
+        for shape in [(2, 2, 1), (3, 1, 1), (0, 1, 1), (1, 2, 0)]:
+            with pytest.raises(InvalidSpec):
+                CoreSpec(shape_factors=(shape,))
+        for triple in [(1, 1, 2, 1), (2, 1, 3, 1), (1, 3, 3, 1), (1, 2, 3, 0)]:
+            with pytest.raises(InvalidSpec):
+                CoreSpec(color_triples=(triple,))
 
 
 WORKED_NUMERATOR = [
@@ -157,6 +100,15 @@ class TestExpandCore:
         spec = CoreSpec(shape_factors=((1, 2, 2), (2, 3, 1)), color_triples=((1, 2, 3, 1),))
         assert expand_core(spec) == expand_core(spec)
 
+    def test_catalogue_expansion_is_pinned(self):
+        # the 25 numerators in id order, then the quadratic core, as scdmi gen writes them
+        polys = [s.numerator for s in catalogue_specs()] + [denominator_polynomial()]
+        assert sum(len(p) for p in polys) == 2207
+        text = "".join(serialize_polynomial(p) for p in polys)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "20cc1658869cb161105628298980bf7b8de8939ea5b9a117357c33a66e17c5cc"
+        )
+
     def test_integer_coefficients_and_sorted_terms(self):
         for spec in catalogue_specs():
             factors_seen = set()
@@ -188,11 +140,8 @@ class TestNormalization:
 
 
 class TestCatalogue:
-    def test_fifty_specs_in_order(self):
-        specs = catalogue_specs()
-        assert len(specs) == 50
-        assert [s.k for s in specs] == [0] * 25 + [1] * 25
-        assert [s.id for s in specs] == list(range(1, 26)) * 2
+    def test_twenty_five_specs_in_order(self):
+        assert [s.id for s in catalogue_specs()] == list(range(1, 26))
 
     def test_row1_and_row16_definitions(self):
         specs = catalogue_specs()
@@ -201,17 +150,6 @@ class TestCatalogue:
         assert specs[15].source.shape_factors == ((1, 2, 1), (2, 3, 1), (3, 4, 2), (1, 4, 1))
         assert specs[15].source.color_triples == ((1, 3, 4, 1),)
 
-    def test_k1_mirrors_k0(self):
-        specs = catalogue_specs()
-        for s0, s1 in zip(specs[:25], specs[25:]):
-            assert s0.id == s1.id
-            assert s1.k == 1
-            assert s0.source.shape_factors == s1.source.shape_factors
-            assert s0.source.color_triples == s1.source.color_triples
-            assert s1.numerator is s0.numerator
-            assert s1.area_exponent == s0.area_exponent
-            assert s1.denom_exponent == s0.denom_exponent
-
     def test_index_bounds(self):
         for spec in catalogue_specs():
             for idx in spec.numerator.indices():
@@ -219,7 +157,7 @@ class TestCatalogue:
                 assert idx.alpha + idx.beta + idx.gamma <= 1
         for idx in denominator_polynomial().indices():
             assert idx.alpha + idx.beta + idx.gamma == 2
-        # the engine sums m00, then exactly the moments some term of either k reads
+        # the engine sums m00, then exactly the moments some term reads
         read = denominator_polynomial().indices().union(*(s.numerator.indices() for s in catalogue_specs()))
         m00 = MomentIndex(0, 0, 0, 0, 0)
         assert m00 not in read
@@ -231,8 +169,14 @@ class TestCatalogue:
         # vanish on mirror-symmetric domains; degree 1 vanishes everywhere
         for spec in catalogue_specs():
             assert len(spec.numerator) > 0
-            d = spec.source.shape_multiplicities()
-            big_d = spec.source.color_multiplicities()
+            # d[pt], big_d[pt]: shape and color primitives that touch point pt
+            d, big_d = Counter(), Counter()
+            for i, j, exp in spec.source.shape_factors:
+                d[i] += exp
+                d[j] += exp
+            for *points, exp in spec.source.color_triples:
+                for pt in points:
+                    big_d[pt] += exp
             for pt in range(1, spec.source.width + 1):
                 assert big_d[pt] >= 1 or d[pt] % 2 == 0
 
@@ -246,10 +190,29 @@ class TestCatalogue:
             assert spec.denom_exponent == Fraction(src.color_degree, 2)
 
     def test_distinct_numerators(self):
-        polys = [s.numerator for s in catalogue_specs()[:25]]
+        polys = [s.numerator for s in catalogue_specs()]
         for i in range(len(polys)):
             for j in range(i + 1, len(polys)):
                 assert polys[i] != polys[j]
+
+    @pytest.mark.xfail(strict=True, reason="row 23 is row 22 with points 3 and 4 swapped")
+    def test_no_row_is_another_relabeled(self):
+        # a relabeling of the integration points maps a core onto the same
+        # integral, so a row that relabels to another row, or to its negative,
+        # duplicates that instance; the sign is not tracked
+        def relabeled(core, perm):
+            shape = sorted((*sorted((perm[i - 1], perm[j - 1])), e) for i, j, e in core.shape_factors)
+            color = sorted((*sorted(perm[p - 1] for p in f[:3]), f[3]) for f in core.color_triples)
+            return shape, color
+
+        cores = [s.source for s in catalogue_specs()]
+        duplicates = [
+            (a + 1, b + 1, perm)
+            for a, b in combinations(range(len(cores)), 2)
+            for perm in permutations((1, 2, 3, 4))
+            if relabeled(cores[a], perm) == relabeled(cores[b], (1, 2, 3, 4))
+        ]
+        assert duplicates == []
 
 
 class TestSerialization:
@@ -267,36 +230,6 @@ class TestSerialization:
             )
         )
         assert serialize_polynomial(poly) == "6 0,2,0,0,1 1,1,0,1,0 2,0,1,0,0\n"
-
-    def test_round_trip_catalogue(self):
-        for spec in catalogue_specs():
-            text = serialize_polynomial(spec.numerator)
-            assert parse_polynomial(text) == spec.numerator
-
-    @pytest.mark.parametrize(
-        "text", ["x 1,2", "1 1,2", "1 1,2,3,4,x", "1 1,2,3,4,-1"]
-    )
-    def test_parse_errors_carry_line_numbers(self, text):
-        with pytest.raises(ParseError) as err:
-            parse_polynomial("6 0,0,0,0,2\n" + text)
-        assert err.value.line == 2
-
-
-indices = st.tuples(
-    st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)
-).map(lambda t: MomentIndex(*t))
-terms = st.tuples(st.integers(-50, 50).filter(bool), st.lists(indices, min_size=1, max_size=3))
-polys = st.lists(terms, min_size=0, max_size=6).map(
-    lambda ts: parse_polynomial(
-        "\n".join(f"{c} " + " ".join(i.text() for i in f) for c, f in ts)
-    )
-)
-
-
-@given(polys)
-@settings(max_examples=200)
-def test_round_trip_random_polynomials(poly):
-    assert parse_polynomial(serialize_polynomial(poly)) == poly
 
 
 @given(

@@ -280,6 +280,21 @@ class TestBenchCommand:
         rc = main(["bench", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["c0,train", "c0,test", "c0,test"], "dataset needs at least 2 classes"),
+            (["c0,train", "c0,test", "c1,train", "c1,train"], "class 'c1' missing from one split"),
+        ],
+        ids=["one-class", "split"],
+    )
+    def test_manifest_rules_apply_before_any_read(self, tmp_path, capsys, rows, message):
+        # none of the named PPMs exists: the dataset rule reports, not the first read
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("".join(f"missing{i}.ppm,{row}\n" for i, row in enumerate(rows)))
+        assert main(["bench", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bench_without_dataset_is_usage_error(self, tmp_path):
         # neither a manifest nor --synthetic, or both: the manifest is never silently ignored
         manifest = tmp_path / "m.csv"
