@@ -190,6 +190,17 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _shape_factor(width: int, i: int, j: int) -> dict:
+    """x_i y_j - x_j y_i"""
+    return {_monomial(width, (i, _X), (j, _Y)): 1, _monomial(width, (j, _X), (i, _Y)): -1}
+
+
+def _color_factor(width: int, p: int, q: int, r: int) -> dict:
+    """The channel determinant of points p, q, r as its six Leibniz terms."""
+    leibniz = zip(permutations((p, q, r)), _PERM_SIGNS)
+    return {_monomial(width, (a, _R), (b, _G), (c, _B)): sign for (a, b, c), sign in leibniz}
+
+
 def expand_core(spec: CoreSpec) -> MomentPolynomial:
     """Multiply out all primitives of a core and factorize point by point.
 
@@ -202,14 +213,11 @@ def expand_core(spec: CoreSpec) -> MomentPolynomial:
     width = spec.width
     poly = {(0,) * (5 * width): 1}
     for i, j, exp in spec.shape_factors:
-        # x_i y_j - x_j y_i
-        factor = {_monomial(width, (i, _X), (j, _Y)): 1, _monomial(width, (j, _X), (i, _Y)): -1}
+        factor = _shape_factor(width, i, j)
         for _ in range(exp):
             poly = _poly_mul(poly, factor)
     for p, q, r, exp in spec.color_triples:
-        # the channel determinant's six Leibniz terms
-        leibniz = zip(permutations((p, q, r)), _PERM_SIGNS)
-        factor = {_monomial(width, (a, _R), (b, _G), (c, _B)): sign for (a, b, c), sign in leibniz}
+        factor = _color_factor(width, p, q, r)
         for _ in range(exp):
             poly = _poly_mul(poly, factor)
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from scdmi.algebra import (
     _PERM_SIGNS,
+    _color_factor,
+    _shape_factor,
     CoreSpec,
     MomentIndex,
     MomentPolynomial,
@@ -33,6 +35,31 @@ def test_perm_signs_are_permutation_parities():
         assert sign == (-1) ** inversions
 
 
+def _neg(factor: dict) -> dict:
+    return {m: -c for m, c in factor.items()}
+
+
+class TestPrimitives:
+    @pytest.mark.parametrize("pair", [(2, 2), (3, 1), (0, 1)])
+    def test_shape_primitive_rejects_bad_pairs(self, pair):
+        with pytest.raises(InvalidSpec):
+            CoreSpec(shape_factors=((*pair, 1),))
+
+    @pytest.mark.parametrize("triple", [(1, 1, 2), (2, 1, 3), (1, 3, 3)])
+    def test_color_primitive_rejects_bad_triples(self, triple):
+        with pytest.raises(InvalidSpec):
+            CoreSpec(color_triples=((*triple, 1),))
+
+    @pytest.mark.parametrize("swap", [(0, 1), (0, 2), (1, 2)])
+    def test_determinant_antisymmetry(self, swap):
+        cols = [1, 2, 3]
+        cols[swap[0]], cols[swap[1]] = cols[swap[1]], cols[swap[0]]
+        assert _color_factor(3, *cols) == _neg(_color_factor(3, 1, 2, 3))
+
+    def test_shape_antisymmetry(self):
+        assert _shape_factor(2, 2, 1) == _neg(_shape_factor(2, 1, 2))
+
+
 class TestCoreSpec:
     def test_derived_counts(self):
         spec = CoreSpec(shape_factors=((1, 2, 1), (1, 3, 2)), color_triples=((1, 2, 3, 1),))
@@ -43,12 +70,11 @@ class TestCoreSpec:
         assert spec.width == 3
 
     def test_invalid_specs(self):
-        for shape in [(2, 2, 1), (3, 1, 1), (0, 1, 1), (1, 2, 0)]:
-            with pytest.raises(InvalidSpec):
-                CoreSpec(shape_factors=(shape,))
-        for triple in [(1, 1, 2, 1), (2, 1, 3, 1), (1, 3, 3, 1), (1, 2, 3, 0)]:
-            with pytest.raises(InvalidSpec):
-                CoreSpec(color_triples=(triple,))
+        # bad point orders are covered by TestPrimitives
+        with pytest.raises(InvalidSpec):
+            CoreSpec(shape_factors=((1, 2, 0),))
+        with pytest.raises(InvalidSpec):
+            CoreSpec(color_triples=((1, 2, 3, 0),))
 
 
 WORKED_NUMERATOR = [
