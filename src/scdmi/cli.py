@@ -38,6 +38,23 @@ from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
 
 
+#: the smallest --size that runs: scdmi50 rejects every image under 5x5 pixels
+MIN_SYNTHETIC_SIZE = 5
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int of at least low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _ensure_out(path_str: str) -> Path:
     out = Path(path_str)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     dataset = p_bench.add_mutually_exclusive_group(required=True)
     dataset.add_argument("manifest", nargs="?", help="dataset manifest CSV (path,label,split)")
     dataset.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
-    p_bench.add_argument("--classes", type=int, default=10)
-    p_bench.add_argument("--transforms", type=int, default=20)
-    p_bench.add_argument("--size", type=int, default=96)
+    p_bench.add_argument("--classes", type=_int_at_least(2), default=10)
+    p_bench.add_argument("--transforms", type=_int_at_least(1), default=20)
+    p_bench.add_argument("--size", type=_int_at_least(MIN_SYNTHETIC_SIZE), default=96)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--clamp", action="store_true", help="clamp transformed channels to [0,1]")
     p_bench.add_argument("--out", default="scdmi_out")

@@ -302,3 +302,22 @@ class TestBenchCommand:
         for inputs in ([], [str(manifest), "--synthetic"]):
             assert main(["bench", *inputs, "--out", str(tmp_path / "o")]) == 2
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--classes", "1"], ["--classes", "0"], ["--classes", "-1"], ["--transforms", "0"],
+         ["--size", "4"], ["--size", "0"]],
+        ids=["classes1", "classes0", "classes-1", "transforms0", "size4", "size0"],
+    )
+    def test_synthetic_bounds_are_usage_errors(self, tmp_path, capsys, monkeypatch, option):
+        # rejected while parsing: no output directory, no class generated
+        calls = []
+        monkeypatch.setattr(cli_mod, "classification_class", lambda *args: calls.append(args) or [])
+        assert main(["bench", "--synthetic", *option, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        assert calls == []
+        assert f"argument {option[0]}: must be at least" in capsys.readouterr().err
+
+    def test_smallest_synthetic_size_runs(self, tmp_path):
+        args = ["bench", "--synthetic", "--classes", "2", "--transforms", "1", "--seed", "1"]
+        assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(tmp_path)]) == 0

@@ -667,6 +667,25 @@ def test_features_do_not_depend_on_blas_threads():
     assert len(runs[0]) == 2 and runs[0] == runs[1]
 
 
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].find("openblas") < 0,
+    reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
+)
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    # the oracle sums its last point with np.matmul: scdmi verify writes the
+    # same report byte for byte whatever the number of BLAS threads, each
+    # thread count in a fresh process
+    src = str(Path(engine.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = tmp_path / f"threads{threads}"
+        cmd = [sys.executable, "-m", "scdmi.cli", "verify", "--seed", "3", "--out", str(out)]
+        subprocess.run(cmd, env=env, capture_output=True, check=True)
+        reports.append((out / "verify.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # moment_tables: the k=1 pass beside the k=0 pass on masks of more than a leaf
 
