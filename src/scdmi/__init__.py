@@ -31,6 +31,7 @@ from .engine import (
 )
 from .errors import (
     EmptyDomain,
+    InvalidImage,
     InvalidSpec,
     ScdmiError,
     Singular,

@@ -38,8 +38,12 @@ from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
 
 
-#: the smallest --size that runs: scdmi50 rejects every image under 5x5 pixels
-MIN_SYNTHETIC_SIZE = 5
+#: the smallest --size whose every warped mask keeps a pixel. A bench warp's
+#: smallest singular value is at least sqrt(0.65 / 2) ~ 0.570, and it fixes
+#: the frame centre, so the output pixel nearest the centre reads bilinear
+#: taps within 1.754 * sqrt(2) / 2 + sqrt(2) ~ 2.66 px of it; the mask disk's
+#: radius, 0.26 * size, is at least that from size 11 up
+MIN_SYNTHETIC_SIZE = 11
 
 
 def _int_at_least(low: int):

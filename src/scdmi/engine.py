@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MomentIndex, denominator_polynomial, catalogue_specs
-from .errors import EmptyDomain, TooSmall
+from .errors import EmptyDomain, InvalidImage, TooSmall
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
@@ -85,7 +85,7 @@ class RasterImage:
         self.mask = np.asarray(self.mask, dtype=bool)
         shapes = {self.red.shape, self.green.shape, self.blue.shape, self.mask.shape}
         if len(shapes) != 1 or self.red.ndim != 2:
-            raise ValueError("channel planes and mask must share one 2-D shape")
+            raise InvalidImage("channel planes and mask must share one 2-D shape")
 
     @property
     def height(self) -> int:
@@ -103,7 +103,7 @@ class RasterImage:
         """Build from an (H, W, 3) array; mask defaults to all-true."""
         rgb = np.asarray(rgb, dtype=np.float64)
         if rgb.ndim != 3 or rgb.shape[2] != 3:
-            raise ValueError("expected an (H, W, 3) array")
+            raise InvalidImage("expected an (H, W, 3) array")
         if mask is None:
             mask = np.ones(rgb.shape[:2], dtype=bool)
         return cls(rgb[:, :, 0], rgb[:, :, 1], rgb[:, :, 2], mask)

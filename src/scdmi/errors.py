@@ -9,6 +9,10 @@ class InvalidSpec(ScdmiError, ValueError):
     """A core or invariant specification violates its structural rules."""
 
 
+class InvalidImage(ScdmiError, ValueError):
+    """Channel planes and mask do not form one 2-D image."""
+
+
 class EmptyDomain(ScdmiError, ValueError):
     """No masked pixels to integrate over."""
 

@@ -3,24 +3,18 @@
 Cores are evaluated literally as nested sums over all tuples of masked
 pixels, one index per integration point. No moment factorization is
 involved, so agreement with the polynomial path validates the symbolic
-expansion end to end. Centering, the degeneracy floor and the summation
-policy are shared with the engine so that discrepancies isolate the
-expansion logic.
+expansion end to end. Centering and the degeneracy floor are shared with
+the engine so that discrepancies isolate the expansion logic.
 
-A core of t points is summed over its last point t first, then over the
-other t-1 points at once. Each factor is raised to its power over its own
-points: the w x w shape primitive, the w x w x w colour determinant. The
-factors that hold point t give its sum: one such factor is summed along
-its last axis; two form one batched ``np.matmul``, batched over the points
-they share and contracted over t; past two, they are multiplied together
-while their points span fewer than t points. A core whose point t three
-factors still hold (instances 3, 4 and 5) takes one ``np.einsum`` over all
-its factors without contraction reordering, which forms every tuple's
-product and sums point t. The factors without point t then multiply the
-(t-1)-point array of last-point sums, and stable_sum adds its w**(t-1)
-partial sums. Beyond the colour determinant, no array holds more than
-w**(t-1) values. The order of these steps, a core's plan, depends on the
-core alone and is built on the core's first sum.
+A core of t points is one ``np.einsum`` to a scalar, with one subscript per
+point and one operand per factor: the w x w shape primitive or the
+w x w x w colour determinant, raised to the factor's power, over the
+factor's own points, and a vector of ones for each point no factor holds.
+The einsum contracts its operands two at a time in the order of numpy's
+greedy path (``np.einsum_path``, after opt_einsum), which is built for each
+core and domain size on first use. No operand or intermediate of a
+catalogue core holds more than three points, so none holds more than w**3
+values.
 
 Intended for tiny images only; the tuple count is guarded.
 """
@@ -28,8 +22,7 @@ Intended for tiny images only; the tuple count is guarded.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
-from typing import NamedTuple
+from itertools import permutations
 
 import numpy as np
 
@@ -57,87 +50,23 @@ def _subscripts(points: tuple[int, ...]) -> str:
     return "".join(_LABELS[p - 1] for p in points)
 
 
-def _arrange(arr: np.ndarray, points: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """A view of arr, whose axes are its points, with one axis per point of
-    order: arr's points in order's order, length 1 where arr lacks a point."""
-    axes = sorted(range(len(points)), key=lambda a: order.index(points[a]))
-    return arr.transpose(axes).reshape([arr.shape[0] if p in points else 1 for p in order])
-
-
-class _Plan(NamedTuple):
-    """The order in which one core is summed.
-
-    Operands are numbered as in ``points``, the point tuple of each: the
-    factor powers (``factors``, a primitive and exponent each) first, then
-    the product of each ``merges`` pair. Every tuple is sorted, so point t
-    is an operand's last axis. ``holders`` hold point t (for the einsum
-    step, every operand) and give its sum by ``step``, an array whose axes
-    are the points ``summed``; the ``rest`` multiply it into the partial
-    sums, whose axes are the points ``order``.
-    """
-
-    width: int
-    factors: tuple[tuple[str, int], ...]
-    points: tuple[tuple[int, ...], ...]
-    merges: tuple[tuple[int, int], ...]
-    holders: tuple[int, ...]
-    rest: tuple[int, ...]
-    step: str
-    summed: tuple[int, ...]
-    order: tuple[int, ...]
-
-    @property
-    def subscripts(self) -> str:
-        """The sum over point t as einsum subscripts, holders to summed."""
-        inputs = ",".join(_subscripts(self.points[n]) for n in self.holders)
-        return f"{inputs}->{_subscripts(self.summed)}"
-
-
 @lru_cache(maxsize=None)
-def _plan(spec: CoreSpec) -> _Plan:
-    """The summation plan of one core, built on its first use."""
-    t = spec.width
-    points = [(i, j) for i, j, _ in spec.shape_factors] + [(p, q, r) for p, q, r, _ in spec.color_triples]
+def _contraction(spec: CoreSpec, size: int) -> tuple[str, tuple[tuple[str, int], ...], tuple]:
+    """The core as einsum subscripts to a scalar, its factor powers (a
+    primitive and exponent per operand) and numpy's greedy contraction path
+    over a domain of size points; built on first use."""
+    subscripts = [_subscripts((i, j)) for i, j, _ in spec.shape_factors]
+    subscripts += [_subscripts((p, q, r)) for p, q, r, _ in spec.color_triples]
     factors = [("shape", exp) for *_, exp in spec.shape_factors] + [("det", exp) for *_, exp in spec.color_triples]
-    covered = {p for pts in points for p in pts}
-    for p in range(1, t + 1):
-        if p not in covered:
-            points.append((p,))
+    for label in _LABELS[: spec.width]:
+        if label not in "".join(subscripts):
+            subscripts.append(label)
             factors.append(("ones", 1))
-    holders = [n for n, pts in enumerate(points) if t in pts]
-    rest = tuple(n for n, pts in enumerate(points) if t not in pts)
-    # past two holders, multiply two while their points span fewer than t
-    # points: the smallest span first, then the fewest points added to either
-    merges = []
-    while len(holders) > 2:
-        best = None
-        for x, y in combinations(holders, 2):
-            union = tuple(sorted({*points[x], *points[y]}))
-            key = (len(union), len(union) - max(len(points[x]), len(points[y])))
-            if len(union) < t and (best is None or key < best[0]):
-                best = key, x, y, union
-        if best is None:
-            break
-        _, x, y, union = best
-        merges.append((x, y))
-        holders = [n for n in holders if n not in (x, y)] + [len(points)]
-        points.append(union)
-    if len(holders) == 1:
-        step, summed = "sum", points[holders[0]][:-1]
-    elif len(holders) == 2:
-        # batched over the shared points; the rows are the points of the larger
-        # holder alone, the columns those of the other alone
-        holders.sort(key=lambda n: -len(points[n]))
-        px, py = (points[n][:-1] for n in holders)
-        step = "matmul"
-        summed = tuple(p for p in px if p in py) + tuple(p for p in px if p not in py)
-        summed += tuple(p for p in py if p not in px)
-    else:
-        # three factors still hold point t: one einsum, every factor its input
-        step, summed = "einsum", tuple(range(1, t))
-        holders, rest = sorted(holders + list(rest)), ()
-    order = summed + tuple(p for p in range(1, t) if p not in summed)
-    return _Plan(t, tuple(factors), tuple(points), tuple(merges), tuple(holders), rest, step, summed, order)
+    expr = ",".join(subscripts) + "->"
+    # the path depends on the operands' shapes alone
+    shapes = [np.broadcast_to(0.0, (size,) * len(s)) for s in subscripts]
+    path, _ = np.einsum_path(expr, *shapes, optimize="greedy")
+    return expr, tuple(factors), tuple(path)
 
 
 class _Domain:
@@ -186,33 +115,9 @@ class _Domain:
 
 
 def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
-    """The core summed over every tuple of domain points, in the order of its plan."""
-    plan = _plan(spec)
-    w, t, pts = dom.size, plan.width, plan.points
-    ops = [dom.power(primitive, exp) for primitive, exp in plan.factors]
-    for x, y in plan.merges:
-        union = pts[len(ops)]
-        ops.append(_arrange(ops[x], pts[x], union) * _arrange(ops[y], pts[y], union))
-    holders = [ops[n] for n in plan.holders]
-    if plan.step == "sum":
-        summed = holders[0].sum(axis=-1)
-    elif plan.step == "matmul":
-        # summed lists the shared points, then those of x alone, then those of y alone
-        (x, y), (px, py) = holders, (pts[n] for n in plan.holders)
-        rows = _arrange(x, px, tuple(p for p in plan.summed if p in px) + (t,))
-        cols = _arrange(y, py, tuple(p for p in plan.summed if p in py) + (t,))
-        n = w ** len(set(px) & set(py) - {t})
-        summed = np.matmul(rows.reshape(n, -1, w), cols.reshape(n, -1, w).swapaxes(1, 2))
-    else:
-        summed = np.einsum(plan.subscripts, *holders, optimize=False)
-    partials = np.reshape(summed, [w if p in plan.summed else 1 for p in plan.order])
-    for n in plan.rest:
-        factor = _arrange(ops[n], pts[n], plan.order)
-        if partials.shape == (w,) * (t - 1):
-            partials *= factor
-        else:
-            partials = partials * factor
-    return stable_sum(partials)
+    """The core summed over every tuple of domain points, as one einsum."""
+    expr, factors, path = _contraction(spec, dom.size)
+    return float(np.einsum(expr, *(dom.power(*factor) for factor in factors), optimize=path))
 
 
 def _normalizer(dom: _Domain) -> float | None:

@@ -306,8 +306,8 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "option",
         [["--classes", "1"], ["--classes", "0"], ["--classes", "-1"], ["--transforms", "0"],
-         ["--size", "4"], ["--size", "0"]],
-        ids=["classes1", "classes0", "classes-1", "transforms0", "size4", "size0"],
+         ["--size", "10"], ["--size", "4"], ["--size", "0"]],
+        ids=["classes1", "classes0", "classes-1", "transforms0", "size10", "size4", "size0"],
     )
     def test_synthetic_bounds_are_usage_errors(self, tmp_path, capsys, monkeypatch, option):
         # rejected while parsing: no output directory, no class generated
@@ -319,5 +319,7 @@ class TestBenchCommand:
         assert f"argument {option[0]}: must be at least" in capsys.readouterr().err
 
     def test_smallest_synthetic_size_runs(self, tmp_path):
-        args = ["bench", "--synthetic", "--classes", "2", "--transforms", "1", "--seed", "1"]
-        assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(tmp_path)]) == 0
+        for seed in range(4):
+            args = ["bench", "--synthetic", "--classes", "2", "--transforms", "1", "--seed", str(seed)]
+            out = tmp_path / str(seed)
+            assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(out)]) == 0

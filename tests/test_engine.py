@@ -23,7 +23,7 @@ from scdmi.engine import (
     stable_sum,
     stencil_eroded_mask,
 )
-from scdmi.errors import EmptyDomain, TooSmall
+from scdmi.errors import EmptyDomain, InvalidImage, ScdmiError, TooSmall
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ShapeAffine, apply_shape_affine, relative_deviation
 from scdmi.verify import ORACLE_TOL
@@ -42,6 +42,24 @@ def random_image(seed, h, w):
 
 def slot(idx):
     return compiled_catalogue().indices.index(idx)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda plane: RasterImage(plane, np.zeros((4, 5)), plane, plane == 0),
+        lambda plane: RasterImage(plane[0], plane[0], plane[0], plane[0] == 0),
+        lambda plane: RasterImage.from_array(np.zeros((4, 4, 4))),
+        lambda plane: RasterImage.from_array(plane),
+        lambda plane: RasterImage.from_array(np.zeros((4, 4, 3)), mask=np.ones((3, 4), bool)),
+    ],
+    ids=["planes-differ", "planes-1d", "four-channels", "no-channel-axis", "mask-differs"],
+)
+def test_malformed_image_raises_typed_error(build):
+    # a typed ScdmiError that is still a ValueError, never a bare ValueError
+    with pytest.raises(InvalidImage) as info:
+        build(np.zeros((4, 4)))
+    assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)
 
 
 class TestCentroid:
@@ -672,9 +690,9 @@ def test_features_do_not_depend_on_blas_threads():
     reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
 )
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
-    # the oracle sums its last point with np.matmul: scdmi verify writes the
-    # same report byte for byte whatever the number of BLAS threads, each
-    # thread count in a fresh process
+    # the oracle's einsum contracts its operands by batched matrix products:
+    # scdmi verify writes the same report byte for byte whatever the number
+    # of BLAS threads, each thread count in a fresh process
     src = str(Path(engine.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):

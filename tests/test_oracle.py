@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from scdmi.engine import (
     stable_sum,
 )
 from scdmi.errors import TooLarge
-from scdmi.oracle import _plan, brute_force_core_integral, brute_force_features
+from scdmi.oracle import _contraction, brute_force_core_integral, brute_force_features
 from scdmi.transforms import ShapeAffine, apply_shape_affine
 
 
@@ -185,48 +185,46 @@ class TestBruteForceFeatures:
                 reference, scale = naive_core_sum(values, spec)
                 assert abs(brute_force_core_integral(img, spec, k) - reference) <= 1e-12 * scale
 
-    def test_last_point_steps(self, monkeypatch):
-        # one axis sum, one batched matmul, or (three factors holding the last
-        # point of a 3-point core) the one-call einsum over every factor, as
-        # planned and as called
-        calls = []
-        for name in ("einsum", "matmul"):
-            real = getattr(np, name)
-            monkeypatch.setattr(np, name, lambda *a, _f=real, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
-        img = random_image(12, 4, 4)
-        plans, steps = [], {}
-        for n, spec in enumerate([spec.source for spec in catalogue_specs()] + [DENOM_CORE], start=1):
-            calls.clear()
-            brute_force_core_integral(img, spec, 0)
-            plans.append(_plan(spec))
-            assert calls == ([] if plans[-1].step == "sum" else [plans[-1].step])
-            steps[n] = f"{plans[-1].step} {plans[-1].subscripts}"
-        expected = {1: "matmul abc,ac->ab", 2: "matmul abc,ac->ab", 13: "sum cd->c", 26: "sum abc->ab"}
-        expected |= dict.fromkeys((3, 4, 5), "einsum ab,ac,bc,abc->ab")
-        expected |= dict.fromkeys((6, 7, 9, 10, 12, 14, 15, 18, 19, 23, 24), "matmul abd,cd->abc")
-        expected |= {8: "matmul acd,cd->ca", 11: "matmul bcd,cd->cb", 16: "matmul acd,ad->ac"}
-        expected |= {17: "matmul cd,ad->ca", 20: "matmul bcd,ad->bca", 21: "matmul ad,cd->ac"}
-        expected |= {22: "matmul ad,cd->ac", 25: "matmul acd,bd->acb"}
-        assert steps == expected
-        for plan in plans:
-            if plan.width == 4:
-                # every operand, the last-point sums and the partial sums
-                assert max(len(points) for points in (*plan.points, plan.summed, plan.order)) <= 3
-
-    def test_plans_are_built_on_first_use(self):
-        # importing scdmi builds no plan; each core's plan is then built once
+    def test_contractions_are_built_on_first_use(self):
+        # importing scdmi builds no contraction; one brute_force_features call
+        # builds each of the 26 cores' contractions once per domain size (36 px
+        # at k=0, 16 px at k=1), and a second image of those sizes builds none
         script = (
-            "from scdmi.oracle import _plan, brute_force_features\n"
-            "from scdmi.engine import RasterImage\n"
             "import numpy as np\n"
-            "before = _plan.cache_info().currsize\n"
-            "brute_force_features(RasterImage.from_array(np.random.default_rng(0).uniform(size=(6, 6, 3))))\n"
-            "print(before, _plan.cache_info().currsize, _plan.cache_info().misses)\n"
+            "import scdmi\n"
+            "from scdmi.oracle import _contraction\n"
+            "print(_contraction.cache_info().misses)\n"
+            "for seed in (0, 1):\n"
+            "    rgb = np.random.default_rng(seed).uniform(size=(6, 6, 3))\n"
+            "    scdmi.brute_force_features(scdmi.RasterImage.from_array(rgb))\n"
+            "    print(_contraction.cache_info().misses)\n"
         )
         src = str(Path(oracle_mod.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["0", "26", "26"]
+        assert proc.stdout.split() == ["0", "52", "52"]
+
+    def test_no_array_holds_more_than_three_points(self):
+        # every operand of a core's contraction, and every array its path
+        # forms, carries at most three point subscripts: w**3 values at most,
+        # on domains up to the tuple guard's 100 points for 4-point cores
+        cores = [spec.source for spec in catalogue_specs()] + [
+            DENOM_CORE,
+            CoreSpec(),
+            CoreSpec(shape_factors=((1, 2, 2),)),
+            CoreSpec(shape_factors=((1, 3, 2),)),
+            CoreSpec(shape_factors=((2, 3, 1),), color_triples=((1, 2, 4, 1),)),
+            CoreSpec(color_triples=((1, 2, 4, 1), (1, 3, 4, 1), (2, 3, 4, 1))),
+        ]
+        for spec, size in product(cores, [2, 9, 16, 36, 100]):
+            expr, _, path = _contraction(spec, size)
+            operands = [set(subscripts) for subscripts in expr.removesuffix("->").split(",")]
+            assert max(map(len, operands)) <= 3
+            for step in path[1:]:
+                taken = [operands.pop(n) for n in sorted(step, reverse=True)]
+                operands.append(set().union(*taken) & set().union(*operands))
+                assert len(operands[-1]) <= 3
+            assert operands == [set()]
 
 
 class TestOracleGate:
