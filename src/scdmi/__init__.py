@@ -33,6 +33,7 @@ from .errors import (
     EmptyDomain,
     InvalidImage,
     InvalidSpec,
+    InvalidTransform,
     ScdmiError,
     Singular,
     TooLarge,

@@ -123,10 +123,21 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.nd
 # baseline descriptors
 
 
-def _hu_invariants(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Seven similarity invariants of a nonnegative density over the mask."""
-    ys, xs = np.nonzero(mask)
-    w = weight[mask]
+def _histogram(u: np.ndarray, bins: int) -> np.ndarray:
+    """Normalized histogram of ``u`` over [0, 1) in ``bins`` equal bins, the
+    values outside clamped into the end bins; all zeros when ``u`` is empty."""
+    idx = np.clip((u * bins).astype(np.int64), 0, bins - 1)
+    h = np.bincount(idx, minlength=bins).astype(np.float64)
+    return h / max(h.sum(), 1.0)
+
+
+def _hu7(lum: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Hu's seven similarity invariants of the density |lum - mean lum| over
+    the masked pixels at (xs, ys): it measures structure, so flat images give
+    all zeros instead of domain-shape artifacts."""
+    if lum.size == 0:
+        return np.zeros(7)
+    w = np.abs(lum - stable_sum(lum) / lum.size)
     m00 = stable_sum(w)
     if m00 <= SIGMA_FLOOR:
         return np.zeros(7)
@@ -136,11 +147,8 @@ def _hu_invariants(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
     xp = [1.0, x, x * x, x * x * x]
     yp = [1.0, y, y * y, y * y * y]
 
-    def mu(p, q):
-        return stable_sum(w * xp[p] * yp[q])
-
     def eta(p, q):
-        return mu(p, q) / m00 ** (1.0 + (p + q) / 2.0)
+        return stable_sum(w * xp[p] * yp[q]) / m00 ** (1.0 + (p + q) / 2.0)
 
     n20, n02, n11 = eta(2, 0), eta(0, 2), eta(1, 1)
     n30, n03, n21, n12 = eta(3, 0), eta(0, 3), eta(2, 1), eta(1, 2)
@@ -161,77 +169,39 @@ def _hu_invariants(weight: np.ndarray, mask: np.ndarray) -> np.ndarray:
     )
 
 
-def _hu7(img: RasterImage) -> np.ndarray:
-    # density = |luminance - mean|: measures structure, so flat images give
-    # all zeros instead of domain-shape artifacts
-    lum = (img.red + img.green + img.blue) / 3.0
-    vals = lum[img.mask]
-    if vals.size == 0:
-        return np.zeros(7)
-    dev = np.zeros_like(lum)
-    dev[img.mask] = np.abs(vals - stable_sum(vals) / vals.size)
-    return _hu_invariants(dev, img.mask)
+def baseline_rows(img: RasterImage) -> dict[DescriptorKind, np.ndarray]:
+    """The four baseline descriptors of one image, from one gather of its
+    masked pixels.
 
-
-def _color_moments(img: RasterImage) -> np.ndarray:
-    out = []
-    for plane in img.channels():
-        v = plane[img.mask]
-        n = max(v.size, 1)
+    Each channel's mean, centred values, their square and standard deviation
+    are computed once and read by both COLOR_MOMENTS (mean, deviation, third
+    central moment) and TRANSFORMED_COLOR_DIST (a TCD_BINS-bin histogram of
+    the standardized values over [-TCD_SPAN, TCD_SPAN]). The channel sum
+    s = r + g + b is the chromaticity denominator of RG_HISTOGRAM, whose
+    pixels with zero sum carry no chromaticity and are skipped, and s / 3
+    is HU7's luminance.
+    """
+    ys, xs = np.nonzero(img.mask)
+    r, g, b = (plane[img.mask] for plane in img.channels())
+    n = max(xs.size, 1)
+    moments, standardized = [], []
+    for v in (r, g, b):
         mean = stable_sum(v) / n
-        centered = v - mean
-        sq = centered * centered
-        var = stable_sum(sq) / n
-        mu3 = stable_sum(sq * centered) / n
-        out.extend([mean, float(np.sqrt(max(var, 0.0))), mu3])
-    return np.array(out)
-
-
-def _rg_histogram(img: RasterImage) -> np.ndarray:
-    # RG_BINS bins per chromaticity coordinate, concatenated; pixels with
-    # zero channel sum carry no chromaticity and are skipped
-    r = img.red[img.mask]
-    g = img.green[img.mask]
-    b = img.blue[img.mask]
+        centred = v - mean
+        sq = centred * centred
+        std = float(np.sqrt(stable_sum(sq) / n))
+        moments.extend([mean, std, stable_sum(sq * centred) / n])
+        z = centred / max(std, SIGMA_FLOOR)
+        standardized.append(_histogram((z + TCD_SPAN) / (2 * TCD_SPAN), TCD_BINS))
     s = r + g + b
     keep = np.abs(s) > SIGMA_FLOOR
-    if not keep.any():
-        return np.zeros(2 * RG_BINS)
-    rn = r[keep] / s[keep]
-    gn = g[keep] / s[keep]
-    out = []
-    for v in (rn, gn):
-        idx = np.clip((v * RG_BINS).astype(np.int64), 0, RG_BINS - 1)
-        h = np.bincount(idx, minlength=RG_BINS).astype(np.float64)
-        out.append(h / h.sum())
-    return np.concatenate(out)
-
-
-def _transformed_color_distribution(img: RasterImage) -> np.ndarray:
-    # TCD_BINS-bin histogram of the standardized values per channel
-    out = []
-    for plane in img.channels():
-        v = plane[img.mask]
-        n = max(v.size, 1)
-        mean = stable_sum(v) / n
-        sigma = float(np.sqrt(max(stable_sum((v - mean) ** 2) / n, 0.0)))
-        z = (v - mean) / max(sigma, SIGMA_FLOOR)
-        idx = np.clip(((z + TCD_SPAN) / (2 * TCD_SPAN) * TCD_BINS).astype(np.int64), 0, TCD_BINS - 1)
-        h = np.bincount(idx, minlength=TCD_BINS).astype(np.float64)
-        out.append(h / max(h.sum(), 1.0))
-    return np.concatenate(out)
-
-
-def baseline_descriptor(img: RasterImage, kind: DescriptorKind) -> np.ndarray:
-    if kind is DescriptorKind.HU7:
-        return _hu7(img)
-    if kind is DescriptorKind.COLOR_MOMENTS:
-        return _color_moments(img)
-    if kind is DescriptorKind.RG_HISTOGRAM:
-        return _rg_histogram(img)
-    if kind is DescriptorKind.TRANSFORMED_COLOR_DIST:
-        return _transformed_color_distribution(img)
-    raise ValueError(f"{kind} is not a baseline descriptor")
+    s_kept = s[keep]
+    return {
+        DescriptorKind.HU7: _hu7(s / 3.0, xs, ys),
+        DescriptorKind.COLOR_MOMENTS: np.array(moments),
+        DescriptorKind.RG_HISTOGRAM: np.concatenate([_histogram(c[keep] / s_kept, RG_BINS) for c in (r, g)]),
+        DescriptorKind.TRANSFORMED_COLOR_DIST: np.concatenate(standardized),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +237,6 @@ def check_members(labels: np.ndarray) -> None:
 
 
 ALL_KINDS = tuple(DescriptorKind)
-BASELINE_KINDS = (
-    DescriptorKind.HU7,
-    DescriptorKind.COLOR_MOMENTS,
-    DescriptorKind.RG_HISTOGRAM,
-    DescriptorKind.TRANSFORMED_COLOR_DIST,
-)
 
 
 #: (values, validity) of one item under every descriptor kind
@@ -281,16 +245,15 @@ DescriptorRows = dict[DescriptorKind, tuple[np.ndarray, np.ndarray]]
 
 def descriptor_rows(img: RasterImage) -> DescriptorRows:
     """(values, validity) of every descriptor kind for one image: one
-    scdmi50 call, whose two halves are views of the SCDMI50 row, and each
-    baseline once."""
+    scdmi50 call, whose two halves are views of the SCDMI50 row, and one
+    baseline_rows call."""
     fv = scdmi50(img)
     rows = {
         DescriptorKind.SCDMI50: (fv.values, fv.valid),
         DescriptorKind.SCDMI0_25: (fv.values[:25], fv.valid[:25]),
         DescriptorKind.SCDMI1_25: (fv.values[25:], fv.valid[25:]),
     }
-    for kind in BASELINE_KINDS:
-        row = baseline_descriptor(img, kind)
+    for kind, row in baseline_rows(img).items():
         rows[kind] = row, np.ones(row.shape, dtype=bool)
     return rows
 

@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_feat.set_defaults(func=cmd_features)
 
     p_ver = sub.add_parser("verify", help="run the verification suites")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_int_at_least(0), default=0)
     p_ver.add_argument("--out", default="scdmi_out")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--classes", type=_int_at_least(2), default=10)
     p_bench.add_argument("--transforms", type=_int_at_least(1), default=20)
     p_bench.add_argument("--size", type=_int_at_least(MIN_SYNTHETIC_SIZE), default=96)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--clamp", action="store_true", help="clamp transformed channels to [0,1]")
     p_bench.add_argument("--out", default="scdmi_out")
     p_bench.set_defaults(func=cmd_bench)

@@ -25,5 +25,9 @@ class TooLarge(ScdmiError, ValueError):
     """Brute-force point enumeration would exceed the safety guard."""
 
 
+class InvalidTransform(ScdmiError, ValueError):
+    """Transform matrix or offset has the wrong shape or a non-finite entry."""
+
+
 class Singular(ScdmiError, ValueError):
     """Transform matrix is singular or nearly so."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import RasterImage
+from .errors import InvalidImage
 
 
 def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
@@ -62,6 +63,8 @@ def read_ppm(path) -> RasterImage:
 
 def write_ppm(path, img: RasterImage) -> None:
     rgb = np.stack(img.channels(), axis=-1)
+    if not np.isfinite(rgb).all():
+        raise InvalidImage(f"{path}: a PPM needs finite channel values")
     quant = np.rint(np.clip(rgb, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + quant.tobytes())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import FeatureVector, RasterImage, scdmi50
-from .errors import Singular
+from .errors import InvalidTransform, Singular
 
 #: relative-deviation denominators never drop below this
 DEVIATION_FLOOR = 1e-12
@@ -23,6 +23,20 @@ DEVIATION_FLOOR = 1e-12
 _MIN_DET = 1e-6
 #: sample_color_affine scales its map by a factor drawn log-uniformly from this range
 COLOR_SCALE_RANGE = (0.6, 1.5)
+
+
+def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The float n x n matrix and length-n offset of a ``what`` affine map,
+    checked for shape and finiteness before the determinant is formed."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    offset = np.asarray(offset, dtype=np.float64)
+    if matrix.shape != (n, n) or offset.shape != (n,):
+        raise InvalidTransform(f"{what} affine needs a {n}x{n} matrix and length-{n} offset")
+    if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
+        raise InvalidTransform(f"{what} affine needs a finite matrix and offset")
+    if abs(float(np.linalg.det(matrix))) < _MIN_DET:
+        raise Singular(f"{what} transform matrix is singular")
+    return matrix, offset
 
 
 @dataclass
@@ -33,12 +47,7 @@ class ShapeAffine:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.offset = np.asarray(self.offset, dtype=np.float64)
-        if self.matrix.shape != (2, 2) or self.offset.shape != (2,):
-            raise ValueError("shape affine needs a 2x2 matrix and length-2 offset")
-        if abs(float(np.linalg.det(self.matrix))) < _MIN_DET:
-            raise Singular("shape transform matrix is singular")
+        self.matrix, self.offset = _validated(self.matrix, self.offset, 2, "shape")
 
     @classmethod
     def identity(cls) -> "ShapeAffine":
@@ -53,12 +62,7 @@ class ColorAffine:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.offset = np.asarray(self.offset, dtype=np.float64)
-        if self.matrix.shape != (3, 3) or self.offset.shape != (3,):
-            raise ValueError("color affine needs a 3x3 matrix and length-3 offset")
-        if abs(float(np.linalg.det(self.matrix))) < _MIN_DET:
-            raise Singular("color transform matrix is singular")
+        self.matrix, self.offset = _validated(self.matrix, self.offset, 3, "color")
 
     @classmethod
     def identity(cls) -> "ColorAffine":

@@ -10,7 +10,7 @@ from scdmi.bench import (
     ALL_KINDS,
     DescriptorKind,
     Features,
-    baseline_descriptor,
+    baseline_rows,
     chi2_matrix,
     classification_class,
     feature_normalize,
@@ -24,7 +24,7 @@ from scdmi.cli import main
 import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage, stable_sum
 from scdmi.ppm import write_ppm
-from scdmi.synthetic import blob_image
+from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ColorAffine, apply_color_affine
 
 
@@ -94,25 +94,24 @@ class TestFeatureNormalize:
 
 class TestBaselines:
     def test_dimensions_match_kinds(self):
-        img = random_image(0)
         dims = {
             DescriptorKind.HU7: 7,
             DescriptorKind.COLOR_MOMENTS: 9,
             DescriptorKind.RG_HISTOGRAM: 2 * bench_mod.RG_BINS,
             DescriptorKind.TRANSFORMED_COLOR_DIST: 3 * bench_mod.TCD_BINS,
         }
-        for kind, dim in dims.items():
-            assert baseline_descriptor(img, kind).shape == (dim,)
+        rows = baseline_rows(random_image(0))
+        assert {kind: row.shape for kind, row in rows.items()} == {kind: (dim,) for kind, dim in dims.items()}
 
     def test_hu_on_constant_gray_is_zero(self):
         img = RasterImage.from_array(np.full((16, 16, 3), 0.5))
-        assert np.all(baseline_descriptor(img, DescriptorKind.HU7) == 0.0)
+        assert np.all(baseline_rows(img)[DescriptorKind.HU7] == 0.0)
 
     def test_rg_histogram_invariant_to_uniform_scaling(self):
         img = random_image(1)
         scaled = apply_color_affine(img, ColorAffine(2.0 * np.eye(3)), clamp=False)
-        a = baseline_descriptor(img, DescriptorKind.RG_HISTOGRAM)
-        b = baseline_descriptor(scaled, DescriptorKind.RG_HISTOGRAM)
+        a = baseline_rows(img)[DescriptorKind.RG_HISTOGRAM]
+        b = baseline_rows(scaled)[DescriptorKind.RG_HISTOGRAM]
         assert np.array_equal(a, b)
 
     def test_transformed_color_dist_invariant_to_channel_affine(self):
@@ -121,23 +120,34 @@ class TestBaselines:
         img = RasterImage.from_array(rgb)
         t = ColorAffine(np.diag([2.0, 0.5, 1.25]), np.array([0.25, -0.1, 0.05]))
         moved = apply_color_affine(img, t, clamp=False)
-        a = baseline_descriptor(img, DescriptorKind.TRANSFORMED_COLOR_DIST)
-        b = baseline_descriptor(moved, DescriptorKind.TRANSFORMED_COLOR_DIST)
+        a = baseline_rows(img)[DescriptorKind.TRANSFORMED_COLOR_DIST]
+        b = baseline_rows(moved)[DescriptorKind.TRANSFORMED_COLOR_DIST]
         assert np.allclose(a, b)
 
     def test_color_moments_values(self):
         img = RasterImage.from_array(np.full((8, 8, 3), 0.5))
-        cm = baseline_descriptor(img, DescriptorKind.COLOR_MOMENTS)
+        cm = baseline_rows(img)[DescriptorKind.COLOR_MOMENTS]
         assert np.allclose(cm, [0.5, 0.0, 0.0] * 3)
 
     def test_third_moment_by_multiplication_matches_power(self):
         # (c * c) * c rounds twice and c**3 once: the sums differ by a few ulp of sum |c|^3
         img = random_image(5, 31, 29)
-        cm = baseline_descriptor(img, DescriptorKind.COLOR_MOMENTS)
+        cm = baseline_rows(img)[DescriptorKind.COLOR_MOMENTS]
         for plane, mu3 in zip(img.channels(), cm[2::3]):
             c = plane.ravel() - stable_sum(plane) / plane.size
             bound = 4 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 3)) / plane.size
             assert abs(mu3 - stable_sum(c**3) / plane.size) <= bound
+
+    def test_unmasked_pixels_are_never_read(self):
+        # 1e308 overflows any sum over the whole frame; the masked pixels alone are gathered
+        masked = disk_masked_image(3, size=24, radius_frac=0.3)
+        rows = []
+        for fill in (0.0, 1e308):
+            planes = [np.where(masked.mask, plane, fill) for plane in masked.channels()]
+            rows.append(baseline_rows(RasterImage(*planes, masked.mask)))
+        assert not masked.mask.all()
+        for kind in rows[0]:
+            assert rows[0][kind].tobytes() == rows[1][kind].tobytes(), kind
 
 
 def tiny_items(n_classes=2, per_class=6):
@@ -238,15 +248,15 @@ class TestProtocols:
     def test_run_benchmark_computes_each_baseline_once_per_image(self, monkeypatch):
         items = tiny_items()
         calls = []
-        real = bench_mod.baseline_descriptor
+        real = bench_mod.baseline_rows
 
-        def counting(img, kind):
-            calls.append(kind)
-            return real(img, kind)
+        def counting(img):
+            calls.append(img)
+            return real(img)
 
-        monkeypatch.setattr(bench_mod, "baseline_descriptor", counting)
+        monkeypatch.setattr(bench_mod, "baseline_rows", counting)
         run_benchmark(featurize(items))
-        assert len(calls) == 4 * len(items)
+        assert [id(img) for img in calls] == [id(img) for _, _, img in items]
 
     def test_manifest_images_load_once_and_are_not_kept(self, tmp_path, monkeypatch):
         paths = []

@@ -12,6 +12,7 @@ from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.cli import main
 import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage
+from scdmi.errors import InvalidImage
 from scdmi.ppm import read_ppm, write_ppm
 from scdmi.synthetic import blob_image
 from scdmi.transforms import ColorAffine, apply_color_affine
@@ -53,6 +54,16 @@ class TestPpm:
         path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
         with pytest.raises(ValueError):
             read_ppm(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_nonfinite_channels(self, tmp_path, bad):
+        # checked before the file is opened: no file, and no byte that depends on the platform's cast
+        img = blob_image(0, size=8)
+        img.green[3, 4] = bad
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(InvalidImage, match="finite"):
+            write_ppm(path, img)
+        assert not path.exists()
 
 
 class TestGen:
@@ -151,6 +162,15 @@ class TestVerifyCommand:
     def test_gates_cannot_be_loosened(self, tmp_path, flag):
         assert main(["verify", flag, "0.05", "--out", str(tmp_path / "v")]) == 2
         assert not (tmp_path / "v").exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # rejected while parsing: no suite runs and no output directory is made
+        calls = []
+        monkeypatch.setattr(cli_mod, "run_all", lambda **kwargs: calls.append(kwargs))
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "v")]) == 2
+        assert not (tmp_path / "v").exists()
+        assert calls == []
+        assert "argument --seed: must be at least 0" in capsys.readouterr().err
 
     def test_injected_corruption_fails_exactly_that_instance(self, monkeypatch):
         # the suite gates scdmi50, so the corruption goes into the catalogue
@@ -306,8 +326,8 @@ class TestBenchCommand:
     @pytest.mark.parametrize(
         "option",
         [["--classes", "1"], ["--classes", "0"], ["--classes", "-1"], ["--transforms", "0"],
-         ["--size", "10"], ["--size", "4"], ["--size", "0"]],
-        ids=["classes1", "classes0", "classes-1", "transforms0", "size10", "size4", "size0"],
+         ["--size", "10"], ["--size", "4"], ["--size", "0"], ["--seed", "-1"]],
+        ids=["classes1", "classes0", "classes-1", "transforms0", "size10", "size4", "size0", "seed-1"],
     )
     def test_synthetic_bounds_are_usage_errors(self, tmp_path, capsys, monkeypatch, option):
         # rejected while parsing: no output directory, no class generated

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scdmi
 import scdmi.transforms as transforms_mod
 from scdmi.engine import RasterImage, scdmi50
-from scdmi.errors import Singular
+from scdmi.errors import InvalidTransform, ScdmiError, Singular
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import (
     ColorAffine,
@@ -171,6 +172,36 @@ class TestColorAffine:
     def test_singular_rejected(self):
         with pytest.raises(Singular):
             ColorAffine(np.zeros((3, 3)))
+
+
+class TestTransformValidation:
+    """Both affine maps reject a wrong shape or a non-finite entry with a typed
+    error, before any determinant is formed."""
+
+    @pytest.mark.parametrize("cls, n", [(ShapeAffine, 2), (ColorAffine, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entries_rejected(self, cls, n, bad):
+        matrix = np.eye(n)
+        matrix[0, n - 1] = bad
+        offset = np.zeros(n)
+        offset[-1] = bad
+        for args in ((matrix, np.zeros(n)), (np.eye(n), offset)):
+            with pytest.raises(InvalidTransform, match="finite"):
+                cls(*args)
+
+    @pytest.mark.parametrize("cls, n", [(ShapeAffine, 2), (ColorAffine, 3)])
+    def test_wrong_shapes_rejected(self, cls, n):
+        for args in ((np.eye(n + 1), np.zeros(n)), (np.eye(n), np.zeros(n + 1)), (np.ones(n), np.zeros(n))):
+            with pytest.raises(InvalidTransform, match=f"{n}x{n} matrix"):
+                cls(*args)
+
+    def test_typed_and_exported(self):
+        assert issubclass(InvalidTransform, ScdmiError) and issubclass(InvalidTransform, ValueError)
+        assert scdmi.InvalidTransform is InvalidTransform
+        # a singular map stays Singular, not InvalidTransform
+        with pytest.raises(Singular) as info:
+            ShapeAffine(np.zeros((2, 2)))
+        assert not isinstance(info.value, InvalidTransform)
 
 
 class TestSamplers:
