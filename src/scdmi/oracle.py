@@ -6,15 +6,19 @@ involved, so agreement with the polynomial path validates the symbolic
 expansion end to end. Centering and the degeneracy floor are shared with
 the engine so that discrepancies isolate the expansion logic.
 
-A core of t points is one ``np.einsum`` to a scalar, with one subscript per
-point and one operand per factor: the w x w shape primitive or the
-w x w x w colour determinant, raised to the factor's power, over the
-factor's own points, and a vector of ones for each point no factor holds.
-The einsum contracts its operands two at a time in the order of numpy's
-greedy path (``np.einsum_path``, after opt_einsum), which is built for each
-core and domain size on first use. No operand or intermediate of a
-catalogue core holds more than three points, so none holds more than w**3
-values.
+A core of t points is contracted to a scalar with one subscript per point
+and one operand per factor: the w x w shape primitive or the w x w x w
+colour determinant, raised to the factor's power, over the factor's own
+points, and a vector of ones for each point no factor holds. Numpy's greedy
+path (``np.einsum_path``, after opt_einsum) becomes, once per core and
+domain size on first use, a list of steps; each contracts two operands (a
+lone operand, in a one-factor core) to the points they share with the
+operands left, by one plain ``np.einsum`` (numpy's C loop: no path to
+check, no BLAS). No operand or intermediate of
+a catalogue core holds more than three points, so none holds more than w**3
+values. Both primitives come from one minor, u_i v_j - v_i u_j: the shape
+primitive is minor(x, y), and the colour determinant is its cofactor
+expansion along red, r (x) minor(g, b) - g (x) minor(r, b) + b (x) minor(r, g).
 
 Intended for tiny images only; the tuple count is guarded.
 """
@@ -22,11 +26,10 @@ Intended for tiny images only; the tuple count is guarded.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import permutations
 
 import numpy as np
 
-from .algebra import _PERM_SIGNS, CoreSpec, catalogue_specs
+from .algebra import CoreSpec, catalogue_specs
 from .engine import FeatureVector, RasterImage, centred_values, degeneracy_floor, stable_sum
 from .errors import EmptyDomain, TooLarge
 
@@ -40,10 +43,9 @@ _D2 = CoreSpec(color_triples=((1, 2, 3, 2),))
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _axis_view(vec: np.ndarray, axis: int, width: int) -> np.ndarray:
-    shape = [1] * width
-    shape[axis] = vec.size
-    return vec.reshape(shape)
+def _minor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i v_j - v_i u_j over every point pair (i, j)."""
+    return np.multiply.outer(u, v) - np.multiply.outer(v, u)
 
 
 def _subscripts(points: tuple[int, ...]) -> str:
@@ -51,10 +53,15 @@ def _subscripts(points: tuple[int, ...]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _contraction(spec: CoreSpec, size: int) -> tuple[str, tuple[tuple[str, int], ...], tuple]:
-    """The core as einsum subscripts to a scalar, its factor powers (a
-    primitive and exponent per operand) and numpy's greedy contraction path
-    over a domain of size points; built on first use."""
+def _contraction(spec: CoreSpec, size: int) -> tuple[tuple, tuple]:
+    """The core's operands (a primitive and exponent each) and the steps of
+    numpy's greedy path that contract them to a scalar over a domain of size
+    points; built on first use.
+
+    A step pops the operands at its positions, highest first, contracts them
+    by its einsum subscripts and appends the result, which keeps the points
+    the taken operands share with those still left.
+    """
     subscripts = [_subscripts((i, j)) for i, j, _ in spec.shape_factors]
     subscripts += [_subscripts((p, q, r)) for p, q, r, _ in spec.color_triples]
     factors = [("shape", exp) for *_, exp in spec.shape_factors] + [("det", exp) for *_, exp in spec.color_triples]
@@ -62,11 +69,16 @@ def _contraction(spec: CoreSpec, size: int) -> tuple[str, tuple[tuple[str, int],
         if label not in "".join(subscripts):
             subscripts.append(label)
             factors.append(("ones", 1))
-    expr = ",".join(subscripts) + "->"
     # the path depends on the operands' shapes alone
     shapes = [np.broadcast_to(0.0, (size,) * len(s)) for s in subscripts]
-    path, _ = np.einsum_path(expr, *shapes, optimize="greedy")
-    return expr, tuple(factors), tuple(path)
+    path, _ = np.einsum_path(",".join(subscripts) + "->", *shapes, optimize="greedy")
+    steps = []
+    for taken in path[1:]:
+        taken = tuple(sorted(taken, reverse=True))
+        inputs = [subscripts.pop(n) for n in taken]
+        subscripts.append("".join(sorted(set("".join(inputs)) & set("".join(subscripts)))))
+        steps.append((taken, ",".join(inputs) + "->" + subscripts[-1]))
+    return tuple(factors), tuple(steps)
 
 
 class _Domain:
@@ -87,16 +99,16 @@ class _Domain:
     @cached_property
     def shape(self) -> np.ndarray:
         """x_i y_j - y_i x_j over every point pair (i, j)."""
-        xc, yc = self.values[:2]
-        return np.multiply.outer(xc, yc) - np.multiply.outer(yc, xc)
+        return _minor(*self.values[:2])
 
     @cached_property
     def det(self) -> np.ndarray:
-        """The channel determinant over every point triple."""
+        """The channel determinant over every point triple, by cofactors of
+        the red channel."""
         rc, gc, bc = self.values[2:]
-        det = np.zeros((self.size,) * 3)
-        for (a, b, c), sign in zip(permutations((0, 1, 2)), _PERM_SIGNS):
-            det += sign * (_axis_view(rc, a, 3) * _axis_view(gc, b, 3) * _axis_view(bc, c, 3))
+        det = np.multiply.outer(rc, _minor(gc, bc))
+        det -= np.multiply.outer(gc, _minor(rc, bc))
+        det += np.multiply.outer(bc, _minor(rc, gc))
         return det
 
     @cached_property
@@ -115,9 +127,12 @@ class _Domain:
 
 
 def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
-    """The core summed over every tuple of domain points, as one einsum."""
-    expr, factors, path = _contraction(spec, dom.size)
-    return float(np.einsum(expr, *(dom.power(*factor) for factor in factors), optimize=path))
+    """The core summed over every tuple of domain points, step by step."""
+    factors, steps = _contraction(spec, dom.size)
+    operands = [dom.power(*factor) for factor in factors]
+    for taken, subscripts in steps:
+        operands.append(np.einsum(subscripts, *[operands.pop(n) for n in taken]))
+    return float(operands[0])
 
 
 def _normalizer(dom: _Domain) -> float | None:

@@ -34,7 +34,11 @@ def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarra
         raise InvalidTransform(f"{what} affine needs a {n}x{n} matrix and length-{n} offset")
     if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
         raise InvalidTransform(f"{what} affine needs a finite matrix and offset")
-    if abs(float(np.linalg.det(matrix))) < _MIN_DET:
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(matrix))
+    if not np.isfinite(det):
+        raise InvalidTransform(f"{what} affine determinant overflows")
+    if abs(det) < _MIN_DET:
         raise Singular(f"{what} transform matrix is singular")
     return matrix, offset
 
@@ -90,8 +94,13 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
 
     gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
     gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
-    sx = inv[0, 0] * gx + inv[0, 1] * gy
-    sy = inv[1, 0] * gx + inv[1, 1] * gy
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx = inv[0, 0] * gx + inv[0, 1] * gy
+        sy = inv[1, 0] * gx + inv[1, 1] * gy
+    # a source coordinate off the frame, inf or nan (a huge offset) is out of
+    # bounds; pinned to just off the frame, it casts to int64 without overflow
+    sx = np.fmax(np.fmin(sx, w_in), -1.0)
+    sy = np.fmax(np.fmin(sy, h_in), -1.0)
 
     x0f = np.floor(sx)
     y0f = np.floor(sy)

@@ -690,9 +690,9 @@ def test_features_do_not_depend_on_blas_threads():
     reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
 )
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
-    # the oracle's einsum contracts its operands by batched matrix products:
-    # scdmi verify writes the same report byte for byte whatever the number
-    # of BLAS threads, each thread count in a fresh process
+    # the oracle contracts its operands in numpy's C einsum loop, with no
+    # BLAS call: scdmi verify writes the same report byte for byte whatever
+    # the number of BLAS threads, each thread count in a fresh process
     src = str(Path(engine.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core import einsumfunc
 
 from scdmi import oracle as oracle_mod
 from scdmi import verify as verify_mod
@@ -128,12 +129,17 @@ def naive_core_sum(values, spec):
     return stable_sum(acc), float(np.sum(np.abs(acc)))
 
 
-def corner_masked_image(seed):
-    """7x7 with its four corners masked off: 45 px at k=0, a 3x3 k=1 domain."""
+def corner_masked_image(seed, size=7, cut=1):
+    """size x size with a triangle of cut diagonals masked off at each corner:
+    at size 7 and cut 1, 45 px at k=0 and a 3x3 k=1 domain; at size 9 and
+    cut 3, 57 px at k=0 and a 21 px k=1 domain, a 5x5 square without its
+    corners."""
     rng = np.random.default_rng(seed)
-    mask = np.ones((7, 7), dtype=bool)
-    mask[[0, 0, -1, -1], [0, -1, 0, -1]] = False
-    return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(7, 7, 3)), mask)
+    mask = np.ones((size, size), dtype=bool)
+    for i in range(cut):
+        for j in range(cut - i):
+            mask[[i, i, -1 - i, -1 - i], [j, -1 - j, j, -1 - j]] = False
+    return RasterImage.from_array(rng.uniform(0.0, 1.0, size=(size, size, 3)), mask)
 
 
 class TestBruteForceFeatures:
@@ -205,9 +211,11 @@ class TestBruteForceFeatures:
         assert proc.stdout.split() == ["0", "52", "52"]
 
     def test_no_array_holds_more_than_three_points(self):
-        # every operand of a core's contraction, and every array its path
-        # forms, carries at most three point subscripts: w**3 values at most,
-        # on domains up to the tuple guard's 100 points for 4-point cores
+        # every step of a core's contraction takes at most two operands, each
+        # read with the subscripts it was built with, and every operand and
+        # every array a step forms carries at most three point subscripts:
+        # w**3 values at most, on domains up to the tuple guard's 100 points
+        # for 4-point cores
         cores = [spec.source for spec in catalogue_specs()] + [
             DENOM_CORE,
             CoreSpec(),
@@ -217,23 +225,45 @@ class TestBruteForceFeatures:
             CoreSpec(color_triples=((1, 2, 4, 1), (1, 3, 4, 1), (2, 3, 4, 1))),
         ]
         for spec, size in product(cores, [2, 9, 16, 36, 100]):
-            expr, _, path = _contraction(spec, size)
-            operands = [set(subscripts) for subscripts in expr.removesuffix("->").split(",")]
-            assert max(map(len, operands)) <= 3
-            for step in path[1:]:
-                taken = [operands.pop(n) for n in sorted(step, reverse=True)]
-                operands.append(set().union(*taken) & set().union(*operands))
-                assert len(operands[-1]) <= 3
-            assert operands == [set()]
+            factors, steps = _contraction(spec, size)
+            held = [None] * len(factors)  # an operand's subscripts, once a step has formed them
+            for taken, subscripts in steps:
+                inputs, out = subscripts.split("->")
+                inputs = inputs.split(",")
+                assert len(taken) == len(inputs) <= 2
+                for n, read in zip(taken, inputs):
+                    assert held.pop(n) in (None, read)
+                assert max(map(len, inputs + [out])) <= 3
+                held.append(out)
+            assert held == [""]
+
+    def test_seen_sizes_reach_einsum_path_no_more(self, monkeypatch):
+        # once a domain size's contractions are built, an image of that size
+        # never reaches numpy's path search, neither the oracle's own call nor
+        # one inside np.einsum
+        brute_force_features(random_image(12))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return honest(*args, **kwargs)
+
+        honest = einsumfunc.einsum_path
+        monkeypatch.setattr(einsumfunc, "einsum_path", counted)
+        monkeypatch.setattr(np, "einsum_path", counted)
+        brute_force_features(random_image(13))
+        assert calls == []
 
 
 class TestOracleGate:
     def test_engine_matches_oracle_on_masked_domain(self):
-        img = corner_masked_image(7)
-        assert [centred_values(img, k)[0].size for k in (0, 1)] == [45, 9]
-        fv, ref = scdmi50(img), brute_force_features(img)
-        assert fv.valid.all() and ref.valid.all()
-        assert verify_mod.oracle_deviations(fv.values, ref.values).max() <= verify_mod.ORACLE_TOL
+        # the 9x9 frame's k=1 domain is real and non-rectangular, and its
+        # 4-point cores stay within the tuple guard at k=0 (57**4 < 10**8)
+        for img, sizes in [(corner_masked_image(7), [45, 9]), (corner_masked_image(14, size=9, cut=3), [57, 21])]:
+            assert [centred_values(img, k)[0].size for k in (0, 1)] == sizes
+            fv, ref = scdmi50(img), brute_force_features(img)
+            assert fv.valid.all() and ref.valid.all()
+            assert verify_mod.oracle_deviations(fv.values, ref.values).max() <= verify_mod.ORACLE_TOL
 
     def test_one_percent_error_fails_every_nonzero_row(self, monkeypatch):
         honest = verify_mod.scdmi50

@@ -143,6 +143,22 @@ class TestShapeAffine:
         assert out.mask[:4, :6].all() and np.array_equal(out.red[:4, :6], img.red[::2, ::2])
         assert out.mask.sum() == 4 * 6
 
+    @pytest.mark.parametrize(
+        "matrix, offset",
+        [
+            (np.eye(2), [1e300, 0.0]),  # source x of -1e300, past int64
+            (np.eye(2), [0.0, -1e300]),
+            (0.01 * np.eye(2), [1e307, 0.0]),  # source x overflows to -inf
+            (0.01 * np.array([[1.0, 1.0], [-1.0, 1.0]]), [-1e307, 1e307]),  # source y is inf - inf = nan
+        ],
+    )
+    def test_huge_offsets_warp_out_of_frame(self, matrix, offset):
+        # every source tap is far off the frame: an empty mask and zero
+        # channels, with no numpy warning on the way
+        out = apply_shape_affine(random_image(0, 6, 7), ShapeAffine(np.array(matrix), np.array(offset)))
+        assert out.mask.shape == (6, 7) and not out.mask.any()
+        assert not any(plane.any() for plane in out.channels())
+
 
 class TestColorAffine:
     def test_identity(self):
@@ -176,7 +192,8 @@ class TestColorAffine:
 
 class TestTransformValidation:
     """Both affine maps reject a wrong shape or a non-finite entry with a typed
-    error, before any determinant is formed."""
+    error, before any determinant is formed, and a determinant that
+    overflows."""
 
     @pytest.mark.parametrize("cls, n", [(ShapeAffine, 2), (ColorAffine, 3)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -194,6 +211,12 @@ class TestTransformValidation:
         for args in ((np.eye(n + 1), np.zeros(n)), (np.eye(n), np.zeros(n + 1)), (np.ones(n), np.zeros(n))):
             with pytest.raises(InvalidTransform, match=f"{n}x{n} matrix"):
                 cls(*args)
+
+    @pytest.mark.parametrize("cls, n, scale", [(ShapeAffine, 2, 1e200), (ColorAffine, 3, 1e120)])
+    def test_overflowing_determinant_rejected(self, cls, n, scale):
+        # finite entries whose determinant overflows to inf (1e400, 1e360)
+        with pytest.raises(InvalidTransform, match="determinant"):
+            cls(scale * np.eye(n))
 
     def test_typed_and_exported(self):
         assert issubclass(InvalidTransform, ScdmiError) and issubclass(InvalidTransform, ValueError)
