@@ -10,16 +10,15 @@ stencil's missing 1/12 factor cancels in every invariant because numerator
 and denominator scale by the same channel power. moment_vector sums their
 products into one dense vector per k, by the policy of stable_sum, and
 evaluate_table reads that vector. moment_tables runs the k=1 pass beside
-the k=0 pass, in a second thread, when the mask holds more than one leaf of
-pixels and the process may use more than one CPU; the vectors are the same
-bit for bit either way.
+the k=0 pass, as a future on a one-worker thread pool, when the mask holds
+more than one leaf of pixels and the process may use more than one CPU;
+the vectors are the same bit for bit either way.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,24 +126,17 @@ class FeatureVector:
 # centring
 
 
-def _shift_bool(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """mask evaluated at (y+dy, x+dx), False outside the frame."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    ys = slice(max(0, -dy), min(h, h - dy))
-    xs = slice(max(0, -dx), min(w, w - dx))
-    ys_src = slice(max(0, dy), min(h, h + dy))
-    xs_src = slice(max(0, dx), min(w, w + dx))
-    out[ys, xs] = mask[ys_src, xs_src]
-    return out
-
-
 def stencil_eroded_mask(mask: np.ndarray) -> np.ndarray:
     """Pixels whose full difference-stencil cross lands on masked pixels."""
-    out = mask.copy()
-    for d in (1, 2):
-        out &= _shift_bool(mask, 0, d) & _shift_bool(mask, 0, -d)
-        out &= _shift_bool(mask, d, 0) & _shift_bool(mask, -d, 0)
+    # off the frame counts as unmasked, so only pixels 2 or more in from every
+    # edge qualify: the AND of that interior with its 8 slices shifted ±1, ±2
+    h, w = mask.shape
+    out = np.zeros_like(mask)
+    if h >= 5 and w >= 5:
+        inner = out[2 : h - 2, 2 : w - 2]
+        inner[...] = mask[2 : h - 2, 2 : w - 2]
+        for d in (-2, -1, 1, 2):
+            inner &= mask[2 + d : h - 2 + d, 2 : w - 2] & mask[2 : h - 2, 2 + d : w - 2 + d]
     return out
 
 
@@ -299,33 +291,21 @@ def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
     The k=1 vector is computed on the stencil-eroded mask with its own
     centroid; it is None when erosion empties the mask. When the mask holds
     more than one leaf (``_LEAF`` pixels) and the process may use more than
-    one CPU, the k=1 pass runs in a second thread while this thread runs the
-    k=0 pass: numpy releases the interpreter lock inside each large array
-    operation, so the two passes overlap, at the cost of about one pass's
-    arrays in peak memory. Otherwise the passes run one after the other.
-    Both ways call the same functions, so the vectors are bit for bit the
-    same, and an exception from either pass propagates with its type.
+    one CPU, the k=1 pass runs as a future on a one-worker thread pool
+    beside the k=0 pass: numpy releases the interpreter lock inside each
+    large array operation, so the passes overlap, at the cost of about one
+    pass's arrays in peak memory; otherwise they run one after the other.
+    The vectors are bit for bit the same either way, and an exception from
+    either pass propagates with its type once the pool has joined its worker.
     """
     if np.count_nonzero(img.mask) <= _LEAF or _cpu_count() < 2:
         return moment_vector(centred_values(img, 0)), _k1_vector(img)
-    k1: list = []
+    # imported here: concurrent.futures pulls in logging, about 7 ms of `import scdmi`
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run() -> None:
-        try:
-            k1.append((_k1_vector(img), None))
-        except BaseException as exc:  # re-raised by the calling thread below
-            k1.append((None, exc))
-
-    worker = threading.Thread(target=run, name="scdmi-k1")
-    worker.start()
-    try:
-        v0 = moment_vector(centred_values(img, 0))
-    finally:
-        worker.join()
-    v1, exc = k1[0]
-    if exc is not None:
-        raise exc
-    return v0, v1
+    with ThreadPoolExecutor(1) as pool:
+        k1 = pool.submit(_k1_vector, img)
+        return moment_vector(centred_values(img, 0)), k1.result()
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ floating-point noise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,12 +86,16 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     pixels and the mask verbatim.
     """
     w_in, h_in = img.width, img.height
-    a = t.matrix
+    # the determinant and adjugate inverse are formed on the matrix scaled by
+    # a power of two to a largest entry in [0.5, 1), which is exact and keeps
+    # the products from overflowing; the scale is taken out again exactly
+    scale = 2.0 ** -math.frexp(float(np.abs(t.matrix).max()))[1]
+    a = t.matrix * scale
     det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if abs(det) < _MIN_DET:
+    if abs(det / scale / scale) < _MIN_DET:
         raise Singular("shape transform matrix is singular")
     # adjugate inverse keeps grid-aligned maps exact in floating point
-    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
+    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det * scale
 
     gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
     gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
@@ -209,6 +214,8 @@ def sample_color_affine(
     """
     if max_condition < 1.0:
         raise ValueError("max_condition must be >= 1")
+    if not offset_range[0] <= offset_range[1]:
+        raise ValueError("offset_range must be (low, high) with low <= high")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))

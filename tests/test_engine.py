@@ -110,6 +110,22 @@ class TestDerivatives:
         expected[2:6, 2:6] = True
         assert np.array_equal(eroded, expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.8, 0.95]))
+    def test_eroded_mask_is_the_stencil_cross_rule(self, h, w, seed, density):
+        # a pixel survives when it and its 8 stencil neighbours are masked,
+        # a neighbour off the frame counting as unmasked
+        mask = np.random.default_rng(seed).random((h, w)) < density
+
+        def masked(y, x):
+            return 0 <= y < h and 0 <= x < w and bool(mask[y, x])
+
+        expected = np.zeros((h, w), bool)
+        for y, x in np.ndindex(h, w):
+            expected[y, x] = masked(y, x) and all(masked(y + d, x) and masked(y, x + d) for d in (-2, -1, 1, 2))
+        eroded = stencil_eroded_mask(mask)
+        assert eroded.dtype == bool and np.array_equal(eroded, expected)
+
     def test_scdmi50_erodes_once(self, monkeypatch):
         calls = []
 
@@ -735,18 +751,37 @@ def test_concurrent_tables_equal_each_pass(img, monkeypatch):
 
 
 def test_k1_error_propagates_with_its_type(monkeypatch):
+    # a failure in the pass off the calling thread (k=1) or on it (k=0)
+    # reaches the caller with its type, and no worker thread outlives it
     centre = engine.centred_values
+    img = _large_images()[0]
 
-    def failing(img, k):
-        if k == 1:
-            raise RuntimeError("k=1 centring failed")
-        return centre(img, k)
+    class K0Failure(Exception):
+        pass
 
-    monkeypatch.setattr(engine, "centred_values", failing)
-    threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="k=1 centring failed"):
-        scdmi50(_large_images()[0])
-    assert threading.active_count() == threads
+    for failing_k, error in ((1, RuntimeError), (0, K0Failure)):
+
+        def failing(img, k):
+            if k == failing_k:
+                raise error(f"k={k} centring failed")
+            return centre(img, k)
+
+        monkeypatch.setattr(engine, "centred_values", failing)
+        threads = threading.active_count()
+        with pytest.raises(error, match=f"k={failing_k} centring failed"):
+            scdmi50(img)
+        assert threading.active_count() == threads
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures (and the logging it pulls in) is imported on the
+    # first threaded moment_tables call, not by ``import scdmi``
+    src = str(Path(engine.__file__).resolve().parents[1])
+    script = "import sys, scdmi; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_large_mask_that_erosion_empties():

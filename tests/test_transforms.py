@@ -159,6 +159,27 @@ class TestShapeAffine:
         assert out.mask.shape == (6, 7) and not out.mask.any()
         assert not any(plane.any() for plane in out.channels())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps, singular", [(2.0**-52, True), (2.0**-40, False)], ids=["singular", "warps"])
+    def test_huge_entries_with_finite_determinant(self, eps, singular):
+        # the entries' products overflow although the determinant is finite,
+        # so the warp forms determinant and inverse on the matrix scaled by a
+        # power of two; with eps = 2^-52 the scaled determinant cancels to 0
+        # and the map is a typed Singular, never a numpy warning
+        t = ShapeAffine(np.array([[1e160, 1e160], [1e160 * (1.0 - eps), 1e160]]))
+        img = random_image(0, 6, 6)
+        if singular:
+            with pytest.raises(Singular):
+                apply_shape_affine(img, t)
+            return
+        # source (x, y) is about 1e-160 (x - y, y - (1 - eps) x): only the
+        # diagonal reads inside the frame, all from pixel (0, 0)
+        out = apply_shape_affine(img, t)
+        diagonal = np.eye(6, dtype=bool)
+        assert np.array_equal(out.mask, diagonal)
+        for plane, source in zip(out.channels(), img.channels()):
+            assert np.all(plane[diagonal] == source[0, 0]) and not plane[~diagonal].any()
+
 
 class TestColorAffine:
     def test_identity(self):
@@ -261,6 +282,9 @@ class TestSamplers:
         assert lam > 0
         assert np.allclose(t.matrix, lam * np.eye(3), atol=1e-12)
         assert np.all(t.offset == 0.0)
+        # an empty offset range is valid, a reversed one is not
+        with pytest.raises(ValueError, match="offset_range"):
+            sample_color_affine(3, max_condition=1.0, offset_range=(1.0, -1.0))
 
 
 class TestFeatureInvariance:
