@@ -13,19 +13,24 @@ points, and a vector of ones for each point no factor holds. Numpy's greedy
 path (``np.einsum_path``, after opt_einsum) becomes, once per core and
 domain size on first use, a list of steps; each contracts two operands (a
 lone operand, in a one-factor core) to the points they share with the
-operands left, by one plain ``np.einsum`` (numpy's C loop: no path to
-check, no BLAS). No operand or intermediate of
-a catalogue core holds more than three points, so none holds more than w**3
-values. Both primitives come from one minor, u_i v_j - v_i u_j: the shape
-primitive is minor(x, y), and the colour determinant is its cofactor
-expansion along red, r (x) minor(g, b) - g (x) minor(r, b) + b (x) minor(r, g).
+operands left. A step that sums a point both its operands hold and keeps
+a point runs as one ``np.matmul``, a BLAS product, with its transposes and
+reshapes planned from the subscripts; every other step (a product with no
+point summed, a full sum to a scalar, a lone operand, a product whose
+matrix would have a batch point at unit stride) runs as one plain
+``np.einsum``, numpy's C loop. Either way every point tuple is summed. No
+operand or intermediate of a catalogue core holds more than three points,
+so none holds more than w**3 values. Both primitives come from one minor,
+u_i v_j - v_i u_j: the shape primitive is minor(x, y), and the colour
+determinant is its cofactor expansion along red,
+r (x) minor(g, b) - g (x) minor(r, b) + b (x) minor(r, g).
 
 Intended for tiny images only; the tuple count is guarded.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -52,15 +57,59 @@ def _subscripts(points: tuple[int, ...]) -> str:
     return "".join(_LABELS[p - 1] for p in points)
 
 
+def _matmul_kernel(inputs: list[str], kept: str, size: int):
+    """The two-operand step ``inputs -> kept`` as one np.matmul: the step's
+    output subscripts and its kernel, or None where the step is no matrix
+    product.
+
+    Each operand is C-contiguous in the order of its subscripts. Points both
+    operands hold are summed (inner) or kept (batch); a kept point only one
+    holds is a row of the left operand or a column of the right one. Each
+    operand is transposed to (batch..., rows, inner) or (batch..., inner,
+    cols) and reshaped, a view wherever each group's points lie next to each
+    other in memory. The product is reshaped to the points batch + rows +
+    cols, a view; the operands swap sides where that lays it out in sorted
+    point order. No matrix product is a step that sums no point, keeps none,
+    or sums a point one operand alone holds, nor one whose matrix would have
+    a batch point at unit stride: numpy's matmul then skips BLAS for a loop
+    slower than einsum's.
+    """
+    x, y = inputs
+    inner = [p for p in x if p in y and p not in kept]
+    batch = [p for p in x if p in y and p in kept]
+    own = {s: [p for p in s if p not in inner + batch] for s in inputs}
+    if not inner or not kept or not set(own[x] + own[y]) <= set(kept):
+        return None
+    if any(own[s] and s[-1] in batch for s in inputs):
+        return None
+    swap = "".join(batch + own[x] + own[y]) != kept and "".join(batch + own[y] + own[x]) == kept
+    left, right = (y, x) if swap else (x, y)
+    out = "".join(batch + own[left] + own[right])
+    stack = (size,) * len(batch)
+    left_perm = [left.index(p) for p in batch + own[left] + inner]
+    left_shape = stack + (size ** len(own[left]), size ** len(inner))
+    right_perm = [right.index(p) for p in batch + inner + own[right]]
+    right_shape = stack + (size ** len(inner), size ** len(own[right]))
+    out_shape = (size,) * len(out)
+
+    def kernel(*operands):
+        a, b = operands[::-1] if swap else operands
+        return np.matmul(a.transpose(left_perm).reshape(left_shape),
+                         b.transpose(right_perm).reshape(right_shape)).reshape(out_shape)
+
+    return out, kernel
+
+
 @lru_cache(maxsize=None)
 def _contraction(spec: CoreSpec, size: int) -> tuple[tuple, tuple]:
     """The core's operands (a primitive and exponent each) and the steps of
     numpy's greedy path that contract them to a scalar over a domain of size
     points; built on first use.
 
-    A step pops the operands at its positions, highest first, contracts them
-    by its einsum subscripts and appends the result, which keeps the points
-    the taken operands share with those still left.
+    A step pops the operands at its positions, highest first, and appends
+    what its kernel makes of them: the points the taken operands share with
+    those still left, in the order its subscripts give. The kernel is a
+    planned np.matmul (see _matmul_kernel) or np.einsum on the subscripts.
     """
     subscripts = [_subscripts((i, j)) for i, j, _ in spec.shape_factors]
     subscripts += [_subscripts((p, q, r)) for p, q, r, _ in spec.color_triples]
@@ -76,8 +125,11 @@ def _contraction(spec: CoreSpec, size: int) -> tuple[tuple, tuple]:
     for taken in path[1:]:
         taken = tuple(sorted(taken, reverse=True))
         inputs = [subscripts.pop(n) for n in taken]
-        subscripts.append("".join(sorted(set("".join(inputs)) & set("".join(subscripts)))))
-        steps.append((taken, ",".join(inputs) + "->" + subscripts[-1]))
+        kept = "".join(sorted(set("".join(inputs)) & set("".join(subscripts))))
+        matmul = _matmul_kernel(inputs, kept, size) if len(inputs) == 2 else None
+        out, kernel = matmul or (kept, partial(np.einsum, ",".join(inputs) + "->" + kept))
+        subscripts.append(out)
+        steps.append((taken, ",".join(inputs) + "->" + out, kernel))
     return tuple(factors), tuple(steps)
 
 
@@ -130,8 +182,8 @@ def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
     """The core summed over every tuple of domain points, step by step."""
     factors, steps = _contraction(spec, dom.size)
     operands = [dom.power(*factor) for factor in factors]
-    for taken, subscripts in steps:
-        operands.append(np.einsum(subscripts, *[operands.pop(n) for n in taken]))
+    for taken, _, kernel in steps:
+        operands.append(kernel(*[operands.pop(n) for n in taken]))
     return float(operands[0])
 
 

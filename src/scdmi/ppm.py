@@ -57,8 +57,10 @@ def read_ppm(path) -> RasterImage:
     if len(data) - offset < need:
         raise ValueError(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    rgb = raw.reshape(height, width, 3).astype(np.float64) / 255.0
-    return RasterImage.from_array(rgb)
+    # one C-contiguous (3, H, W) array, so each channel plane is contiguous
+    planes = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64, order="C")
+    planes /= 255.0
+    return RasterImage(planes[0], planes[1], planes[2], np.ones((height, width), dtype=bool))
 
 
 def write_ppm(path, img: RasterImage) -> None:

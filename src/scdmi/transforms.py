@@ -26,9 +26,10 @@ _MIN_DET = 1e-6
 COLOR_SCALE_RANGE = (0.6, 1.5)
 
 
-def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The float n x n matrix and length-n offset of a ``what`` affine map,
-    checked for shape and finiteness before the determinant is formed."""
+def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The float n x n matrix, length-n offset and determinant of a ``what``
+    affine map, checked for shape and finiteness before the determinant is
+    formed, and for a determinant that overflows."""
     matrix = np.asarray(matrix, dtype=np.float64)
     offset = np.asarray(offset, dtype=np.float64)
     if matrix.shape != (n, n) or offset.shape != (n,):
@@ -39,9 +40,24 @@ def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarra
         det = float(np.linalg.det(matrix))
     if not np.isfinite(det):
         raise InvalidTransform(f"{what} affine determinant overflows")
-    if abs(det) < _MIN_DET:
-        raise Singular(f"{what} transform matrix is singular")
-    return matrix, offset
+    return matrix, offset, det
+
+
+def _shape_inverse(matrix: np.ndarray) -> np.ndarray:
+    """The inverse of a 2x2 coordinate map; raises Singular where its
+    determinant is under _MIN_DET in magnitude.
+
+    Determinant and adjugate are formed on the matrix scaled by a power of
+    two to a largest entry in [0.5, 1), which is exact and keeps the
+    products from overflowing; the scale is taken out again exactly. The
+    adjugate keeps grid-aligned maps exact in floating point.
+    """
+    scale = 2.0 ** -math.frexp(float(np.abs(matrix).max()))[1]
+    a = matrix * scale
+    det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    if abs(det / scale / scale) < _MIN_DET:
+        raise Singular("shape transform matrix is singular")
+    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det * scale
 
 
 @dataclass
@@ -52,7 +68,9 @@ class ShapeAffine:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        self.matrix, self.offset = _validated(self.matrix, self.offset, 2, "shape")
+        # singular by the determinant every warp of the map forms
+        self.matrix, self.offset, _ = _validated(self.matrix, self.offset, 2, "shape")
+        _shape_inverse(self.matrix)
 
     @classmethod
     def identity(cls) -> "ShapeAffine":
@@ -67,7 +85,9 @@ class ColorAffine:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        self.matrix, self.offset = _validated(self.matrix, self.offset, 3, "color")
+        self.matrix, self.offset, det = _validated(self.matrix, self.offset, 3, "color")
+        if abs(det) < _MIN_DET:
+            raise Singular("color transform matrix is singular")
 
     @classmethod
     def identity(cls) -> "ColorAffine":
@@ -86,16 +106,7 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     pixels and the mask verbatim.
     """
     w_in, h_in = img.width, img.height
-    # the determinant and adjugate inverse are formed on the matrix scaled by
-    # a power of two to a largest entry in [0.5, 1), which is exact and keeps
-    # the products from overflowing; the scale is taken out again exactly
-    scale = 2.0 ** -math.frexp(float(np.abs(t.matrix).max()))[1]
-    a = t.matrix * scale
-    det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if abs(det / scale / scale) < _MIN_DET:
-        raise Singular("shape transform matrix is singular")
-    # adjugate inverse keeps grid-aligned maps exact in floating point
-    inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det * scale
+    inv = _shape_inverse(t.matrix)
 
     gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
     gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]

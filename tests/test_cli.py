@@ -11,7 +11,7 @@ import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.cli import main
 import scdmi.cli as cli_mod
-from scdmi.engine import RasterImage
+from scdmi.engine import RasterImage, scdmi50
 from scdmi.errors import InvalidImage
 from scdmi.ppm import read_ppm, write_ppm
 from scdmi.synthetic import blob_image
@@ -28,6 +28,19 @@ class TestPpm:
         back = read_ppm(path)
         assert np.array_equal(back.red, img.red)
         assert back.mask.all()
+
+    def test_planes_are_contiguous_and_features_unchanged(self, tmp_path):
+        # each channel plane is C-contiguous, and scdmi50 reads the same
+        # features bit for bit as from the (H, W, 3) array's strided views
+        raw = np.random.default_rng(1).integers(0, 256, size=(23, 17, 3), dtype=np.uint8)
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n17 23\n255\n" + raw.tobytes())
+        img = read_ppm(path)
+        assert all(plane.flags.c_contiguous for plane in img.channels())
+        reference = scdmi50(RasterImage.from_array(raw.astype(np.float64) / 255.0))
+        features = scdmi50(img)
+        assert np.array_equal(features.values, reference.values)
+        assert np.array_equal(features.valid, reference.valid)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"

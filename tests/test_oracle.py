@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from scdmi.engine import (
     scdmi50,
     stable_sum,
 )
-from scdmi.errors import TooLarge
+from scdmi.errors import EmptyDomain, TooLarge
 from scdmi.oracle import _contraction, brute_force_core_integral, brute_force_features
 from scdmi.transforms import ShapeAffine, apply_shape_affine
 
@@ -227,7 +229,7 @@ class TestBruteForceFeatures:
         for spec, size in product(cores, [2, 9, 16, 36, 100]):
             factors, steps = _contraction(spec, size)
             held = [None] * len(factors)  # an operand's subscripts, once a step has formed them
-            for taken, subscripts in steps:
+            for taken, subscripts, _ in steps:
                 inputs, out = subscripts.split("->")
                 inputs = inputs.split(",")
                 assert len(taken) == len(inputs) <= 2
@@ -253,6 +255,114 @@ class TestBruteForceFeatures:
         monkeypatch.setattr(np, "einsum_path", counted)
         brute_force_features(random_image(13))
         assert calls == []
+
+
+def exact_core_sum(values, spec):
+    """The core summed over every point tuple in exact arithmetic, and the
+    exact sum over every tuple of its magnitude: each factor's expansion
+    (two products for a shape primitive, six for a colour determinant) with
+    every product taken by its absolute value. Fractions both; every float
+    is an integer times a power of two, so the values scaled by one power of
+    two are integers, and every term carries the same power."""
+    shift = 53 - min(math.frexp(v)[1] for vec in values for v in vec.tolist() if v)
+    x, y, red, green, blue = [[int(Fraction(v) * 2**shift) for v in vec.tolist()] for vec in values]
+    w = len(x)
+    shape = {
+        (i, j): (x[i] * y[j] - y[i] * x[j], abs(x[i] * y[j]) + abs(y[i] * x[j]))
+        for i, j in product(range(w), repeat=2)
+    }
+    det = {}
+    for triple in product(range(w), repeat=3):
+        terms = [red[a] * green[b] * blue[c] for a, b, c in permutations(triple)]
+        det[triple] = (sum(sign * t for sign, t in zip(_PERM_SIGNS, terms)), sum(map(abs, terms)))
+    total = magnitude = 0
+    for pts in product(range(w), repeat=spec.width):
+        factors = [shape[pts[i - 1], pts[j - 1]] + (exp,) for i, j, exp in spec.shape_factors]
+        factors += [det[pts[p - 1], pts[q - 1], pts[r - 1]] + (exp,) for p, q, r, exp in spec.color_triples]
+        term = size = 1
+        for value, bound, exp in factors:
+            term, size = term * value**exp, size * bound**exp
+        total, magnitude = total + term, magnitude + size
+    degree = sum(2 * e for *_, e in spec.shape_factors) + sum(3 * e for *_, e in spec.color_triples)
+    return Fraction(total, 2 ** (shift * degree)), Fraction(magnitude, 2 ** (shift * degree))
+
+
+def few_point_domain(k, n):
+    """An image whose k-domain holds n points, 3 <= n <= 6, in no rectangle.
+
+    At k=0 the mask is n seeded pixels of a 6x6 frame. At k=1 the frame is
+    full but for a pixel or two on its rim, each of which erodes one point
+    off the frame's stencil-eroded rectangle: 2x2 less one (6x6), 2x3 less
+    two or one (6x7), 2x4 less two (6x8).
+    """
+    rng = np.random.default_rng(10 * k + n)
+    if k == 0:
+        mask = np.zeros(36, dtype=bool)
+        mask[rng.choice(36, n, replace=False)] = True
+        return RasterImage.from_array(rng.uniform(0.0, 1.0, (6, 6, 3)), mask.reshape(6, 6))
+    (h, w), cuts = {3: ((6, 6), [(0, 2)]), 4: ((6, 7), [(0, 2), (5, 4)]),
+                    5: ((6, 7), [(0, 2)]), 6: ((6, 8), [(0, 2), (5, 5)])}[n]
+    mask = np.ones((h, w), dtype=bool)
+    for cut in cuts:
+        mask[cut] = False
+    return RasterImage.from_array(rng.uniform(0.0, 1.0, (h, w, 3)), mask)
+
+
+class TestExactCoreSums:
+    @pytest.mark.parametrize("k, n", [(k, n) for k in (0, 1) for n in (3, 4, 5, 6)])
+    def test_every_core_matches_exact_sum(self, k, n):
+        # each catalogue core and the quadratic colour core against the
+        # exact sum over every point tuple, which catches a wrong axis
+        # permutation in any step: within 1e-12 of the exact value, plus one
+        # unit roundoff of the exact magnitude, the rounding any float sum of
+        # these products carries where they cancel (on 3 or 4 points the
+        # colour determinants nearly vanish, and the exact value can be
+        # under 1e-60 of the magnitude)
+        img = few_point_domain(k, n)
+        values = centred_values(img, k)
+        assert values[0].size == n
+        if k == 0:  # stencil erosion leaves no k=1 domain
+            with pytest.raises(EmptyDomain):
+                centred_values(img, 1)
+        for spec in [spec.source for spec in catalogue_specs()] + [DENOM_CORE]:
+            exact, magnitude = exact_core_sum(values, spec)
+            got = Fraction(brute_force_core_integral(img, spec, k))
+            assert abs(got - exact) <= Fraction(1e-12) * abs(exact) + Fraction(2.0**-53) * magnitude, spec
+
+
+class TestBlasProducts:
+    def test_products_read_views(self, monkeypatch):
+        # every matmul step reads both operands as views: the transposes and
+        # reshapes planned from the subscripts copy nothing
+        honest = np.matmul
+        read = []
+
+        def recording(a, b):
+            read.extend((a, b))
+            return honest(a, b)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        brute_force_features(random_image(15))
+        assert read and not any(operand.flags.owndata for operand in read)
+
+    def test_features_do_not_depend_on_blas_threads(self):
+        # the same bits from one BLAS thread and from two
+        script = (
+            "import numpy as np\n"
+            "import scdmi\n"
+            "for seed in range(4):\n"
+            "    rgb = np.random.default_rng(seed).uniform(size=(6, 6, 3))\n"
+            "    fv = scdmi.brute_force_features(scdmi.RasterImage.from_array(rgb))\n"
+            "    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())\n"
+        )
+        src = str(Path(oracle_mod.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].split()) == 8
+        assert outputs[0] == outputs[1]
 
 
 class TestOracleGate:

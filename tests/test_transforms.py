@@ -163,15 +163,22 @@ class TestShapeAffine:
     @pytest.mark.parametrize("eps, singular", [(2.0**-52, True), (2.0**-40, False)], ids=["singular", "warps"])
     def test_huge_entries_with_finite_determinant(self, eps, singular):
         # the entries' products overflow although the determinant is finite,
-        # so the warp forms determinant and inverse on the matrix scaled by a
+        # so the map forms determinant and inverse on the matrix scaled by a
         # power of two; with eps = 2^-52 the scaled determinant cancels to 0
-        # and the map is a typed Singular, never a numpy warning
-        t = ShapeAffine(np.array([[1e160, 1e160], [1e160 * (1.0 - eps), 1e160]]))
+        # (numpy's LU determinant reads 1.56e304) and the map is a typed
+        # Singular, never a numpy warning, both when it is built and when a
+        # matrix set after construction is applied
+        matrix = np.array([[1e160, 1e160], [1e160 * (1.0 - eps), 1e160]])
         img = random_image(0, 6, 6)
         if singular:
             with pytest.raises(Singular):
+                ShapeAffine(matrix)
+            t = ShapeAffine.identity()
+            t.matrix = matrix
+            with pytest.raises(Singular):
                 apply_shape_affine(img, t)
             return
+        t = ShapeAffine(matrix)
         # source (x, y) is about 1e-160 (x - y, y - (1 - eps) x): only the
         # diagonal reads inside the frame, all from pixel (0, 0)
         out = apply_shape_affine(img, t)
