@@ -16,7 +16,7 @@ from scdmi.synthetic import disk_masked_image
 from scdmi.transforms import invariance_report, sample_color_affine, sample_shape_affine
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--size", type=int, default=256)
@@ -27,7 +27,7 @@ def main() -> int:
     ap.add_argument("--max-condition", type=float, default=2.5)
     ap.add_argument("--clamp", action="store_true")
     ap.add_argument("--out", default="invariance_report.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     img = disk_masked_image(args.seed, size=args.size, radius_frac=0.20)
     shapes = tuple(

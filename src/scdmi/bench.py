@@ -124,9 +124,11 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.nd
 
 
 def _histogram(u: np.ndarray, bins: int) -> np.ndarray:
-    """Normalized histogram of ``u`` over [0, 1) in ``bins`` equal bins, the
-    values outside clamped into the end bins; all zeros when ``u`` is empty."""
-    idx = np.clip((u * bins).astype(np.int64), 0, bins - 1)
+    """Normalized histogram of ``u`` over [0, 1) in ``bins`` equal bins, the values outside, inf
+    too, clamped into the end bins; all zeros when ``u`` is empty, all nan when it holds a nan."""
+    if np.isnan(u).any():
+        return np.full(bins, np.nan)
+    idx = np.clip(u * bins, 0, bins - 1).astype(np.int64)
     h = np.bincount(idx, minlength=bins).astype(np.float64)
     return h / max(h.sum(), 1.0)
 
@@ -148,7 +150,10 @@ def _hu7(lum: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     yp = [1.0, y, y * y, y * y * y]
 
     def eta(p, q):
-        return stable_sum(w * xp[p] * yp[q]) / m00 ** (1.0 + (p + q) / 2.0)
+        try:
+            return stable_sum(w * xp[p] * yp[q]) / m00 ** (1.0 + (p + q) / 2.0)
+        except OverflowError:  # a normalizer past the float range
+            return np.nan
 
     n20, n02, n11 = eta(2, 0), eta(0, 2), eta(1, 1)
     n30, n03, n21, n12 = eta(3, 0), eta(0, 3), eta(2, 1), eta(1, 2)
@@ -169,6 +174,7 @@ def _hu7(lum: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def baseline_rows(img: RasterImage) -> dict[DescriptorKind, np.ndarray]:
     """The four baseline descriptors of one image, from one gather of its
     masked pixels.
@@ -179,10 +185,10 @@ def baseline_rows(img: RasterImage) -> dict[DescriptorKind, np.ndarray]:
     the standardized values over [-TCD_SPAN, TCD_SPAN]). The channel sum
     s = r + g + b is the chromaticity denominator of RG_HISTOGRAM, whose
     pixels with zero sum carry no chromaticity and are skipped, and s / 3
-    is HU7's luminance.
+    is HU7's luminance. Non-finite or overflowing values give nan or inf entries, with no warning.
     """
     ys, xs = np.nonzero(img.mask)
-    r, g, b = (plane[img.mask] for plane in img.channels())
+    r, g, b = (plane[img.mask] for plane in img.channels)
     n = max(xs.size, 1)
     moments, standardized = [], []
     for v in (r, g, b):
@@ -191,7 +197,8 @@ def baseline_rows(img: RasterImage) -> dict[DescriptorKind, np.ndarray]:
         sq = centred * centred
         std = float(np.sqrt(stable_sum(sq) / n))
         moments.extend([mean, std, stable_sum(sq * centred) / n])
-        z = centred / max(std, SIGMA_FLOOR)
+        # a deviation that overflowed standardizes nothing: the histogram reads nan
+        z = centred / max(std, SIGMA_FLOOR) if std < np.inf else centred * np.nan
         standardized.append(_histogram((z + TCD_SPAN) / (2 * TCD_SPAN), TCD_BINS))
     s = r + g + b
     keep = np.abs(s) > SIGMA_FLOOR
@@ -246,7 +253,7 @@ DescriptorRows = dict[DescriptorKind, tuple[np.ndarray, np.ndarray]]
 def descriptor_rows(img: RasterImage) -> DescriptorRows:
     """(values, validity) of every descriptor kind for one image: one
     scdmi50 call, whose two halves are views of the SCDMI50 row, and one
-    baseline_rows call."""
+    baseline_rows call, whose entries are valid where they are finite."""
     fv = scdmi50(img)
     rows = {
         DescriptorKind.SCDMI50: (fv.values, fv.valid),
@@ -254,7 +261,7 @@ def descriptor_rows(img: RasterImage) -> DescriptorRows:
         DescriptorKind.SCDMI1_25: (fv.values[25:], fv.valid[25:]),
     }
     for kind, row in baseline_rows(img).items():
-        rows[kind] = row, np.ones(row.shape, dtype=bool)
+        rows[kind] = row, np.isfinite(row)
     return rows
 
 

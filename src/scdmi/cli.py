@@ -33,7 +33,7 @@ from .bench import (
     featurize,
     run_benchmark,
 )
-from .engine import scdmi50
+from .engine import RasterImage, scdmi50
 from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
 
@@ -166,15 +166,7 @@ def _export_class(members: list[LabeledImage], start: int, writer, out: Path) ->
         name = f"dataset/{label}_{i:04d}.ppm"
         # masked-out pixels are baked to black in the exported copies;
         # the benchmark itself runs on the in-memory masked images
-        write_ppm(
-            out / name,
-            type(img)(
-                np.where(img.mask, img.red, 0.0),
-                np.where(img.mask, img.green, 0.0),
-                np.where(img.mask, img.blue, 0.0),
-                img.mask,
-            ),
-        )
+        write_ppm(out / name, RasterImage(np.where(img.mask, img.channels, 0.0), img.mask))
         writer.writerow([name, label, split])
 
 

@@ -10,7 +10,7 @@ class InvalidSpec(ScdmiError, ValueError):
 
 
 class InvalidImage(ScdmiError, ValueError):
-    """Channel planes and mask do not form one 2-D image."""
+    """The channel array and mask do not form one (3, H, W) image."""
 
 
 class EmptyDomain(ScdmiError, ValueError):

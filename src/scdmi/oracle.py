@@ -179,7 +179,7 @@ class _Domain:
 
 
 def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
-    """The core summed over every tuple of domain points, step by step."""
+    """The core summed over every tuple of domain points, step by step; inf or nan on overflow."""
     factors, steps = _contraction(spec, dom.size)
     operands = [dom.power(*factor) for factor in factors]
     for taken, _, kernel in steps:
@@ -188,24 +188,27 @@ def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
 
 
 def _normalizer(dom: _Domain) -> float | None:
-    """The quadratic colour core; None where it underflows the engine's floor."""
+    """The quadratic colour core; None where it underflows the engine's floor or is not finite."""
     d2 = _core_sum(dom, _D2)
     squares = [stable_sum(c * c) for c in dom.values[2:]]
-    return d2 if d2 > degeneracy_floor(float(dom.size), squares) else None
+    return d2 if degeneracy_floor(float(dom.size), squares) < d2 < np.inf else None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force_core_integral(img: RasterImage, spec: CoreSpec, k: int) -> float:
     """Nested summation of the core over all point tuples of the k domain."""
     return _core_sum(_Domain(img, k, spec.width), spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def brute_force_features(img: RasterImage) -> FeatureVector:
     """All 50 invariants by brute force, entry for entry as scdmi50 lays them out.
 
     Each k-domain's centred values, primitives and quadratic core are built
     once. Entries of a k are invalid where the quadratic core underflows the
-    degeneracy floor, or where stencil erosion empties the k=1 domain. Raises
-    as scdmi50 does on an empty mask or an image under 5x5 pixels.
+    degeneracy floor or stencil erosion empties the k=1 domain, and an entry
+    is invalid where it overflows. Raises as scdmi50 does on an empty mask or
+    an image under 5x5 pixels.
     """
     specs = catalogue_specs()
     width = max(max(spec.source.width for spec in specs), _D2.width)
@@ -223,6 +226,7 @@ def brute_force_features(img: RasterImage) -> FeatureVector:
             continue
         for pos, spec in enumerate(specs, start=25 * k):
             numer = _core_sum(dom, spec.source)
-            values[pos] = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
-            valid[pos] = True
+            value = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
+            if np.isfinite(value):
+                values[pos], valid[pos] = value, True
     return FeatureVector(values, valid)

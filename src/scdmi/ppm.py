@@ -32,41 +32,41 @@ def _tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
         while i < n and not data[i : i + 1].isspace():
             i += 1
         if start == i:
-            raise ValueError("truncated PPM header")
+            raise InvalidImage("truncated PPM header")
         toks.append(data[start:i])
     if i >= n or not data[i : i + 1].isspace():
-        raise ValueError("missing whitespace after PPM header")
+        raise InvalidImage("missing whitespace after PPM header")
     return toks, i + 1
 
 
 def read_ppm(path) -> RasterImage:
+    """The image in a P6 file; raises InvalidImage on a malformed or unsupported file."""
     data = Path(path).read_bytes()
     # the magic number is the whole first token: "P66" is not "P6"
     if data[:2] != b"P6" or not data[2:3].isspace():
-        raise ValueError(f"{path}: not a binary P6 PPM")
+        raise InvalidImage(f"{path}: not a binary P6 PPM")
     toks, offset = _tokens(data, 4)
     try:
         width, height, maxval = (int(t) for t in toks[1:])
     except ValueError:
-        raise ValueError(f"{path}: malformed PPM header") from None
+        raise InvalidImage(f"{path}: malformed PPM header") from None
     if width <= 0 or height <= 0:
-        raise ValueError(f"{path}: bad dimensions {width}x{height}")
+        raise InvalidImage(f"{path}: bad dimensions {width}x{height}")
     if maxval != 255:
-        raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
+        raise InvalidImage(f"{path}: only maxval 255 is supported, got {maxval}")
     need = width * height * 3
     if len(data) - offset < need:
-        raise ValueError(f"{path}: truncated pixel data")
+        raise InvalidImage(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=np.uint8, count=need, offset=offset)
-    # one C-contiguous (3, H, W) array, so each channel plane is contiguous
-    planes = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64, order="C")
-    planes /= 255.0
-    return RasterImage(planes[0], planes[1], planes[2], np.ones((height, width), dtype=bool))
+    # built C-contiguous, the layout RasterImage stores, so it is not copied again
+    channels = raw.reshape(height, width, 3).transpose(2, 0, 1).astype(np.float64, order="C")
+    channels /= 255.0
+    return RasterImage(channels, np.ones((height, width), dtype=bool))
 
 
 def write_ppm(path, img: RasterImage) -> None:
-    rgb = np.stack(img.channels(), axis=-1)
-    if not np.isfinite(rgb).all():
+    if not np.isfinite(img.channels).all():
         raise InvalidImage(f"{path}: a PPM needs finite channel values")
-    quant = np.rint(np.clip(rgb, 0.0, 1.0) * 255.0).astype(np.uint8)
+    quant = np.rint(np.clip(img.channels, 0.0, 1.0) * 255.0).astype(np.uint8)
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + quant.tobytes())
+    Path(path).write_bytes(header + np.moveaxis(quant, 0, -1).tobytes())

@@ -34,7 +34,7 @@ def blob_image(seed: int, size: int = 128, n_blobs: int = 6, spread: float = 0.3
     pmin, pmax = float(planes.min()), float(planes.max())
     scale = (CHANNEL_HI - CHANNEL_LO) / max(pmax - pmin, 1e-9)
     planes = CHANNEL_LO + (planes - pmin) * scale
-    return RasterImage(planes[0], planes[1], planes[2], np.ones((size, size), dtype=bool))
+    return RasterImage(planes, np.ones((size, size), dtype=bool))
 
 
 def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_blobs: int = 6) -> RasterImage:
@@ -48,4 +48,4 @@ def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_b
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     c = (size - 1) / 2.0
     mask = (xx - c) ** 2 + (yy - c) ** 2 <= (radius_frac * size) ** 2
-    return RasterImage(img.red, img.green, img.blue, mask)
+    return RasterImage(img.channels, mask)

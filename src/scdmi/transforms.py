@@ -144,30 +144,28 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     w01 = fx * (1.0 - fy)
     w10 = (1.0 - fx) * fy
     w11 = fx * fy
-    planes = np.stack(img.channels()).reshape(3, -1)
+    planes = img.channels.reshape(3, -1)
     # the weighted taps are added in the fixed order 00, 01, 10, 11, which sets the rounding
     out = w00 * planes.take(taps[0], axis=1)
     for weight, tap in zip((w01, w10, w11), taps[1:]):
         out += weight * planes.take(tap, axis=1)
-    out = np.where(out_mask, out, 0.0)
-    return RasterImage(out[0], out[1], out[2], out_mask)
+    return RasterImage(np.where(out_mask, out, 0.0), out_mask)
 
 
 def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) -> RasterImage:
     """Per-pixel channel map in real space; clamps to [0, 1] only on request."""
-    stack = np.stack(img.channels())
-    out = np.einsum("ij,jhw->ihw", t.matrix, stack) + t.offset[:, None, None]
+    out = np.einsum("ij,jhw->ihw", t.matrix, img.channels) + t.offset[:, None, None]
     if clamp:
         np.clip(out, 0.0, 1.0, out=out)
-    return RasterImage(out[0], out[1], out[2], img.mask.copy())
+    return RasterImage(out, img.mask.copy())
 
 
 def upsample_nearest(img: RasterImage, factor: int = 2) -> RasterImage:
     """Pixel replication: an exact affine map of the sample grid."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    rep = lambda p: np.repeat(np.repeat(p, factor, axis=0), factor, axis=1)
-    return RasterImage(rep(img.red), rep(img.green), rep(img.blue), rep(img.mask))
+    channels = img.channels.repeat(factor, axis=1).repeat(factor, axis=2)
+    return RasterImage(channels, img.mask.repeat(factor, axis=0).repeat(factor, axis=1))
 
 
 # ---------------------------------------------------------------------------

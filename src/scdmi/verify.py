@@ -188,7 +188,7 @@ def degeneracy_suite(seed: int = 0) -> list[VerifyRow]:
     rng = np.random.default_rng(seed + 23)
     g = rng.uniform(0.0, 1.0, (16, 16))
     cases = {
-        "grayscale": RasterImage(g, g.copy(), g.copy(), np.ones((16, 16), dtype=bool)),
+        "grayscale": RasterImage(np.stack([g, g, g]), np.ones((16, 16), dtype=bool)),
         "constant": RasterImage.from_array(np.full((16, 16, 3), 0.4)),
     }
     rows = []

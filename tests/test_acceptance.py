@@ -154,7 +154,7 @@ def test_criterion_7_degeneracy_handling():
     rng = np.random.default_rng(3)
     g = rng.uniform(0, 1, (32, 32))
     cases = [
-        RasterImage(g, g.copy(), g.copy(), np.ones((32, 32), bool)),  # grayscale
+        RasterImage(np.stack([g, g, g]), np.ones((32, 32), bool)),  # grayscale
         RasterImage.from_array(np.full((16, 16, 3), 0.6)),  # constant color
         RasterImage.from_array(np.zeros((8, 8, 3))),  # all black
     ]

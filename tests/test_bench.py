@@ -13,6 +13,7 @@ from scdmi.bench import (
     baseline_rows,
     chi2_matrix,
     classification_class,
+    descriptor_rows,
     feature_normalize,
     featurize,
     knn_classify,
@@ -133,7 +134,7 @@ class TestBaselines:
         # (c * c) * c rounds twice and c**3 once: the sums differ by a few ulp of sum |c|^3
         img = random_image(5, 31, 29)
         cm = baseline_rows(img)[DescriptorKind.COLOR_MOMENTS]
-        for plane, mu3 in zip(img.channels(), cm[2::3]):
+        for plane, mu3 in zip(img.channels, cm[2::3]):
             c = plane.ravel() - stable_sum(plane) / plane.size
             bound = 4 * np.finfo(float).eps * float(np.sum(np.abs(c) ** 3)) / plane.size
             assert abs(mu3 - stable_sum(c**3) / plane.size) <= bound
@@ -143,11 +144,39 @@ class TestBaselines:
         masked = disk_masked_image(3, size=24, radius_frac=0.3)
         rows = []
         for fill in (0.0, 1e308):
-            planes = [np.where(masked.mask, plane, fill) for plane in masked.channels()]
-            rows.append(baseline_rows(RasterImage(*planes, masked.mask)))
+            channels = np.where(masked.mask, masked.channels, fill)
+            rows.append(baseline_rows(RasterImage(channels, masked.mask)))
         assert not masked.mask.all()
         for kind in rows[0]:
             assert rows[0][kind].tobytes() == rows[1][kind].tobytes(), kind
+
+    @pytest.mark.parametrize(
+        "case, moments_valid, tcd_valid",
+        [
+            # squared deviations overflow: each mean is finite, each spread is not
+            ("channels-1e200", [True, False, False] * 3, [False] * 60),
+            # a nan green pixel: the green statistics are undefined, and the
+            # pixel carries no chromaticity, so RG_HISTOGRAM skips it
+            ("nan-pixel", [True] * 3 + [False] * 3 + [True] * 3, [True] * 20 + [False] * 20 + [True] * 20),
+        ],
+        ids=["channels-1e200", "nan-pixel"],
+    )
+    def test_nonfinite_entries_are_invalid(self, case, moments_valid, tcd_valid):
+        # without a warning, which the test configuration turns into an error
+        img = random_image(4)
+        if case == "channels-1e200":
+            img = RasterImage(img.channels * 1e200, img.mask)
+        else:
+            img.channels[1, 3, 4] = np.nan
+        rows = descriptor_rows(img)
+        for kind in (DescriptorKind.HU7, DescriptorKind.COLOR_MOMENTS, DescriptorKind.RG_HISTOGRAM,
+                     DescriptorKind.TRANSFORMED_COLOR_DIST):
+            values, valid = rows[kind]
+            assert np.array_equal(valid, np.isfinite(values)), kind
+        assert not rows[DescriptorKind.HU7][1].any()
+        assert rows[DescriptorKind.COLOR_MOMENTS][1].tolist() == moments_valid
+        assert rows[DescriptorKind.RG_HISTOGRAM][1].all()
+        assert rows[DescriptorKind.TRANSFORMED_COLOR_DIST][1].tolist() == tcd_valid
 
 
 def tiny_items(n_classes=2, per_class=6):
@@ -209,12 +238,7 @@ class TestProtocols:
             base = blob_image(c + 50, size=24)
             for i in range(4):
                 noise = np.random.default_rng(1000 * c + i).normal(0, 1e-4, (24, 24))
-                img = RasterImage(
-                    np.clip(base.red + noise, 0, 1),
-                    np.clip(base.green + noise, 0, 1),
-                    np.clip(base.blue + noise, 0, 1),
-                    base.mask,
-                )
+                img = RasterImage(np.clip(base.channels + noise, 0, 1), base.mask)
                 items.append((f"c{c}", "test", img))
         curve = pr_of(items, DescriptorKind.COLOR_MOMENTS)
         assert np.allclose(curve.precision, 1.0)
@@ -467,5 +491,5 @@ class TestGenerators:
         b = classification_items(2, n_transforms=2, size=48, seed=9)
         for (la, sa, ia), (lb, sb, ib) in zip(a, b):
             assert (la, sa) == (lb, sb)
-            assert np.array_equal(ia.red, ib.red)
+            assert np.array_equal(ia.channels[0], ib.channels[0])
             assert np.array_equal(ia.mask, ib.mask)

@@ -26,7 +26,7 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         write_ppm(path, img)
         back = read_ppm(path)
-        assert np.array_equal(back.red, img.red)
+        assert np.array_equal(back.channels[0], img.channels[0])
         assert back.mask.all()
 
     def test_planes_are_contiguous_and_features_unchanged(self, tmp_path):
@@ -36,7 +36,7 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n17 23\n255\n" + raw.tobytes())
         img = read_ppm(path)
-        assert all(plane.flags.c_contiguous for plane in img.channels())
+        assert all(plane.flags.c_contiguous for plane in img.channels)
         reference = scdmi50(RasterImage.from_array(raw.astype(np.float64) / 255.0))
         features = scdmi50(img)
         assert np.array_equal(features.values, reference.values)
@@ -53,26 +53,42 @@ class TestPpm:
         # the magic number is the whole first token, not its first two bytes
         for data in (b"P5\n2 2\n255\n" + bytes(4), b"P66 2 2 255\n" + bytes(12)):
             path.write_bytes(data)
-            with pytest.raises(ValueError, match="not a binary P6 PPM"):
+            with pytest.raises(InvalidImage, match="not a binary P6 PPM"):
                 read_ppm(path)
 
     def test_rejects_truncated(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(5))
-        with pytest.raises(ValueError, match="truncated pixel data"):
+        with pytest.raises(InvalidImage, match="truncated pixel data"):
             read_ppm(path)
 
     def test_rejects_wide_maxval(self, tmp_path):
         path = tmp_path / "wide.ppm"
         path.write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidImage, match="maxval"):
+            read_ppm(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6\n4 4", "truncated PPM header"),
+            (b"P6\n1 1\n255", "missing whitespace"),
+            (b"P6\nfour 4\n255\n" + bytes(48), "malformed PPM header"),
+            (b"P6\n0 4\n255\n", "bad dimensions"),
+        ],
+        ids=["truncated-header", "no-whitespace", "non-integer", "zero-width"],
+    )
+    def test_rejects_malformed_header(self, tmp_path, data, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(data)
+        with pytest.raises(InvalidImage, match=message):
             read_ppm(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_write_rejects_nonfinite_channels(self, tmp_path, bad):
         # checked before the file is opened: no file, and no byte that depends on the platform's cast
         img = blob_image(0, size=8)
-        img.green[3, 4] = bad
+        img.channels[1, 3, 4] = bad
         path = tmp_path / "bad.ppm"
         with pytest.raises(InvalidImage, match="finite"):
             write_ppm(path, img)
@@ -106,7 +122,7 @@ class TestGen:
 class TestFeatures:
     def test_grayscale_flags_false(self, tmp_path):
         g = np.random.default_rng(1).uniform(0, 1, (8, 8))
-        write_ppm(tmp_path / "gray.ppm", RasterImage(g, g, g, np.ones((8, 8), bool)))
+        write_ppm(tmp_path / "gray.ppm", RasterImage(np.stack([g, g, g]), np.ones((8, 8), bool)))
         out = tmp_path / "out"
         assert main(["features", str(tmp_path / "gray.ppm"), "--out", str(out)]) == 0
         rows = (out / "features.csv").read_text().strip().split("\n")

@@ -47,13 +47,25 @@ def slot(idx):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda plane: RasterImage(plane, np.zeros((4, 5)), plane, plane == 0),
-        lambda plane: RasterImage(plane[0], plane[0], plane[0], plane[0] == 0),
+        lambda plane: RasterImage(np.zeros((3, 4, 5)), plane == 0),
+        lambda plane: RasterImage(np.stack([plane[0]] * 3), plane[0] == 0),
         lambda plane: RasterImage.from_array(np.zeros((4, 4, 4))),
         lambda plane: RasterImage.from_array(plane),
         lambda plane: RasterImage.from_array(np.zeros((4, 4, 3)), mask=np.ones((3, 4), bool)),
+        lambda plane: RasterImage(np.stack([plane] * 2), plane == 0),
+        lambda plane: RasterImage(plane, plane == 0),
+        lambda plane: RasterImage(np.stack([plane] * 3), np.stack([plane == 0] * 3)),
     ],
-    ids=["planes-differ", "planes-1d", "four-channels", "no-channel-axis", "mask-differs"],
+    ids=[
+        "planes-differ",
+        "planes-1d",
+        "four-channels",
+        "no-channel-axis",
+        "mask-differs",
+        "two-channels",
+        "channels-2d",
+        "mask-has-channel-axis",
+    ],
 )
 def test_malformed_image_raises_typed_error(build):
     # a typed ScdmiError that is still a ValueError, never a bare ValueError
@@ -87,7 +99,7 @@ class TestDerivatives:
     def test_ramp_derivative_is_12(self):
         h, w = 7, 9
         yy, xx = np.mgrid[0:h, 0:w].astype(float)
-        img = RasterImage(xx, yy, xx, np.ones((h, w), bool))
+        img = RasterImage(np.stack([xx, yy, xx]), np.ones((h, w), bool))
         xc, yc, rc, gc, _ = centred_values(img, 1)
         # dC/dx = 12 and dC/dy = 0 on an x ramp; the reverse on a y ramp
         assert np.allclose(rc, 12.0 * xc)
@@ -142,7 +154,7 @@ class TestF1Channels:
     def test_linear_ramp_gives_12_xc(self):
         h = w = 9
         x = np.tile(np.arange(w, dtype=float), (h, 1))
-        img = RasterImage(x, x, x, np.ones((h, w), bool))
+        img = RasterImage(np.stack([x, x, x]), np.ones((h, w), bool))
         xc, _, rc, _, _ = centred_values(img, 1)
         # k=1 is centred on the eroded mask's own centroid
         _, xs = np.nonzero(stencil_eroded_mask(img.mask))
@@ -158,7 +170,7 @@ class TestF1Channels:
         eroded = stencil_eroded_mask(mask)
         xbar, ybar = xx[eroded].mean(), yy[eroded].mean()
         c = (xx - xbar) ** 2 + (yy - ybar) ** 2
-        img = RasterImage(c, c, c, mask)
+        img = RasterImage(np.stack([c, c, c]), mask)
         _, _, rc, _, _ = centred_values(img, 1)
         assert np.allclose(rc, 24.0 * c[eroded], rtol=1e-12)
 
@@ -166,7 +178,7 @@ class TestF1Channels:
         # k=1 channels are not mean-subtracted: each is the stencil formula itself
         img = random_image(0, 7, 7)
         xc, yc, rc, _, _ = centred_values(img, 1)
-        p = img.red
+        p = img.channels[0]
         expected = [
             (p[y, x - 2] - 8.0 * p[y, x - 1] + 8.0 * p[y, x + 1] - p[y, x + 2]) * dx
             + (p[y - 2, x] - 8.0 * p[y - 1, x] + 8.0 * p[y + 1, x] - p[y + 2, x]) * dy
@@ -223,7 +235,8 @@ class TestMomentTable:
         img = random_image(3, 8, 8)
         vec = moment_vector(centred_values(img, 0))
         xbar = ybar = 3.5
-        rbar, gbar, bbar = img.red.mean(), img.green.mean(), img.blue.mean()
+        r, g, b = img.channels
+        rbar, gbar, bbar = r.mean(), g.mean(), b.mean()
         for idx, value in zip(compiled_catalogue().indices, vec):
             total = 0.0
             for y in range(8):
@@ -231,9 +244,9 @@ class TestMomentTable:
                     total += (
                         (x - xbar) ** idx.p
                         * (y - ybar) ** idx.q
-                        * (img.red[y, x] - rbar) ** idx.alpha
-                        * (img.green[y, x] - gbar) ** idx.beta
-                        * (img.blue[y, x] - bbar) ** idx.gamma
+                        * (r[y, x] - rbar) ** idx.alpha
+                        * (g[y, x] - gbar) ** idx.beta
+                        * (b[y, x] - bbar) ** idx.gamma
                     )
             assert value == pytest.approx(total, rel=1e-12, abs=1e-12)
 
@@ -242,7 +255,7 @@ class TestEvaluate:
     def test_grayscale_gives_invalid(self):
         rng = np.random.default_rng(5)
         g = rng.uniform(0, 1, (6, 6))
-        img = RasterImage(g, g.copy(), g.copy(), np.ones((6, 6), bool))
+        img = RasterImage(np.stack([g, g, g]), np.ones((6, 6), bool))
         fv = scdmi50(img)
         assert not fv.valid.any()
         assert np.all(fv.values == 0.0)
@@ -308,7 +321,7 @@ def test_moment_table_matches_naive_on_random_images(seed, h, w):
     ys = np.arange(h) - (h - 1) / 2
     naive = float(
         np.sum(
-            xs[None, :] ** 2 * ys[:, None] ** 1 * (img.red - img.red.mean())
+            xs[None, :] ** 2 * ys[:, None] ** 1 * (img.channels[0] - img.channels[0].mean())
         )
     )
     assert value == pytest.approx(naive, rel=1e-10, abs=1e-10)
@@ -346,7 +359,7 @@ def _ill_conditioned(seed, n):
 def _grayscale(seed, n):
     """Equal channels: the quadratic core vanishes, so all 50 entries are invalid."""
     g = np.random.default_rng(seed).uniform(0.0, 1.0, (n, n))
-    return RasterImage(g, g.copy(), g.copy(), np.ones((n, n), bool))
+    return RasterImage(np.stack([g, g, g]), np.ones((n, n), bool))
 
 
 def _plane_centred(img, k):
@@ -357,13 +370,13 @@ def _plane_centred(img, k):
     ys, xs = np.nonzero(mask)
     xbar, ybar = stable_sum(xs) / n, stable_sum(ys) / n
     if k == 0:
-        planes = [p - stable_sum(p[mask]) / n for p in img.channels()]
+        planes = [p - stable_sum(p[mask]) / n for p in img.channels]
     else:
         h, w = mask.shape
         xc = np.arange(w, dtype=np.float64) - xbar
         yc = np.arange(h, dtype=np.float64) - ybar
         planes = []
-        for p in img.channels():
+        for p in img.channels:
             ddx, ddy = np.zeros((h, w)), np.zeros((h, w))
             ddx[:, 2 : w - 2] = p[:, 0 : w - 4] - 8.0 * p[:, 1 : w - 3] + 8.0 * p[:, 3 : w - 1] - p[:, 4:w]
             ddy[2 : h - 2, :] = p[0 : h - 4, :] - 8.0 * p[1 : h - 3, :] + 8.0 * p[3 : h - 1, :] - p[4:h, :]
@@ -602,25 +615,29 @@ class TestCompiledCatalogue:
         assert abs(core_sums(moment_vector(values))[-1] - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize(
-        "case", ["inf-pixel", "channels-1e60", "pm-inf-two-blocks", "mean-overflow-two-blocks"]
+        "case", ["inf-pixel", "channels-1e60", "red-1e110", "pm-inf-two-blocks", "mean-overflow-two-blocks"]
     )
     def test_overflow_gives_invalid_entries(self, case):
         img = blob_image(1, size=64)
         if case == "inf-pixel":
-            img.red[32, 32] = np.inf
+            img.channels[0, 32, 32] = np.inf
         elif case == "channels-1e60":
-            img = RasterImage(img.red * 1e60, img.green * 1e60, img.blue * 1e60, img.mask)
+            img = RasterImage(img.channels * 1e60, img.mask)
+        elif case == "red-1e110":
+            # the core stays finite, but the degeneracy floor's cube of the
+            # channel scale overflows: the floor reads inf, and no core passes it
+            img.channels[0] *= 1e110
         else:
             # 272 px is more than one 2^16-pixel block; fsum raised on the block sums
             img = blob_image(1, size=272)
             if case == "pm-inf-two-blocks":
-                img.red[10, 10], img.red[260, 260] = np.inf, -np.inf
+                img.channels[0, 10, 10], img.channels[0, 260, 260] = np.inf, -np.inf
             else:
-                img = RasterImage(2.5e303 + 1e300 * img.red, img.green, img.blue, img.mask)
+                img.channels[0] = 2.5e303 + 1e300 * img.channels[0]
         fv = scdmi50(img)
         assert np.isfinite(fv.values).all()
         assert np.all(fv.values[~fv.valid] == 0.0)
-        if case.endswith("two-blocks"):
+        if case.endswith("two-blocks") or case == "red-1e110":
             assert not fv.valid.any()
 
 
@@ -706,9 +723,10 @@ def test_features_do_not_depend_on_blas_threads():
     reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
 )
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
-    # the oracle contracts its operands in numpy's C einsum loop, with no
-    # BLAS call: scdmi verify writes the same report byte for byte whatever
-    # the number of BLAS threads, each thread count in a fresh process
+    # the oracle runs its matrix-shaped contraction steps as np.matmul, a
+    # BLAS product, and the rest in numpy's C einsum loop: scdmi verify writes
+    # the same report byte for byte whatever the number of BLAS threads, each
+    # thread count in a fresh process
     src = str(Path(engine.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):

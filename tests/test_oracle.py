@@ -89,9 +89,18 @@ class TestBruteForceInvariant:
     def test_grayscale_is_degenerate(self):
         rng = np.random.default_rng(4)
         g = rng.uniform(0, 1, (6, 6))
-        img = RasterImage(g, g.copy(), g.copy(), np.ones((6, 6), bool))
+        img = RasterImage(np.stack([g, g, g]), np.ones((6, 6), bool))
         fv = brute_force_features(img)
         assert not fv.valid.any()
+        assert not fv.values.any()
+
+    def test_overflow_gives_invalid_entries(self):
+        # at 1e60 the colour determinant's square and the degeneracy floor
+        # leave the float range: every entry comes back invalid, as from
+        # scdmi50, with no warning and no OverflowError
+        img = RasterImage(random_image(6).channels * 1e60, np.ones((6, 6), bool))
+        fv = brute_force_features(img)
+        assert not fv.valid.any() and not scdmi50(img).valid.any()
         assert not fv.values.any()
 
     def test_quarter_turn_rotation_invariance(self):

@@ -57,7 +57,7 @@ def two_index_warp(img, t):
     w10 = (1.0 - fx) * fy
     w11 = fx * fy
     planes = []
-    for plane in img.channels():
+    for plane in img.channels:
         out = (
             w00 * plane[y0c, x0c]
             + w01 * plane[y0c, x1c]
@@ -65,7 +65,7 @@ def two_index_warp(img, t):
             + w11 * plane[y1c, x1c]
         )
         planes.append(np.where(out_mask, out, 0.0))
-    return RasterImage(planes[0], planes[1], planes[2], out_mask)
+    return RasterImage(np.stack(planes), out_mask)
 
 
 class TestWarpGatherExactness:
@@ -86,7 +86,7 @@ class TestWarpGatherExactness:
         got = apply_shape_affine(img, t)
         ref = two_index_warp(img, t)
         assert 0 < ref.mask.sum() < ref.mask.size
-        for a, b in zip((*got.channels(), got.mask), (*ref.channels(), ref.mask)):
+        for a, b in zip((*got.channels, got.mask), (*ref.channels, ref.mask)):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.array_equal(a, b)
 
@@ -99,9 +99,9 @@ class TestShapeAffine:
     def test_identity_is_bit_identical(self):
         img = random_image(0)
         out = apply_shape_affine(img, ShapeAffine.identity())
-        assert np.array_equal(out.red, img.red)
-        assert np.array_equal(out.green, img.green)
-        assert np.array_equal(out.blue, img.blue)
+        assert np.array_equal(out.channels[0], img.channels[0])
+        assert np.array_equal(out.channels[1], img.channels[1])
+        assert np.array_equal(out.channels[2], img.channels[2])
         assert np.array_equal(out.mask, img.mask)
 
     def test_integer_translation_is_exact_shift(self):
@@ -109,7 +109,7 @@ class TestShapeAffine:
         img.mask[:] = False
         img.mask[2:10, 3:11] = True
         out = apply_shape_affine(img, ShapeAffine(np.eye(2), np.array([4.0, 2.0])))
-        assert np.array_equal(out.red[4:12, 7:15], img.red[2:10, 3:11])
+        assert np.array_equal(out.channels[0, 4:12, 7:15], img.channels[0, 2:10, 3:11])
         assert np.array_equal(out.mask[4:12, 7:15], img.mask[2:10, 3:11])
         assert out.mask.sum() == img.mask.sum()
 
@@ -119,28 +119,28 @@ class TestShapeAffine:
         rot = ShapeAffine(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([2 * c, 0.0]))
         out = apply_shape_affine(img, rot)
         assert out.mask.all()
-        assert sorted(out.red.ravel()) == sorted(img.red.ravel())
+        assert sorted(out.channels[0].ravel()) == sorted(img.channels[0].ravel())
         # (x, y) -> (c - (y - c), x): column of output = W-1-y
-        assert np.array_equal(out.red[:, 8 - 3], img.red[3, :])
+        assert np.array_equal(out.channels[0, :, 8 - 3], img.channels[0, 3, :])
 
     def test_mask_soundness_under_poison(self):
         # unmasked pixels carry sentinels; they must never leak through taps
         img = random_image(3, 24, 24)
         img.mask[:] = False
         img.mask[6:18, 6:18] = True
-        for plane in img.channels():
+        for plane in img.channels:
             plane[~img.mask] = 1e12
         t = sample_shape_affine(99, det_range=(0.8, 1.2), max_condition=2.0, src_size=(24, 24))
         out = apply_shape_affine(img, t)
-        assert np.abs(out.red[out.mask]).max() < 1e6
-        assert np.all(out.red[~out.mask] == 0.0)
+        assert np.abs(out.channels[0, out.mask]).max() < 1e6
+        assert np.all(out.channels[0, ~out.mask] == 0.0)
 
     def test_out_size(self):
         # the output has the input's frame: a map that halves the image leaves the rest of it masked
         img = random_image(4, 8, 12)
         out = apply_shape_affine(img, ShapeAffine(0.5 * np.eye(2)))
         assert (out.width, out.height) == (12, 8)
-        assert out.mask[:4, :6].all() and np.array_equal(out.red[:4, :6], img.red[::2, ::2])
+        assert out.mask[:4, :6].all() and np.array_equal(out.channels[0, :4, :6], img.channels[0, ::2, ::2])
         assert out.mask.sum() == 4 * 6
 
     @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ class TestShapeAffine:
         # channels, with no numpy warning on the way
         out = apply_shape_affine(random_image(0, 6, 7), ShapeAffine(np.array(matrix), np.array(offset)))
         assert out.mask.shape == (6, 7) and not out.mask.any()
-        assert not any(plane.any() for plane in out.channels())
+        assert not any(plane.any() for plane in out.channels)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eps, singular", [(2.0**-52, True), (2.0**-40, False)], ids=["singular", "warps"])
@@ -184,7 +184,7 @@ class TestShapeAffine:
         out = apply_shape_affine(img, t)
         diagonal = np.eye(6, dtype=bool)
         assert np.array_equal(out.mask, diagonal)
-        for plane, source in zip(out.channels(), img.channels()):
+        for plane, source in zip(out.channels, img.channels):
             assert np.all(plane[diagonal] == source[0, 0]) and not plane[~diagonal].any()
 
 
@@ -192,26 +192,35 @@ class TestColorAffine:
     def test_identity(self):
         img = random_image(5)
         out = apply_color_affine(img, ColorAffine.identity())
-        assert np.array_equal(out.red, img.red)
+        assert np.array_equal(out.channels[0], img.channels[0])
 
     def test_diagonal_doubling_unclamped(self):
         img = random_image(6)
         out = apply_color_affine(img, ColorAffine(2.0 * np.eye(3)), clamp=False)
-        assert np.array_equal(out.red, 2.0 * img.red)
-        assert np.array_equal(out.blue, 2.0 * img.blue)
+        assert np.array_equal(out.channels[0], 2.0 * img.channels[0])
+        assert np.array_equal(out.channels[2], 2.0 * img.channels[2])
 
     def test_channel_swap_permutes_planes(self):
         img = random_image(7)
         perm = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         out = apply_color_affine(img, ColorAffine(perm))
-        assert np.array_equal(out.red, img.green)
-        assert np.array_equal(out.green, img.blue)
-        assert np.array_equal(out.blue, img.red)
+        assert np.array_equal(out.channels[0], img.channels[1])
+        assert np.array_equal(out.channels[1], img.channels[2])
+        assert np.array_equal(out.channels[2], img.channels[0])
+
+    def test_map_does_not_depend_on_source_layout(self):
+        # an (H, W, 3) array and the stack of its planes make one image,
+        # stored C-contiguous either way, so the map's einsum rounds alike
+        rgb = np.random.default_rng(12).uniform(size=(30, 30, 3))
+        stacked = RasterImage(np.stack([rgb[:, :, c] for c in range(3)]), np.ones((30, 30), bool))
+        t = sample_color_affine(9)
+        a = apply_color_affine(RasterImage.from_array(rgb), t)
+        assert np.array_equal(a.channels, apply_color_affine(stacked, t).channels)
 
     def test_clamp_flag(self):
         img = random_image(8)
         out = apply_color_affine(img, ColorAffine(3.0 * np.eye(3)), clamp=True)
-        assert out.red.max() <= 1.0
+        assert out.channels[0].max() <= 1.0
 
     def test_singular_rejected(self):
         with pytest.raises(Singular):
@@ -319,8 +328,8 @@ class TestFeatureInvariance:
         img = random_image(9, 6, 6)
         big = upsample_nearest(img, 2)
         assert big.width == 12 and big.height == 12
-        assert np.array_equal(big.red[::2, ::2], img.red)
-        assert np.array_equal(big.red[1::2, 1::2], img.red)
+        assert np.array_equal(big.channels[0, ::2, ::2], img.channels[0])
+        assert np.array_equal(big.channels[0, 1::2, 1::2], img.channels[0])
 
 
 class TestInvarianceReport:
