@@ -9,17 +9,20 @@ combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
 and denominator scale by the same channel power. moment_vector sums their
 products into one dense vector per k, by the policy of stable_sum, and
-evaluate_table reads that vector. moment_tables runs the k=1 pass beside
-the k=0 pass, as a future on a one-worker thread pool, when the mask holds
-more than one leaf of pixels and the process may use more than one CPU;
-the vectors are the same bit for bit either way.
+evaluate_table reads that vector. moment_tables walks each pass's domain
+source one leaf of pixels at a time, so its working set does not grow with
+the image. It runs the k=1 pass beside the k=0 pass, as a future on a
+one-worker thread pool, when the mask holds more than one leaf of pixels
+and the process may use more than one CPU, at the cost of one more leaf
+in peak memory; the vectors are the same bit for bit either way.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,8 +132,105 @@ def stencil_eroded_mask(mask: np.ndarray) -> np.ndarray:
         inner = out[2 : h - 2, 2 : w - 2]
         inner[...] = mask[2 : h - 2, 2 : w - 2]
         for d in (-2, -1, 1, 2):
-            inner &= mask[2 + d : h - 2 + d, 2 : w - 2] & mask[2 : h - 2, 2 + d : w - 2 + d]
+            inner &= mask[2 + d : h - 2 + d, 2 : w - 2]
+            inner &= mask[2 : h - 2, 2 + d : w - 2 + d]
     return out
+
+
+class _DomainSource:
+    """One pass's k-domain, centred leaf by leaf: ``values(lo, hi)`` are the
+    centred arrays of domain pixels lo..hi, built from the rows they span.
+
+    Everything runs on views cropped to the mask's bounding box: outside it
+    the mask is False, so the erosion, the pixel order and the stencil at
+    every domain pixel are those of the whole frame.
+    """
+
+    def __init__(self, img: RasterImage, k: int):
+        if k == 1 and (img.width < 5 or img.height < 5):
+            raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
+        empty = "mask has no pixels" if k == 0 else "stencil erosion left no pixels"
+        rows = np.flatnonzero(img.mask.any(axis=1))
+        if rows.size == 0:
+            raise EmptyDomain(empty)
+        cols = np.flatnonzero(img.mask.any(axis=0))
+        y0, x0 = int(rows[0]), int(cols[0])
+        box = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
+        self.k = k
+        self.planes = img.channels[:, box[0], box[1]]
+        self.mask = img.mask[box] if k == 0 else stencil_eroded_mask(img.mask[box])
+        self.counts, col_counts = self.mask.sum(axis=1), self.mask.sum(axis=0)
+        #: domain pixels before each row of the box, and in all of it last
+        self.starts = [0, *np.cumsum(self.counts).tolist()]
+        self.size = n = self.starts[-1]
+        if n == 0:
+            raise EmptyDomain(empty)
+        # the pixel counts give the coordinate sums as exact integers, which
+        # below 2^53 equal the stable_sum of the float coordinates bit for
+        # bit; a pixel's centred x is its column's, and its centred y its row's
+        ys, xs = np.arange(y0, y0 + len(self.counts)), np.arange(x0, x0 + len(col_counts))
+        self.yc = ys - float(np.dot(self.counts, ys)) / n
+        self.xc = xs - float(np.dot(col_counts, xs)) / n
+        self.head = None
+        if k == 0:
+            # stable_sum's blocks, last to first: block 0 is left gathered,
+            # and is centred in place for the walk's first leaves
+            sums = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for lo in reversed(range(0, n, _BLOCK)):
+                    self.head = self._gather(lo, min(n, lo + _BLOCK))
+                    sums.insert(0, [float(np.add.reduce(c)) for c in self.head])
+                self.means = [_merge(list(s)) / n for s in zip(*sums)]
+                for c, mean in zip(self.head, self.means):
+                    c -= mean
+
+    def _band(self, lo: int, hi: int) -> tuple[int, int, int]:
+        """The box rows r0..r1 that domain pixels lo..hi span, and lo's place in them."""
+        r0 = bisect_right(self.starts, lo) - 1
+        return r0, bisect_right(self.starts, hi - 1), lo - self.starts[r0]
+
+    def _gather(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The raw channels of domain pixels lo..hi."""
+        r0, r1, off = self._band(lo, hi)
+        # plane by plane: a 2-D mask takes numpy's boolean fast path, while
+        # planes[:, mask] goes through index arrays, about 5x slower
+        return [p[r0:r1][self.mask[r0:r1]][off : off + hi - lo] for p in self.planes]
+
+    def values(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The centred (xc, yc, rc, gc, bc) of domain pixels lo..hi, in np.nonzero order."""
+        r0, r1, off = self._band(lo, hi)
+        take = slice(off, off + hi - lo)
+        band = self.mask[r0:r1]
+        xc = np.broadcast_to(self.xc, band.shape)[band][take]
+        yc = np.repeat(self.yc[r0:r1], self.counts[r0:r1])[take]
+        # non-finite or overflowing channels give nan or inf values, which
+        # evaluate_table turns into invalid entries; every array is centred
+        # and combined in place, by the same IEEE operations in the same
+        # order as the expressions x - mean and a * b + c * d
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.k == 0:
+                if self.head is not None and hi <= self.head[0].size:
+                    return [xc, yc, *(c[lo:hi] for c in self.head)]
+                self.head = None
+                channels = self._gather(lo, hi)
+                for c, mean in zip(channels, self.means):
+                    c -= mean
+                return [xc, yc, *channels]
+            # the eroded domain lies inside the box's 2-pixel margin, so the
+            # band's 2 halo rows each side are in the box
+            w = self.mask.shape[1]
+            inner = band[:, 2 : w - 2]
+            channels = []
+            for p in self.planes:
+                rows, cols = p[r0:r1], p[r0 - 2 : r1 + 2, 2 : w - 2]
+                ddx = _stencil(rows[:, : w - 4], rows[:, 1 : w - 3], rows[:, 3 : w - 1], rows[:, 4:])[inner][take]
+                ddx *= xc
+                ddy = _stencil(cols[:-4], cols[1:-3], cols[3:-1], cols[4:])[inner][take]
+                ddy *= yc
+                ddx += ddy
+                del ddy
+                channels.append(ddx)
+            return [xc, yc, *channels]
 
 
 def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
@@ -142,63 +242,10 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
     its own centroid, and the channels are (x - x̄) dC/dx + (y - ȳ) dC/dy,
     not mean-subtracted. dC/dx is the unnormalized 5-point difference
     C(x-2) - 8 C(x-1) + 8 C(x+1) - C(x+2), 12 times the true derivative on
-    smooth data.
+    smooth data. This is the whole range of the k-domain's source.
     """
-    if k == 1 and (img.width < 5 or img.height < 5):
-        raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
-    empty = "mask has no pixels" if k == 0 else "stencil erosion left no pixels"
-    # everything runs on views cropped to the mask's bounding box: outside it
-    # the mask is False, so the erosion, the pixel order and the stencil at
-    # every domain pixel are those of the whole frame
-    rows = np.flatnonzero(img.mask.any(axis=1))
-    if rows.size == 0:
-        raise EmptyDomain(empty)
-    cols = np.flatnonzero(img.mask.any(axis=0))
-    y0, x0 = int(rows[0]), int(cols[0])
-    box = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
-    mask = img.mask[box] if k == 0 else stencil_eroded_mask(img.mask[box])
-    n = int(np.count_nonzero(mask))
-    if n == 0:
-        raise EmptyDomain(empty)
-    ys, xs = np.nonzero(mask)
-    # a box at the frame's corner, as every full frame's is, needs no shift
-    if y0:
-        ys += y0
-    if x0:
-        xs += x0
-    planes = img.channels[:, box[0], box[1]]
-    # non-finite or overflowing channels give nan or inf values, which
-    # evaluate_table turns into invalid entries; every array is centred and
-    # combined in place, by the same IEEE operations in the same order as
-    # the expressions x - mean and a * b + c * d, and the integer
-    # coordinates (views of one array) are dropped once converted
-    with np.errstate(over="ignore", invalid="ignore"):
-        xc, yc = xs.astype(np.float64), ys.astype(np.float64)
-        del xs, ys
-        xc -= stable_sum(xc) / n
-        yc -= stable_sum(yc) / n
-        if k == 0:
-            # plane by plane: a 2-D mask takes numpy's boolean fast path, while
-            # planes[:, mask] goes through index arrays, about 5x slower
-            channels = [p[mask] for p in planes]
-            for c in channels:
-                c -= stable_sum(c) / n
-            return (xc, yc, *channels)
-        # the eroded domain lies inside the 2-pixel margin: the stencil runs
-        # on the interior only and is gathered at the domain at once
-        h, w = mask.shape
-        inner = mask[2 : h - 2, 2 : w - 2]
-        channels = []
-        for p in planes:
-            rows, cols = p[2 : h - 2], p[:, 2 : w - 2]
-            ddx = _stencil(rows[:, : w - 4], rows[:, 1 : w - 3], rows[:, 3 : w - 1], rows[:, 4:])[inner]
-            ddx *= xc
-            ddy = _stencil(cols[: h - 4], cols[1 : h - 3], cols[3 : h - 1], cols[4:])[inner]
-            ddy *= yc
-            ddx += ddy
-            del ddy
-            channels.append(ddx)
-        return (xc, yc, *channels)
+    src = _DomainSource(img, k)
+    return tuple(src.values(0, src.size))
 
 
 def _stencil(m2: np.ndarray, m1: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -218,35 +265,45 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     """Every moment the catalogue needs, in ``compiled_catalogue().indices`` order.
 
     ``values`` are the five arrays of centred_values; the first entry is m00,
-    the pixel count. The pixels are walked in the blocks stable_sum uses.
-    Each block is split as numpy's pairwise sum splits its input, n at n // 2
-    rounded down to a multiple of 8, down to leaves of at most ``_LEAF``
-    pixels. Over each leaf ``compiled_catalogue().steps`` build the product
-    vectors: one no later step reads is formed in one scratch array, and any
-    other is dropped after the last step that reads it. Each is reduced by
-    numpy's pairwise sum, and the leaf sums are added back up the same tree,
-    so every block sum is bit for bit numpy's sum of the block, whatever the
-    leaf size. The block sums are merged by fsum, so every moment is the
-    stable_sum of its product vector, whatever numpy's BLAS.
+    the pixel count. It is _walk over slices of the arrays, the walk
+    moment_tables runs over a domain source.
+    """
+    return _walk(values[0].size, lambda lo, hi: [v[lo:hi] for v in values])
+
+
+def _walk(npix: int, leaf: Callable[[int, int], Sequence[np.ndarray]]) -> np.ndarray:
+    """The moment vector of ``npix`` pixels whose centred arrays ``leaf(lo, hi)`` gives.
+
+    The pixels are walked in the blocks stable_sum uses. Each block is split
+    as numpy's pairwise sum splits its input, n at n // 2 rounded down to a
+    multiple of 8, down to leaves of at most ``_LEAF`` pixels, and only one
+    leaf's five arrays are asked for and held at a time. Over each leaf
+    ``compiled_catalogue().steps`` build the product vectors: one no later
+    step reads is formed in one scratch array, and any other is dropped
+    after the last step that reads it. Each is reduced by numpy's pairwise
+    sum, and the leaf sums are added back up the same tree, so every block
+    sum is bit for bit numpy's sum of the block, whatever the leaf size.
+    The block sums are merged by fsum, so every moment is the stable_sum of
+    its product vector, whatever numpy's BLAS.
     """
     prog = compiled_catalogue()
-    npix = values[0].size
     starts = range(0, npix, _BLOCK)
     partials = np.empty((len(starts), len(prog.indices) - 1))
     scratch = np.empty(min(npix, _LEAF))
     with np.errstate(over="ignore", invalid="ignore"):
         for i, lo in enumerate(starts):
-            partials[i] = _tree_sums([v[lo : lo + _BLOCK] for v in values], prog, scratch)
+            partials[i] = _tree_sums(leaf, lo, min(_BLOCK, npix - lo), prog, scratch)
     return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
 
 
-def _tree_sums(block: list[np.ndarray], prog: CompiledCatalogue, scratch: np.ndarray) -> np.ndarray:
-    """The moment sums of one block, summed over numpy's pairwise split of it."""
-    n = block[0].size
+def _tree_sums(
+    leaf: Callable[[int, int], Sequence[np.ndarray]], lo: int, n: int, prog: CompiledCatalogue, scratch: np.ndarray
+) -> np.ndarray:
+    """The moment sums of pixels lo..lo+n, summed over numpy's pairwise split of them."""
     if n > _LEAF:
         half = n // 2 - n // 2 % 8
-        left = _tree_sums([v[:half] for v in block], prog, scratch)
-        return left + _tree_sums([v[half:] for v in block], prog, scratch)
+        return _tree_sums(leaf, lo, half, prog, scratch) + _tree_sums(leaf, lo + half, n - half, prog, scratch)
+    block = leaf(lo, lo + n)
     sums = np.empty(len(prog.indices) - 1)
     product = scratch[:n]
     rows = []
@@ -265,10 +322,16 @@ def _tree_sums(block: list[np.ndarray], prog: CompiledCatalogue, scratch: np.nda
     return sums
 
 
+def _moments(img: RasterImage, k: int) -> np.ndarray:
+    """The k moment vector, walked over the k-domain's source leaf by leaf."""
+    src = _DomainSource(img, k)
+    return _walk(src.size, src.values)
+
+
 def _k1_vector(img: RasterImage) -> np.ndarray | None:
     """The k=1 moment vector, or None when stencil erosion empties the mask."""
     try:
-        return moment_vector(centred_values(img, 1))
+        return _moments(img, 1)
     except EmptyDomain:
         return None
 
@@ -288,19 +351,20 @@ def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
     more than one leaf (``_LEAF`` pixels) and the process may use more than
     one CPU, the k=1 pass runs as a future on a one-worker thread pool
     beside the k=0 pass: numpy releases the interpreter lock inside each
-    large array operation, so the passes overlap, at the cost of about one
-    pass's arrays in peak memory; otherwise they run one after the other.
-    The vectors are bit for bit the same either way, and an exception from
-    either pass propagates with its type once the pool has joined its worker.
+    large array operation, so the passes overlap, at the cost of one more
+    leaf in peak memory; otherwise they run one after the other. The
+    vectors are bit for bit the same either way, and equal
+    moment_vector(centred_values(img, k)); an exception from either pass
+    propagates with its type once the pool has joined its worker.
     """
     if np.count_nonzero(img.mask) <= _LEAF or _cpu_count() < 2:
-        return moment_vector(centred_values(img, 0)), _k1_vector(img)
+        return _moments(img, 0), _k1_vector(img)
     # imported here: concurrent.futures pulls in logging, about 7 ms of `import scdmi`
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
         k1 = pool.submit(_k1_vector, img)
-        return moment_vector(centred_values(img, 0)), k1.result()
+        return _moments(img, 0), k1.result()
 
 
 # ---------------------------------------------------------------------------

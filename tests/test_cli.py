@@ -227,17 +227,16 @@ class TestVerifyCommand:
 
 
     def test_scaling_suite_sums_moment_vectors_only_inside_scdmi50(self, monkeypatch):
-        # 2 images x 2 k, all inside scdmi50: the negative controls reuse its values
+        # 2 images x 2 k, all inside scdmi50: the negative controls reuse its values;
+        # every moment vector, of explicit arrays or of an image's domain, is one walk
         calls = []
-        honest = engine_mod.moment_vector
+        honest = engine_mod._walk
 
-        def counting(values):
-            calls.append(values[0].size)
-            return honest(values)
+        def counting(npix, leaf):
+            calls.append(npix)
+            return honest(npix, leaf)
 
-        monkeypatch.setattr(engine_mod, "moment_vector", counting)
-        # a direct import into the suite's module is counted too
-        monkeypatch.setattr(verify_mod, "moment_vector", counting, raising=False)
+        monkeypatch.setattr(engine_mod, "_walk", counting)
         verify_mod.scaling_suite(seed=0)
         assert len(calls) == 4
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -752,17 +753,17 @@ def test_concurrent_tables_equal_each_pass(img, monkeypatch):
     # either way scdmi50 reads each pass exactly as it is computed alone
     assert img.mask.sum() > LEAF
     off_main = []
-    centre = engine.centred_values
+    source = engine._DomainSource
 
     def spy(img, k):
         if k == 1:
             off_main.append(threading.current_thread() is not threading.main_thread())
-        return centre(img, k)
+        return source(img, k)
 
-    monkeypatch.setattr(engine, "centred_values", spy)
+    monkeypatch.setattr(engine, "_DomainSource", spy)
     fv = scdmi50(img)
     assert off_main == [engine._cpu_count() > 1]
-    expected = [evaluate_table(moment_vector(centre(img, k))) for k in (0, 1)]
+    expected = [evaluate_table(moment_vector(centred_values(img, k))) for k in (0, 1)]
     values = np.concatenate([v for v, _ in expected])
     assert np.array_equal(fv.values.view(np.int64), values.view(np.int64))
     assert fv.valid.tolist() == np.concatenate([ok for _, ok in expected]).tolist()
@@ -771,7 +772,7 @@ def test_concurrent_tables_equal_each_pass(img, monkeypatch):
 def test_k1_error_propagates_with_its_type(monkeypatch):
     # a failure in the pass off the calling thread (k=1) or on it (k=0)
     # reaches the caller with its type, and no worker thread outlives it
-    centre = engine.centred_values
+    source = engine._DomainSource
     img = _large_images()[0]
 
     class K0Failure(Exception):
@@ -782,9 +783,9 @@ def test_k1_error_propagates_with_its_type(monkeypatch):
         def failing(img, k):
             if k == failing_k:
                 raise error(f"k={k} centring failed")
-            return centre(img, k)
+            return source(img, k)
 
-        monkeypatch.setattr(engine, "centred_values", failing)
+        monkeypatch.setattr(engine, "_DomainSource", failing)
         threads = threading.active_count()
         with pytest.raises(error, match=f"k={failing_k} centring failed"):
             scdmi50(img)
@@ -844,3 +845,92 @@ def test_features_do_not_depend_on_cpu_count():
         runs[cpus] = proc.stdout.splitlines()
     assert runs["one"][0] == "False" and runs["all"][0] == "True"
     assert len(runs["one"]) == 3 and runs["one"][1:] == runs["all"][1:]
+
+
+# ---------------------------------------------------------------------------
+# the domain source: moment_tables streams each pass's centred values leaf by leaf
+
+
+def _raster_domain(n, width, gaps=()):
+    """A frame whose domain is n pixels filled in raster order into rows
+    ``width`` wide, from row 4 and column 3; rows 4 + g for g in ``gaps``
+    stay empty."""
+    count = -(-n // width)
+    rows = [4 + r for r in range(count + len(gaps)) if r not in gaps][:count]
+    domain = np.zeros((rows[-1] + 5, width + 8), bool)
+    domain[rows, 3 : 3 + width] = True
+    domain[rows[-1], 3 + width - (len(rows) * width - n) :] = False
+    return domain
+
+
+def _stream_case(n, k, width, gaps=()):
+    """A random image whose k-domain is exactly ``_raster_domain(n, width, gaps)``."""
+    domain = _raster_domain(n, width, gaps)
+    mask = domain.copy()
+    if k == 1:
+        # the stencil's cross around every domain pixel, which erodes back to the domain
+        for d in (1, 2):
+            mask[d:] |= domain[:-d]
+            mask[:-d] |= domain[d:]
+            mask[:, d:] |= domain[:, :-d]
+            mask[:, :-d] |= domain[:, d:]
+        assert np.array_equal(stencil_eroded_mask(mask), domain)
+    return RasterImage(np.random.default_rng(n + k).uniform(0.0, 1.0, (3, *mask.shape)), mask)
+
+
+def _spy_leaves(monkeypatch):
+    """Record each (lo, hi) that a domain source is asked for, per k."""
+    spans = {0: [], 1: []}
+    values = engine._DomainSource.values
+
+    def spy(self, lo, hi):
+        spans[self.k].append((lo, hi))
+        return values(self, lo, hi)
+
+    monkeypatch.setattr(engine._DomainSource, "values", spy)
+    return spans
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize(
+    "n, width, gaps",
+    [
+        (LEAF - 1, 300, ()),
+        (LEAF, 300, (*range(7, 12), *range(50, 55))),
+        (LEAF + 1, 300, ()),
+        (BLOCK - 1, 300, range(1, 6)),
+        (BLOCK + 1, 300, range(108, 113)),
+        (2 * BLOCK + 1, 300, (*range(2, 7), *range(300, 305))),
+        (LEAF + 1, 5, range(6000, 6005)),
+    ],
+    ids=["leaf-1", "leaf-gaps", "leaf+1", "block-1", "block+1-gaps", "2block+1-gaps", "strip-5px"],
+)
+def test_streamed_moments_equal_whole_arrays(n, width, gaps, k, monkeypatch):
+    # leaf and block boundaries fall mid-row (300 and 5 divide no power of
+    # two), runs of 5 empty rows, which erosion keeps empty, sit inside the
+    # box, and at k=1 the first and last leaves' halo rows are the box's top
+    # and bottom rows; the pass asks for the pixels in order, a leaf at a time
+    img = _stream_case(n, k, width, gaps)
+    spans = _spy_leaves(monkeypatch)
+    streamed = engine._moments(img, k)
+    los, his = zip(*spans[k])
+    assert los[0] == 0 and his[-1] == n and los[1:] == his[:-1]
+    assert max(hi - lo for lo, hi in spans[k]) <= LEAF
+    for whole in (centred_values(img, k), _plane_centred(img, k)):
+        assert whole[0].size == n
+        assert np.array_equal(streamed.view(np.int64), moment_vector(whole).view(np.int64))
+
+
+def test_working_set_does_not_grow_with_the_image():
+    # one scdmi50 on a 512 px frame holds about one leaf per pass, not the
+    # five centred arrays of both passes (about 27 MB at 512 px)
+    img = blob_image(19, size=512)
+    scdmi50(img)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scdmi50(img)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
