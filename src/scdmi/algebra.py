@@ -69,9 +69,6 @@ class MomentPolynomial:
 
     terms: tuple[MonomialTerm, ...]
 
-    def indices(self) -> frozenset[MomentIndex]:
-        return frozenset(f for t in self.terms for f in t.factors)
-
     def __len__(self) -> int:
         return len(self.terms)
 

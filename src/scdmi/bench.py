@@ -102,7 +102,8 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.nd
 
     v -> sign(v) * log(1 + |v|/s) with s the median absolute value of the
     valid gallery entries in that dimension (floored at 1e-12); invalid
-    entries map to 0.
+    entries map to 0. A finite v whose |v|/s overflows maps to
+    sign(v) * (log|v| - log s), which is log(1 + |v|/s) to rounding there.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] == 0:
@@ -115,7 +116,11 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.nd
         ok = valid[:, d]
         s = float(np.median(np.abs(col[ok]))) if ok.any() else 0.0
         s = max(s, SIGMA_FLOOR)
-        out[:, d] = np.where(ok, np.sign(col) * np.log1p(np.abs(col) / s), 0.0)
+        with np.errstate(over="ignore"):
+            mag = np.log1p(np.abs(col) / s)
+        huge = np.isinf(mag) & np.isfinite(col)
+        mag[huge] = np.log(np.abs(col[huge])) - np.log(s)
+        out[:, d] = np.where(ok, np.sign(col) * mag, 0.0)
     return out
 
 

@@ -8,10 +8,11 @@ derivative order: k=0 uses the raw channels, k=1 the radial first-derivative
 combination built from an unnormalized 5-point difference stencil; the
 stencil's missing 1/12 factor cancels in every invariant because numerator
 and denominator scale by the same channel power. moment_vector sums their
-products into one dense vector per k, by the policy of stable_sum, and
-evaluate_table reads that vector. moment_tables walks each pass's domain
-source one leaf of pixels at a time, so its working set does not grow with
-the image. It runs the k=1 pass beside the k=0 pass, as a future on a
+products into one dense vector per k, and evaluate_table reads that vector.
+Every engine sum, stable_sum, the k=0 channel means and the moment pass,
+is one walk of _sums over one tree of blocks and leaves, so each asks for
+one leaf of pixels at a time and moment_tables' working set does not grow
+with the image. It runs the k=1 pass beside the k=0 pass, as a future on a
 one-worker thread pool, when the mask holds more than one leaf of pixels
 and the process may use more than one CPU, at the cost of one more leaf
 in peak memory; the vectors are the same bit for bit either way.
@@ -42,33 +43,54 @@ _BLOCK = 1 << 16
 _LEAF = 1 << 15
 
 
-def _merge(partials: list[float]) -> float:
-    """Block sums merged exactly rounded by fsum.
+def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> list[float]:
+    """The ``width`` sums of n elements, ``leaf(lo, hi)`` giving those of lo..hi.
 
-    Where fsum raises, on +inf and -inf partials or on an overflowing
-    intermediate, the result is the IEEE sum (nan or ±inf), as for a single
-    block.
+    Central moments cancel heavily, so every engine sum takes this one walk.
+    The elements are cut into 2^16-element blocks, and each block down
+    numpy's pairwise split (n at n // 2 rounded down to a multiple of 8) to
+    leaves of at most ``_LEAF`` elements, asked for one at a time and summed
+    by numpy's pairwise sum. Adding the leaf sums back up the same tree
+    makes each block sum numpy's bit for bit, with error
+    O(eps * log2(2^16) * sum|x_i|) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 4); math.fsum merges the block sums exactly
+    rounded (Shewchuk, 1997), so the bound does not grow with n. Where fsum
+    raises, on +inf and -inf block sums or an overflowing intermediate, a
+    sum is the IEEE sum (nan or ±inf), as for one block.
     """
-    try:
-        return math.fsum(partials)
-    except (ValueError, OverflowError):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(partials))
+
+    def tree(lo: int, m: int) -> np.ndarray:
+        if m > _LEAF:
+            half = m // 2 - m // 2 % 8
+            return tree(lo, half) + tree(lo + half, m - half)
+        return leaf(lo, lo + m)
+
+    starts = range(0, n, _BLOCK)
+    partials = np.empty((len(starts), width))
+    for i, lo in enumerate(starts):
+        partials[i] = tree(lo, min(_BLOCK, n - lo))
+    # tree refers to itself: left alone, that cycle would hold leaf, and the
+    # arrays leaf holds, until the next garbage collection
+    del tree
+    sums = []
+    for column in partials.T.tolist():
+        try:
+            sums.append(math.fsum(column))
+        except (ValueError, OverflowError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums.append(float(np.sum(column)))
+    return sums
 
 
 def stable_sum(values: np.ndarray) -> float:
-    """Sum of a float array by one policy at every size.
+    """Sum of a float array by the policy of _sums at every size.
 
-    High-order central moments cancel heavily. Each 2^16-element block is
-    summed pairwise by numpy, with error O(eps * log2(2^16) * sum|x_i|)
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), and the
-    block sums are merged exactly rounded by Shewchuk's algorithm (1997) in
-    math.fsum, so the bound does not grow with the array. An array of one
-    block or less sums to float(np.sum(values)), except that -0.0 reads 0.0.
-    moment_vector sums every moment's product vector by this policy.
+    An array of one block or less sums to float(np.sum(values)), except
+    that -0.0 reads 0.0. moment_vector sums every moment's product vector,
+    and the k=0 centring every channel, by this policy.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
-    return _merge([float(np.sum(flat[i : i + _BLOCK])) for i in range(0, flat.size, _BLOCK)])
+    return _sums(flat.size, 1, lambda lo, hi: np.add.reduce(flat[lo:hi]))[0]
 
 
 @dataclass
@@ -171,18 +193,11 @@ class _DomainSource:
         ys, xs = np.arange(y0, y0 + len(self.counts)), np.arange(x0, x0 + len(col_counts))
         self.yc = ys - float(np.dot(self.counts, ys)) / n
         self.xc = xs - float(np.dot(col_counts, xs)) / n
-        self.head = None
         if k == 0:
-            # stable_sum's blocks, last to first: block 0 is left gathered,
-            # and is centred in place for the walk's first leaves
-            sums = []
+            # each channel's stable_sum, over the channels gathered a leaf at a time
             with np.errstate(over="ignore", invalid="ignore"):
-                for lo in reversed(range(0, n, _BLOCK)):
-                    self.head = self._gather(lo, min(n, lo + _BLOCK))
-                    sums.insert(0, [float(np.add.reduce(c)) for c in self.head])
-                self.means = [_merge(list(s)) / n for s in zip(*sums)]
-                for c, mean in zip(self.head, self.means):
-                    c -= mean
+                sums = _sums(n, 3, lambda lo, hi: np.array([np.add.reduce(c) for c in self._gather(lo, hi)]))
+            self.means = [total / n for total in sums]
 
     def _band(self, lo: int, hi: int) -> tuple[int, int, int]:
         """The box rows r0..r1 that domain pixels lo..hi span, and lo's place in them."""
@@ -209,9 +224,6 @@ class _DomainSource:
         # order as the expressions x - mean and a * b + c * d
         with np.errstate(over="ignore", invalid="ignore"):
             if self.k == 0:
-                if self.head is not None and hi <= self.head[0].size:
-                    return [xc, yc, *(c[lo:hi] for c in self.head)]
-                self.head = None
                 channels = self._gather(lo, hi)
                 for c, mean in zip(channels, self.means):
                     c -= mean
@@ -274,52 +286,36 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
 def _walk(npix: int, leaf: Callable[[int, int], Sequence[np.ndarray]]) -> np.ndarray:
     """The moment vector of ``npix`` pixels whose centred arrays ``leaf(lo, hi)`` gives.
 
-    The pixels are walked in the blocks stable_sum uses. Each block is split
-    as numpy's pairwise sum splits its input, n at n // 2 rounded down to a
-    multiple of 8, down to leaves of at most ``_LEAF`` pixels, and only one
-    leaf's five arrays are asked for and held at a time. Over each leaf
+    _sums asks for one leaf of at most ``_LEAF`` pixels at a time, over which
     ``compiled_catalogue().steps`` build the product vectors: one no later
-    step reads is formed in one scratch array, and any other is dropped
-    after the last step that reads it. Each is reduced by numpy's pairwise
-    sum, and the leaf sums are added back up the same tree, so every block
-    sum is bit for bit numpy's sum of the block, whatever the leaf size.
-    The block sums are merged by fsum, so every moment is the stable_sum of
-    its product vector, whatever numpy's BLAS.
+    step reads is formed in one scratch array, any other is dropped after
+    its last reader. Each is reduced by numpy's pairwise sum, so every
+    moment is the stable_sum of its product vector, whatever numpy's BLAS.
     """
     prog = compiled_catalogue()
-    starts = range(0, npix, _BLOCK)
-    partials = np.empty((len(starts), len(prog.indices) - 1))
     scratch = np.empty(min(npix, _LEAF))
+
+    def products(lo: int, hi: int) -> np.ndarray:
+        arrays = leaf(lo, hi)
+        sums = np.empty(len(prog.indices) - 1)
+        product = scratch[: hi - lo]
+        rows = []
+        for a, b, slot, keep, drop in prog.steps:
+            if b < 0:
+                row = arrays[a]
+            elif keep:
+                row = rows[a] * rows[b]
+            else:
+                row = np.multiply(rows[a], rows[b], out=product)
+            rows.append(row)
+            if slot:
+                sums[slot - 1] = np.add.reduce(row)
+            for r in drop:
+                rows[r] = None
+        return sums
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, lo in enumerate(starts):
-            partials[i] = _tree_sums(leaf, lo, min(_BLOCK, npix - lo), prog, scratch)
-    return np.array([float(npix)] + [_merge(sums) for sums in partials.T.tolist()])
-
-
-def _tree_sums(
-    leaf: Callable[[int, int], Sequence[np.ndarray]], lo: int, n: int, prog: CompiledCatalogue, scratch: np.ndarray
-) -> np.ndarray:
-    """The moment sums of pixels lo..lo+n, summed over numpy's pairwise split of them."""
-    if n > _LEAF:
-        half = n // 2 - n // 2 % 8
-        return _tree_sums(leaf, lo, half, prog, scratch) + _tree_sums(leaf, lo + half, n - half, prog, scratch)
-    block = leaf(lo, lo + n)
-    sums = np.empty(len(prog.indices) - 1)
-    product = scratch[:n]
-    rows = []
-    for a, b, slot, keep, drop in prog.steps:
-        if b < 0:
-            row = block[a]
-        elif keep:
-            row = rows[a] * rows[b]
-        else:
-            row = np.multiply(rows[a], rows[b], out=product)
-        rows.append(row)
-        if slot:
-            sums[slot - 1] = np.add.reduce(row)
-        for r in drop:
-            rows[r] = None
-    return sums
+        return np.array([float(npix), *_sums(npix, len(prog.indices) - 1, products)])
 
 
 def _moments(img: RasterImage, k: int) -> np.ndarray:

@@ -191,10 +191,10 @@ def sample_shape_affine(
     center of that frame, to keep content in frame.
     """
     lo, hi = det_range
-    if not (0.0 < lo <= hi):
+    if not (0.0 < lo <= hi < math.inf):
         raise ValueError("det_range must be within (0, inf)")
-    if max_condition < 1.0:
-        raise ValueError("max_condition must be >= 1")
+    if not 1.0 <= max_condition < math.inf:
+        raise ValueError("max_condition must be finite and >= 1")
     rng = np.random.default_rng(seed)
     th1, th2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     det = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -221,10 +221,11 @@ def sample_color_affine(
     max_condition=1 with zero offsets collapses to a positive multiple of
     the identity, and the determinant is positive by construction.
     """
-    if max_condition < 1.0:
-        raise ValueError("max_condition must be >= 1")
-    if not offset_range[0] <= offset_range[1]:
-        raise ValueError("offset_range must be (low, high) with low <= high")
+    if not 1.0 <= max_condition < math.inf:
+        raise ValueError("max_condition must be finite and >= 1")
+    low, high = offset_range
+    if not (low <= high and math.isfinite(high - low)):
+        raise ValueError("offset_range must be finite (low, high) with low <= high")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
@@ -235,7 +236,7 @@ def sample_color_affine(
     lo, hi = COLOR_SCALE_RANGE
     lam = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     matrix = lam * (q @ np.diag(s) @ q.T)
-    offset = rng.uniform(offset_range[0], offset_range[1], size=3)
+    offset = rng.uniform(low, high, size=3)
     return ColorAffine(matrix, offset)
 
 

@@ -86,6 +86,17 @@ class TestFeatureNormalize:
         out = feature_normalize(raw)
         assert out[1, 0] == pytest.approx(np.log(2.0))
 
+    def test_overflowing_ratio_stays_finite(self):
+        # the median of |v| is 0, so s floors at 1e-12 and 1e300 / s overflows:
+        # the entry reads log|v| - log s, and the others are log1p(|v| / s) as before
+        raw = np.array([[1e300, 1.0], [0.0, 2.0], [0.0, 4.0], [-1e290, -1e300], [0.0, 3.0]])
+        out = feature_normalize(raw)
+        assert np.isfinite(out).all()
+        assert out[0, 0] == pytest.approx(np.log(1e300) - np.log(1e-12), rel=1e-15)
+        assert out[3, 0] == -np.log1p(1e290 / 1e-12)
+        assert out[:, 1].tolist() == (np.sign(raw[:, 1]) * np.log1p(np.abs(raw[:, 1]) / 3.0)).tolist()
+        assert np.isfinite(chi2_matrix(out)).all()
+
     def test_invalid_entries_zeroed(self):
         raw = np.array([[5.0], [7.0]])
         valid = np.array([[True], [False]])

@@ -1,9 +1,11 @@
+import gc
 import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -475,6 +477,14 @@ class TestStableSum:
         x = np.random.default_rng(n).standard_normal(n) * 1e3
         assert stable_sum(x) == float(np.sum(x))
 
+    @pytest.mark.parametrize("n", [BLOCK + 1, 2 * BLOCK - 1, 3 * BLOCK + 7])
+    def test_blocks_are_numpy_sums_merged_by_fsum(self, n):
+        # blocks of more than LEAF elements are summed a leaf at a time, split
+        # off their middle at 2 * BLOCK - 1, and must still be numpy's sums
+        x = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.random.default_rng(n + 1).uniform(-3, 3, n)
+        expected = math.fsum(float(np.sum(x[i : i + BLOCK])) for i in range(0, n, BLOCK))
+        assert np.float64(stable_sum(x)).view(np.int64) == np.float64(expected).view(np.int64)
+
     @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 7])
     def test_error_bound_across_blocks(self, n):
         x = _ill_conditioned(n, n)
@@ -482,6 +492,21 @@ class TestStableSum:
 
     def test_empty(self):
         assert stable_sum(np.zeros(0)) == 0.0
+
+    def test_summed_arrays_are_freed_on_return(self):
+        # no reference cycle outlives a sum: with the collector off, the
+        # arrays summed are freed as soon as the caller drops them
+        x = np.ones(BLOCK + LEAF + 1)
+        values = [np.ones(LEAF + 1) for _ in range(5)]
+        refs = [weakref.ref(a) for a in (x, *values)]
+        gc.disable()
+        try:
+            stable_sum(x)
+            moment_vector(values)
+            del x, values
+            assert [r() for r in refs] == [None] * 6
+        finally:
+            gc.enable()
 
     def test_nonfinite_blocks_merge_to_ieee_result(self):
         # fsum raises on these block sums; one block would give nan and inf

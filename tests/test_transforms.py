@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,36 @@ class TestSamplers:
         # an empty offset range is valid, a reversed one is not
         with pytest.raises(ValueError, match="offset_range"):
             sample_color_affine(3, max_condition=1.0, offset_range=(1.0, -1.0))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"det_range": (1.0, math.inf)},
+            {"det_range": (0.5, math.nan)},
+            {"max_condition": math.inf},
+            {"max_condition": math.nan},
+        ],
+    )
+    def test_shape_sampler_rejects_nonfinite_bounds(self, kwargs):
+        # numpy's uniform draw raised a bare OverflowError on an infinite range
+        with pytest.raises(ValueError, match="det_range|max_condition"):
+            sample_shape_affine(0, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_condition": math.inf},
+            {"max_condition": math.nan},
+            {"offset_range": (0.0, math.inf)},
+            {"offset_range": (-math.inf, 0.0)},
+            {"offset_range": (math.nan, 0.0)},
+            {"offset_range": (-1e308, 1e308)},
+        ],
+    )
+    def test_color_sampler_rejects_nonfinite_bounds(self, kwargs):
+        # an infinite range, or finite bounds whose width overflows, is not drawn from
+        with pytest.raises(ValueError, match="offset_range|max_condition"):
+            sample_color_affine(0, **kwargs)
 
 
 class TestFeatureInvariance:
