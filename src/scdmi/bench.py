@@ -290,13 +290,19 @@ def featurize(items: Iterable[LabeledImage]) -> Features:
     ``items`` may be a generator, so that only the images it holds are alive
     while they are featurized.
     """
+    return assemble_features((label, split, descriptor_rows(img)) for label, split, img in items)
+
+
+def assemble_features(items: Iterable[tuple[str, str, DescriptorRows]]) -> Features:
+    """The Features of items given as (label, split, descriptor rows), in
+    item order, once the dataset has at least 2 classes."""
     labels: list[str] = []
     splits: list[str] = []
     rows: list[DescriptorRows] = []
-    for label, split, img in items:
+    for label, split, row in items:
         labels.append(label)
         splits.append(split)
-        rows.append(descriptor_rows(img))
+        rows.append(row)
     check_classes(labels)
     matrices = {
         kind: (np.array([r[kind][0] for r in rows]), np.array([r[kind][1] for r in rows]))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +25,15 @@ from . import __version__
 from .algebra import denominator_polynomial, serialize_polynomial, catalogue_specs
 from .bench import (
     ALL_KINDS,
-    LabeledImage,
+    DescriptorRows,
+    assemble_features,
     check_classes,
     check_splits,
     classification_class,
-    featurize,
+    descriptor_rows,
     run_benchmark,
 )
-from .engine import RasterImage, scdmi50
+from .engine import RasterImage, _cpu_count, scdmi50
 from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
 
@@ -161,41 +161,67 @@ def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
-def _export_class(members: list[LabeledImage], start: int, writer, out: Path) -> None:
-    for i, (label, split, img) in enumerate(members, start=start):
+def _class_job(
+    c: int, transforms: int, size: int, seed: int, clamp: bool, out: Path
+) -> list[tuple[str, str, str, DescriptorRows]]:
+    """A pool job: generates synthetic class ``c``, exports its PPMs and
+    returns (exported name, label, split, descriptor rows) per image."""
+    members = classification_class(c, transforms, size, seed, clamp)
+    results = []
+    for i, (label, split, img) in enumerate(members, start=c * (transforms + 1)):
         name = f"dataset/{label}_{i:04d}.ppm"
         # masked-out pixels are baked to black in the exported copies;
         # the benchmark itself runs on the in-memory masked images
         write_ppm(out / name, RasterImage(np.where(img.mask, img.channels, 0.0), img.mask))
-        writer.writerow([name, label, split])
+        results.append((name, label, split, descriptor_rows(img)))
+    return results
 
 
-def _synthetic_items(args, out: Path) -> Iterator[LabeledImage]:
-    """Generates and exports the synthetic dataset one class at a time and
-    yields its items, so that only one class of images is alive."""
-    (out / "dataset").mkdir(parents=True, exist_ok=True)
-    with (out / "dataset_manifest.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "label", "split"])
-        start = 0
-        for c in range(args.classes):
-            # rebinding frees the previous class only once this one is allocated above it;
-            # freed first, it sat at the top of the heap, glibc returned it to the OS and every
-            # class faulted its pages back in: repeated in-process runs took about 10% longer
-            members = classification_class(c, args.transforms, args.size, args.seed, args.clamp)
-            _export_class(members, start, w, out)
-            start += len(members)
-            yield from members
+def _manifest_job(path: str) -> DescriptorRows:
+    """A pool job: the descriptor rows of one manifest row's PPM."""
+    return descriptor_rows(read_ppm(path))
+
+
+def _run_jobs(job, jobs: list[tuple]) -> list:
+    """``job(*args)`` for every args tuple of ``jobs``, in job order, on a pool
+    of forked worker processes, one per CPU up to one per job.
+
+    An exception raised by a job re-raises here with its own type, and the
+    pool's workers are joined on every path.
+    """
+    # imported here, as moment_tables imports its thread pool: only bench needs a pool,
+    # and concurrent.futures pulls in logging
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts from this process's imports and caches, where a
+    # spawned one would import scdmi and build its catalogue again
+    pool = ProcessPoolExecutor(
+        min(_cpu_count(), len(jobs)), mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        futures = [pool.submit(job, *args) for args in jobs]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cmd_bench(args) -> int:
     out = _ensure_out(args.out)
     if args.synthetic:
-        items = _synthetic_items(args, out)
+        (out / "dataset").mkdir(parents=True, exist_ok=True)
+        jobs = [(c, args.transforms, args.size, args.seed, args.clamp, out) for c in range(args.classes)]
+        results = [item for members in _run_jobs(_class_job, jobs) for item in members]
+        with (out / "dataset_manifest.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["path", "label", "split"])
+            w.writerows([name, label, split] for name, label, split, _ in results)
+        items = ((label, split, rows) for _, label, split, rows in results)
     else:
-        rows = _load_manifest(Path(args.manifest))
-        items = ((label, split, read_ppm(path)) for path, label, split in rows)
-    accuracies, curves = run_benchmark(featurize(items))
+        manifest = _load_manifest(Path(args.manifest))
+        rows = _run_jobs(_manifest_job, [(path,) for path, _, _ in manifest])
+        items = ((label, split, r) for (_, label, split), r in zip(manifest, rows))
+    accuracies, curves = run_benchmark(assemble_features(items))
     with (out / "accuracy.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "accuracy"])

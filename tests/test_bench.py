@@ -1,3 +1,4 @@
+import os
 import weakref
 
 import numpy as np
@@ -302,26 +303,35 @@ class TestProtocols:
                     write_ppm(path, blob_image(10 * c + i, size=24))
                     paths.append(str(path))
                     fh.write(f"{path.name},c{c},{'train' if i == 0 else 'test'}\n")
-        # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet
-        loaded, alive_at_scdmi50 = [], []
-        real_read, real_scdmi50 = cli_mod.read_ppm, bench_mod.scdmi50
+        # the reads happen in the bench's worker processes: each appends its pid and path to a log
+        log = tmp_path / "reads.log"
+        real_read = cli_mod.read_ppm
 
         def reading(path):
-            img = real_read(path)
-            loaded.append((path, weakref.ref(img)))
-            return img
-
-        def counting(img):
-            alive_at_scdmi50.append(sum(ref() is not None for _, ref in loaded))
-            return real_scdmi50(img)
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {path}\n")
+            return real_read(path)
 
         monkeypatch.setattr(cli_mod, "read_ppm", reading)
-        monkeypatch.setattr(bench_mod, "scdmi50", counting)
         assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "out")]) == 0
-        assert sorted(path for path, _ in loaded) == sorted(paths)
-        # each image is featurized while it is the only one loaded, then let go
-        assert alive_at_scdmi50 == [1] * len(paths)
-        assert all(ref() is None for _, ref in loaded)
+        reads = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        # each PPM is read once, by a worker, never by the bench's own process
+        assert sorted(path for _, path in reads) == sorted(paths)
+        assert all(int(pid) != os.getpid() for pid, _ in reads)
+
+        # a worker's job reads one image, keeps its descriptor rows and lets the image go
+        # (RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet)
+        loaded = []
+
+        def keeping(path):
+            img = real_read(path)
+            loaded.append(weakref.ref(img))
+            return img
+
+        monkeypatch.setattr(cli_mod, "read_ppm", keeping)
+        rows = cli_mod._manifest_job(paths[0])
+        assert set(rows) == set(ALL_KINDS)
+        assert len(loaded) == 1 and loaded[0]() is None
 
 
 def chi2_to_gallery(query, gallery, eps=bench_mod.CHI2_EPS):

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
+import multiprocessing
+import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,12 +244,30 @@ class TestVerifyCommand:
         assert len(calls) == 4
 
 
+def _write_manifest(folder):
+    """Eight 24 px PPMs of two classes in ``folder`` and their manifest.csv;
+    returns the (path, label, split) rows."""
+    rows = []
+    for c in range(2):
+        for i in range(4):
+            path = folder / f"im_{c}_{i}.ppm"
+            write_ppm(path, blob_image(10 * c + i // 2, size=24))
+            rows.append((str(path), f"c{c}", "train" if i == 0 else "test"))
+    with (folder / "manifest.csv").open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["path", "label", "split"])
+        w.writerows([Path(path).name, label, split] for path, label, split in rows)
+    return rows
+
+
 class TestBenchCommand:
-    def test_synthetic_outputs_and_determinism(self, tmp_path):
+    def test_synthetic_outputs_and_determinism(self, tmp_path, monkeypatch):
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4",
                 "--size", "48", "--seed", "5"]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == 0
+        # the second run on a pool of one worker: the outputs do not depend on the pool's size
+        monkeypatch.setattr(cli_mod, "_cpu_count", lambda: 1)
         assert main(args + ["--out", str(b)]) == 0
         acc_text = (a / "accuracy.csv").read_text()
         acc_lines = acc_text.strip().split("\n")
@@ -261,9 +282,12 @@ class TestBenchCommand:
         assert (a / "pr_curves.csv").read_bytes() == (b / "pr_curves.csv").read_bytes()
         pr_lines = (a / "pr_curves.csv").read_text().strip().split("\n")
         assert len(pr_lines) == 1 + 7 * 11
-        assert (a / "dataset_manifest.csv").exists()
+        assert (a / "dataset_manifest.csv").read_bytes() == (b / "dataset_manifest.csv").read_bytes()
+        ppms = sorted(path.name for path in (a / "dataset").iterdir())
+        assert len(ppms) == 3 * 5 and ppms == sorted(path.name for path in (b / "dataset").iterdir())
+        assert all((a / "dataset" / n).read_bytes() == (b / "dataset" / n).read_bytes() for n in ppms)
 
-    def test_synthetic_run_holds_one_class_of_images(self, tmp_path, monkeypatch):
+    def test_class_job_holds_one_class_of_images(self, tmp_path, monkeypatch):
         # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet
         copies, alive_at_scdmi50 = [], []
         real_color, real_scdmi50 = bench_mod.apply_color_affine, bench_mod.scdmi50
@@ -279,15 +303,62 @@ class TestBenchCommand:
 
         monkeypatch.setattr(bench_mod, "apply_color_affine", recording)
         monkeypatch.setattr(bench_mod, "scdmi50", counting)
-        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48"]
-        assert main(args + ["--out", str(tmp_path)]) == 0
-        assert len(copies) == 3 * 4 and len(alive_at_scdmi50) == 3 * 5
-        # at most one class of images: its base image plus four mapped copies, of which
-        # the copies are recorded; no image of an earlier class is left
+        (tmp_path / "dataset").mkdir()
+        results = cli_mod._class_job(1, 4, 48, 0, False, tmp_path)
+        # class 1 of five images per class is exported under the names of items 5 to 9
+        assert [name for name, _, _, _ in results] == [f"dataset/class001_{i:04d}.ppm" for i in range(5, 10)]
+        assert len(copies) == 4 and len(alive_at_scdmi50) == 5
+        # the class's base image plus four mapped copies, of which the copies are recorded,
+        # while the job runs, and no image once it has returned its rows
         assert max(alive_at_scdmi50) == 4
+        assert all(ref() is None for ref in copies)
+
+    def test_synthetic_run_generates_no_class_in_its_own_process(self, tmp_path, monkeypatch):
+        # the classes are generated in the bench's worker processes: each appends its pid to a log
+        log = tmp_path / "classes.log"
+        real = cli_mod.classification_class
+
+        def logging_class(c, *args):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {c}\n")
+            return real(c, *args)
+
+        monkeypatch.setattr(cli_mod, "classification_class", logging_class)
+        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "2", "--size", "32"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(c) for _, c in calls) == [0, 1, 2]
+        assert all(int(pid) != os.getpid() for pid, _ in calls)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "worker-raises"])
+    def test_bench_leaves_no_worker_process(self, tmp_path, capsys, monkeypatch, fails):
+        if fails:
+            real = cli_mod.classification_class
+
+            def failing(c, *args):
+                if c == 1:
+                    raise InvalidImage("class 1 failed")
+                return real(c, *args)
+
+            monkeypatch.setattr(cli_mod, "classification_class", failing)
+        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "2", "--size", "32"]
+        assert main(args + ["--out", str(tmp_path)]) == (2 if fails else 0)
+        assert multiprocessing.active_children() == []
+        assert ("error: class 1 failed" in capsys.readouterr().err) == fails
+
+    def test_malformed_manifest_ppm_exits_with_its_message(self, tmp_path, capsys):
+        rows = _write_manifest(tmp_path)
+        bad = rows[5][0]
+        Path(bad).write_bytes(b"P3\n2 2\n255\n" + bytes(12))
+        assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "o")]) == 2
+        assert f"error: {bad}: not a binary P6 PPM" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        # the worker's typed error re-raises in the bench's process with its own type
+        with pytest.raises(InvalidImage, match="not a binary P6 PPM"):
+            cli_mod._run_jobs(cli_mod._manifest_job, [(path,) for path, _, _ in rows])
 
     def test_synthetic_run_scores_the_generated_dataset(self, tmp_path):
-        # class-by-class featurizing scores what the whole dataset held in memory scores
+        # the worker pool's rows score what featurize scores on the whole dataset in this process
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48",
                 "--seed", "2", "--clamp"]
         assert main(args + ["--out", str(tmp_path)]) == 0
@@ -305,22 +376,27 @@ class TestBenchCommand:
             rows = list(csv.reader(fh))[1:]
         assert [(label, split) for _, label, split in rows] == [(label, split) for label, split, _ in items]
 
-    def test_manifest_driven_run(self, tmp_path):
-        data = tmp_path / "data"
-        data.mkdir()
-        rows = []
-        for c in range(2):
-            for i in range(4):
-                name = f"im_{c}_{i}.ppm"
-                write_ppm(data / name, blob_image(10 * c + i // 2, size=24))
-                rows.append([name, f"c{c}", "train" if i == 0 else "test"])
-        with (data / "manifest.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path", "label", "split"])
-            w.writerows(rows)
+    def test_manifest_driven_run(self, tmp_path, monkeypatch):
+        rows = _write_manifest(tmp_path)
+        pooled = []
+        real = cli_mod.run_benchmark
+
+        def capturing(features):
+            pooled.append(features)
+            return real(features)
+
+        monkeypatch.setattr(cli_mod, "run_benchmark", capturing)
         out = tmp_path / "out"
-        assert main(["bench", str(data / "manifest.csv"), "--out", str(out)]) == 0
+        assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(out)]) == 0
         assert (out / "accuracy.csv").exists()
+        # the rows computed in worker processes are those of featurize in this process, bit for bit
+        expected = bench_mod.featurize((label, split, read_ppm(path)) for path, label, split in rows)
+        [features] = pooled
+        assert features.labels.tolist() == expected.labels.tolist()
+        assert features.splits.tolist() == expected.splits.tolist()
+        for kind in bench_mod.ALL_KINDS:
+            for got, want in zip(features.matrices[kind], expected.matrices[kind]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_bad_manifest_reports_row(self, tmp_path):
         bad = tmp_path / "m.csv"
