@@ -361,21 +361,26 @@ def precision_recall(distances: np.ndarray, labels: np.ndarray) -> PRCurve:
     return PRCurve(recall_levels, acc / n)
 
 
+def rank_kind(
+    values: np.ndarray, valid: np.ndarray, labels: np.ndarray, splits: np.ndarray
+) -> tuple[float, PRCurve]:
+    """Accuracy and PR curve of one descriptor kind's (values, validity)
+    matrices: the kind is normalized once and its distance matrix, built
+    once, is read by both protocols."""
+    distances = chi2_matrix(feature_normalize(values, valid))
+    return knn_classify(distances, labels, splits), precision_recall(distances, labels)
+
+
 def run_benchmark(
     features: Features,
 ) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
-    """Accuracy and PR curve of every descriptor kind over one dataset.
-
-    Each kind is normalized once and its distance matrix is built once,
-    read by both protocols and dropped before the next kind's is built.
-    """
+    """Accuracy and PR curve of every descriptor kind over one dataset, by
+    rank_kind one kind after the other, so that only one kind's distance
+    matrix is alive at a time."""
     accuracies: dict[DescriptorKind, float] = {}
     curves: dict[DescriptorKind, PRCurve] = {}
     for kind in ALL_KINDS:
-        distances = chi2_matrix(feature_normalize(*features.matrices[kind]))
-        accuracies[kind] = knn_classify(distances, features.labels, features.splits)
-        curves[kind] = precision_recall(distances, features.labels)
-        del distances
+        accuracies[kind], curves[kind] = rank_kind(*features.matrices[kind], features.labels, features.splits)
     return accuracies, curves
 
 

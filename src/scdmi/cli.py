@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 suite failure, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import os
 import sys
 from pathlib import Path
 
@@ -26,12 +28,13 @@ from .algebra import denominator_polynomial, serialize_polynomial, catalogue_spe
 from .bench import (
     ALL_KINDS,
     DescriptorRows,
+    PRCurve,
     assemble_features,
     check_classes,
     check_splits,
     classification_class,
     descriptor_rows,
-    run_benchmark,
+    rank_kind,
 )
 from .engine import RasterImage, _cpu_count, scdmi50
 from .ppm import read_ppm, write_ppm
@@ -182,28 +185,71 @@ def _manifest_job(path: str) -> DescriptorRows:
     return descriptor_rows(read_ppm(path))
 
 
-def _run_jobs(job, jobs: list[tuple]) -> list:
-    """``job(*args)`` for every args tuple of ``jobs``, in job order, on a pool
-    of forked worker processes, one per CPU up to one per job.
+def _rank_job(
+    values: np.ndarray, valid: np.ndarray, labels: np.ndarray, splits: np.ndarray
+) -> tuple[float, PRCurve]:
+    """A pool job: rank_kind of one descriptor kind's matrices.
 
-    An exception raised by a job re-raises here with its own type, and the
-    pool's workers are joined on every path.
+    A job is sent to a worker by its name. rank_kind is public, so a wrapper
+    put in its place, as a tracer or a test puts, is no longer the function
+    at that name and cannot be sent; this job reads rank_kind in the worker.
+    """
+    return rank_kind(values, valid, labels, splits)
+
+
+def _pin_worker(shares: list[list[int]], started) -> None:
+    """A pool initializer: pins the i-th worker to start to ``shares[i]``,
+    its share of the CPUs, so that no two workers run on one CPU and a
+    worker's ``_cpu_count()`` counts its own share."""
+    with started.get_lock():
+        i = started.value
+        started.value += 1
+    os.sched_setaffinity(0, shares[i])
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """A pool of forked worker processes, one per CPU up to one per job.
+
+    Worker i of n is pinned to CPUs i, i + n, i + 2n, ... of this process's
+    CPU set, so workers do not share a CPU. Where one worker runs per CPU,
+    each reads ``_cpu_count()`` of 1 and runs ``moment_tables``' passes one
+    after the other instead of adding a thread.
+
+    The pool's workers are joined, and its pending jobs cancelled, on every
+    path out of the block.
     """
     # imported here, as moment_tables imports its thread pool: only bench needs a pool,
     # and concurrent.futures pulls in logging
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # np.median, which every rank job calls, imports numpy.ma on its first call,
+    # about 20 ms: imported before the fork, it is imported once per process,
+    # not once per worker and bench run
+    import numpy.ma  # noqa: F401
+
     # fork: a worker starts from this process's imports and caches, where a
     # spawned one would import scdmi and build its catalogue again
-    pool = ProcessPoolExecutor(
-        min(_cpu_count(), len(jobs)), mp_context=multiprocessing.get_context("fork")
-    )
+    context = multiprocessing.get_context("fork")
+    workers = min(_cpu_count(), jobs)
+    pinning = {}
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        shares = [cpus[i::workers] for i in range(workers)]
+        pinning = {"initializer": _pin_worker, "initargs": (shares, context.Value("i", 0))}
+    pool = ProcessPoolExecutor(workers, mp_context=context, **pinning)
     try:
-        futures = [pool.submit(job, *args) for args in jobs]
-        return [future.result() for future in futures]
+        yield pool
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_jobs(pool, job, jobs: list[tuple]) -> list:
+    """``job(*args)`` for every args tuple of ``jobs`` on ``pool``, in job
+    order. An exception raised by a job re-raises here with its own type."""
+    futures = [pool.submit(job, *args) for args in jobs]
+    return [future.result() for future in futures]
 
 
 def cmd_bench(args) -> int:
@@ -211,32 +257,40 @@ def cmd_bench(args) -> int:
     if args.synthetic:
         (out / "dataset").mkdir(parents=True, exist_ok=True)
         jobs = [(c, args.transforms, args.size, args.seed, args.clamp, out) for c in range(args.classes)]
-        results = [item for members in _run_jobs(_class_job, jobs) for item in members]
-        with (out / "dataset_manifest.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["path", "label", "split"])
-            w.writerows([name, label, split] for name, label, split, _ in results)
-        items = ((label, split, rows) for _, label, split, rows in results)
     else:
         manifest = _load_manifest(Path(args.manifest))
-        rows = _run_jobs(_manifest_job, [(path,) for path, _, _ in manifest])
-        items = ((label, split, r) for (_, label, split), r in zip(manifest, rows))
-    accuracies, curves = run_benchmark(assemble_features(items))
+        jobs = [(path,) for path, _, _ in manifest]
+    # one pool featurizes the dataset, a class or a manifest row per job, and
+    # then ranks it, a descriptor kind per job: a pool takes milliseconds to
+    # start its first job
+    with _worker_pool(max(len(jobs), len(ALL_KINDS))) as pool:
+        if args.synthetic:
+            results = [item for members in _run_jobs(pool, _class_job, jobs) for item in members]
+            with (out / "dataset_manifest.csv").open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["path", "label", "split"])
+                w.writerows([name, label, split] for name, label, split, _ in results)
+            items = ((label, split, rows) for _, label, split, rows in results)
+        else:
+            rows = _run_jobs(pool, _manifest_job, jobs)
+            items = ((label, split, r) for (_, label, split), r in zip(manifest, rows))
+        features = assemble_features(items)
+        ranks = [(*features.matrices[kind], features.labels, features.splits) for kind in ALL_KINDS]
+        ranked = list(zip(ALL_KINDS, _run_jobs(pool, _rank_job, ranks)))
     with (out / "accuracy.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "accuracy"])
-        for kind in ALL_KINDS:
-            w.writerow([kind.value, repr(float(accuracies[kind]))])
+        for kind, (accuracy, _) in ranked:
+            w.writerow([kind.value, repr(float(accuracy))])
     with (out / "pr_curves.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "recall_level", "precision"])
-        for kind in ALL_KINDS:
-            curve = curves[kind]
+        for kind, (_, curve) in ranked:
             for r, p in zip(curve.recall_levels, curve.precision):
                 w.writerow([kind.value, repr(float(r)), repr(float(p))])
     print(f"wrote accuracy.csv and pr_curves.csv to {out}")
-    for kind in ALL_KINDS:
-        print(f"  {kind.value}: accuracy {accuracies[kind]:.4f}")
+    for kind, (accuracy, _) in ranked:
+        print(f"  {kind.value}: accuracy {accuracy:.4f}")
     return 0
 
 

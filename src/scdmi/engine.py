@@ -43,7 +43,7 @@ _BLOCK = 1 << 16
 _LEAF = 1 << 15
 
 
-def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> list[float]:
+def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """The ``width`` sums of n elements, ``leaf(lo, hi)`` giving those of lo..hi.
 
     Central moments cancel heavily, so every engine sum takes this one walk.
@@ -56,7 +56,8 @@ def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> list[fl
     Numerical Algorithms, ch. 4); math.fsum merges the block sums exactly
     rounded (Shewchuk, 1997), so the bound does not grow with n. Where fsum
     raises, on +inf and -inf block sums or an overflowing intermediate, a
-    sum is the IEEE sum (nan or ±inf), as for one block.
+    sum is the IEEE sum (nan or ±inf), as for one block. The sums of one
+    block need no merge. They are returned as one float array.
     """
 
     def tree(lo: int, m: int) -> np.ndarray:
@@ -65,20 +66,24 @@ def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> list[fl
             return tree(lo, half) + tree(lo + half, m - half)
         return leaf(lo, lo + m)
 
-    starts = range(0, n, _BLOCK)
-    partials = np.empty((len(starts), width))
-    for i, lo in enumerate(starts):
-        partials[i] = tree(lo, min(_BLOCK, n - lo))
+    if n <= _BLOCK:
+        # fsum of one block sum is that sum, save that -0.0 reads 0.0
+        sums = np.reshape(tree(0, n), width) + 0.0
+    else:
+        starts = range(0, n, _BLOCK)
+        partials = np.empty((len(starts), width))
+        for i, lo in enumerate(starts):
+            partials[i] = tree(lo, min(_BLOCK, n - lo))
+        sums = np.empty(width)
+        for i, column in enumerate(partials.T.tolist()):
+            try:
+                sums[i] = math.fsum(column)
+            except (ValueError, OverflowError):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sums[i] = np.sum(column)
     # tree refers to itself: left alone, that cycle would hold leaf, and the
     # arrays leaf holds, until the next garbage collection
     del tree
-    sums = []
-    for column in partials.T.tolist():
-        try:
-            sums.append(math.fsum(column))
-        except (ValueError, OverflowError):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums.append(float(np.sum(column)))
     return sums
 
 
@@ -90,7 +95,7 @@ def stable_sum(values: np.ndarray) -> float:
     and the k=0 centring every channel, by this policy.
     """
     flat = np.ravel(np.asarray(values, dtype=np.float64))
-    return _sums(flat.size, 1, lambda lo, hi: np.add.reduce(flat[lo:hi]))[0]
+    return float(_sums(flat.size, 1, lambda lo, hi: np.add.reduce(flat[lo:hi]))[0])
 
 
 @dataclass
@@ -315,7 +320,7 @@ def _walk(npix: int, leaf: Callable[[int, int], Sequence[np.ndarray]]) -> np.nda
         return sums
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([float(npix), *_sums(npix, len(prog.indices) - 1, products)])
+        return np.concatenate(([float(npix)], _sums(npix, len(prog.indices) - 1, products)))
 
 
 def _moments(img: RasterImage, k: int) -> np.ndarray:
@@ -498,13 +503,14 @@ def core_sums(moments: np.ndarray) -> np.ndarray:
     """
     prog = compiled_catalogue()
     v = np.append(moments, 1.0)
+    factors = v[prog.factors]
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = prog.coefficients * v[prog.factors[0]]
-        for row in prog.factors[1:]:
-            terms *= v[row]
+        terms = prog.coefficients * factors[0]
+        for row in factors[1:]:
+            terms *= row
     b = prog.bounds
     if np.isfinite(terms).all():
-        flat = terms.tolist()
+        flat = memoryview(terms)
         try:
             return np.array([math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)])
         except OverflowError:

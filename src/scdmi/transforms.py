@@ -128,10 +128,11 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     y1 = y0 + (fy > 0)
 
     inb = (x0 >= 0) & (x1 <= w_in - 1) & (y0 >= 0) & (y1 <= h_in - 1)
-    x0c = np.clip(x0, 0, w_in - 1)
-    x1c = np.clip(x1, 0, w_in - 1)
-    y0c = np.clip(y0, 0, h_in - 1)
-    y1c = np.clip(y1, 0, h_in - 1)
+    # np.minimum(np.maximum(...)) clips as np.clip does, without its Python-level wrapper
+    x0c = np.minimum(np.maximum(x0, 0), w_in - 1)
+    x1c = np.minimum(np.maximum(x1, 0), w_in - 1)
+    y0c = np.minimum(np.maximum(y0, 0), h_in - 1)
+    y1c = np.minimum(np.maximum(y1, 0), h_in - 1)
 
     # one flat index y * W + x per tap serves the mask and all three planes
     taps = [y * w_in + x for y in (y0c, y1c) for x in (x0c, x1c)]

@@ -330,9 +330,33 @@ class TestBenchCommand:
         assert sorted(int(c) for _, c in calls) == [0, 1, 2]
         assert all(int(pid) != os.getpid() for pid, _ in calls)
 
-    @pytest.mark.parametrize("fails", [False, True], ids=["success", "worker-raises"])
-    def test_bench_leaves_no_worker_process(self, tmp_path, capsys, monkeypatch, fails):
-        if fails:
+    def test_synthetic_run_ranks_each_kind_in_a_worker(self, tmp_path, monkeypatch):
+        # rank_kind is replaced by a local wrapper, as a tracer replaces it, which cannot be
+        # sent to a worker by name: each kind is still ranked once, and never in this process
+        log = tmp_path / "ranks.log"
+        real = cli_mod.rank_kind
+
+        def logging_rank(values, *args):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} {values.shape[1]}\n")
+            return real(values, *args)
+
+        monkeypatch.setattr(cli_mod, "rank_kind", logging_rank)
+        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "2", "--size", "32"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 0
+        calls = [line.split() for line in log.read_text().splitlines()]
+        # one call per kind: SCDMI50, its halves, HU7, COLOR_MOMENTS and the two histograms
+        assert sorted(int(dims) for _, dims in calls) == [7, 9, 25, 25, 50, 60, 60]
+        assert all(int(pid) != os.getpid() for pid, _ in calls)
+
+    @pytest.mark.parametrize(
+        "fails, message",
+        [(None, None), ("class", "error: class 1 failed"),
+         ("rank", "error: class 'class999' missing from one split")],
+        ids=["success", "worker-raises", "rank-raises"],
+    )
+    def test_bench_leaves_no_worker_process(self, tmp_path, capsys, monkeypatch, fails, message):
+        if fails == "class":
             real = cli_mod.classification_class
 
             def failing(c, *args):
@@ -341,10 +365,39 @@ class TestBenchCommand:
                 return real(c, *args)
 
             monkeypatch.setattr(cli_mod, "classification_class", failing)
+        if fails == "rank":
+            # the last item, a test image, becomes a class of one member: every
+            # rank job, run in a worker, finds the class missing from the train split
+            real_assemble = cli_mod.assemble_features
+
+            def lonely(items):
+                features = real_assemble(items)
+                features.labels[-1] = "class999"
+                return features
+
+            monkeypatch.setattr(cli_mod, "assemble_features", lonely)
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "2", "--size", "32"]
         assert main(args + ["--out", str(tmp_path)]) == (2 if fails else 0)
         assert multiprocessing.active_children() == []
-        assert ("error: class 1 failed" in capsys.readouterr().err) == fails
+        err = capsys.readouterr().err
+        assert (message in err) if fails else err == ""
+        assert (tmp_path / "accuracy.csv").exists() == (not fails)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_workers_share_the_cpus(self):
+        # n workers on n CPUs run one to a CPU, so moment_tables runs its passes
+        # one after the other in each; a single worker keeps every CPU
+        cpus = os.sched_getaffinity(0)
+        n = len(cpus)
+        with cli_mod._worker_pool(n) as pool:
+            counts = cli_mod._run_jobs(pool, engine_mod._cpu_count, [()] * (4 * n))
+            sets = cli_mod._run_jobs(pool, os.sched_getaffinity, [(0,)] * (4 * n))
+        assert counts == [1] * (4 * n)
+        assert all(len(s) == 1 and s <= cpus for s in sets)
+        with cli_mod._worker_pool(1) as pool:
+            assert cli_mod._run_jobs(pool, engine_mod._cpu_count, [()]) == [n]
+        # the parent keeps its own CPU set
+        assert os.sched_getaffinity(0) == cpus
 
     def test_malformed_manifest_ppm_exits_with_its_message(self, tmp_path, capsys):
         rows = _write_manifest(tmp_path)
@@ -355,10 +408,13 @@ class TestBenchCommand:
         assert multiprocessing.active_children() == []
         # the worker's typed error re-raises in the bench's process with its own type
         with pytest.raises(InvalidImage, match="not a binary P6 PPM"):
-            cli_mod._run_jobs(cli_mod._manifest_job, [(path,) for path, _, _ in rows])
+            with cli_mod._worker_pool(len(rows)) as pool:
+                cli_mod._run_jobs(pool, cli_mod._manifest_job, [(path,) for path, _, _ in rows])
+        assert multiprocessing.active_children() == []
 
     def test_synthetic_run_scores_the_generated_dataset(self, tmp_path):
-        # the worker pool's rows score what featurize scores on the whole dataset in this process
+        # the worker pool's rows and rank jobs score what featurize and run_benchmark score on the
+        # whole dataset in this process
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4", "--size", "48",
                 "--seed", "2", "--clamp"]
         assert main(args + ["--out", str(tmp_path)]) == 0
@@ -379,16 +435,16 @@ class TestBenchCommand:
     def test_manifest_driven_run(self, tmp_path, monkeypatch):
         rows = _write_manifest(tmp_path)
         pooled = []
-        real = cli_mod.run_benchmark
+        real = cli_mod.assemble_features
 
-        def capturing(features):
+        def capturing(items):
+            features = real(items)
             pooled.append(features)
-            return real(features)
+            return features
 
-        monkeypatch.setattr(cli_mod, "run_benchmark", capturing)
+        monkeypatch.setattr(cli_mod, "assemble_features", capturing)
         out = tmp_path / "out"
         assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(out)]) == 0
-        assert (out / "accuracy.csv").exists()
         # the rows computed in worker processes are those of featurize in this process, bit for bit
         expected = bench_mod.featurize((label, split, read_ppm(path)) for path, label, split in rows)
         [features] = pooled
@@ -397,6 +453,16 @@ class TestBenchCommand:
         for kind in bench_mod.ALL_KINDS:
             for got, want in zip(features.matrices[kind], expected.matrices[kind]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # and the kinds ranked in worker processes score what run_benchmark scores in this one
+        accuracies, curves = bench_mod.run_benchmark(expected)
+        with (out / "accuracy.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [[k.value, repr(accuracies[k])] for k in bench_mod.ALL_KINDS]
+        with (out / "pr_curves.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [
+                [k.value, repr(float(r)), repr(float(p))]
+                for k in bench_mod.ALL_KINDS
+                for r, p in zip(curves[k].recall_levels, curves[k].precision)
+            ]
 
     def test_bad_manifest_reports_row(self, tmp_path):
         bad = tmp_path / "m.csv"

@@ -493,6 +493,29 @@ class TestStableSum:
     def test_empty(self):
         assert stable_sum(np.zeros(0)) == 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, LEAF])
+    def test_one_block_sums_read_as_fsum_of_one_value(self, n):
+        # one block's sums need no merge, but read as fsum of each one value
+        # reads it, bit for bit: -0.0 reads 0.0, and ±inf and nan stay
+        values = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -2.5])
+        sums = engine._sums(n, values.size, lambda lo, hi: values.copy())
+        expected = np.array([math.fsum([v]) for v in values.tolist()])
+        assert sums.dtype == np.float64 and sums.shape == values.shape
+        assert np.array_equal(np.isnan(sums), np.isnan(expected))
+        assert np.array_equal(sums.view(np.int64)[:4], expected.view(np.int64)[:4])
+        assert sums[5] == -2.5
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [([], 0.0), ([np.inf, 1.0], np.inf), ([-np.inf], -np.inf), ([np.inf, -np.inf], np.nan), ([np.nan, 2.0], np.nan)],
+        ids=["empty", "inf", "minus-inf", "inf-minus-inf", "nan"],
+    )
+    @np.errstate(invalid="ignore")
+    def test_one_block_special_values(self, x, expected):
+        got = stable_sum(np.array(x, dtype=np.float64))
+        assert type(got) is float
+        assert got == expected or (math.isnan(got) and math.isnan(expected))
+
     def test_summed_arrays_are_freed_on_return(self):
         # no reference cycle outlives a sum: with the collector off, the
         # arrays summed are freed as soon as the caller drops them
