@@ -34,6 +34,8 @@ TCD_BINS = 20
 TCD_SPAN = 3.0
 #: share of each synthetic class, base image first, in the train split
 TRAIN_FRACTION = 0.1
+#: warped views per class of the synthetic retrieval dataset, the base image first
+RETRIEVAL_VIEWS = 5
 #: elements per block of queries: queries x items x dims for distances and
 #: queries x items x PR_LEVELS for ranking; bounds the temporaries, not the results
 RANK_BLOCK_ELEMENTS = 1 << 16
@@ -388,6 +390,13 @@ def run_benchmark(
 # synthetic datasets
 
 
+def _labeled(c: int, imgs: list[RasterImage]) -> list[LabeledImage]:
+    """Class ``c``'s images as dataset items, in order: the first
+    TRAIN_FRACTION of them, at least one, form its train split."""
+    n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
+    return [(f"class{c:03d}", "train" if idx < n_train else "test", im) for idx, im in enumerate(imgs)]
+
+
 def classification_class(
     c: int,
     n_transforms: int = 20,
@@ -400,8 +409,7 @@ def classification_class(
 
     The mask disk is sized so every sampled warp keeps the transported domain
     inside the frame, which is what makes the invariant features stable. The
-    first TRAIN_FRACTION of the class, at least one image and the base image
-    first, forms its train split.
+    base image comes first in the train split.
     """
     base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
     imgs = [base]
@@ -415,21 +423,21 @@ def classification_class(
         )
         ct = sample_color_affine(tseed + 1, max_condition=5.0, offset_range=(-0.15, 0.15))
         imgs.append(apply_color_affine(apply_shape_affine(base, st), ct, clamp=clamp))
-    n_train = max(1, round(TRAIN_FRACTION * len(imgs)))
-    return [
-        (f"class{c:03d}", "train" if idx < n_train else "test", im) for idx, im in enumerate(imgs)
-    ]
+    return _labeled(c, imgs)
 
 
 def retrieval_class(
     c: int,
-    n_views: int = 5,
+    n_views: int = RETRIEVAL_VIEWS,
     n_color_transforms: int = 6,
     size: int = 128,
     seed: int = 0,
+    clamp: bool = False,
 ) -> list[LabeledImage]:
-    """Class ``c`` of the synthetic retrieval dataset, every item in the test
-    split: warped views of one base image, each under channel maps."""
+    """Class ``c`` of the synthetic retrieval dataset: warped views of one
+    base image, the base first, each under channel maps. Retrieval reads no
+    split; the class's first items, base view first, form a train split by
+    classification_class's rule, so that the dataset can be classified too."""
     base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
     views = [base]
     for v in range(n_views - 1):
@@ -438,10 +446,10 @@ def retrieval_class(
             vseed, det_range=(0.7, 1.45), max_condition=1.8, src_size=(size, size)
         )
         views.append(apply_shape_affine(base, st))
-    items = []
+    imgs = []
     for vi, view in enumerate(views):
         for t in range(n_color_transforms):
             cseed = seed * 9_999_991 + c * 731 + vi * 37 + t
             ct = sample_color_affine(cseed, max_condition=5.0, offset_range=(-0.15, 0.15))
-            items.append((f"class{c:03d}", "test", apply_color_affine(view, ct)))
-    return items
+            imgs.append(apply_color_affine(view, ct, clamp=clamp))
+    return _labeled(c, imgs)

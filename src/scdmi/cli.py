@@ -6,8 +6,9 @@ Subcommands:
   features  evaluate the 50-entry feature vector on P6 PPM images
   verify    run the oracle-equivalence, channel-exactness, scaling and
             degeneracy suites
-  bench     classification + retrieval benchmark on a manifest or synthetic
-            dataset
+  bench     the paper's two experiments, 1-NN classification and
+            leave-one-out retrieval, on a manifest or a synthetic dataset of
+            either experiment's layout (--protocol)
 
 Exit codes: 0 success, 1 suite failure, 2 usage or I/O error.
 """
@@ -18,6 +19,7 @@ import argparse
 import contextlib
 import csv
 import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from . import __version__
 from .algebra import denominator_polynomial, serialize_polynomial, catalogue_specs
 from .bench import (
     ALL_KINDS,
+    RETRIEVAL_VIEWS,
     DescriptorRows,
     PRCurve,
     assemble_features,
@@ -35,6 +38,7 @@ from .bench import (
     classification_class,
     descriptor_rows,
     rank_kind,
+    retrieval_class,
 )
 from .engine import RasterImage, _cpu_count, scdmi50
 from .ppm import read_ppm, write_ppm
@@ -42,7 +46,8 @@ from .verify import rows_to_csv, run_all
 
 
 #: the smallest --size whose every warped mask keeps a pixel. A bench warp's
-#: smallest singular value is at least sqrt(0.65 / 2) ~ 0.570, and it fixes
+#: smallest singular value is at least sqrt(0.65 / 2) ~ 0.570 (a retrieval
+#: view's, sqrt(0.7 / 1.8) ~ 0.624, is larger), and it fixes
 #: the frame centre, so the output pixel nearest the centre reads bilinear
 #: taps within 1.754 * sqrt(2) / 2 + sqrt(2) ~ 2.66 px of it; the mask disk's
 #: radius, 0.26 * size, is at least that from size 11 up
@@ -164,14 +169,23 @@ def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
     return rows
 
 
+class PoolError(Exception):
+    """A job that cannot be sent to a worker process, or a worker that died."""
+
+
 def _class_job(
-    c: int, transforms: int, size: int, seed: int, clamp: bool, out: Path
+    protocol: str, c: int, transforms: int, size: int, seed: int, clamp: bool, out: Path
 ) -> list[tuple[str, str, str, DescriptorRows]]:
-    """A pool job: generates synthetic class ``c``, exports its PPMs and
-    returns (exported name, label, split, descriptor rows) per image."""
-    members = classification_class(c, transforms, size, seed, clamp)
+    """A pool job: generates class ``c`` of the ``protocol``'s synthetic
+    dataset, exports its PPMs and returns (exported name, label, split,
+    descriptor rows) per image. ``transforms`` counts the warped copies of a
+    classification class, or the channel maps of each retrieval view."""
+    if protocol == "retrieval":
+        members = retrieval_class(c, RETRIEVAL_VIEWS, transforms, size, seed, clamp)
+    else:
+        members = classification_class(c, transforms, size, seed, clamp)
     results = []
-    for i, (label, split, img) in enumerate(members, start=c * (transforms + 1)):
+    for i, (label, split, img) in enumerate(members, start=c * len(members)):
         name = f"dataset/{label}_{i:04d}.ppm"
         # masked-out pixels are baked to black in the exported copies;
         # the benchmark itself runs on the in-memory masked images
@@ -247,16 +261,35 @@ def _worker_pool(jobs: int):
 
 def _run_jobs(pool, job, jobs: list[tuple]) -> list:
     """``job(*args)`` for every args tuple of ``jobs`` on ``pool``, in job
-    order. An exception raised by a job re-raises here with its own type."""
-    futures = [pool.submit(job, *args) for args in jobs]
-    return [future.result() for future in futures]
+    order. An exception raised by a job re-raises here with its own type.
+
+    Each job is pickled here before it is submitted: a job that cannot be
+    sent raises PoolError here, where the pool's own feeder thread could
+    leave the pool waiting on it. A worker that dies raises PoolError too.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    futures = []
+    for args in jobs:
+        try:
+            pickle.dumps((job, args))
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise PoolError(f"cannot send {job.__name__} to a worker process: {exc}") from exc
+        futures.append(pool.submit(job, *args))
+    try:
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        raise PoolError(f"a worker process died: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
     out = _ensure_out(args.out)
     if args.synthetic:
         (out / "dataset").mkdir(parents=True, exist_ok=True)
-        jobs = [(c, args.transforms, args.size, args.seed, args.clamp, out) for c in range(args.classes)]
+        jobs = [
+            (args.protocol, c, args.transforms, args.size, args.seed, args.clamp, out)
+            for c in range(args.classes)
+        ]
     else:
         manifest = _load_manifest(Path(args.manifest))
         jobs = [(path,) for path, _, _ in manifest]
@@ -317,8 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     dataset = p_bench.add_mutually_exclusive_group(required=True)
     dataset.add_argument("manifest", nargs="?", help="dataset manifest CSV (path,label,split)")
     dataset.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
+    layouts = ("classification", "retrieval")
+    p_bench.add_argument("--protocol", choices=layouts, default=layouts[0], help="synthetic dataset layout")
     p_bench.add_argument("--classes", type=_int_at_least(2), default=10)
-    p_bench.add_argument("--transforms", type=_int_at_least(1), default=20)
+    per_class = f"warped copies per class, or for retrieval channel maps per view ({RETRIEVAL_VIEWS} views)"
+    p_bench.add_argument("--transforms", type=_int_at_least(1), default=20, help=per_class)
     p_bench.add_argument("--size", type=_int_at_least(MIN_SYNTHETIC_SIZE), default=96)
     p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
     p_bench.add_argument("--clamp", action="store_true", help="clamp transformed channels to [0,1]")
@@ -335,10 +371,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

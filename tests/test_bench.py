@@ -491,6 +491,10 @@ class TestGenerators:
     def test_retrieval_dataset_counts(self):
         items = retrieval_items(2, n_views=2, n_color_transforms=3, size=48, seed=1)
         assert len(items) == 12
+        # every class is in both splits, its base view's first image in train
+        for c in range(2):
+            splits = [split for label, split, _ in items if label == f"class{c:03d}"]
+            assert splits == ["train"] + ["test"] * 5
 
     def test_per_class_generators_give_the_dataset_items(self):
         # featurizing a generator that holds one class at a time gives the

@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import scdmi.bench as bench_mod
+from scdmi.bench import RETRIEVAL_VIEWS, retrieval_class
 import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
@@ -304,7 +308,7 @@ class TestBenchCommand:
         monkeypatch.setattr(bench_mod, "apply_color_affine", recording)
         monkeypatch.setattr(bench_mod, "scdmi50", counting)
         (tmp_path / "dataset").mkdir()
-        results = cli_mod._class_job(1, 4, 48, 0, False, tmp_path)
+        results = cli_mod._class_job("classification", 1, 4, 48, 0, False, tmp_path)
         # class 1 of five images per class is exported under the names of items 5 to 9
         assert [name for name, _, _, _ in results] == [f"dataset/class001_{i:04d}.ppm" for i in range(5, 10)]
         assert len(copies) == 4 and len(alive_at_scdmi50) == 5
@@ -509,7 +513,102 @@ class TestBenchCommand:
         assert f"argument {option[0]}: must be at least" in capsys.readouterr().err
 
     def test_smallest_synthetic_size_runs(self, tmp_path):
-        for seed in range(4):
-            args = ["bench", "--synthetic", "--classes", "2", "--transforms", "1", "--seed", str(seed)]
-            out = tmp_path / str(seed)
-            assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(out)]) == 0
+        for protocol in ("classification", "retrieval"):
+            for seed in range(4):
+                args = ["bench", "--synthetic", "--protocol", protocol, "--classes", "2", "--transforms", "1",
+                        "--seed", str(seed)]
+                out = tmp_path / f"{protocol}{seed}"
+                assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(out)]) == 0
+
+    def test_retrieval_protocol_writes_the_curves_of_the_dataset(self, tmp_path):
+        # the retrieval layout, featurized and ranked on the pool, scores what the whole dataset
+        # featurized in this process scores; its exported manifest passes a manifest bench's rules
+        args = ["bench", "--synthetic", "--protocol", "retrieval", "--classes", "3", "--transforms", "2",
+                "--size", "48", "--seed", "1"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        items = [item for c in range(3) for item in retrieval_class(c, RETRIEVAL_VIEWS, 2, 48, 1)]
+        features = bench_mod.featurize(items)
+        labels, splits = features.labels, features.splits
+        accuracies, curves = [], []
+        for kind in bench_mod.ALL_KINDS:
+            distances = bench_mod.chi2_matrix(bench_mod.feature_normalize(*features.matrices[kind]))
+            accuracies.append([kind.value, repr(bench_mod.knn_classify(distances, labels, splits))])
+            curve = bench_mod.precision_recall(distances, labels)
+            points = zip(curve.recall_levels, curve.precision)
+            curves += [[kind.value, repr(float(r)), repr(float(p))] for r, p in points]
+        with (tmp_path / "pr_curves.csv").open(newline="") as fh:
+            assert list(csv.reader(fh)) == [["descriptor", "recall_level", "precision"], *curves]
+        with (tmp_path / "accuracy.csv").open(newline="") as fh:
+            assert list(csv.reader(fh))[1:] == accuracies
+        manifest = cli_mod._load_manifest(tmp_path / "dataset_manifest.csv")
+        assert [row[1:] for row in manifest] == [item[:2] for item in items]
+        assert all(Path(path).is_file() for path, _, _ in manifest) and len(manifest) == 3 * 5 * 2
+
+    def test_retrieval_protocol_clamps_its_channel_maps(self, tmp_path):
+        # --clamp reaches the retrieval layout's channel maps: the run scores the clamped
+        # dataset, which scores differently here from the unclamped one; the exported PPMs
+        # cannot show it, since a PPM clamps every channel to [0, 1] either way
+        args = ["bench", "--synthetic", "--protocol", "retrieval", "--classes", "3", "--transforms", "2",
+                "--size", "48", "--seed", "3", "--clamp"]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+
+        def curves(clamp):
+            items = [item for c in range(3) for item in retrieval_class(c, RETRIEVAL_VIEWS, 2, 48, 3, clamp)]
+            scored = bench_mod.run_benchmark(bench_mod.featurize(items))[1]
+            return [
+                [k.value, repr(float(r)), repr(float(p))]
+                for k in bench_mod.ALL_KINDS
+                for r, p in zip(scored[k].recall_levels, scored[k].precision)
+            ]
+
+        with (tmp_path / "pr_curves.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == curves(True)
+        assert rows != curves(False)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            # a local wrapper put in place of bench.rank_kind, as a tracer puts one, and
+            # submitted as the rank job: it has no importable name, so it cannot be sent
+            (
+                "def wrap(real):\n"
+                "    def traced(*args):\n"
+                "        return real(*args)\n"
+                "    return traced\n"
+                "bench.rank_kind = cli._rank_job = wrap(bench.rank_kind)\n",
+                "error: cannot send traced to a worker process: ",
+            ),
+            # the worker's copy of the module calls this in the class job
+            ("cli.classification_class = lambda *args: os._exit(3)\n", "error: a worker process died: "),
+        ],
+        ids=["unpicklable-job", "dead-worker"],
+    )
+    def test_pool_fault_ends_the_bench(self, tmp_path, fault, message):
+        # run in a subprocess of its own session with a timeout, so that a pool left waiting fails
+        # the test, not the suite, and its workers are killed with it
+        script = (
+            "import multiprocessing, os, sys\n"
+            "import scdmi.bench as bench\n"
+            "import scdmi.cli as cli\n"
+            + fault
+            + "rc = cli.main(['bench', '--synthetic', '--classes', '2', '--transforms', '1', '--size', '32',"
+            " '--out', sys.argv[1]])\n"
+            "print(rc, len(multiprocessing.active_children()))\n"
+        )
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-c", script, str(tmp_path)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                pytest.fail("scdmi bench still running after 60 s")
+        assert proc.returncode == 0, err
+        # exit 2, no worker left, and one line of error
+        assert out.split() == ["2", "0"]
+        [line] = err.splitlines()
+        assert line.startswith(message)
