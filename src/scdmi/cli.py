@@ -283,6 +283,14 @@ def _run_jobs(pool, job, jobs: list[tuple]) -> list:
 
 
 def cmd_bench(args) -> int:
+    # the synthetic dataset's options parse to None when not given
+    defaults = {"protocol": "classification", "classes": 10, "transforms": 20, "size": 96, "seed": 0, "clamp": False}
+    given = [f"--{name}" for name in defaults if getattr(args, name) is not None]
+    if given and not args.synthetic:
+        raise ValueError(f"{', '.join(given)} only apply to a --synthetic dataset, not to a manifest")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     out = _ensure_out(args.out)
     if args.synthetic:
         (out / "dataset").mkdir(parents=True, exist_ok=True)
@@ -350,14 +358,16 @@ def build_parser() -> argparse.ArgumentParser:
     dataset = p_bench.add_mutually_exclusive_group(required=True)
     dataset.add_argument("manifest", nargs="?", help="dataset manifest CSV (path,label,split)")
     dataset.add_argument("--synthetic", action="store_true", help="generate a synthetic dataset")
+    # the synthetic dataset's options: cmd_bench fills in the defaults named
+    # here, and refuses any of them given with a manifest
     layouts = ("classification", "retrieval")
-    p_bench.add_argument("--protocol", choices=layouts, default=layouts[0], help="synthetic dataset layout")
-    p_bench.add_argument("--classes", type=_int_at_least(2), default=10)
-    per_class = f"warped copies per class, or for retrieval channel maps per view ({RETRIEVAL_VIEWS} views)"
-    p_bench.add_argument("--transforms", type=_int_at_least(1), default=20, help=per_class)
-    p_bench.add_argument("--size", type=_int_at_least(MIN_SYNTHETIC_SIZE), default=96)
-    p_bench.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_bench.add_argument("--clamp", action="store_true", help="clamp transformed channels to [0,1]")
+    p_bench.add_argument("--protocol", choices=layouts, help="synthetic dataset layout (default classification)")
+    p_bench.add_argument("--classes", type=_int_at_least(2), help="classes (default 10)")
+    per_class = f"warped copies per class, or for retrieval channel maps per view ({RETRIEVAL_VIEWS} views; default 20)"
+    p_bench.add_argument("--transforms", type=_int_at_least(1), help=per_class)
+    p_bench.add_argument("--size", type=_int_at_least(MIN_SYNTHETIC_SIZE), help="image size in pixels (default 96)")
+    p_bench.add_argument("--seed", type=_int_at_least(0), help="dataset seed (default 0)")
+    p_bench.add_argument("--clamp", action="store_true", default=None, help="clamp transformed channels to [0,1]")
     p_bench.add_argument("--out", default="scdmi_out")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -283,44 +283,66 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
 
     ``values`` are the five arrays of centred_values; the first entry is m00,
     the pixel count. It is _walk over slices of the arrays, the walk
-    moment_tables runs over a domain source.
+    moment_tables runs over a domain source. Raises InvalidImage unless
+    ``values`` are five 1-D arrays of one length.
     """
-    return _walk(values[0].size, lambda lo, hi: [v[lo:hi] for v in values])
+    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    if len(arrays) != 5 or any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
+        raise InvalidImage("the centred values must be five 1-D arrays of one length")
+    return _walk(arrays[0].size, lambda lo, hi: [a[lo:hi] for a in arrays])
 
 
 def _walk(npix: int, leaf: Callable[[int, int], Sequence[np.ndarray]]) -> np.ndarray:
     """The moment vector of ``npix`` pixels whose centred arrays ``leaf(lo, hi)`` gives.
 
-    _sums asks for one leaf of at most ``_LEAF`` pixels at a time, over which
-    ``compiled_catalogue().steps`` build the product vectors: one no later
-    step reads is formed in one scratch array, any other is dropped after
-    its last reader. Each is reduced by numpy's pairwise sum, so every
-    moment is the stable_sum of its product vector, whatever numpy's BLAS.
+    _sums asks for one leaf of at most ``_LEAF`` pixels at a time. Over it
+    each moment's product is its non-zero axis powers multiplied left to
+    right in axis order (x, y, r, g, b), each power the one below it times
+    the axis. The moments come sorted, so those that share an x^p y^q
+    prefix are adjacent and the prefix is formed once, when (p, q) changes.
+    The walk holds the current x power, the prefix and the y powers up to
+    the largest q of the current p, and multiplies each moment's channel
+    powers onto the prefix in a scratch array. The prefix and the x powers
+    from x^3 up overwrite the array they replace. Each product is reduced by
+    numpy's pairwise sum, so every moment is the stable_sum of its product
+    vector, whatever numpy's BLAS.
     """
     prog = compiled_catalogue()
-    scratch = np.empty(min(npix, _LEAF))
+    # sorted moments end each run of one p at its largest q
+    top = {p: q for p, q, _ in prog.products}
+    scratch = np.empty((2, min(npix, _LEAF)))
 
     def products(lo: int, hi: int) -> np.ndarray:
-        arrays = leaf(lo, hi)
-        sums = np.empty(len(prog.indices) - 1)
-        product = scratch[: hi - lo]
-        rows = []
-        for a, b, slot, keep, drop in prog.steps:
-            if b < 0:
-                row = arrays[a]
-            elif keep:
-                row = rows[a] * rows[b]
-            else:
-                row = np.multiply(rows[a], rows[b], out=product)
-            rows.append(row)
-            if slot:
-                sums[slot - 1] = np.add.reduce(row)
-            for r in drop:
-                rows[r] = None
+        x, y, *channels = leaf(lo, hi)
+        sums = np.empty(len(prog.products))
+        product, shared = scratch[:, : hi - lo]
+        xp = prefix = None
+        ys = [None, y]
+        held_p = held_q = 0
+        for slot, (p, q, colour) in enumerate(prog.products):
+            if q != held_q or p != held_p:
+                if p != held_p:
+                    del ys[max(top[p], 1) + 1 :]
+                    # x, then x^2 in a new array that each higher power overwrites
+                    for _ in range(held_p, p):
+                        xp = x if xp is None else xp * x if xp is x else np.multiply(xp, x, xp)
+                while len(ys) <= q:
+                    ys.append(ys[-1] * y)
+                prefix = xp if q == 0 else ys[q] if p == 0 else np.multiply(xp, ys[q], shared)
+                held_p, held_q = p, q
+            row = prefix
+            for c, e in colour:
+                # a power that starts the product is formed in the scratch array
+                power = channels[c]
+                while e > 1:
+                    power = np.multiply(power, channels[c], product if row is None else None)
+                    e -= 1
+                row = power if row is None else np.multiply(row, power, product)
+            sums[slot] = np.add.reduce(row)
         return sums
 
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.concatenate(([float(npix)], _sums(npix, len(prog.indices) - 1, products)))
+        return np.concatenate(([float(npix)], _sums(npix, len(prog.products), products)))
 
 
 def _moments(img: RasterImage, k: int) -> np.ndarray:
@@ -399,19 +421,9 @@ class CompiledCatalogue:
     the padding products are exact. ``bounds[i]:bounds[i+1]`` are the terms
     of numerator i for i < 25, and the last range is the quadratic core.
     ``squares`` are the slots of the three channels' sums of squares.
-
-    ``steps`` build every moment's product vector over a leaf of pixels,
-    one row per step. Step (a, -1, slot, keep, drop) is centred array a;
-    step (a, b, slot, keep, drop) is row a times row b, rows counted in
-    step order. A power is the one below it times the axis, and a moment's
-    product is its non-zero axis powers multiplied left to right in axis
-    order (x, y, r, g, b), each product its prefix times one power, so a
-    prefix shared by several moments is formed once. The moments and their
-    prefixes come in tuple order, each power formed just before its first
-    reader, so few product rows are held at once (five for this
-    catalogue). Any catalogue builds this way. A row whose ``slot`` is not
-    0 is summed into that moment slot. ``keep`` marks the rows a later step
-    reads, and ``drop`` lists the rows this step reads for the last time.
+    ``products[i]`` is moment i + 1 as (p, q, ((channel, e), ...)): its x
+    and y exponents and its non-zero channel powers, channels counted from
+    red, in channel order; _walk forms the product vectors from them.
     """
 
     indices: tuple[MomentIndex, ...]
@@ -421,45 +433,7 @@ class CompiledCatalogue:
     area_exponents: tuple[float, ...]
     denom_exponents: tuple[float, ...]
     squares: tuple[int, ...]
-    steps: tuple[tuple[int, int, int, bool, tuple[int, ...]], ...]
-
-
-def _product_steps(indices: Sequence[MomentIndex]) -> tuple[tuple[int, int, int, bool, tuple[int, ...]], ...]:
-    """CompiledCatalogue's ``steps`` for the moments ``indices``, m00 first."""
-    factors = [tuple((axis, e) for axis, e in enumerate(idx) if e) for idx in indices[1:]]
-    row: dict = {}
-    keys, sources = [], []
-
-    def form(key: tuple) -> int:
-        """The row of ``key``, formed after its two sources if not yet formed."""
-        if key not in row:
-            axis, e = key[-1]
-            if len(key) > 1:
-                src = (form(key[:-1]), form(key[-1:]))
-            elif e > 1:
-                src = (form(((axis, e - 1),)), form(((axis, 1),)))
-            else:
-                src = (axis, -1)
-            row[key] = len(keys)
-            keys.append(key)
-            sources.append(src)
-        return row[key]
-
-    # the centred arrays first, then every moment and product prefix in tuple
-    # order, each power formed just before its first reader: x^p is held only
-    # while the moments that start with it are formed, and the products that
-    # extend a prefix follow it with nothing between them
-    for axis in sorted({axis for f in factors for axis, _ in f}):
-        form(((axis, 1),))
-    for key in sorted({f[:n] for f in factors for n in range(1, len(f) + 1)}):
-        form(key)
-    last = {}
-    for step, (a, b) in enumerate(sources):
-        if b >= 0:
-            last[a] = last[b] = step
-    drops = [tuple(r for r in sorted(last) if last[r] == step) for step in range(len(keys))]
-    slot = {f: s for s, f in enumerate(factors, start=1)}
-    return tuple((a, b, slot.get(key, 0), i in last, drops[i]) for i, (key, (a, b)) in enumerate(zip(keys, sources)))
+    products: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
 
 
 @lru_cache(maxsize=1)
@@ -489,7 +463,7 @@ def compiled_catalogue() -> CompiledCatalogue:
         area_exponents=tuple(float(s.area_exponent) for s in shared),
         denom_exponents=tuple(float(s.denom_exponent) for s in shared),
         squares=tuple(slot[sq] for sq in _SQUARES),
-        steps=_product_steps(indices),
+        products=tuple((idx.p, idx.q, tuple((c, e) for c, e in enumerate(idx[2:]) if e)) for idx in indices[1:]),
     )
 
 

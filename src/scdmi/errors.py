@@ -10,7 +10,8 @@ class InvalidSpec(ScdmiError, ValueError):
 
 
 class InvalidImage(ScdmiError, ValueError):
-    """The channel array and mask do not form one (3, H, W) image."""
+    """The channel array and mask do not form one (3, H, W) image, or the
+    centred values are not five 1-D arrays of one length."""
 
 
 class EmptyDomain(ScdmiError, ValueError):

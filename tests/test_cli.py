@@ -498,6 +498,23 @@ class TestBenchCommand:
             assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "options",
+        [["--protocol", "retrieval"], ["--classes", "7"], ["--transforms", "20"], ["--size", "11"],
+         ["--seed", "0"], ["--clamp"],
+         ["--protocol", "retrieval", "--clamp", "--classes", "7", "--size", "11", "--seed", "3"]],
+        ids=["protocol", "classes", "transforms", "size", "seed", "clamp", "all"],
+    )
+    def test_manifest_bench_refuses_synthetic_options(self, tmp_path, capsys, options):
+        # given with a manifest, a synthetic dataset's option, even at its default
+        # value, is an error before anything is written, not silently ignored
+        _write_manifest(tmp_path)
+        assert main(["bench", str(tmp_path / "manifest.csv"), *options, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert all(flag in err[0] for flag in options if flag.startswith("--"))
+
+    @pytest.mark.parametrize(
         "option",
         [["--classes", "1"], ["--classes", "0"], ["--classes", "-1"], ["--transforms", "0"],
          ["--size", "10"], ["--size", "4"], ["--size", "0"], ["--seed", "-1"]],

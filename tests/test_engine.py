@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdmi import engine
-from scdmi.algebra import MomentIndex, catalogue_specs
+from scdmi.algebra import MomentIndex, MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.engine import (
     RasterImage,
     centred_values,
@@ -58,6 +58,10 @@ def slot(idx):
         lambda plane: RasterImage(np.stack([plane] * 2), plane == 0),
         lambda plane: RasterImage(plane, plane == 0),
         lambda plane: RasterImage(np.stack([plane] * 3), np.stack([plane == 0] * 3)),
+        lambda plane: moment_vector([plane[0]] * 4),
+        lambda plane: moment_vector([plane[0]] * 4 + [plane[0, :3]]),
+        lambda plane: moment_vector([plane] * 5),
+        lambda plane: moment_vector([plane[0]] * 6),
     ],
     ids=[
         "planes-differ",
@@ -68,6 +72,10 @@ def slot(idx):
         "two-channels",
         "channels-2d",
         "mask-has-channel-axis",
+        "values-four-arrays",
+        "values-unequal-lengths",
+        "values-2d",
+        "values-six-arrays",
     ],
 )
 def test_malformed_image_raises_typed_error(build):
@@ -585,22 +593,6 @@ def _stripe_image(seed):
     return img
 
 
-def _step_exponents(steps):
-    """The exponents of each step's row, checking that a step reads only
-    earlier rows that are kept."""
-    rows = []
-    dropped = set()
-    for a, b, _, _, drop in steps:
-        if b < 0:
-            rows.append(tuple(int(axis == a) for axis in range(5)))
-        else:
-            assert a < len(rows) and b < len(rows) and steps[a][3] and steps[b][3]
-            assert a not in dropped and b not in dropped
-            rows.append(tuple(x + y for x, y in zip(rows[a], rows[b])))
-        dropped.update(drop)
-    return rows
-
-
 class TestCompiledCatalogue:
     def test_term_counts(self):
         prog = compiled_catalogue()
@@ -613,48 +605,30 @@ class TestCompiledCatalogue:
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
 
-    def test_layout_sums_every_moment_once_and_forms_each_prefix_once(self):
-        prog = compiled_catalogue()
-        rows = _step_exponents(prog.steps)
-        # every moment slot is summed once, from the row of its own exponents
-        summed = {slot: rows[i] for i, (_, _, slot, _, _) in enumerate(prog.steps) if slot}
-        assert sorted(summed) == list(range(1, len(prog.indices)))
-        assert all(summed[slot] == tuple(prog.indices[slot]) for slot in summed)
-        # no row is formed twice, among them the ten x^p y^q prefixes that
-        # moments with colour factors share
-        assert len(set(rows)) == len(rows) == 89
-        prefixes = {(*idx[:2], 0, 0, 0) for idx in prog.indices if idx[0] and idx[1] and any(idx[2:])}
-        assert len(prefixes) == 10 and prefixes <= set(rows)
-        # a row is kept exactly when a later step reads it, and dropped once,
-        # by the last step that reads it
-        read = {i for a, b, *_ in prog.steps if b >= 0 for i in (a, b)}
-        assert [step[3] for step in prog.steps] == [i in read for i in range(len(rows))]
-        drops = [r for *_, drop in prog.steps for r in drop]
-        assert sorted(drops) == sorted(read)
-        # the ten prefixes are dropped as soon as their three colour moments
-        # are formed, so at most one is held at a time
-        held = [i for i, step in enumerate(prog.steps) if step[1] >= 0 and rows[i] in prefixes]
-        assert all(prog.steps[i + 3][4] == (i,) for i in held)
-        # each power is formed just before its first reader, so at most five
-        # product rows are held at once
-        alive, most = set(), 0
-        for i, (_, b, _, keep, drop) in enumerate(prog.steps):
-            if b >= 0 and keep:
-                alive.add(i)
-            most = max(most, len(alive))
-            alive.difference_update(drop)
-        assert most == 5
-
-    @pytest.mark.parametrize(
-        "extra", [[MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)], [MomentIndex(1, 1, 1, 1, 0)]],
-        ids=["gap-in-second-factors", "four-factors"],
-    )
-    def test_steps_build_any_catalogue(self, extra):
-        steps = engine._product_steps((MomentIndex(0, 0, 0, 0, 0), *extra))
-        rows = _step_exponents(steps)
-        assert sorted((slot, rows[i]) for i, (_, _, slot, *_) in enumerate(steps) if slot) == [
-            (slot, tuple(idx)) for slot, idx in enumerate(extra, start=1)
+    def test_walk_builds_any_catalogue(self, monkeypatch):
+        # indices the catalogue lacks, added as terms of the denominator:
+        # a gap in the y powers beside one x power, four factors, a prefix
+        # times r squared, a channel power after a channel, a later p that
+        # needs more y powers than the p before it, and a jump of two in p at
+        # an unchanged q
+        extra = [
+            MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0), MomentIndex(1, 1, 1, 1, 0),
+            MomentIndex(2, 1, 2, 0, 1), MomentIndex(0, 0, 1, 0, 3), MomentIndex(5, 3, 0, 0, 0),
+            MomentIndex(7, 3, 0, 1, 0),
         ]
+        honest = engine.denominator_polynomial()
+        padded = MomentPolynomial(honest.terms + tuple(MonomialTerm(1, (idx,)) for idx in extra))
+        monkeypatch.setattr(engine, "denominator_polynomial", lambda: padded)
+        compiled_catalogue.cache_clear()
+        try:
+            assert set(extra) <= set(compiled_catalogue().indices)
+            for img, k in [(random_image(8, 9, 11), 0), (blob_image(9, size=200), 1)]:
+                values = centred_values(img, k)
+                expected = np.array(_walk_over_all_axes(values))
+                assert np.array_equal(moment_vector(values).view(np.int64), expected.view(np.int64))
+        finally:
+            monkeypatch.undo()
+            compiled_catalogue.cache_clear()
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_d2_is_six_gram_determinants(self, k):
@@ -842,13 +816,16 @@ def test_k1_error_propagates_with_its_type(monkeypatch):
 
 def test_import_loads_no_thread_pool():
     # concurrent.futures (and the logging it pulls in) is imported on the
-    # first threaded moment_tables call, not by ``import scdmi``
-    src = str(Path(engine.__file__).resolve().parents[1])
-    script = "import sys, scdmi; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    # first threaded moment_tables call, and multiprocessing by the first
+    # bench pool, not by ``import scdmi`` or ``import scdmi.cli``
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parents[1])}
+    for module in ("scdmi", "scdmi.cli"):
+        script = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_large_mask_that_erosion_empties():
