@@ -605,17 +605,24 @@ class TestCompiledCatalogue:
             MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2)
         ]
 
-    def test_walk_builds_any_catalogue(self, monkeypatch):
-        # indices the catalogue lacks, added as terms of the denominator:
-        # a gap in the y powers beside one x power, four factors, a prefix
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            [MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0)],
+            [MomentIndex(1, 1, 1, 1, 0)],
+            [
+                MomentIndex(2, 1, 2, 0, 1), MomentIndex(0, 0, 1, 0, 3), MomentIndex(5, 3, 0, 0, 0),
+                MomentIndex(7, 3, 0, 1, 0),
+            ],
+        ],
+        ids=["gap-in-second-factors", "four-factors", "prefix-powers-and-p-jumps"],
+    )
+    def test_steps_build_any_catalogue(self, extra, monkeypatch):
+        # indices the catalogue lacks, added as terms of the denominator: a
+        # gap in the y powers beside one x power; four factors; and a prefix
         # times r squared, a channel power after a channel, a later p that
         # needs more y powers than the p before it, and a jump of two in p at
         # an unchanged q
-        extra = [
-            MomentIndex(1, 4, 0, 0, 0), MomentIndex(1, 2, 0, 0, 0), MomentIndex(1, 1, 1, 1, 0),
-            MomentIndex(2, 1, 2, 0, 1), MomentIndex(0, 0, 1, 0, 3), MomentIndex(5, 3, 0, 0, 0),
-            MomentIndex(7, 3, 0, 1, 0),
-        ]
         honest = engine.denominator_polynomial()
         padded = MomentPolynomial(honest.terms + tuple(MonomialTerm(1, (idx,)) for idx in extra))
         monkeypatch.setattr(engine, "denominator_polynomial", lambda: padded)
