@@ -37,7 +37,6 @@ from .errors import (
     ScdmiError,
     Singular,
     TooLarge,
-    TooSmall,
 )
 from .oracle import brute_force_core_integral, brute_force_features
 from .ppm import read_ppm, write_ppm

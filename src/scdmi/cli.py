@@ -148,7 +148,8 @@ def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
     """(image path, label, split) of every row. Each row, and the dataset
     rules over all labels and splits, are checked before any image is read."""
     rows = []
-    with path.open(newline="") as fh:
+    # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import MomentIndex, denominator_polynomial, catalogue_specs
-from .errors import EmptyDomain, InvalidImage, TooSmall
+from .errors import EmptyDomain, InvalidImage
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
@@ -170,16 +170,15 @@ class _DomainSource:
 
     Everything runs on views cropped to the mask's bounding box: outside it
     the mask is False, so the erosion, the pixel order and the stencil at
-    every domain pixel are those of the whole frame.
+    every domain pixel are those of the whole frame. Raises EmptyDomain when
+    the mask has no pixels. A k=1 domain that stencil erosion empties, as it
+    does every box under 5x5, has size 0 and gives five empty arrays.
     """
 
     def __init__(self, img: RasterImage, k: int):
-        if k == 1 and (img.width < 5 or img.height < 5):
-            raise TooSmall(f"need at least 5x5 pixels, got {img.width}x{img.height}")
-        empty = "mask has no pixels" if k == 0 else "stencil erosion left no pixels"
         rows = np.flatnonzero(img.mask.any(axis=1))
         if rows.size == 0:
-            raise EmptyDomain(empty)
+            raise EmptyDomain("mask has no pixels")
         cols = np.flatnonzero(img.mask.any(axis=0))
         y0, x0 = int(rows[0]), int(cols[0])
         box = (slice(y0, int(rows[-1]) + 1), slice(x0, int(cols[-1]) + 1))
@@ -190,8 +189,8 @@ class _DomainSource:
         #: domain pixels before each row of the box, and in all of it last
         self.starts = [0, *np.cumsum(self.counts).tolist()]
         self.size = n = self.starts[-1]
-        if n == 0:
-            raise EmptyDomain(empty)
+        if n == 0:  # an emptied k=1 domain has no centroid
+            return
         # the pixel counts give the coordinate sums as exact integers, which
         # below 2^53 equal the stable_sum of the float coordinates bit for
         # bit; a pixel's centred x is its column's, and its centred y its row's
@@ -218,6 +217,8 @@ class _DomainSource:
 
     def values(self, lo: int, hi: int) -> list[np.ndarray]:
         """The centred (xc, yc, rc, gc, bc) of domain pixels lo..hi, in np.nonzero order."""
+        if self.size == 0:  # no pixel to centre, and no halo to read
+            return [np.empty(0) for _ in range(5)]
         r0, r1, off = self._band(lo, hi)
         take = slice(off, off + hi - lo)
         band = self.mask[r0:r1]
@@ -259,7 +260,10 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
     its own centroid, and the channels are (x - x̄) dC/dx + (y - ȳ) dC/dy,
     not mean-subtracted. dC/dx is the unnormalized 5-point difference
     C(x-2) - 8 C(x-1) + 8 C(x+1) - C(x+2), 12 times the true derivative on
-    smooth data. This is the whole range of the k-domain's source.
+    smooth data. This is the whole range of the k-domain's source. Raises
+    EmptyDomain when the mask has no pixels; a k=1 domain that stencil
+    erosion empties, as it does on every frame under 5x5, gives five empty
+    arrays.
     """
     src = _DomainSource(img, k)
     return tuple(src.values(0, src.size))
@@ -351,14 +355,6 @@ def _moments(img: RasterImage, k: int) -> np.ndarray:
     return _walk(src.size, src.values)
 
 
-def _k1_vector(img: RasterImage) -> np.ndarray | None:
-    """The k=1 moment vector, or None when stencil erosion empties the mask."""
-    try:
-        return _moments(img, 1)
-    except EmptyDomain:
-        return None
-
-
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -366,27 +362,29 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray | None]:
+def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray]:
     """The k=0 and k=1 moment vectors used by the 50-feature evaluation.
 
     The k=1 vector is computed on the stencil-eroded mask with its own
-    centroid; it is None when erosion empties the mask. When the mask holds
-    more than one leaf (``_LEAF`` pixels) and the process may use more than
-    one CPU, the k=1 pass runs as a future on a one-worker thread pool
-    beside the k=0 pass: numpy releases the interpreter lock inside each
-    large array operation, so the passes overlap, at the cost of one more
-    leaf in peak memory; otherwise they run one after the other. The
-    vectors are bit for bit the same either way, and equal
+    centroid; where erosion empties the mask it is the vector of zero
+    pixels, m00 = 0 and every moment 0. Raises EmptyDomain when the mask
+    has no pixels. When the mask holds more than one leaf (``_LEAF``
+    pixels) and the process may use more than one CPU, the k=1 pass runs
+    as a future on a one-worker thread pool beside the k=0 pass: numpy
+    releases the interpreter lock inside each large array operation, so
+    the passes overlap, at the cost of one more leaf in peak memory;
+    otherwise they run one after the other. The vectors are bit for bit
+    the same either way, and equal
     moment_vector(centred_values(img, k)); an exception from either pass
     propagates with its type once the pool has joined its worker.
     """
     if np.count_nonzero(img.mask) <= _LEAF or _cpu_count() < 2:
-        return _moments(img, 0), _k1_vector(img)
+        return _moments(img, 0), _moments(img, 1)
     # imported here: concurrent.futures pulls in logging, about 7 ms of `import scdmi`
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
-        k1 = pool.submit(_k1_vector, img)
+        k1 = pool.submit(_moments, img, 1)
         return _moments(img, 0), k1.result()
 
 
@@ -402,8 +400,11 @@ def degeneracy_floor(m00: float, squares: Sequence[float]) -> float:
 
     ``squares`` are the three channels' centred sums of squares. The core
     scales like m00**3 times the sixth power of the channel spread, so the
-    floor is relative to both.
+    floor is relative to both. It is inf when m00 is not positive: a domain
+    of no pixels has no core to pass it.
     """
+    if not (m00 > 0.0):
+        return math.inf
     scale_sq = max((squares[0] + squares[1] + squares[2]) / (3.0 * m00), 0.0)
     try:
         return DEGENERACY_EPS * m00**3 * scale_sq**3
@@ -495,15 +496,13 @@ def core_sums(moments: np.ndarray) -> np.ndarray:
 def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 25 invariants of one moment vector: each numerator sum over m00**e * D2**d.
 
-    D2 and the degeneracy floor are evaluated once. A vector whose m00 is
-    not positive, whose core sums are not all finite, or whose D2 falls
-    under the floor gives 25 invalid entries.
+    D2 and the degeneracy floor are evaluated once. A vector whose core
+    sums are not all finite, or whose D2 falls under the floor, as it does
+    whenever m00 is not positive, gives 25 invalid entries.
     """
     prog = compiled_catalogue()
     invalid = np.zeros(25), np.zeros(25, dtype=bool)
     m00 = float(moments[0])
-    if not (m00 > 0.0):
-        return invalid
     sums = core_sums(moments)
     if not np.isfinite(sums).all():
         return invalid
@@ -518,15 +517,12 @@ def scdmi50(img: RasterImage) -> FeatureVector:
     """Evaluate the 25 catalogued invariants on both moment tables of one image.
 
     Entries 1..25 come from the k=0 table and 26..50 from the k=1 table;
-    the k=1 entries are invalid when stencil erosion empties the mask. The
-    tables come from moment_tables, which on masks of more than ``_LEAF``
-    pixels builds them side by side on two threads when it may; the
-    entries are bit for bit the same with one CPU or more.
-    Raises TooSmall on an image under 5x5 pixels.
+    the k=1 entries are (0.0, False) when stencil erosion empties the mask,
+    as it does on every frame under 5x5. The tables come from
+    moment_tables, which on masks of more than ``_LEAF`` pixels builds them
+    side by side on two threads when it may; the entries are bit for bit
+    the same with one CPU or more. Raises EmptyDomain when the mask has no
+    pixels.
     """
-    values = np.zeros(50)
-    valid = np.zeros(50, dtype=bool)
-    for k, moments in enumerate(moment_tables(img)):
-        if moments is not None:
-            values[25 * k : 25 * k + 25], valid[25 * k : 25 * k + 25] = evaluate_table(moments)
-    return FeatureVector(values, valid)
+    values, valid = zip(*(evaluate_table(moments) for moments in moment_tables(img)))
+    return FeatureVector(np.concatenate(values), np.concatenate(valid))

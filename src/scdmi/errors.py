@@ -18,10 +18,6 @@ class EmptyDomain(ScdmiError, ValueError):
     """No masked pixels to integrate over."""
 
 
-class TooSmall(ScdmiError, ValueError):
-    """Image too small for the derivative stencil."""
-
-
 class TooLarge(ScdmiError, ValueError):
     """Brute-force point enumeration would exceed the safety guard."""
 

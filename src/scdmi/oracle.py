@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import CoreSpec, catalogue_specs
 from .engine import FeatureVector, RasterImage, centred_values, degeneracy_floor, stable_sum
-from .errors import EmptyDomain, TooLarge
+from .errors import TooLarge
 
 #: hard ceiling on (masked pixel count) ** (integration points)
 TUPLE_GUARD = 10**8
@@ -188,7 +188,8 @@ def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
 
 
 def _normalizer(dom: _Domain) -> float | None:
-    """The quadratic colour core; None where it underflows the engine's floor or is not finite."""
+    """The quadratic colour core; None where it underflows the engine's floor,
+    which no core of a zero-point domain passes, or is not finite."""
     d2 = _core_sum(dom, _D2)
     squares = [stable_sum(c * c) for c in dom.values[2:]]
     return d2 if degeneracy_floor(float(dom.size), squares) < d2 < np.inf else None
@@ -196,7 +197,11 @@ def _normalizer(dom: _Domain) -> float | None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def brute_force_core_integral(img: RasterImage, spec: CoreSpec, k: int) -> float:
-    """Nested summation of the core over all point tuples of the k domain."""
+    """Nested summation of the core over all point tuples of the k domain.
+
+    An empty k=1 domain, one that stencil erosion empties, sums to 0.0.
+    Raises EmptyDomain when the mask has no pixels.
+    """
     return _core_sum(_Domain(img, k, spec.width), spec)
 
 
@@ -206,21 +211,16 @@ def brute_force_features(img: RasterImage) -> FeatureVector:
 
     Each k-domain's centred values, primitives and quadratic core are built
     once. Entries of a k are invalid where the quadratic core underflows the
-    degeneracy floor or stencil erosion empties the k=1 domain, and an entry
-    is invalid where it overflows. Raises as scdmi50 does on an empty mask or
-    an image under 5x5 pixels.
+    degeneracy floor, as it does on a k=1 domain that stencil erosion
+    empties, and an entry is invalid where it overflows. Raises EmptyDomain,
+    as scdmi50 does, when the mask has no pixels.
     """
     specs = catalogue_specs()
     width = max(max(spec.source.width for spec in specs), _D2.width)
     values = np.zeros(50)
     valid = np.zeros(50, dtype=bool)
     for k in (0, 1):
-        try:
-            dom = _Domain(img, k, width)
-        except EmptyDomain:
-            if k == 0:
-                raise
-            continue
+        dom = _Domain(img, k, width)
         d2 = _normalizer(dom)
         if d2 is None:
             continue

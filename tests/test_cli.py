@@ -174,6 +174,18 @@ class TestFeatures:
         )
         assert rc == 0
 
+    def test_frames_under_5x5_give_their_k0_entries(self, tmp_path):
+        # stencil erosion empties the k=1 domain of a small frame, and its
+        # k=0 entries stand; one pixel has no colour spread, so no entry
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / f"{n}.ppm" for n in (4, 1)]
+        for path, n in zip(paths, (4, 1)):
+            write_ppm(path, RasterImage.from_array(rng.uniform(size=(n, n, 3))))
+        assert main(["features", *map(str, paths), "--out", str(tmp_path / "out")]) == 0
+        with (tmp_path / "out" / "features.csv").open(newline="") as fh:
+            valid = [row[51:] for row in list(csv.reader(fh))[1:]]
+        assert valid == [["1"] * 25 + ["0"] * 25, ["0"] * 50]
+
     def test_program_error_propagates(self, tmp_path, monkeypatch):
         # only a bad file is reported and skipped; a fault of the program is raised
         write_ppm(tmp_path / "ok.ppm", blob_image(1, size=16))
@@ -467,6 +479,17 @@ class TestBenchCommand:
                 for k in bench_mod.ALL_KINDS
                 for r, p in zip(curves[k].recall_levels, curves[k].precision)
             ]
+
+    def test_manifest_with_byte_order_mark(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts the file with a UTF-8 byte-order mark
+        _write_manifest(tmp_path)
+        plain = tmp_path / "manifest.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for manifest, out in ((plain, "a"), (marked, "b")):
+            assert main(["bench", str(manifest), "--out", str(tmp_path / out)]) == 0
+        for name in ("accuracy.csv", "pr_curves.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_bad_manifest_reports_row(self, tmp_path):
         bad = tmp_path / "m.csv"

@@ -21,15 +21,17 @@ from scdmi.engine import (
     compiled_catalogue,
     core_sums,
     evaluate_table,
+    moment_tables,
     moment_vector,
     scdmi50,
     stable_sum,
     stencil_eroded_mask,
 )
-from scdmi.errors import EmptyDomain, InvalidImage, ScdmiError, TooSmall
+from scdmi.errors import EmptyDomain, InvalidImage, ScdmiError
+from scdmi.oracle import brute_force_features
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ShapeAffine, apply_shape_affine, relative_deviation
-from scdmi.verify import ORACLE_TOL
+from scdmi.verify import ORACLE_TOL, oracle_deviations
 
 
 #: pixels per summation block
@@ -99,11 +101,12 @@ class TestCentroid:
         assert np.all(rc == 0.0) and np.all(gc == 0.0) and np.all(bc == 0.0)
 
     def test_empty_mask(self):
+        # the one case that raises: the mask itself is empty, whatever k
         img = RasterImage.from_array(np.zeros((4, 4, 3)), mask=np.zeros((4, 4), bool))
-        with pytest.raises(EmptyDomain):
-            centred_values(img, 0)
-        with pytest.raises(EmptyDomain):
-            centred_values(_stripe_image(16), 1)
+        calls = [lambda: centred_values(img, 0), lambda: centred_values(img, 1)]
+        for call in calls + [lambda: scdmi50(img), lambda: brute_force_features(img)]:
+            with pytest.raises(EmptyDomain, match="^mask has no pixels$"):
+                call()
 
 
 class TestDerivatives:
@@ -121,10 +124,6 @@ class TestDerivatives:
         _, _, *channels = centred_values(img, 1)
         # the stencil of a constant cancels to rounding noise
         assert np.allclose(channels, 0.0, atol=1e-13)
-
-    def test_too_small(self):
-        with pytest.raises(TooSmall):
-            centred_values(RasterImage.from_array(np.zeros((4, 4, 3))), 1)
 
     def test_eroded_mask_margin(self):
         mask = np.ones((8, 8), bool)
@@ -277,10 +276,6 @@ class TestEvaluate:
         fv = scdmi50(img)
         assert not fv.valid.any()
         assert np.isfinite(fv.values).all()
-
-    def test_too_small_image(self):
-        with pytest.raises(TooSmall):
-            scdmi50(RasterImage.from_array(np.zeros((4, 9, 3))))
 
     def test_identity_copy_bit_identical(self):
         img = random_image(6, 12, 12)
@@ -465,18 +460,39 @@ class TestBoundingBoxCrop:
         got, expected = centred_values(img, 0), _plane_centred(img, 0)
         for a, b in zip(got, expected):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
-        # the crop is 3x3, but only the frame decides TooSmall
-        with pytest.raises(EmptyDomain):
-            centred_values(img, 1)
+        # the 3x3 crop erodes to nothing: a k=1 domain of zero pixels
+        assert [a.size for a in centred_values(img, 1)] == [0] * 5
         fv = scdmi50(img)
         assert not fv.valid[25:].any() and np.all(fv.values[25:] == 0.0)
 
-    def test_small_frame_is_still_too_small(self):
-        img = random_image(4, 4, 4)
-        with pytest.raises(TooSmall):
-            centred_values(img, 1)
-        with pytest.raises(TooSmall):
-            scdmi50(img)
+
+def _small_domain(name):
+    """Random channels on a domain that stencil erosion empties."""
+    if name == "3x3-on-128px":
+        mask = np.zeros((128, 128), bool)
+        mask[60:63, 70:73] = True
+        return _masked(3, 128, mask)
+    h, w = map(int, name.split("x"))
+    return random_image(h * w, h, w)
+
+
+class TestZeroPixelDomain:
+    """A k-domain of no pixels is a moment vector of zero pixels, whose 25
+    entries are invalid; the other k's entries stand."""
+
+    @pytest.mark.parametrize("name", ["1x1", "2x9", "3x7", "4x4", "3x3-on-128px"])
+    def test_empty_k1_domain(self, name):
+        img = _small_domain(name)
+        k1 = moment_tables(img)[1]
+        assert k1[0] == 0.0 and not k1.any()
+        values = centred_values(img, 1)
+        assert len(values) == 5 and all(a.shape == (0,) for a in values)
+        fv, ref = scdmi50(img), brute_force_features(img)
+        assert np.all(fv.values[25:] == 0.0) and not fv.valid[25:].any() and not ref.valid[25:].any()
+        # every k=0 entry stands, save on one pixel, which has no colour spread
+        assert fv.valid[:25].all() == (name != "1x1")
+        assert fv.valid[:25].tolist() == ref.valid[:25].tolist()
+        assert oracle_deviations(fv.values, ref.values)[:25].max() <= ORACLE_TOL
 
 
 class TestStableSum:
@@ -841,6 +857,7 @@ def test_large_mask_that_erosion_empties():
     img = random_image(17, 272, 272)
     img.mask[:] = (np.arange(272) // 4 % 2 == 0)[None, :]
     assert img.mask.sum() > LEAF and not stencil_eroded_mask(img.mask).any()
+    assert not moment_tables(img)[1].any()
     fv = scdmi50(img)
     assert fv.valid[:25].all() and not fv.valid[25:].any()
     values, _ = evaluate_table(moment_vector(centred_values(img, 0)))
