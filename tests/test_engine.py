@@ -125,6 +125,11 @@ class TestDerivatives:
         # the stencil of a constant cancels to rounding noise
         assert np.allclose(channels, 0.0, atol=1e-13)
 
+    def test_too_small(self):
+        # a 4x4 frame is too small for the stencil: the k=1 domain is empty
+        values = centred_values(RasterImage.from_array(np.zeros((4, 4, 3))), 1)
+        assert len(values) == 5 and all(a.shape == (0,) for a in values)
+
     def test_eroded_mask_margin(self):
         mask = np.ones((8, 8), bool)
         eroded = stencil_eroded_mask(mask)
@@ -463,6 +468,17 @@ class TestBoundingBoxCrop:
         # the 3x3 crop erodes to nothing: a k=1 domain of zero pixels
         assert [a.size for a in centred_values(img, 1)] == [0] * 5
         fv = scdmi50(img)
+        assert not fv.valid[25:].any() and np.all(fv.values[25:] == 0.0)
+
+    def test_small_frame_is_still_too_small(self):
+        # a whole 4x4 frame keeps its k=0 values but is too small for k=1
+        img = random_image(4, 4, 4)
+        got, expected = centred_values(img, 0), _plane_centred(img, 0)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert [a.size for a in centred_values(img, 1)] == [0] * 5
+        fv = scdmi50(img)
+        assert fv.valid[:25].all()
         assert not fv.valid[25:].any() and np.all(fv.values[25:] == 0.0)
 
 
