@@ -65,6 +65,10 @@ def read_ppm(path) -> RasterImage:
 
 
 def write_ppm(path, img: RasterImage) -> None:
+    """Write ``img`` as a P6 file; raises InvalidImage, before the file is
+    opened, for a frame with no pixels or a non-finite channel value."""
+    if img.width == 0 or img.height == 0:
+        raise InvalidImage(f"{path}: a PPM needs at least one pixel, got {img.width}x{img.height}")
     if not np.isfinite(img.channels).all():
         raise InvalidImage(f"{path}: a PPM needs finite channel values")
     quant = np.rint(np.clip(img.channels, 0.0, 1.0) * 255.0).astype(np.uint8)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import RasterImage
+from .errors import InvalidImage
 
 
 #: every blob image is rescaled jointly into [CHANNEL_LO, CHANNEL_HI]
@@ -19,7 +20,10 @@ CHANNEL_LO, CHANNEL_HI = 0.08, 0.92
 
 
 def blob_image(seed: int, size: int = 128, n_blobs: int = 6, spread: float = 0.30) -> RasterImage:
-    """Full-mask smooth image with blob centers within ``spread``*size of center."""
+    """Full-mask smooth image with blob centers within ``spread``*size of center;
+    raises InvalidImage for a ``size`` under 1."""
+    if size < 1:
+        raise InvalidImage(f"image size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     c = (size - 1) / 2.0
@@ -43,6 +47,7 @@ def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_b
     A disk domain transported by a warp stays inside the frame as long as the
     transform's largest singular value times the radius fits, so feature
     deviations measure interpolation error rather than domain cropping.
+    Raises InvalidImage for a ``size`` under 1, as blob_image does.
     """
     img = blob_image(seed, size=size, spread=0.7 * radius_frac, n_blobs=n_blobs)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)

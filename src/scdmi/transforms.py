@@ -2,10 +2,13 @@
 
 Coordinate warps use inverse mapping with bilinear interpolation; an output
 pixel is masked only when every source tap it reads is masked, so unmasked
-data never leaks into the integration domain. Channel maps act per pixel in
-unclamped real space, which makes them exact on the discrete data: no
-resampling path exists, so feature deviations under channel maps are pure
-floating-point noise.
+data never leaks into the integration domain. Since the four taps bracket
+the source point, only output pixels whose source point lies in the bounding
+box of the source mask can be masked; a warp interpolates those alone and
+leaves the rest 0.0, which is exactly what a whole-frame warp writes there.
+Channel maps act per pixel in unclamped real space, which makes them exact
+on the discrete data: no resampling path exists, so feature deviations under
+channel maps are pure floating-point noise.
 """
 
 from __future__ import annotations
@@ -104,20 +107,33 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     Taps with zero bilinear weight are not required to be masked, so
     grid-exact maps (identity, integer shifts, quarter-turn rotations) copy
     pixels and the mask verbatim.
+
+    Only the mask's reachable footprint is interpolated: the output pixels
+    whose source point lies in the bounding box of the source mask. No other
+    pixel can have all four taps masked, since the taps bracket the source
+    point, and each footprint pixel goes through the same IEEE operations as
+    in a whole-frame warp, so the output is that warp's bit for bit.
     """
     w_in, h_in = img.width, img.height
     inv = _shape_inverse(t.matrix)
+    channels = np.zeros((3, h_in * w_in))
+    out_mask = np.zeros(h_in * w_in, dtype=bool)
+    rows = np.flatnonzero(img.mask.any(axis=1))
+    if rows.size == 0:
+        return RasterImage(channels.reshape(3, h_in, w_in), out_mask.reshape(h_in, w_in))
+    cols = np.flatnonzero(img.mask.any(axis=0))
 
     gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
     gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
     with np.errstate(over="ignore", invalid="ignore"):
         sx = inv[0, 0] * gx + inv[0, 1] * gy
         sy = inv[1, 0] * gx + inv[1, 1] * gy
-    # a source coordinate off the frame, inf or nan (a huge offset) is out of
-    # bounds; pinned to just off the frame, it casts to int64 without overflow
-    sx = np.fmax(np.fmin(sx, w_in), -1.0)
-    sy = np.fmax(np.fmin(sy, h_in), -1.0)
+        # an inf or nan source coordinate (a huge offset) is never in the box
+        reach = np.flatnonzero((sx >= cols[0]) & (sx <= cols[-1]) & (sy >= rows[0]) & (sy <= rows[-1]))
+    sx = sx.ravel().take(reach)
+    sy = sy.ravel().take(reach)
 
+    # inside the box every tap is in the frame: x1 <= ceil(sx) <= cols[-1]
     x0f = np.floor(sx)
     y0f = np.floor(sy)
     fx = sx - x0f
@@ -127,19 +143,15 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     x1 = x0 + (fx > 0)
     y1 = y0 + (fy > 0)
 
-    inb = (x0 >= 0) & (x1 <= w_in - 1) & (y0 >= 0) & (y1 <= h_in - 1)
-    # np.minimum(np.maximum(...)) clips as np.clip does, without its Python-level wrapper
-    x0c = np.minimum(np.maximum(x0, 0), w_in - 1)
-    x1c = np.minimum(np.maximum(x1, 0), w_in - 1)
-    y0c = np.minimum(np.maximum(y0, 0), h_in - 1)
-    y1c = np.minimum(np.maximum(y1, 0), h_in - 1)
-
     # one flat index y * W + x per tap serves the mask and all three planes
-    taps = [y * w_in + x for y in (y0c, y1c) for x in (x0c, x1c)]
+    taps = [y * w_in + x for y in (y0, y1) for x in (x0, x1)]
     flat_mask = img.mask.ravel()
-    out_mask = inb
-    for tap in taps:
-        out_mask = out_mask & flat_mask.take(tap)
+    keep = flat_mask.take(taps[0])
+    for tap in taps[1:]:
+        keep &= flat_mask.take(tap)
+    fx = fx[keep]
+    fy = fy[keep]
+    taps = [tap[keep] for tap in taps]
 
     w00 = (1.0 - fx) * (1.0 - fy)
     w01 = fx * (1.0 - fy)
@@ -150,7 +162,10 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     out = w00 * planes.take(taps[0], axis=1)
     for weight, tap in zip((w01, w10, w11), taps[1:]):
         out += weight * planes.take(tap, axis=1)
-    return RasterImage(np.where(out_mask, out, 0.0), out_mask)
+    kept = reach[keep]
+    channels[:, kept] = out
+    out_mask[kept] = True
+    return RasterImage(channels.reshape(3, h_in, w_in), out_mask.reshape(h_in, w_in))
 
 
 def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) -> RasterImage:
@@ -164,7 +179,7 @@ def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) ->
 def upsample_nearest(img: RasterImage, factor: int = 2) -> RasterImage:
     """Pixel replication: an exact affine map of the sample grid."""
     if factor < 1:
-        raise ValueError("factor must be >= 1")
+        raise InvalidTransform("factor must be >= 1")
     channels = img.channels.repeat(factor, axis=1).repeat(factor, axis=2)
     return RasterImage(channels, img.mask.repeat(factor, axis=0).repeat(factor, axis=1))
 

@@ -101,6 +101,15 @@ class TestPpm:
             write_ppm(path, img)
         assert not path.exists()
 
+    @pytest.mark.parametrize("h, w", [(0, 5), (5, 0), (0, 0)])
+    def test_write_rejects_a_frame_with_no_pixels(self, tmp_path, h, w):
+        # read_ppm rejects the dimensions such a file would carry, so none is written
+        img = RasterImage(np.zeros((3, h, w)), np.zeros((h, w), dtype=bool))
+        path = tmp_path / "empty.ppm"
+        with pytest.raises(InvalidImage, match="at least one pixel"):
+            write_ppm(path, img)
+        assert not path.exists()
+
 
 class TestGen:
     def test_file_count_and_manifest(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scdmi
+import scdmi.bench as bench_mod
 import scdmi.transforms as transforms_mod
+from scdmi.cli import main
 from scdmi.engine import RasterImage, scdmi50
-from scdmi.errors import InvalidTransform, ScdmiError, Singular
+from scdmi.errors import InvalidImage, InvalidTransform, ScdmiError, Singular
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import (
     ColorAffine,
@@ -85,12 +88,104 @@ class TestWarpGatherExactness:
         t = sample_shape_affine(seed + 50, det_range=(0.5, 2.0), max_condition=3.0, src_size=out or src)
         # a random shift moves part of the domain out of frame
         t = ShapeAffine(t.matrix, t.offset + rng.uniform(-4.0, 4.0, size=2))
+        assert 0 < self.assert_same_warp(img, t) < img.mask.size
+
+    @staticmethod
+    def assert_same_warp(img, t):
+        """Asserts that both warps give the same planes and mask, bit for
+        bit, and returns the number of masked output pixels."""
         got = apply_shape_affine(img, t)
         ref = two_index_warp(img, t)
-        assert 0 < ref.mask.sum() < ref.mask.size
         for a, b in zip((*got.channels, got.mask), (*ref.channels, ref.mask)):
             assert a.shape == b.shape and a.dtype == b.dtype
             assert np.array_equal(a, b)
+        return int(ref.mask.sum())
+
+    @pytest.mark.parametrize("size", [11, 48, 96])
+    @pytest.mark.parametrize(
+        "det_range, max_condition", [((0.65, 1.55), 2.0), ((0.7, 1.45), 1.8)], ids=["classification", "retrieval"]
+    )
+    def test_bench_disks(self, size, det_range, max_condition):
+        # the bench's base images and its two protocols' sampler ranges
+        for seed in range(4):
+            img = disk_masked_image(seed, size=size, radius_frac=0.26)
+            t = sample_shape_affine(
+                2 * seed + 1, det_range=det_range, max_condition=max_condition, src_size=(size, size)
+            )
+            assert self.assert_same_warp(img, t) > 0
+
+    @pytest.mark.parametrize("edge", ["left", "right", "top", "bottom"])
+    def test_masks_touching_each_frame_edge(self, edge):
+        h, w = 18, 23
+        rng = np.random.default_rng(7)
+        img = RasterImage.from_array(rng.uniform(0.0, 1.0, size=(h, w, 3)), np.zeros((h, w), dtype=bool))
+        rows, cols = {
+            "left": (slice(4, 14), slice(0, 6)),
+            "right": (slice(4, 14), slice(w - 6, w)),
+            "top": (slice(0, 6), slice(5, 17)),
+            "bottom": (slice(h - 6, h), slice(5, 17)),
+        }[edge]
+        img.mask[rows, cols] = True
+        maps = [ShapeAffine(np.eye(2), np.array(shift)) for shift in ([0.0, 0.0], [1.0, -1.0], [-0.5, 0.25])]
+        maps += [sample_shape_affine(s, det_range=(0.8, 1.25), max_condition=1.5, src_size=(w, h)) for s in range(4)]
+        counts = [self.assert_same_warp(img, t) for t in maps]
+        # the identity keeps every masked pixel, taps on the frame edge included
+        assert counts[0] == img.mask.sum() and all(counts)
+
+    @pytest.mark.parametrize("domain", ["single-pixel", "empty", "all-true"])
+    def test_degenerate_masks(self, domain):
+        rng = np.random.default_rng(3)
+        img = RasterImage.from_array(rng.uniform(0.0, 1.0, size=(13, 16, 3)), np.zeros((13, 16), dtype=bool))
+        if domain == "single-pixel":
+            img.mask[5, 9] = True
+        elif domain == "all-true":
+            img.mask[:] = True
+        maps = [ShapeAffine.identity(), ShapeAffine(np.eye(2), np.array([-3.0, 2.0]))]
+        maps += [sample_shape_affine(s, src_size=(16, 13)) for s in range(3)]
+        counts = [self.assert_same_warp(img, t) for t in maps]
+        # a single pixel survives only grid-exact maps; the integer shift moves 3 of 16 columns and 2 of 13 rows out
+        expected = {"single-pixel": [1, 1], "empty": [0, 0], "all-true": [13 * 16, 11 * 13]}[domain]
+        assert counts[:2] == expected
+        if domain == "all-true":
+            assert all(counts)
+
+    @pytest.mark.parametrize("h, w", [(7, 30), (45, 12), (1, 9), (9, 1)])
+    def test_non_square_frames(self, h, w):
+        rng = np.random.default_rng(h * w)
+        img = RasterImage.from_array(rng.uniform(-1.0, 2.0, size=(h, w, 3)), rng.random((h, w)) > 0.2)
+        for s in range(4):
+            self.assert_same_warp(img, sample_shape_affine(s, max_condition=2.0, src_size=(w, h)))
+        self.assert_same_warp(img, ShapeAffine(np.eye(2), np.array([1.0, 0.0])))
+
+    @pytest.mark.parametrize("shift", [(0.5, 0.0), (0.0, -0.5), (-0.4, 0.6), (1.5, 0.0), (0.0, 2.0), (-3.0, -3.0)])
+    def test_maps_moving_the_footprint_out_of_frame(self, shift):
+        # a shift by a fraction of the frame crops the transported disk; by more than the frame, it leaves none
+        size = 40
+        img = disk_masked_image(5, size=size, radius_frac=0.3)
+        for s in range(3):
+            t = sample_shape_affine(s, det_range=(0.7, 1.4), max_condition=1.8, src_size=(size, size))
+            whole = self.assert_same_warp(img, t)
+            count = self.assert_same_warp(img, ShapeAffine(t.matrix, t.offset + size * np.array(shift)))
+            assert count == 0 if max(map(abs, shift)) > 1.2 else 0 < count < whole
+
+    @pytest.mark.parametrize("protocol", ["classification", "retrieval"])
+    def test_bench_outputs_match_two_index_warp(self, tmp_path, monkeypatch, protocol):
+        # the bench's forked workers inherit the patched warp
+        args = ["bench", "--synthetic", "--protocol", protocol, "--classes", "2", "--transforms", "2",
+                "--size", "48", "--seed", "1"]
+        assert main([*args, "--out", str(tmp_path / "warp")]) == 0
+        monkeypatch.setattr(bench_mod, "apply_shape_affine", two_index_warp)
+        assert main([*args, "--out", str(tmp_path / "ref")]) == 0
+
+        def outputs(folder: Path) -> dict[str, bytes]:
+            return {p.relative_to(folder).as_posix(): p.read_bytes() for p in sorted(folder.rglob("*")) if p.is_file()}
+
+        got, ref = outputs(tmp_path / "warp"), outputs(tmp_path / "ref")
+        names = {"accuracy.csv", "pr_curves.csv", "dataset_manifest.csv"}
+        assert names < set(ref) and sum(name.endswith(".ppm") for name in ref) >= 2 * 3
+        assert got.keys() == ref.keys()
+        for name in ref:
+            assert got[name] == ref[name], name
 
 
 class TestShapeAffine:
@@ -362,6 +457,27 @@ class TestFeatureInvariance:
         assert big.width == 12 and big.height == 12
         assert np.array_equal(big.channels[0, ::2, ::2], img.channels[0])
         assert np.array_equal(big.channels[0, 1::2, 1::2], img.channels[0])
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
+    @pytest.mark.parametrize("size", [0, -1, -7])
+    def test_image_size_below_one_is_typed(self, make, size):
+        # numpy would raise a bare ValueError: a zero-size reduction at 0, negative dimensions below
+        with pytest.raises(InvalidImage, match="size must be >= 1") as info:
+            make(3, size=size)
+        assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
+    def test_one_pixel_image(self, make):
+        img = make(3, size=1)
+        assert (img.width, img.height) == (1, 1) and np.isfinite(img.channels).all()
+
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_upsample_factor_below_one_is_typed(self, factor):
+        with pytest.raises(InvalidTransform, match="factor") as info:
+            upsample_nearest(random_image(0, 4, 4), factor)
+        assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)
 
 
 class TestInvarianceReport:
