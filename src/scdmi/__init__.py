@@ -42,11 +42,9 @@ from .oracle import brute_force_core_integral, brute_force_features
 from .ppm import read_ppm, write_ppm
 from .transforms import (
     ColorAffine,
-    InvarianceReport,
     ShapeAffine,
     apply_color_affine,
     apply_shape_affine,
-    invariance_report,
     sample_color_affine,
     sample_shape_affine,
     upsample_nearest,

@@ -5,7 +5,8 @@ neighbor classification with a small train split, leave-one-out retrieval
 with 11-point interpolated precision-recall, and four baseline descriptors
 to compare the invariant features against. Feature vectors of wildly
 different scales are made comparable with sign-preserving log compression
-around per-dimension median magnitudes.
+around per-dimension median magnitudes. The invariance report reduces the
+same feature rows to each invariant's deviation from its class's reference.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .synthetic import disk_masked_image
 from .transforms import (
     apply_color_affine,
     apply_shape_affine,
+    relative_deviation,
     sample_color_affine,
     sample_shape_affine,
 )
@@ -77,9 +79,12 @@ def chi2_matrix(normed: np.ndarray) -> np.ndarray:
     symmetric in q and g, so the matrix equals its transpose bit for bit:
     only the blocks on and above the diagonal are computed, and the rest is
     mirrored. A block holds as many queries as keep its two buffers within
-    RANK_BLOCK_ELEMENTS elements each, and at least one.
+    RANK_BLOCK_ELEMENTS elements each, and at least one. A matrix with no
+    elements gives the (n, n) zero matrix, each distance an empty sum.
     """
     n = len(normed)
+    if normed.size == 0:
+        return np.zeros((n, n))
     out = np.empty((n, n))
     abs_normed = np.abs(normed)
     step = max(1, RANK_BLOCK_ELEMENTS // normed.size)
@@ -104,14 +109,15 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.nd
 
     v -> sign(v) * log(1 + |v|/s) with s the median absolute value of the
     valid gallery entries in that dimension (floored at 1e-12); invalid
-    entries map to 0. A finite v whose |v|/s overflows maps to
+    entries map to 0, and without ``valid`` the non-finite entries are the
+    invalid ones. A finite v whose |v|/s overflows maps to
     sign(v) * (log|v| - log s), which is log(1 + |v|/s) to rounding there.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] == 0:
         raise ValueError("need a nonempty (items, dims) feature matrix")
     if valid is None:
-        valid = np.ones(raw.shape, dtype=bool)
+        valid = np.isfinite(raw)
     out = np.zeros_like(raw)
     for d in range(raw.shape[1]):
         col = raw[:, d]
@@ -384,6 +390,62 @@ def run_benchmark(
     for kind in ALL_KINDS:
         accuracies[kind], curves[kind] = rank_kind(*features.matrices[kind], features.labels, features.splits)
     return accuracies, curves
+
+
+# ---------------------------------------------------------------------------
+# invariance report
+
+
+@dataclass
+class InvarianceReport:
+    """Per-invariant relative deviation statistics over a dataset's classes."""
+
+    ids: np.ndarray
+    ks: np.ndarray
+    median_rel_dev: np.ndarray
+    max_rel_dev: np.ndarray
+    n_valid: np.ndarray
+
+    def to_csv(self) -> str:
+        lines = ["id,k,median_rel_dev,max_rel_dev,n_valid"]
+        for i in range(len(self.ids)):
+            lines.append(
+                f"{int(self.ids[i])},{int(self.ks[i])},"
+                f"{float(self.median_rel_dev[i])!r},{float(self.max_rel_dev[i])!r},"
+                f"{int(self.n_valid[i])}"
+            )
+        return "\n".join(lines) + "\n"
+
+
+def invariance_report(values: np.ndarray, valid: np.ndarray, labels: np.ndarray) -> InvarianceReport:
+    """Deviation of every item's feature row from its class's reference row.
+
+    Each class's first item, in item order, is its reference, and every
+    other item of the class is compared with it entry by entry by
+    relative_deviation, wherever both are valid. Per entry, column
+    25 * k + id - 1 of the rows, the report gives the median and the
+    largest of these deviations over all classes and the number of pairs;
+    an entry with no pair reads nan and 0. A synthetic class, and a
+    manifest the bench exports, lists its base image first (for retrieval,
+    the base view under its first channel map).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    valid = np.asarray(valid, dtype=bool)
+    _, first, codes = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+    refs = first[codes]
+    others = np.flatnonzero(refs != np.arange(len(refs)))
+    refs = refs[others]
+    both = valid[refs] & valid[others]
+    entries = values.shape[1]
+    median = np.full(entries, np.nan)
+    largest = np.full(entries, np.nan)
+    for e in range(entries):
+        paired = both[:, e]
+        if paired.any():
+            devs = relative_deviation(values[refs[paired], e], values[others[paired], e])
+            median[e], largest[e] = np.median(devs), devs.max()
+    ks, ids = np.divmod(np.arange(entries), 25)
+    return InvarianceReport(ids + 1, ks, median, largest, np.count_nonzero(both, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ Subcommands:
             degeneracy suites
   bench     the paper's two experiments, 1-NN classification and
             leave-one-out retrieval, on a manifest or a synthetic dataset of
-            either experiment's layout (--protocol)
+            either experiment's layout (--protocol), and the per-invariant
+            deviation of each class's items from its first
 
 Exit codes: 0 success, 1 suite failure, 2 usage or I/O error.
 """
@@ -30,6 +31,7 @@ from .algebra import denominator_polynomial, serialize_polynomial, catalogue_spe
 from .bench import (
     ALL_KINDS,
     RETRIEVAL_VIEWS,
+    DescriptorKind,
     DescriptorRows,
     PRCurve,
     assemble_features,
@@ -37,6 +39,7 @@ from .bench import (
     check_splits,
     classification_class,
     descriptor_rows,
+    invariance_report,
     rank_kind,
     retrieval_class,
 )
@@ -212,6 +215,13 @@ def _rank_job(
     return rank_kind(values, valid, labels, splits)
 
 
+def _invariance_job(values: np.ndarray, valid: np.ndarray, labels: np.ndarray) -> str:
+    """A pool job: the text of invariance.csv, from the SCDMI50 rows. The
+    bench's own process runs none of the report's numpy kernels otherwise;
+    run there, they would page in about 0.6 MB of its peak RSS."""
+    return invariance_report(values, valid, labels).to_csv()
+
+
 def _pin_worker(shares: list[list[int]], started) -> None:
     """A pool initializer: pins the i-th worker to start to ``shares[i]``,
     its share of the CPUs, so that no two workers run on one CPU and a
@@ -302,9 +312,9 @@ def cmd_bench(args) -> int:
     else:
         manifest = _load_manifest(Path(args.manifest))
         jobs = [(path,) for path, _, _ in manifest]
-    # one pool featurizes the dataset, a class or a manifest row per job, and
-    # then ranks it, a descriptor kind per job: a pool takes milliseconds to
-    # start its first job
+    # one pool featurizes the dataset, a class or a manifest row per job, then
+    # ranks it, a descriptor kind per job, and reduces its SCDMI50 rows to the
+    # invariance report: a pool takes milliseconds to start its first job
     with _worker_pool(max(len(jobs), len(ALL_KINDS))) as pool:
         if args.synthetic:
             results = [item for members in _run_jobs(pool, _class_job, jobs) for item in members]
@@ -319,6 +329,8 @@ def cmd_bench(args) -> int:
         features = assemble_features(items)
         ranks = [(*features.matrices[kind], features.labels, features.splits) for kind in ALL_KINDS]
         ranked = list(zip(ALL_KINDS, _run_jobs(pool, _rank_job, ranks)))
+        scdmi_rows = (*features.matrices[DescriptorKind.SCDMI50], features.labels)
+        [invariance] = _run_jobs(pool, _invariance_job, [scdmi_rows])
     with (out / "accuracy.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "accuracy"])
@@ -330,7 +342,8 @@ def cmd_bench(args) -> int:
         for kind, (_, curve) in ranked:
             for r, p in zip(curve.recall_levels, curve.precision):
                 w.writerow([kind.value, repr(float(r)), repr(float(p))])
-    print(f"wrote accuracy.csv and pr_curves.csv to {out}")
+    (out / "invariance.csv").write_text(invariance)
+    print(f"wrote accuracy.csv, pr_curves.csv and invariance.csv to {out}")
     for kind, (accuracy, _) in ranked:
         print(f"  {kind.value}: accuracy {accuracy:.4f}")
     return 0

@@ -21,9 +21,12 @@ CHANNEL_LO, CHANNEL_HI = 0.08, 0.92
 
 def blob_image(seed: int, size: int = 128, n_blobs: int = 6, spread: float = 0.30) -> RasterImage:
     """Full-mask smooth image with blob centers within ``spread``*size of center;
-    raises InvalidImage for a ``size`` under 1."""
+    raises InvalidImage for a ``size`` under 1 or a ``spread`` that is
+    negative or not finite."""
     if size < 1:
         raise InvalidImage(f"image size must be >= 1, got {size}")
+    if not 0.0 <= spread < np.inf:
+        raise InvalidImage(f"blob spread must be finite and >= 0, got {spread}")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     c = (size - 1) / 2.0
@@ -47,8 +50,11 @@ def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_b
     A disk domain transported by a warp stays inside the frame as long as the
     transform's largest singular value times the radius fits, so feature
     deviations measure interpolation error rather than domain cropping.
-    Raises InvalidImage for a ``size`` under 1, as blob_image does.
+    Raises InvalidImage for a ``size`` under 1, as blob_image does, and for
+    a ``radius_frac`` that is negative or not finite.
     """
+    if not 0.0 <= radius_frac < np.inf:
+        raise InvalidImage(f"disk radius_frac must be finite and >= 0, got {radius_frac}")
     img = blob_image(seed, size=size, spread=0.7 * radius_frac, n_blobs=n_blobs)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     c = (size - 1) / 2.0

@@ -1,4 +1,5 @@
-"""Coordinate and channel transforms plus invariance measurement.
+"""Coordinate and channel transforms, and the relative deviation that
+measures invariance under them.
 
 Coordinate warps use inverse mapping with bilinear interpolation; an output
 pixel is masked only when every source tap it reads is masked, so unmasked
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FeatureVector, RasterImage, scdmi50
+from .engine import FeatureVector, RasterImage
 from .errors import InvalidTransform, Singular
 
 #: relative-deviation denominators never drop below this
@@ -33,8 +34,11 @@ def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarra
     """The float n x n matrix, length-n offset and determinant of a ``what``
     affine map, checked for shape and finiteness before the determinant is
     formed, and for a determinant that overflows."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    offset = np.asarray(offset, dtype=np.float64)
+    try:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        offset = np.asarray(offset, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidTransform(f"{what} affine needs a numeric matrix and offset") from None
     if matrix.shape != (n, n) or offset.shape != (n,):
         raise InvalidTransform(f"{what} affine needs a {n}x{n} matrix and length-{n} offset")
     if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
@@ -257,28 +261,7 @@ def sample_color_affine(
 
 
 # ---------------------------------------------------------------------------
-# invariance reports
-
-
-@dataclass
-class InvarianceReport:
-    """Per-invariant relative deviation statistics across a transform set."""
-
-    ids: np.ndarray
-    ks: np.ndarray
-    median_rel_dev: np.ndarray
-    max_rel_dev: np.ndarray
-    n_valid: np.ndarray
-
-    def to_csv(self) -> str:
-        lines = ["id,k,median_rel_dev,max_rel_dev,n_valid"]
-        for i in range(len(self.ids)):
-            lines.append(
-                f"{int(self.ids[i])},{int(self.ks[i])},"
-                f"{float(self.median_rel_dev[i])!r},{float(self.max_rel_dev[i])!r},"
-                f"{int(self.n_valid[i])}"
-            )
-        return "\n".join(lines) + "\n"
+# deviations
 
 
 def relative_deviation(reference: np.ndarray, transformed: np.ndarray) -> np.ndarray:
@@ -292,36 +275,3 @@ def feature_deviations(base: FeatureVector, other: FeatureVector) -> tuple[np.nd
     both = base.valid & other.valid
     return relative_deviation(base.values, other.values), both
 
-
-def invariance_report(
-    img: RasterImage,
-    shape_transforms: tuple[ShapeAffine, ...] = (),
-    color_transforms: tuple[ColorAffine, ...] = (),
-    clamp: bool = False,
-) -> InvarianceReport:
-    """Feature deviations for every shape-only, color-only and composed variant.
-
-    Deviations are collected per invariant over the variants where both the
-    original and the transformed image give a valid value.
-    """
-    base = scdmi50(img)
-    warped = [apply_shape_affine(img, st) for st in shape_transforms]
-    variants = warped + [apply_color_affine(img, ct, clamp) for ct in color_transforms]
-    for shaped in warped:
-        for ct in color_transforms:
-            variants.append(apply_color_affine(shaped, ct, clamp))
-
-    collected: list[list[float]] = [[] for _ in range(50)]
-    for variant in variants:
-        fv = scdmi50(variant)
-        devs, both = feature_deviations(base, fv)
-        for i in range(50):
-            if both[i]:
-                collected[i].append(float(devs[i]))
-
-    ids = np.array([spec_id for k in (0, 1) for spec_id in range(1, 26)])
-    ks = np.array([k for k in (0, 1) for _ in range(25)])
-    med = np.array([float(np.median(c)) if c else float("nan") for c in collected])
-    mx = np.array([max(c) if c else float("nan") for c in collected])
-    nv = np.array([len(c) for c in collected])
-    return InvarianceReport(ids, ks, med, mx, nv)

@@ -47,6 +47,12 @@ class TestChiSquare:
         d = chi2_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         assert d[0, 1] == pytest.approx(2.0, rel=1e-9)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_no_elements_give_the_zero_matrix(self, shape):
+        # each distance is an empty sum; the block size divided by the element count
+        d = chi2_matrix(np.zeros(shape))
+        assert d.shape == (shape[0], shape[0]) and not d.any()
+
     @given(st.lists(st.lists(st.floats(-10, 10), min_size=3, max_size=3), min_size=1, max_size=8))
     @settings(max_examples=100)
     def test_symmetry_and_nonnegativity(self, rows):
@@ -103,6 +109,14 @@ class TestFeatureNormalize:
         valid = np.array([[True], [False]])
         out = feature_normalize(raw, valid)
         assert out[1, 0] == 0.0
+
+    def test_nonfinite_entries_are_invalid_by_default(self):
+        # an inf counted as valid gave inf / inf and a RuntimeWarning
+        raw = np.array([[np.inf, 1.0], [1.0, 2.0], [np.nan, -np.inf]])
+        out = feature_normalize(raw)
+        assert out.tolist() == feature_normalize(raw, np.isfinite(raw)).tolist()
+        assert out[0, 0] == out[2, 0] == out[2, 1] == 0.0
+        assert out[1, 0] == np.log(2.0)
 
 
 class TestBaselines:

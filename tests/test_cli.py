@@ -285,6 +285,12 @@ def _write_manifest(folder):
     return rows
 
 
+def _invariance_csv(features):
+    """The invariance.csv text of a dataset's in-process Features."""
+    scdmi_rows = features.matrices[bench_mod.DescriptorKind.SCDMI50]
+    return bench_mod.invariance_report(*scdmi_rows, features.labels).to_csv()
+
+
 class TestBenchCommand:
     def test_synthetic_outputs_and_determinism(self, tmp_path, monkeypatch):
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4",
@@ -305,6 +311,7 @@ class TestBenchCommand:
             assert repr(float(value)) == value
         assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
         assert (a / "pr_curves.csv").read_bytes() == (b / "pr_curves.csv").read_bytes()
+        assert (a / "invariance.csv").read_bytes() == (b / "invariance.csv").read_bytes()
         pr_lines = (a / "pr_curves.csv").read_text().strip().split("\n")
         assert len(pr_lines) == 1 + 7 * 11
         assert (a / "dataset_manifest.csv").read_bytes() == (b / "dataset_manifest.csv").read_bytes()
@@ -366,12 +373,21 @@ class TestBenchCommand:
                 fh.write(f"{os.getpid()} {values.shape[1]}\n")
             return real(values, *args)
 
+        real_report = cli_mod.invariance_report
+
+        def logging_report(values, *args):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()} report{values.shape[1]}\n")
+            return real_report(values, *args)
+
         monkeypatch.setattr(cli_mod, "rank_kind", logging_rank)
+        # and so is the invariance report, once, from the SCDMI50 rows
+        monkeypatch.setattr(cli_mod, "invariance_report", logging_report)
         args = ["bench", "--synthetic", "--classes", "3", "--transforms", "2", "--size", "32"]
         assert main(args + ["--out", str(tmp_path / "out")]) == 0
         calls = [line.split() for line in log.read_text().splitlines()]
-        # one call per kind: SCDMI50, its halves, HU7, COLOR_MOMENTS and the two histograms
-        assert sorted(int(dims) for _, dims in calls) == [7, 9, 25, 25, 50, 60, 60]
+        # one call per kind: SCDMI50, its halves, HU7, COLOR_MOMENTS and the two histograms; one report
+        assert sorted(dims for _, dims in calls) == sorted(["7", "9", "25", "25", "50", "60", "60", "report50"])
         assert all(int(pid) != os.getpid() for pid, _ in calls)
 
     @pytest.mark.parametrize(
@@ -456,6 +472,7 @@ class TestBenchCommand:
         with (tmp_path / "dataset_manifest.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [(label, split) for _, label, split in rows] == [(label, split) for label, split, _ in items]
+        assert (tmp_path / "invariance.csv").read_text() == _invariance_csv(bench_mod.featurize(items))
 
     def test_manifest_driven_run(self, tmp_path, monkeypatch):
         rows = _write_manifest(tmp_path)
@@ -589,9 +606,24 @@ class TestBenchCommand:
             assert list(csv.reader(fh)) == [["descriptor", "recall_level", "precision"], *curves]
         with (tmp_path / "accuracy.csv").open(newline="") as fh:
             assert list(csv.reader(fh))[1:] == accuracies
+        assert (tmp_path / "invariance.csv").read_text() == _invariance_csv(features)
         manifest = cli_mod._load_manifest(tmp_path / "dataset_manifest.csv")
         assert [row[1:] for row in manifest] == [item[:2] for item in items]
         assert all(Path(path).is_file() for path, _, _ in manifest) and len(manifest) == 3 * 5 * 2
+
+    @pytest.mark.parametrize("protocol", ["classification", "retrieval"])
+    def test_manifest_rerun_of_an_export_writes_its_invariance_report(self, tmp_path, protocol):
+        # the export lists each class's base image first, so the re-run takes it as the reference;
+        # its report is that of the exported PPMs, which hold no mask and 8-bit channels
+        args = ["bench", "--synthetic", "--protocol", protocol, "--classes", "2", "--transforms", "2", "--size", "48"]
+        assert main([*args, "--out", str(tmp_path / "synthetic")]) == 0
+        manifest = tmp_path / "synthetic" / "dataset_manifest.csv"
+        assert main(["bench", str(manifest), "--out", str(tmp_path / "manifest")]) == 0
+        rows = cli_mod._load_manifest(manifest)
+        size = len(rows) // 2
+        assert [Path(path).name for path, _, _ in rows[::size]] == ["class000_0000.ppm", f"class001_{size:04d}.ppm"]
+        expected = _invariance_csv(bench_mod.featurize((label, split, read_ppm(path)) for path, label, split in rows))
+        assert (tmp_path / "manifest" / "invariance.csv").read_text() == expected
 
     def test_retrieval_protocol_clamps_its_channel_maps(self, tmp_path):
         # --clamp reaches the retrieval layout's channel maps: the run scores the clamped

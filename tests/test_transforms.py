@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import scdmi
 import scdmi.bench as bench_mod
 import scdmi.transforms as transforms_mod
+from scdmi.bench import featurize, invariance_report, retrieval_class
 from scdmi.cli import main
 from scdmi.engine import RasterImage, scdmi50
 from scdmi.errors import InvalidImage, InvalidTransform, ScdmiError, Singular
@@ -19,7 +20,6 @@ from scdmi.transforms import (
     apply_color_affine,
     apply_shape_affine,
     feature_deviations,
-    invariance_report,
     relative_deviation,
     sample_color_affine,
     sample_shape_affine,
@@ -346,6 +346,20 @@ class TestTransformValidation:
             with pytest.raises(InvalidTransform, match=f"{n}x{n} matrix"):
                 cls(*args)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShapeAffine("x"),
+            lambda: ShapeAffine([[1, 0], [0]]),
+            lambda: ColorAffine(np.eye(3), ["a", "b", "c"]),
+        ],
+        ids=["string-matrix", "ragged-matrix", "string-offset"],
+    )
+    def test_unconvertible_entries_rejected(self, make):
+        # numpy's conversion raised a bare ValueError
+        with pytest.raises(InvalidTransform, match="numeric matrix and offset"):
+            make()
+
     @pytest.mark.parametrize("cls, n, scale", [(ShapeAffine, 2, 1e200), (ColorAffine, 3, 1e120)])
     def test_overflowing_determinant_rejected(self, cls, n, scale):
         # finite entries whose determinant overflows to inf (1e400, 1e360)
@@ -468,6 +482,20 @@ class TestInputBounds:
             make(3, size=size)
         assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda bad: blob_image(0, size=8, spread=bad), "spread"),
+            (lambda bad: disk_masked_image(0, size=8, radius_frac=bad), "radius_frac"),
+        ],
+        ids=["spread", "radius_frac"],
+    )
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_negative_or_nonfinite_extent_is_typed(self, make, match, bad):
+        # numpy's uniform draw raised a bare OverflowError, or ValueError for a negative range
+        with pytest.raises(InvalidImage, match=match):
+            make(bad)
+
     @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
     def test_one_pixel_image(self, make):
         img = make(3, size=1)
@@ -481,41 +509,70 @@ class TestInputBounds:
 
 
 class TestInvarianceReport:
+    """The bench's reduction of a dataset's feature rows: each item against
+    its class's first item."""
+
     def test_identity_only_gives_zero_deviations(self):
-        img = blob_image(3, size=32)
-        report = invariance_report(img, (ShapeAffine.identity(),), (ColorAffine.identity(),))
-        assert np.all(report.n_valid >= 1)
-        assert np.nanmax(report.max_rel_dev) == 0.0
+        rows = [scdmi50(blob_image(seed, size=32)) for seed in (3, 4)]
+        values = np.array([rows[0].values] * 3 + [rows[1].values] * 2)
+        valid = np.array([rows[0].valid] * 3 + [rows[1].valid] * 2)
+        report = invariance_report(values, valid, np.array(["a"] * 3 + ["b"] * 2))
+        assert rows[0].valid.all() and rows[1].valid.all()
+        assert report.n_valid.tolist() == [3] * 50
+        assert np.max(report.max_rel_dev) == 0.0
 
     def test_csv_layout(self):
-        img = blob_image(4, size=32)
-        report = invariance_report(img, (), (ColorAffine.identity(),))
+        fv = scdmi50(blob_image(4, size=32))
+        report = invariance_report(np.array([fv.values] * 2), np.array([fv.valid] * 2), np.array(["a", "a"]))
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "id,k,median_rel_dev,max_rel_dev,n_valid"
         assert len(lines) == 51
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "0"
+        assert [line.split(",")[:2] for line in lines[1:]] == [[str(i), str(k)] for k in (0, 1) for i in range(1, 26)]
+        assert lines[1].split(",")[2:] == ["0.0", "0.0", "1"]
 
-    def test_warps_each_shape_once(self, monkeypatch):
-        calls = []
+    def test_each_item_is_compared_with_its_class_first_item(self):
+        # classes interleaved: b's reference is item 0, a's is item 1
+        labels = np.array(["b", "a", "b", "a", "b"])
+        values = np.array([[2.0, 1.0], [4.0, 0.0], [3.0, 1.0], [5.0, 1.0], [1.0, 1.0]])
+        valid = np.ones(values.shape, dtype=bool)
+        report = invariance_report(values, valid, labels)
+        # column 0: b pairs 0.5 and 0.5, a pairs 0.25; column 1: 0, 0 and 1 / 1e-12
+        assert report.median_rel_dev.tolist() == [0.5, 0.0]
+        assert report.max_rel_dev.tolist() == [0.5, 1e12]
+        assert report.n_valid.tolist() == [3, 3]
 
-        def counting(img, t):
-            calls.append(t)
-            return apply_shape_affine(img, t)
+    def test_invalid_pairs_are_not_counted(self):
+        labels = np.array(["a", "a", "a", "b", "b"])
+        values = np.array([[1.0, 1.0, np.nan], [2.0, 3.0, 1.0], [np.inf, 1.5, 1.0], [1.0, 0.0, 1.0], [1.0, 5.0, 1.0]])
+        valid = np.isfinite(values)
+        valid[4, 1] = False  # an invalid item side
+        valid[3, 2] = False  # column 2: every pair has an invalid side
+        report = invariance_report(values, valid, labels)
+        assert report.n_valid.tolist() == [2, 2, 0]
+        assert report.median_rel_dev[:2].tolist() == [0.5, 1.25]
+        assert report.max_rel_dev[:2].tolist() == [1.0, 2.0]
+        assert np.isnan(report.median_rel_dev[2]) and np.isnan(report.max_rel_dev[2])
+        assert report.to_csv().splitlines()[3] == "3,0,nan,nan,0"
 
-        monkeypatch.setattr(transforms_mod, "apply_shape_affine", counting)
-        img = blob_image(6, size=32)
-        sts = tuple(sample_shape_affine(s, src_size=(32, 32)) for s in range(2))
-        cts = tuple(sample_color_affine(s + 40) for s in range(3))
-        invariance_report(img, sts, cts)
-        assert [id(t) for t in calls] == [id(t) for t in sts]
+    def test_runs_no_warp_and_no_scdmi50(self, monkeypatch):
+        features = featurize([*retrieval_class(0, 2, 2, size=32), *retrieval_class(1, 2, 2, size=32)])
+        expected = invariance_report(*features.matrices[bench_mod.DescriptorKind.SCDMI50], features.labels).to_csv()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report recomputed a feature row")
+
+        for module in (bench_mod, transforms_mod, scdmi):
+            monkeypatch.setattr(module, "scdmi50", refuse, raising=False)
+            monkeypatch.setattr(module, "apply_shape_affine", refuse, raising=False)
+        report = invariance_report(*features.matrices[bench_mod.DescriptorKind.SCDMI50], features.labels)
+        assert report.to_csv() == expected
 
     def test_color_only_report_is_exact(self):
-        img = disk_masked_image(5, size=64, radius_frac=0.4)
-        cts = tuple(sample_color_affine(s + 30, max_condition=6.0) for s in range(3))
-        report = invariance_report(img, (), cts)
-        valid = report.n_valid > 0
-        assert np.nanmax(report.max_rel_dev[valid]) <= 1e-9
+        # one view: a class is its base image under channel maps alone, which are exact
+        features = featurize([item for c in (4, 5) for item in retrieval_class(c, n_views=1, n_color_transforms=3, size=64)])
+        report = invariance_report(*features.matrices[bench_mod.DescriptorKind.SCDMI50], features.labels)
+        assert report.n_valid.min() > 0
+        assert np.max(report.max_rel_dev) <= 1e-9
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
