@@ -39,10 +39,10 @@ TRAIN_FRACTION = 0.1
 #: warped views per class of the synthetic retrieval dataset, the base image first
 RETRIEVAL_VIEWS = 5
 #: elements per block of queries: queries x items x dims for distances and
-#: queries x items x PR_LEVELS for ranking; bounds the temporaries, not the results
+#: queries x items x recall levels for ranking; bounds the temporaries, not the results
 RANK_BLOCK_ELEMENTS = 1 << 16
 #: recall levels 0.0, 0.1, .., 1.0 of the interpolated precision-recall curve
-PR_LEVELS = 11
+RECALL_LEVELS = np.linspace(0.0, 1.0, 11)
 
 
 class DescriptorKind(enum.Enum):
@@ -53,17 +53,6 @@ class DescriptorKind(enum.Enum):
     COLOR_MOMENTS = "COLOR_MOMENTS"
     RG_HISTOGRAM = "RG_HISTOGRAM"
     TRANSFORMED_COLOR_DIST = "TRANSFORMED_COLOR_DIST"
-
-
-@dataclass
-class PRCurve:
-    """11-point interpolated precision at recall levels 0.0 .. 1.0."""
-
-    recall_levels: np.ndarray
-    precision: np.ndarray
-
-    def area(self) -> float:
-        return float(np.mean(self.precision))
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +93,17 @@ def chi2_matrix(normed: np.ndarray) -> np.ndarray:
     return out
 
 
-def feature_normalize(raw: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+def feature_normalize(raw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Sign-preserving log compression with per-dimension median scales.
 
     v -> sign(v) * log(1 + |v|/s) with s the median absolute value of the
     valid gallery entries in that dimension (floored at 1e-12); invalid
-    entries map to 0, and without ``valid`` the non-finite entries are the
-    invalid ones. A finite v whose |v|/s overflows maps to
+    entries map to 0. A finite v whose |v|/s overflows maps to
     sign(v) * (log|v| - log s), which is log(1 + |v|/s) to rounding there.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2 or raw.shape[0] == 0:
         raise ValueError("need a nonempty (items, dims) feature matrix")
-    if valid is None:
-        valid = np.isfinite(raw)
     out = np.zeros_like(raw)
     for d in range(raw.shape[1]):
         col = raw[:, d]
@@ -335,18 +321,18 @@ def knn_classify(distances: np.ndarray, labels: np.ndarray, splits: np.ndarray) 
     return int(np.count_nonzero(codes[nearest] == codes[test])) / int(test.size)
 
 
-def precision_recall(distances: np.ndarray, labels: np.ndarray) -> PRCurve:
+def precision_recall(distances: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Leave-one-out retrieval over the all-pairs ``distances`` of
-    chi2_matrix, interpolated precision averaged over queries."""
+    chi2_matrix: the interpolated precision at each of RECALL_LEVELS,
+    averaged over queries."""
     check_members(labels)
     codes = np.unique(labels, return_inverse=True)[1]
     n = len(labels)
-    recall_levels = np.linspace(0.0, 1.0, PR_LEVELS)
     cols = np.arange(n - 1)
     ranks = cols + 1
-    acc = np.zeros(PR_LEVELS)
+    acc = np.zeros(len(RECALL_LEVELS))
     # the (queries x ranks x levels) recall comparison is a block's largest temporary
-    step = max(1, RANK_BLOCK_ELEMENTS // (n * PR_LEVELS))
+    step = max(1, RANK_BLOCK_ELEMENTS // (n * len(RECALL_LEVELS)))
     for lo in range(0, n, step):
         d = distances[lo : lo + step]
         # row q lists every item but query q, in index order
@@ -361,32 +347,32 @@ def precision_recall(distances: np.ndarray, labels: np.ndarray) -> PRCurve:
         # recall rises along a row to exactly 1.0 at the last rank, so the
         # first rank reaching r is the count of ranks below r
         best_to_right = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-        pos = np.count_nonzero(recall[:, :, None] < recall_levels, axis=1)
+        pos = np.count_nonzero(recall[:, :, None] < RECALL_LEVELS, axis=1)
         picked = np.take_along_axis(best_to_right, pos, axis=1)
         # rows are added one query at a time so every sum rounds as a per-query loop's does
         for row in picked:
             acc += row
-    return PRCurve(recall_levels, acc / n)
+    return acc / n
 
 
 def rank_kind(
     values: np.ndarray, valid: np.ndarray, labels: np.ndarray, splits: np.ndarray
-) -> tuple[float, PRCurve]:
-    """Accuracy and PR curve of one descriptor kind's (values, validity)
-    matrices: the kind is normalized once and its distance matrix, built
-    once, is read by both protocols."""
+) -> tuple[float, np.ndarray]:
+    """Accuracy and precision at RECALL_LEVELS of one descriptor kind's
+    (values, validity) matrices: the kind is normalized once and its
+    distance matrix, built once, is read by both protocols."""
     distances = chi2_matrix(feature_normalize(values, valid))
     return knn_classify(distances, labels, splits), precision_recall(distances, labels)
 
 
 def run_benchmark(
     features: Features,
-) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, PRCurve]]:
-    """Accuracy and PR curve of every descriptor kind over one dataset, by
-    rank_kind one kind after the other, so that only one kind's distance
-    matrix is alive at a time."""
+) -> tuple[dict[DescriptorKind, float], dict[DescriptorKind, np.ndarray]]:
+    """Accuracy and precision at RECALL_LEVELS of every descriptor kind over
+    one dataset, by rank_kind one kind after the other, so that only one
+    kind's distance matrix is alive at a time."""
     accuracies: dict[DescriptorKind, float] = {}
-    curves: dict[DescriptorKind, PRCurve] = {}
+    curves: dict[DescriptorKind, np.ndarray] = {}
     for kind in ALL_KINDS:
         accuracies[kind], curves[kind] = rank_kind(*features.matrices[kind], features.labels, features.splits)
     return accuracies, curves
@@ -451,6 +437,14 @@ def invariance_report(values: np.ndarray, valid: np.ndarray, labels: np.ndarray)
 # ---------------------------------------------------------------------------
 # synthetic datasets
 
+#: the smallest image size whose every warped mask keeps a pixel. A
+#: classification warp's smallest singular value is at least
+#: sqrt(0.65 / 2) ~ 0.570 (a retrieval view's, sqrt(0.7 / 1.8) ~ 0.624, is
+#: larger), and it fixes the frame centre, so the output pixel nearest the
+#: centre reads bilinear taps within 1.754 * sqrt(2) / 2 + sqrt(2) ~ 2.66 px
+#: of it; the mask disk's radius, 0.26 * size, is at least that from size 11 up
+MIN_SYNTHETIC_SIZE = 11
+
 
 def _labeled(c: int, imgs: list[RasterImage]) -> list[LabeledImage]:
     """Class ``c``'s images as dataset items, in order: the first
@@ -459,15 +453,10 @@ def _labeled(c: int, imgs: list[RasterImage]) -> list[LabeledImage]:
     return [(f"class{c:03d}", "train" if idx < n_train else "test", im) for idx, im in enumerate(imgs)]
 
 
-def classification_class(
-    c: int,
-    n_transforms: int = 20,
-    size: int = 128,
-    seed: int = 0,
-    clamp: bool = False,
-) -> list[LabeledImage]:
+def classification_class(c: int, transforms: int, size: int, seed: int, clamp: bool) -> list[LabeledImage]:
     """Class ``c`` of the synthetic classification dataset: its disk-masked
-    base image, then its combined warp+channel copies.
+    base image, then ``transforms`` combined warp+channel copies, each
+    channel map clamped to [0, 1] when ``clamp`` is set.
 
     The mask disk is sized so every sampled warp keeps the transported domain
     inside the frame, which is what makes the invariant features stable. The
@@ -475,7 +464,7 @@ def classification_class(
     """
     base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
     imgs = [base]
-    for t in range(n_transforms):
+    for t in range(transforms):
         tseed = (seed * 7_777_777 + c * 131 + t) * 2 + 1
         st = sample_shape_affine(
             tseed,
@@ -488,21 +477,16 @@ def classification_class(
     return _labeled(c, imgs)
 
 
-def retrieval_class(
-    c: int,
-    n_views: int = RETRIEVAL_VIEWS,
-    n_color_transforms: int = 6,
-    size: int = 128,
-    seed: int = 0,
-    clamp: bool = False,
-) -> list[LabeledImage]:
-    """Class ``c`` of the synthetic retrieval dataset: warped views of one
-    base image, the base first, each under channel maps. Retrieval reads no
-    split; the class's first items, base view first, form a train split by
-    classification_class's rule, so that the dataset can be classified too."""
+def retrieval_class(c: int, transforms: int, size: int, seed: int, clamp: bool) -> list[LabeledImage]:
+    """Class ``c`` of the synthetic retrieval dataset: RETRIEVAL_VIEWS warped
+    views of one base image, the base first, each under ``transforms``
+    channel maps, clamped as classification_class clamps them. Retrieval
+    reads no split; the class's first items, base view first, form a train
+    split by classification_class's rule, so that the dataset can be
+    classified too."""
     base = disk_masked_image(seed * 1_000_003 + c, size=size, radius_frac=0.26)
     views = [base]
-    for v in range(n_views - 1):
+    for v in range(RETRIEVAL_VIEWS - 1):
         vseed = (seed * 3_333_331 + c * 17 + v) * 2 + 1
         st = sample_shape_affine(
             vseed, det_range=(0.7, 1.45), max_condition=1.8, src_size=(size, size)
@@ -510,7 +494,7 @@ def retrieval_class(
         views.append(apply_shape_affine(base, st))
     imgs = []
     for vi, view in enumerate(views):
-        for t in range(n_color_transforms):
+        for t in range(transforms):
             cseed = seed * 9_999_991 + c * 731 + vi * 37 + t
             ct = sample_color_affine(cseed, max_condition=5.0, offset_range=(-0.15, 0.15))
             imgs.append(apply_color_affine(view, ct, clamp=clamp))

@@ -30,10 +30,11 @@ from . import __version__
 from .algebra import denominator_polynomial, serialize_polynomial, catalogue_specs
 from .bench import (
     ALL_KINDS,
+    MIN_SYNTHETIC_SIZE,
+    RECALL_LEVELS,
     RETRIEVAL_VIEWS,
     DescriptorKind,
     DescriptorRows,
-    PRCurve,
     assemble_features,
     check_classes,
     check_splits,
@@ -46,15 +47,6 @@ from .bench import (
 from .engine import RasterImage, _cpu_count, scdmi50
 from .ppm import read_ppm, write_ppm
 from .verify import rows_to_csv, run_all
-
-
-#: the smallest --size whose every warped mask keeps a pixel. A bench warp's
-#: smallest singular value is at least sqrt(0.65 / 2) ~ 0.570 (a retrieval
-#: view's, sqrt(0.7 / 1.8) ~ 0.624, is larger), and it fixes
-#: the frame centre, so the output pixel nearest the centre reads bilinear
-#: taps within 1.754 * sqrt(2) / 2 + sqrt(2) ~ 2.66 px of it; the mask disk's
-#: radius, 0.26 * size, is at least that from size 11 up
-MIN_SYNTHETIC_SIZE = 11
 
 
 def _int_at_least(low: int):
@@ -184,10 +176,8 @@ def _class_job(
     dataset, exports its PPMs and returns (exported name, label, split,
     descriptor rows) per image. ``transforms`` counts the warped copies of a
     classification class, or the channel maps of each retrieval view."""
-    if protocol == "retrieval":
-        members = retrieval_class(c, RETRIEVAL_VIEWS, transforms, size, seed, clamp)
-    else:
-        members = classification_class(c, transforms, size, seed, clamp)
+    generate = retrieval_class if protocol == "retrieval" else classification_class
+    members = generate(c, transforms, size, seed, clamp)
     results = []
     for i, (label, split, img) in enumerate(members, start=c * len(members)):
         name = f"dataset/{label}_{i:04d}.ppm"
@@ -198,14 +188,15 @@ def _class_job(
     return results
 
 
-def _manifest_job(path: str) -> DescriptorRows:
-    """A pool job: the descriptor rows of one manifest row's PPM."""
-    return descriptor_rows(read_ppm(path))
+def _manifest_job(path: str, label: str, split: str) -> list[tuple[str, str, str, DescriptorRows]]:
+    """A pool job: one manifest row's (path, label, split) and the
+    descriptor rows of its PPM, as the one item of a _class_job's list."""
+    return [(path, label, split, descriptor_rows(read_ppm(path)))]
 
 
 def _rank_job(
     values: np.ndarray, valid: np.ndarray, labels: np.ndarray, splits: np.ndarray
-) -> tuple[float, PRCurve]:
+) -> tuple[float, np.ndarray]:
     """A pool job: rank_kind of one descriptor kind's matrices.
 
     A job is sent to a worker by its name. rank_kind is public, so a wrapper
@@ -305,28 +296,24 @@ def cmd_bench(args) -> int:
     out = _ensure_out(args.out)
     if args.synthetic:
         (out / "dataset").mkdir(parents=True, exist_ok=True)
+        job = _class_job
         jobs = [
             (args.protocol, c, args.transforms, args.size, args.seed, args.clamp, out)
             for c in range(args.classes)
         ]
     else:
-        manifest = _load_manifest(Path(args.manifest))
-        jobs = [(path,) for path, _, _ in manifest]
+        job, jobs = _manifest_job, _load_manifest(Path(args.manifest))
     # one pool featurizes the dataset, a class or a manifest row per job, then
     # ranks it, a descriptor kind per job, and reduces its SCDMI50 rows to the
     # invariance report: a pool takes milliseconds to start its first job
     with _worker_pool(max(len(jobs), len(ALL_KINDS))) as pool:
+        results = [item for members in _run_jobs(pool, job, jobs) for item in members]
         if args.synthetic:
-            results = [item for members in _run_jobs(pool, _class_job, jobs) for item in members]
             with (out / "dataset_manifest.csv").open("w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["path", "label", "split"])
                 w.writerows([name, label, split] for name, label, split, _ in results)
-            items = ((label, split, rows) for _, label, split, rows in results)
-        else:
-            rows = _run_jobs(pool, _manifest_job, jobs)
-            items = ((label, split, r) for (_, label, split), r in zip(manifest, rows))
-        features = assemble_features(items)
+        features = assemble_features((label, split, rows) for _, label, split, rows in results)
         ranks = [(*features.matrices[kind], features.labels, features.splits) for kind in ALL_KINDS]
         ranked = list(zip(ALL_KINDS, _run_jobs(pool, _rank_job, ranks)))
         scdmi_rows = (*features.matrices[DescriptorKind.SCDMI50], features.labels)
@@ -339,8 +326,8 @@ def cmd_bench(args) -> int:
     with (out / "pr_curves.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["descriptor", "recall_level", "precision"])
-        for kind, (_, curve) in ranked:
-            for r, p in zip(curve.recall_levels, curve.precision):
+        for kind, (_, precision) in ranked:
+            for r, p in zip(RECALL_LEVELS, precision):
                 w.writerow([kind.value, repr(float(r)), repr(float(p))])
     (out / "invariance.csv").write_text(invariance)
     print(f"wrote accuracy.csv, pr_curves.csv and invariance.csv to {out}")

@@ -98,6 +98,19 @@ def stable_sum(values: np.ndarray) -> float:
     return float(_sums(flat.size, 1, lambda lo, hi: np.add.reduce(flat[lo:hi]))[0])
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as an array of bool, integer or float entries; raises
+    InvalidImage for a ragged, non-numeric, complex or object one, where numpy
+    raises a bare ValueError or casts away an imaginary part with a warning."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError):
+        raise InvalidImage(f"{what} must form one rectangular array of numbers") from None
+    if array.dtype.kind not in "biuf":
+        raise InvalidImage(f"{what} must hold real numbers, got dtype {array.dtype}")
+    return array
+
+
 @dataclass
 class RasterImage:
     """The C-contiguous (3, H, W) channel array, red, green and blue, plus the boolean (H, W) mask."""
@@ -107,8 +120,8 @@ class RasterImage:
 
     def __post_init__(self):
         # one layout for every image: a channel map's einsum rounds by its operand's layout
-        self.channels = np.ascontiguousarray(self.channels, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
+        self.channels = np.ascontiguousarray(_real_array(self.channels, "channels"), dtype=np.float64)
+        self.mask = _real_array(self.mask, "mask").astype(bool, copy=False)
         if self.channels.ndim != 3 or len(self.channels) != 3 or self.mask.shape != self.channels.shape[1:]:
             raise InvalidImage("channels must form one (3, H, W) array and the mask its (H, W) plane")
 
@@ -123,7 +136,7 @@ class RasterImage:
     @classmethod
     def from_array(cls, rgb: np.ndarray, mask: np.ndarray | None = None) -> "RasterImage":
         """Build from an (H, W, 3) array; mask defaults to all-true."""
-        rgb = np.asarray(rgb, dtype=np.float64)
+        rgb = _real_array(rgb, "channels")
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise InvalidImage("expected an (H, W, 3) array")
         if mask is None:
@@ -290,7 +303,7 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     moment_tables runs over a domain source. Raises InvalidImage unless
     ``values`` are five 1-D arrays of one length.
     """
-    arrays = [np.asarray(v, dtype=np.float64) for v in values]
+    arrays = [_real_array(v, "centred values").astype(np.float64, copy=False) for v in values]
     if len(arrays) != 5 or any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
         raise InvalidImage("the centred values must be five 1-D arrays of one length")
     return _walk(arrays[0].size, lambda lo, hi: [a[lo:hi] for a in arrays])

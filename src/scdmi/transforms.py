@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import FeatureVector, RasterImage
+from .engine import RasterImage
 from .errors import InvalidTransform, Singular
 
 #: relative-deviation denominators never drop below this
@@ -209,12 +209,19 @@ def sample_shape_affine(
     condition, so det_range=(1,1) with max_condition=1 degenerates to a pure
     rotation. When ``src_size`` (width, height) is given, the map fixes the
     center of that frame, to keep content in frame.
+
+    Raises InvalidTransform, before any draw, unless 0 < low <= high < inf,
+    1 <= max_condition < inf and high * max_condition <= 2**1023: that
+    product bounds the squared largest singular value, and the factor of 2
+    below the float range keeps it finite where a draw rounds past its bound.
     """
     lo, hi = det_range
-    if not (0.0 < lo <= hi < math.inf):
-        raise ValueError("det_range must be within (0, inf)")
+    if not 0.0 < lo <= hi < math.inf:
+        raise InvalidTransform(f"det_range must be (low, high) with 0 < low <= high < inf, got {det_range!r}")
     if not 1.0 <= max_condition < math.inf:
-        raise ValueError("max_condition must be finite and >= 1")
+        raise InvalidTransform(f"max_condition must be finite and >= 1, got {max_condition!r}")
+    if not hi * max_condition <= 2.0**1023:
+        raise InvalidTransform(f"det_range high * max_condition must be at most 2**1023, got {hi * max_condition!r}")
     rng = np.random.default_rng(seed)
     th1, th2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     det = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
@@ -240,12 +247,15 @@ def sample_color_affine(
     times a global scale drawn log-uniformly from COLOR_SCALE_RANGE:
     max_condition=1 with zero offsets collapses to a positive multiple of
     the identity, and the determinant is positive by construction.
+
+    Raises InvalidTransform, before any draw, unless 1 <= max_condition < inf
+    and offset_range is (low, high) with low <= high and a finite high - low.
     """
     if not 1.0 <= max_condition < math.inf:
-        raise ValueError("max_condition must be finite and >= 1")
+        raise InvalidTransform(f"max_condition must be finite and >= 1, got {max_condition!r}")
     low, high = offset_range
     if not (low <= high and math.isfinite(high - low)):
-        raise ValueError("offset_range must be finite (low, high) with low <= high")
+        raise InvalidTransform(f"offset_range must have low <= high and a finite high - low, got {offset_range!r}")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
@@ -268,10 +278,4 @@ def relative_deviation(reference: np.ndarray, transformed: np.ndarray) -> np.nda
     ref = np.asarray(reference, dtype=np.float64)
     new = np.asarray(transformed, dtype=np.float64)
     return np.abs(new - ref) / np.maximum(np.abs(ref), DEVIATION_FLOOR)
-
-
-def feature_deviations(base: FeatureVector, other: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-    """(deviations, both_valid) for one original/transformed pair."""
-    both = base.valid & other.valid
-    return relative_deviation(base.values, other.values), both
 

@@ -62,11 +62,15 @@ class TestChiSquare:
         assert (d >= 0.0).all()
 
 
+def normalize_all_valid(raw):
+    return feature_normalize(raw, np.ones(raw.shape, dtype=bool))
+
+
 class TestFeatureNormalize:
     def test_zero_dimension_stays_zero(self):
         raw = np.zeros((4, 2))
         raw[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        out = feature_normalize(raw)
+        out = normalize_all_valid(raw)
         assert np.all(out[:, 0] == 0.0)
 
     def test_per_dimension_independence(self):
@@ -75,29 +79,29 @@ class TestFeatureNormalize:
         raw = np.abs(np.random.default_rng(0).normal(size=(6, 3))) + 0.1
         scaled = raw.copy()
         scaled[:, 1] *= 10.0
-        a = feature_normalize(raw)
-        b = feature_normalize(scaled)
+        a = normalize_all_valid(raw)
+        b = normalize_all_valid(scaled)
         assert np.allclose(a[:, 0], b[:, 0])
         assert np.allclose(a[:, 2], b[:, 2])
         assert np.allclose(a[:, 1], b[:, 1])
         # a non-uniform change to one dimension stays confined to it
         bumped = raw.copy()
         bumped[0, 1] *= 10.0
-        c = feature_normalize(bumped)
+        c = normalize_all_valid(bumped)
         assert np.allclose(a[:, 0], c[:, 0])
         assert np.allclose(a[:, 2], c[:, 2])
         assert not np.allclose(a[:, 1], c[:, 1])
 
     def test_median_maps_to_log2(self):
         raw = np.array([[1.0], [2.0], [4.0]])
-        out = feature_normalize(raw)
+        out = normalize_all_valid(raw)
         assert out[1, 0] == pytest.approx(np.log(2.0))
 
     def test_overflowing_ratio_stays_finite(self):
         # the median of |v| is 0, so s floors at 1e-12 and 1e300 / s overflows:
         # the entry reads log|v| - log s, and the others are log1p(|v| / s) as before
         raw = np.array([[1e300, 1.0], [0.0, 2.0], [0.0, 4.0], [-1e290, -1e300], [0.0, 3.0]])
-        out = feature_normalize(raw)
+        out = normalize_all_valid(raw)
         assert np.isfinite(out).all()
         assert out[0, 0] == pytest.approx(np.log(1e300) - np.log(1e-12), rel=1e-15)
         assert out[3, 0] == -np.log1p(1e290 / 1e-12)
@@ -109,14 +113,6 @@ class TestFeatureNormalize:
         valid = np.array([[True], [False]])
         out = feature_normalize(raw, valid)
         assert out[1, 0] == 0.0
-
-    def test_nonfinite_entries_are_invalid_by_default(self):
-        # an inf counted as valid gave inf / inf and a RuntimeWarning
-        raw = np.array([[np.inf, 1.0], [1.0, 2.0], [np.nan, -np.inf]])
-        out = feature_normalize(raw)
-        assert out.tolist() == feature_normalize(raw, np.isfinite(raw)).tolist()
-        assert out[0, 0] == out[2, 0] == out[2, 1] == 0.0
-        assert out[1, 0] == np.log(2.0)
 
 
 class TestBaselines:
@@ -266,14 +262,14 @@ class TestProtocols:
                 noise = np.random.default_rng(1000 * c + i).normal(0, 1e-4, (24, 24))
                 img = RasterImage(np.clip(base.channels + noise, 0, 1), base.mask)
                 items.append((f"c{c}", "test", img))
-        curve = pr_of(items, DescriptorKind.COLOR_MOMENTS)
-        assert np.allclose(curve.precision, 1.0)
-        assert 0.0 <= curve.area() <= 1.0
+        precision = pr_of(items, DescriptorKind.COLOR_MOMENTS)
+        assert precision.shape == bench_mod.RECALL_LEVELS.shape
+        assert np.allclose(precision, 1.0)
 
     def test_pr_curve_monotone_nonincreasing(self):
-        curve = pr_of(tiny_items(), DescriptorKind.RG_HISTOGRAM)
-        assert np.all(np.diff(curve.precision) <= 1e-12)
-        assert np.all((curve.precision >= 0) & (curve.precision <= 1))
+        precision = pr_of(tiny_items(), DescriptorKind.RG_HISTOGRAM)
+        assert np.all(np.diff(precision) <= 1e-12)
+        assert np.all((precision >= 0) & (precision <= 1))
 
     def test_pr_needs_two_members_per_class(self):
         items = [
@@ -343,7 +339,8 @@ class TestProtocols:
             return img
 
         monkeypatch.setattr(cli_mod, "read_ppm", keeping)
-        rows = cli_mod._manifest_job(paths[0])
+        [(path, label, split, rows)] = cli_mod._manifest_job(paths[0], "c0", "train")
+        assert (path, label, split) == (paths[0], "c0", "train")
         assert set(rows) == set(ALL_KINDS)
         assert len(loaded) == 1 and loaded[0]() is None
 
@@ -437,9 +434,9 @@ class TestRankingExactness:
         features = random_features(seed, n)
         kind = DescriptorKind.HU7
         for levels in (11, 21):
-            monkeypatch.setattr(bench_mod, "PR_LEVELS", levels)
-            curve = precision_recall(kind_distances(features, kind), features.labels)
-            assert curve.precision.tolist() == precision_recall_reference(features, kind, levels).tolist()
+            monkeypatch.setattr(bench_mod, "RECALL_LEVELS", np.linspace(0.0, 1.0, levels))
+            precision = precision_recall(kind_distances(features, kind), features.labels)
+            assert precision.tolist() == precision_recall_reference(features, kind, levels).tolist()
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_distance_matrix_equals_per_query_rows(self, seed, n, block):
@@ -475,7 +472,7 @@ class TestRankingExactness:
         calls = []
         real = bench_mod.feature_normalize
 
-        def counting(raw, valid=None):
+        def counting(raw, valid):
             calls.append(raw.shape)
             return real(raw, valid)
 
@@ -484,17 +481,17 @@ class TestRankingExactness:
         assert len(calls) == len(ALL_KINDS)
 
 
-def classification_items(n_classes, *args, **kwargs):
-    return [item for c in range(n_classes) for item in classification_class(c, *args, **kwargs)]
+def classification_items(n_classes, transforms, size, seed, clamp=False):
+    return [item for c in range(n_classes) for item in classification_class(c, transforms, size, seed, clamp)]
 
 
-def retrieval_items(n_classes, *args, **kwargs):
-    return [item for c in range(n_classes) for item in retrieval_class(c, *args, **kwargs)]
+def retrieval_items(n_classes, transforms, size, seed, clamp=False):
+    return [item for c in range(n_classes) for item in retrieval_class(c, transforms, size, seed, clamp)]
 
 
 class TestGenerators:
     def test_classification_dataset_counts_and_splits(self):
-        items = classification_items(3, n_transforms=4, size=48, seed=1)
+        items = classification_items(3, transforms=4, size=48, seed=1)
         assert len(items) == 15
         labels = np.array([label for label, _, _ in items])
         splits = np.array([split for _, split, _ in items])
@@ -503,19 +500,19 @@ class TestGenerators:
             assert "train" in sel and "test" in sel
 
     def test_retrieval_dataset_counts(self):
-        items = retrieval_items(2, n_views=2, n_color_transforms=3, size=48, seed=1)
-        assert len(items) == 12
+        items = retrieval_items(2, transforms=2, size=48, seed=1)
+        assert len(items) == 2 * bench_mod.RETRIEVAL_VIEWS * 2 == 20
         # every class is in both splits, its base view's first image in train
         for c in range(2):
             splits = [split for label, split, _ in items if label == f"class{c:03d}"]
-            assert splits == ["train"] + ["test"] * 5
+            assert splits == ["train"] + ["test"] * 9
 
     def test_per_class_generators_give_the_dataset_items(self):
         # featurizing a generator that holds one class at a time gives the
         # features of the whole dataset held in memory, bit for bit
         for per_class, args in (
             (classification_class, (4, 48, 1, True)),
-            (retrieval_class, (2, 3, 48, 1)),
+            (retrieval_class, (3, 48, 1, False)),
         ):
             held = featurize([item for c in range(3) for item in per_class(c, *args)])
             streamed = featurize(item for c in range(3) for item in per_class(c, *args))
@@ -526,8 +523,8 @@ class TestGenerators:
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_generator_determinism(self):
-        a = classification_items(2, n_transforms=2, size=48, seed=9)
-        b = classification_items(2, n_transforms=2, size=48, seed=9)
+        a = classification_items(2, transforms=2, size=48, seed=9)
+        b = classification_items(2, transforms=2, size=48, seed=9)
         for (la, sa, ia), (lb, sb, ib) in zip(a, b):
             assert (la, sa) == (lb, sb)
             assert np.array_equal(ia.channels[0], ib.channels[0])

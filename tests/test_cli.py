@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import scdmi.bench as bench_mod
-from scdmi.bench import RETRIEVAL_VIEWS, retrieval_class
+from scdmi.bench import RECALL_LEVELS, retrieval_class
 import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
@@ -450,7 +450,7 @@ class TestBenchCommand:
         # the worker's typed error re-raises in the bench's process with its own type
         with pytest.raises(InvalidImage, match="not a binary P6 PPM"):
             with cli_mod._worker_pool(len(rows)) as pool:
-                cli_mod._run_jobs(pool, cli_mod._manifest_job, [(path,) for path, _, _ in rows])
+                cli_mod._run_jobs(pool, cli_mod._manifest_job, rows)
         assert multiprocessing.active_children() == []
 
     def test_synthetic_run_scores_the_generated_dataset(self, tmp_path):
@@ -467,7 +467,7 @@ class TestBenchCommand:
             assert list(csv.reader(fh))[1:] == [
                 [k.value, repr(float(r)), repr(float(p))]
                 for k in bench_mod.ALL_KINDS
-                for r, p in zip(curves[k].recall_levels, curves[k].precision)
+                for r, p in zip(RECALL_LEVELS, curves[k])
             ]
         with (tmp_path / "dataset_manifest.csv").open(newline="") as fh:
             rows = list(csv.reader(fh))[1:]
@@ -503,7 +503,7 @@ class TestBenchCommand:
             assert list(csv.reader(fh))[1:] == [
                 [k.value, repr(float(r)), repr(float(p))]
                 for k in bench_mod.ALL_KINDS
-                for r, p in zip(curves[k].recall_levels, curves[k].precision)
+                for r, p in zip(RECALL_LEVELS, curves[k])
             ]
 
     def test_manifest_with_byte_order_mark(self, tmp_path):
@@ -584,7 +584,7 @@ class TestBenchCommand:
                 args = ["bench", "--synthetic", "--protocol", protocol, "--classes", "2", "--transforms", "1",
                         "--seed", str(seed)]
                 out = tmp_path / f"{protocol}{seed}"
-                assert main([*args, "--size", str(cli_mod.MIN_SYNTHETIC_SIZE), "--out", str(out)]) == 0
+                assert main([*args, "--size", str(bench_mod.MIN_SYNTHETIC_SIZE), "--out", str(out)]) == 0
 
     def test_retrieval_protocol_writes_the_curves_of_the_dataset(self, tmp_path):
         # the retrieval layout, featurized and ranked on the pool, scores what the whole dataset
@@ -592,15 +592,14 @@ class TestBenchCommand:
         args = ["bench", "--synthetic", "--protocol", "retrieval", "--classes", "3", "--transforms", "2",
                 "--size", "48", "--seed", "1"]
         assert main(args + ["--out", str(tmp_path)]) == 0
-        items = [item for c in range(3) for item in retrieval_class(c, RETRIEVAL_VIEWS, 2, 48, 1)]
+        items = [item for c in range(3) for item in retrieval_class(c, 2, 48, 1, False)]
         features = bench_mod.featurize(items)
         labels, splits = features.labels, features.splits
         accuracies, curves = [], []
         for kind in bench_mod.ALL_KINDS:
             distances = bench_mod.chi2_matrix(bench_mod.feature_normalize(*features.matrices[kind]))
             accuracies.append([kind.value, repr(bench_mod.knn_classify(distances, labels, splits))])
-            curve = bench_mod.precision_recall(distances, labels)
-            points = zip(curve.recall_levels, curve.precision)
+            points = zip(RECALL_LEVELS, bench_mod.precision_recall(distances, labels))
             curves += [[kind.value, repr(float(r)), repr(float(p))] for r, p in points]
         with (tmp_path / "pr_curves.csv").open(newline="") as fh:
             assert list(csv.reader(fh)) == [["descriptor", "recall_level", "precision"], *curves]
@@ -634,12 +633,12 @@ class TestBenchCommand:
         assert main(args + ["--out", str(tmp_path)]) == 0
 
         def curves(clamp):
-            items = [item for c in range(3) for item in retrieval_class(c, RETRIEVAL_VIEWS, 2, 48, 3, clamp)]
+            items = [item for c in range(3) for item in retrieval_class(c, 2, 48, 3, clamp)]
             scored = bench_mod.run_benchmark(bench_mod.featurize(items))[1]
             return [
                 [k.value, repr(float(r)), repr(float(p))]
                 for k in bench_mod.ALL_KINDS
-                for r, p in zip(scored[k].recall_levels, scored[k].precision)
+                for r, p in zip(RECALL_LEVELS, scored[k])
             ]
 
         with (tmp_path / "pr_curves.csv").open(newline="") as fh:

@@ -64,6 +64,18 @@ def slot(idx):
         lambda plane: moment_vector([plane[0]] * 4 + [plane[0, :3]]),
         lambda plane: moment_vector([plane] * 5),
         lambda plane: moment_vector([plane[0]] * 6),
+        lambda plane: RasterImage(np.full((3, 4, 4), "a"), plane == 0),
+        lambda plane: RasterImage([[[0.0] * 4] * 4] * 2 + [[[0.0] * 3] * 4], plane == 0),
+        lambda plane: RasterImage(np.stack([plane] * 3) + 1j, plane == 0),
+        lambda plane: RasterImage([[[None] * 4] * 4] * 3, plane == 0),
+        lambda plane: RasterImage(np.stack([plane] * 3), np.full((4, 4), "a")),
+        lambda plane: RasterImage(np.stack([plane] * 3), [[True] * 4] * 3 + [[True] * 3]),
+        lambda plane: RasterImage(np.stack([plane] * 3), plane + 1j),
+        lambda plane: RasterImage.from_array("x"),
+        lambda plane: RasterImage.from_array(np.stack([plane] * 3, axis=2).astype(complex)),
+        lambda plane: moment_vector(["a"] * 5),
+        lambda plane: moment_vector([[1.0, [2.0]]] * 5),
+        lambda plane: moment_vector([plane[0] + 1j] * 5),
     ],
     ids=[
         "planes-differ",
@@ -78,10 +90,24 @@ def slot(idx):
         "values-unequal-lengths",
         "values-2d",
         "values-six-arrays",
+        "channels-strings",
+        "channels-ragged",
+        "channels-complex",
+        "channels-none",
+        "mask-strings",
+        "mask-ragged",
+        "mask-complex",
+        "array-string",
+        "array-complex",
+        "values-strings",
+        "values-ragged",
+        "values-complex",
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_image_raises_typed_error(build):
-    # a typed ScdmiError that is still a ValueError, never a bare ValueError
+    # a typed ScdmiError that is still a ValueError, never a bare ValueError; numpy's
+    # ComplexWarning, which dropped an imaginary part, counts as an error here
     with pytest.raises(InvalidImage) as info:
         build(np.zeros((4, 4)))
     assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)

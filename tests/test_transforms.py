@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from scdmi.transforms import (
     ShapeAffine,
     apply_color_affine,
     apply_shape_affine,
-    feature_deviations,
     relative_deviation,
     sample_color_affine,
     sample_shape_affine,
@@ -428,6 +428,33 @@ class TestSamplers:
             sample_shape_affine(0, **kwargs)
 
     @pytest.mark.parametrize(
+        "sample, kwargs, rule",
+        [
+            (sample_shape_affine, {"det_range": (2.0, 1.0)}, "0 < low <= high < inf, got (2.0, 1.0)"),
+            (sample_shape_affine, {"det_range": (0.0, 1.0)}, "0 < low <= high < inf"),
+            (sample_shape_affine, {"det_range": (1e308, 1e308), "max_condition": 1e308},
+             "high * max_condition must be at most 2**1023"),
+            (sample_shape_affine, {"det_range": (1.0, 2.0**1023), "max_condition": 2.0},
+             "high * max_condition must be at most 2**1023"),
+            (sample_shape_affine, {"max_condition": 0.5}, "max_condition must be finite and >= 1, got 0.5"),
+            (sample_color_affine, {"max_condition": 0.5}, "max_condition must be finite and >= 1, got 0.5"),
+            (sample_color_affine, {"offset_range": (1.0, -1.0)}, "low <= high and a finite high - low"),
+        ],
+        ids=["det-reversed", "det-zero", "overflow", "overflow-at-bound", "condition-below-one",
+             "color-condition-below-one", "offset-reversed"],
+    )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_invalid_ranges_raise_invalid_transform(self, sample, kwargs, rule):
+        # a bare ValueError or a numpy RuntimeWarning before; the message states the rule
+        with pytest.raises(InvalidTransform, match=re.escape(rule)):
+            sample(0, **kwargs)
+
+    def test_largest_allowed_singular_value_samples_a_finite_map(self):
+        # high * max_condition at 2**1023 exactly: the draws may round above it, and stay finite
+        t = sample_shape_affine(0, det_range=(2.0**1022, 2.0**1022), max_condition=2.0, src_size=(8, 8))
+        assert np.isfinite(t.matrix).all() and np.isfinite(t.offset).all()
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             {"max_condition": math.inf},
@@ -451,7 +478,7 @@ class TestFeatureInvariance:
         for seed in range(3):
             ct = sample_color_affine(seed + 100, max_condition=6.0, offset_range=(-0.3, 0.3))
             fv = scdmi50(apply_color_affine(img, ct))
-            devs, both = feature_deviations(base, fv)
+            devs, both = relative_deviation(base.values, fv.values), base.valid & fv.valid
             assert both.any()
             assert devs[both].max() <= 1e-9
 
@@ -461,7 +488,7 @@ class TestFeatureInvariance:
         ct = sample_color_affine(6, max_condition=4.0)
         ab = scdmi50(apply_color_affine(apply_shape_affine(img, st_), ct))
         ba = scdmi50(apply_shape_affine(apply_color_affine(img, ct), st_))
-        devs, both = feature_deviations(ab, ba)
+        devs, both = relative_deviation(ab.values, ba.values), ab.valid & ba.valid
         assert both.any()
         assert devs[both].max() <= 1e-9
 
@@ -555,7 +582,7 @@ class TestInvarianceReport:
         assert report.to_csv().splitlines()[3] == "3,0,nan,nan,0"
 
     def test_runs_no_warp_and_no_scdmi50(self, monkeypatch):
-        features = featurize([*retrieval_class(0, 2, 2, size=32), *retrieval_class(1, 2, 2, size=32)])
+        features = featurize([*retrieval_class(0, 2, 32, 0, False), *retrieval_class(1, 2, 32, 0, False)])
         expected = invariance_report(*features.matrices[bench_mod.DescriptorKind.SCDMI50], features.labels).to_csv()
 
         def refuse(*args, **kwargs):
@@ -568,8 +595,16 @@ class TestInvarianceReport:
         assert report.to_csv() == expected
 
     def test_color_only_report_is_exact(self):
-        # one view: a class is its base image under channel maps alone, which are exact
-        features = featurize([item for c in (4, 5) for item in retrieval_class(c, n_views=1, n_color_transforms=3, size=64)])
+        # a class is its base image under channel maps alone, which are exact: the
+        # retrieval layout's base view of classes 4 and 5 under its first three maps
+        maps = [
+            sample_color_affine(c * 731 + t, max_condition=5.0, offset_range=(-0.15, 0.15))
+            for c in (4, 5)
+            for t in range(3)
+        ]
+        bases = [disk_masked_image(c, size=64, radius_frac=0.26) for c in (4, 5)]
+        items = [(f"class{i // 3}", "test", apply_color_affine(bases[i // 3], ct)) for i, ct in enumerate(maps)]
+        features = featurize(items)
         report = invariance_report(*features.matrices[bench_mod.DescriptorKind.SCDMI50], features.labels)
         assert report.n_valid.min() > 0
         assert np.max(report.max_rel_dev) <= 1e-9
