@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from operator import add
 from typing import NamedTuple
 
 from .errors import InvalidSpec
@@ -43,7 +42,7 @@ class MomentIndex(NamedTuple):
     gamma: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonomialTerm:
     """One term of a moment polynomial: integer coefficient times a product
     of moments, stored as a sorted multiset of indices."""
@@ -90,12 +89,8 @@ class CoreSpec:
     color_triples: tuple[tuple[int, int, int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "shape_factors", tuple(tuple(int(v) for v in f) for f in self.shape_factors)
-        )
-        object.__setattr__(
-            self, "color_triples", tuple(tuple(int(v) for v in f) for f in self.color_triples)
-        )
+        for name in ("shape_factors", "color_triples"):
+            object.__setattr__(self, name, tuple(tuple(int(v) for v in f) for f in getattr(self, name)))
         for f in self.shape_factors:
             if len(f) != 3:
                 raise InvalidSpec(f"shape factor {f} must be (i, j, exponent)")
@@ -161,24 +156,25 @@ class InvariantSpec:
 # ---------------------------------------------------------------------------
 # core expansion into moment polynomials
 
-# An expansion monomial is a flat tuple of 5 exponents per integration point,
-# point t's (x, y, r, g, b) exponents at 5*(t-1) .. 5*t-1, mapped to its
-# integer coefficient. A product adds exponents elementwise.
+# An expansion monomial is one Python int holding a bit field of ``width``
+# bits per (point, variable) exponent, mapped to its integer coefficient.
+# Point t's five fields sit at bits 5*width*(t-1) .. 5*width*t-1 with x most
+# significant, so a point's fields read as one plain int sort in MomentIndex
+# order. expand_core takes the width from the bit length of the spec's total
+# degree, which bounds every exponent, so no field carries into the next and
+# a product of monomials is an integer add.
 
 
-def _monomial(width: int, *variables: tuple[int, int]) -> tuple[int, ...]:
+def _monomial(width: int, *variables: tuple[int, int]) -> int:
     """The product of (point, variable) pairs, each to the first power."""
-    exps = [0] * (5 * width)
-    for point, var in variables:
-        exps[5 * (point - 1) + var] += 1
-    return tuple(exps)
+    return sum(1 << width * (5 * point - 1 - var) for point, var in variables)
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            key = tuple(map(add, ma, mb))
+            key = ma + mb
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c
@@ -207,8 +203,8 @@ def expand_core(spec: CoreSpec) -> MomentPolynomial:
     not touch contribute the area moment (all-zero index). The result is
     canonical: identical specs yield identical polynomials.
     """
-    width = spec.width
-    poly = {(0,) * (5 * width): 1}
+    width = max(1, (spec.shape_degree + spec.color_degree).bit_length())
+    poly = {0: 1}
     for i, j, exp in spec.shape_factors:
         factor = _shape_factor(width, i, j)
         for _ in range(exp):
@@ -218,15 +214,19 @@ def expand_core(spec: CoreSpec) -> MomentPolynomial:
         for _ in range(exp):
             poly = _poly_mul(poly, factor)
 
-    acc: dict[tuple[MomentIndex, ...], int] = {}
+    point_mask = (1 << 5 * width) - 1
+    shifts = range(0, 5 * width * spec.width, 5 * width)
+    acc: dict[tuple[int, ...], int] = {}
     for mono, coeff in poly.items():
-        key = tuple(sorted(MomentIndex(*mono[s : s + 5]) for s in range(0, len(mono), 5)))
+        key = tuple(sorted([mono >> s & point_mask for s in shifts]))
         acc[key] = acc.get(key, 0) + coeff
 
-    terms = tuple(
-        MonomialTerm(coeff, factors) for factors, coeff in sorted(acc.items()) if coeff != 0
-    )
-    return MomentPolynomial(terms)
+    # each distinct point field is decoded once, into a MomentIndex every term shares
+    mask = (1 << width) - 1
+    fields = {f for key in acc for f in key}
+    index = {f: MomentIndex(*(f >> width * (4 - v) & mask for v in range(5))) for f in fields}
+    terms = (MonomialTerm(c, tuple(map(index.__getitem__, key))) for key, c in sorted(acc.items()) if c)
+    return MomentPolynomial(tuple(terms))
 
 
 @lru_cache(maxsize=1)

@@ -303,6 +303,10 @@ def moment_vector(values: Sequence[np.ndarray]) -> np.ndarray:
     moment_tables runs over a domain source. Raises InvalidImage unless
     ``values`` are five 1-D arrays of one length.
     """
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InvalidImage("the centred values must be a sequence of five arrays") from None
     arrays = [_real_array(v, "centred values").astype(np.float64, copy=False) for v in values]
     if len(arrays) != 5 or any(a.ndim != 1 or a.size != arrays[0].size for a in arrays):
         raise InvalidImage("the centred values must be five 1-D arrays of one length")

@@ -15,6 +15,7 @@ channel maps are pure floating-point noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +193,40 @@ def upsample_nearest(img: RasterImage, factor: int = 2) -> RasterImage:
 # samplers
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float; raises InvalidTransform unless it is a real number in the float range."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise InvalidTransform(f"{name} must be a real number in the float range, got {value!r}")
+
+
+def _real_pair(value, name: str) -> tuple[float, float]:
+    """``value`` as two floats; raises InvalidTransform unless it is a pair of real numbers."""
+    try:
+        low, high = value
+    except (TypeError, ValueError):
+        raise InvalidTransform(f"{name} must be a pair of real numbers, got {value!r}") from None
+    return _real(low, name), _real(high, name)
+
+
+def _rng(seed) -> np.random.Generator:
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidTransform(f"seed must be a non-negative integer, got {seed!r}") from None
+
+
+def _sampled(affine: type, matrix: np.ndarray, offset: np.ndarray):
+    """The map of a sampler's draws; a singular draw means its arguments reach singular maps."""
+    try:
+        return affine(matrix, offset)
+    except Singular:
+        raise InvalidTransform("the sampler's arguments drew a singular map") from None
+
+
 def _rot2(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -210,19 +245,25 @@ def sample_shape_affine(
     rotation. When ``src_size`` (width, height) is given, the map fixes the
     center of that frame, to keep content in frame.
 
-    Raises InvalidTransform, before any draw, unless 0 < low <= high < inf,
-    1 <= max_condition < inf and high * max_condition <= 2**1023: that
-    product bounds the squared largest singular value, and the factor of 2
-    below the float range keeps it finite where a draw rounds past its bound.
+    Raises InvalidTransform, before any draw, unless the seed is one that
+    numpy's default_rng takes, det_range and src_size are pairs of real
+    numbers, 0 < low <= high < inf, 1 <= max_condition < inf and
+    high * max_condition <= 2**1023: that product bounds the squared largest
+    singular value, and the factor of 2 below the float range keeps it finite
+    where a draw rounds past its bound. Raises it after the draws where the
+    map is singular or its offset overflows.
     """
-    lo, hi = det_range
+    lo, hi = _real_pair(det_range, "det_range")
+    max_condition = _real(max_condition, "max_condition")
+    if src_size is not None:
+        src_size = _real_pair(src_size, "src_size")
     if not 0.0 < lo <= hi < math.inf:
         raise InvalidTransform(f"det_range must be (low, high) with 0 < low <= high < inf, got {det_range!r}")
     if not 1.0 <= max_condition < math.inf:
         raise InvalidTransform(f"max_condition must be finite and >= 1, got {max_condition!r}")
     if not hi * max_condition <= 2.0**1023:
         raise InvalidTransform(f"det_range high * max_condition must be at most 2**1023, got {hi * max_condition!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     th1, th2 = rng.uniform(0.0, 2.0 * np.pi, size=2)
     det = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     cond = float(np.exp(rng.uniform(0.0, np.log(max_condition))))
@@ -232,8 +273,9 @@ def sample_shape_affine(
     offset = np.zeros(2)
     if src_size is not None:
         center = np.array([(src_size[0] - 1) / 2.0, (src_size[1] - 1) / 2.0])
-        offset = center - matrix @ center
-    return ShapeAffine(matrix, offset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            offset = center - matrix @ center
+    return _sampled(ShapeAffine, matrix, offset)
 
 
 def sample_color_affine(
@@ -248,15 +290,18 @@ def sample_color_affine(
     max_condition=1 with zero offsets collapses to a positive multiple of
     the identity, and the determinant is positive by construction.
 
-    Raises InvalidTransform, before any draw, unless 1 <= max_condition < inf
-    and offset_range is (low, high) with low <= high and a finite high - low.
+    Raises InvalidTransform, before any draw, unless the seed is one that
+    numpy's default_rng takes, 1 <= max_condition < inf and offset_range is
+    a pair (low, high) of real numbers with low <= high and a finite
+    high - low. Raises it after the draws where the map is singular.
     """
+    max_condition = _real(max_condition, "max_condition")
     if not 1.0 <= max_condition < math.inf:
         raise InvalidTransform(f"max_condition must be finite and >= 1, got {max_condition!r}")
-    low, high = offset_range
+    low, high = _real_pair(offset_range, "offset_range")
     if not (low <= high and math.isfinite(high - low)):
         raise InvalidTransform(f"offset_range must have low <= high and a finite high - low, got {offset_range!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
@@ -267,7 +312,7 @@ def sample_color_affine(
     lam = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     matrix = lam * (q @ np.diag(s) @ q.T)
     offset = rng.uniform(low, high, size=3)
-    return ColorAffine(matrix, offset)
+    return _sampled(ColorAffine, matrix, offset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
 import hashlib
 from collections import Counter
 from itertools import combinations, permutations
+from math import comb
+from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdmi.algebra import (
+    _B,
+    _G,
     _PERM_SIGNS,
+    _R,
+    _X,
+    _Y,
     _color_factor,
     _shape_factor,
     CoreSpec,
@@ -273,3 +280,82 @@ def test_expand_core_deterministic(raw):
     factors = tuple((min(i, j), max(i, j) + (1 if i == j else 0), e) for i, j, e in raw)
     spec = CoreSpec(shape_factors=factors, color_triples=((1, 2, 3, 1),))
     assert expand_core(spec) == expand_core(spec)
+
+
+# The reference expansion: a monomial is a flat tuple of 5 exponents per
+# integration point, point t's (x, y, r, g, b) exponents at 5*(t-1) .. 5*t-1,
+# a product adds the tuples elementwise, so no exponent can overflow into
+# another, and each term's factors are sorted as MomentIndex tuples. The
+# packed-integer expand_core must give the same polynomials.
+
+
+def _tuple_monomial(width, *variables):
+    exps = [0] * (5 * width)
+    for point, var in variables:
+        exps[5 * (point - 1) + var] += 1
+    return tuple(exps)
+
+
+def _tuple_poly_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = tuple(map(add, ma, mb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_expand_core(spec: CoreSpec) -> MomentPolynomial:
+    width = spec.width
+    poly = {(0,) * (5 * width): 1}
+    for i, j, exp in spec.shape_factors:
+        factor = {_tuple_monomial(width, (i, _X), (j, _Y)): 1, _tuple_monomial(width, (j, _X), (i, _Y)): -1}
+        for _ in range(exp):
+            poly = _tuple_poly_mul(poly, factor)
+    for p, q, r, exp in spec.color_triples:
+        leibniz = zip(permutations((p, q, r)), _PERM_SIGNS)
+        factor = {_tuple_monomial(width, (a, _R), (b, _G), (c, _B)): sign for (a, b, c), sign in leibniz}
+        for _ in range(exp):
+            poly = _tuple_poly_mul(poly, factor)
+    acc = {}
+    for mono, coeff in poly.items():
+        key = tuple(sorted(MomentIndex(*mono[s : s + 5]) for s in range(0, len(mono), 5)))
+        acc[key] = acc.get(key, 0) + coeff
+    return MomentPolynomial(tuple(MonomialTerm(c, factors) for factors, c in sorted(acc.items()) if c))
+
+
+@st.composite
+def core_specs(draw, max_terms=5000):
+    """Cores on up to 5 points with factor exponents up to 12: wider and of
+    higher degree than every catalogue row. Factors are dropped once the
+    product could have more than max_terms monomials, which keeps the
+    reference quick."""
+    points = range(1, draw(st.integers(1, 5)) + 1)
+    candidates = [*combinations(points, 2), *combinations(points, 3)]
+    if not candidates:
+        return CoreSpec()
+    factors = draw(st.lists(st.tuples(st.sampled_from(candidates), st.integers(1, 12)), max_size=4, unique_by=lambda f: f[0]))
+    shape, color, terms = [], [], 1
+    for pts, exp in factors:
+        # a channel determinant's e-th power has at most as many monomials as there
+        # are 3x3 tables of naturals with every row and column summing to e
+        terms *= exp + 1 if len(pts) == 2 else comb(exp + 2, 2) + 3 * comb(exp + 3, 4)
+        if terms > max_terms:
+            break
+        (shape if len(pts) == 2 else color).append((*pts, exp))
+    return CoreSpec(shape_factors=tuple(shape), color_triples=tuple(color))
+
+
+@given(core_specs())
+# x_1's exponent reaches the total degree, 8 or 16, the top bit of a field of its bit length
+@example(CoreSpec(shape_factors=((1, 2, 8),)))
+@example(CoreSpec(shape_factors=((1, 2, 12), (1, 3, 4))))
+@settings(max_examples=100, deadline=None)
+def test_packed_expansion_matches_tuple_reference(spec):
+    assert expand_core(spec) == reference_expand_core(spec)
+
+
+def test_reference_expansion_reproduces_the_catalogue():
+    for spec in catalogue_specs():
+        assert reference_expand_core(spec.source) == spec.numerator
+    assert reference_expand_core(CoreSpec(color_triples=((1, 2, 3, 2),))) == denominator_polynomial()

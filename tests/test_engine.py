@@ -76,6 +76,7 @@ def slot(idx):
         lambda plane: moment_vector(["a"] * 5),
         lambda plane: moment_vector([[1.0, [2.0]]] * 5),
         lambda plane: moment_vector([plane[0] + 1j] * 5),
+        lambda plane: moment_vector(5),
     ],
     ids=[
         "planes-differ",
@@ -102,6 +103,7 @@ def slot(idx):
         "values-strings",
         "values-ragged",
         "values-complex",
+        "values-not-a-sequence",
     ],
 )
 @pytest.mark.filterwarnings("error")

@@ -5,13 +5,15 @@ Every test here turns every warning into an error, not only the numpy
 RuntimeWarnings that Tier-1 already fails on.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from scdmi.engine import RasterImage
-from scdmi.errors import InvalidImage
+from scdmi.errors import InvalidImage, InvalidTransform
 from scdmi.ppm import read_ppm
+from scdmi.transforms import ColorAffine, ShapeAffine, sample_color_affine, sample_shape_affine
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -88,3 +90,59 @@ def test_mutated_p6_files_include_readable_ones(tmp_path):
             return False
 
     find(mutated_p6(), readable, settings=settings(max_examples=500, database=None))
+
+
+# sampler arguments: usable numbers and ordered pairs, also every float, huge
+# and negative integers, and values that are not real numbers or not pairs
+USABLE_PAIRS = st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 10.0))
+ARGUMENTS = st.one_of(
+    st.floats(1.0, 10.0),
+    st.floats(1.0, 10.0),
+    st.floats(),
+    st.integers(-3, 3),
+    st.sampled_from([1e-300, 2.0**1023, 10**400, np.float64(2.0), np.int64(3)]),
+    st.sampled_from(["1", b"2", None, 1j, [1.0], (), np.array([1.0, 2.0])]),
+)
+PAIRS = st.one_of(USABLE_PAIRS, USABLE_PAIRS, USABLE_PAIRS, st.tuples(ARGUMENTS, ARGUMENTS), st.lists(ARGUMENTS, max_size=3), ARGUMENTS)
+SEEDS = st.one_of(st.integers(0, 2**70), st.integers(0, 2**70), ARGUMENTS)
+# (seed, det_range, max_condition, src_size) and (seed, max_condition, offset_range), in signature order
+SHAPE_ARGS = st.tuples(SEEDS, PAIRS, ARGUMENTS, st.one_of(st.none(), PAIRS))
+COLOR_ARGS = st.tuples(SEEDS, ARGUMENTS, PAIRS)
+
+
+def _map_or_typed_error(sample, kind, args) -> bool:
+    """True where ``sample(*args)`` returns a finite map of ``kind``, False
+    where it raises InvalidTransform."""
+    try:
+        t = sample(*args)
+    except InvalidTransform:
+        return False
+    assert isinstance(t, kind)
+    assert np.isfinite(t.matrix).all() and np.isfinite(t.offset).all()
+    return True
+
+
+@settings(max_examples=300)
+@given(SHAPE_ARGS)
+def test_shape_sampler_on_arbitrary_arguments(args):
+    _map_or_typed_error(sample_shape_affine, ShapeAffine, args)
+
+
+@settings(max_examples=300)
+@given(COLOR_ARGS)
+def test_color_sampler_on_arbitrary_arguments(args):
+    _map_or_typed_error(sample_color_affine, ColorAffine, args)
+
+
+def test_sampler_arguments_include_usable_ones():
+    # the draws do not stop at the argument checks: some calls return maps
+    for sample, kind, strategy in ((sample_shape_affine, ShapeAffine, SHAPE_ARGS), (sample_color_affine, ColorAffine, COLOR_ARGS)):
+        maps = []
+
+        @settings(max_examples=300, database=None, derandomize=True)
+        @given(strategy)
+        def call(args):
+            maps.append(_map_or_typed_error(sample, kind, args))
+
+        call()
+        assert any(maps), sample.__name__
