@@ -93,6 +93,24 @@ def chi2_matrix(normed: np.ndarray) -> np.ndarray:
     return out
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """np.median of a nonempty 1-D float array, bit for bit, without the
+    numpy.ma import that np.median makes on its first call.
+
+    The array is partitioned at np.median's indices: the middle order
+    statistic, or the two middle ones for an even count, and the last
+    element, where any nan lands. The median is the middle one, or
+    (lo + hi) / 2, each summed from 0.0 as np.mean sums them, so that a
+    -0.0 reads 0.0; an input that holds a nan gives the nan np.median gives.
+    """
+    n = values.size
+    half = n // 2
+    part = np.partition(values, [half, -1] if n % 2 else [half - 1, half, -1])
+    if np.isnan(part[-1]):
+        return part[-1]
+    return 0.0 + part[half] if n % 2 else (0.0 + part[half - 1] + part[half]) / 2
+
+
 def feature_normalize(raw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Sign-preserving log compression with per-dimension median scales.
 
@@ -108,7 +126,7 @@ def feature_normalize(raw: np.ndarray, valid: np.ndarray) -> np.ndarray:
     for d in range(raw.shape[1]):
         col = raw[:, d]
         ok = valid[:, d]
-        s = float(np.median(np.abs(col[ok]))) if ok.any() else 0.0
+        s = float(_median(np.abs(col[ok]))) if ok.any() else 0.0
         s = max(s, SIGMA_FLOOR)
         with np.errstate(over="ignore"):
             mag = np.log1p(np.abs(col) / s)
@@ -270,8 +288,9 @@ LabeledImage = tuple[str, str, RasterImage]
 
 @dataclass
 class Features:
-    """Every descriptor kind's (values, validity) matrices over one dataset,
-    one row per item in item order, with the items' labels and splits."""
+    """Every descriptor kind's (values, validity) matrices over a dataset, or
+    over a block of its items, one row per item in item order, with the
+    items' labels and splits."""
 
     labels: np.ndarray
     splits: np.ndarray
@@ -279,30 +298,47 @@ class Features:
 
 
 def featurize(items: Iterable[LabeledImage]) -> Features:
-    """Runs descriptor_rows once per image and keeps its rows, not the image.
+    """The Features of a dataset's items, given as (label, split, image),
+    in item order, once the dataset has at least 2 classes: feature_block
+    over all of them."""
+    return assemble_features([feature_block(items)])
 
-    ``items`` may be a generator, so that only the images it holds are alive
-    while they are featurized.
+
+def feature_block(items: Iterable[LabeledImage]) -> Features:
+    """The Features of a run of dataset items, given as (label, split,
+    image), in item order, with no dataset rule checked.
+
+    descriptor_rows runs once per image, and its rows are kept, not the
+    image; ``items`` may be a generator, so that only the images it holds
+    are alive while they are featurized. Each descriptor kind gets one
+    (values, validity) block, however many items the run holds, which is
+    what a bench job sends back to the bench's own process.
     """
-    return assemble_features((label, split, descriptor_rows(img)) for label, split, img in items)
-
-
-def assemble_features(items: Iterable[tuple[str, str, DescriptorRows]]) -> Features:
-    """The Features of items given as (label, split, descriptor rows), in
-    item order, once the dataset has at least 2 classes."""
     labels: list[str] = []
     splits: list[str] = []
     rows: list[DescriptorRows] = []
-    for label, split, row in items:
+    for label, split, img in items:
         labels.append(label)
         splits.append(split)
-        rows.append(row)
-    check_classes(labels)
+        rows.append(descriptor_rows(img))
     matrices = {
         kind: (np.array([r[kind][0] for r in rows]), np.array([r[kind][1] for r in rows]))
         for kind in ALL_KINDS
     }
     return Features(np.array(labels), np.array(splits), matrices)
+
+
+def assemble_features(blocks: Iterable[Features]) -> Features:
+    """One dataset's Features from feature_blocks of its items, concatenated
+    in block order, once the dataset has at least 2 classes."""
+    blocks = list(blocks)
+    labels = np.concatenate([b.labels for b in blocks])
+    check_classes(labels)
+    matrices = {
+        kind: tuple(np.concatenate([b.matrices[kind][i] for b in blocks]) for i in (0, 1))
+        for kind in ALL_KINDS
+    }
+    return Features(labels, np.concatenate([b.splits for b in blocks]), matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +465,7 @@ def invariance_report(values: np.ndarray, valid: np.ndarray, labels: np.ndarray)
         paired = both[:, e]
         if paired.any():
             devs = relative_deviation(values[refs[paired], e], values[others[paired], e])
-            median[e], largest[e] = np.median(devs), devs.max()
+            median[e], largest[e] = _median(devs), devs.max()
     ks, ids = np.divmod(np.arange(entries), 25)
     return InvarianceReport(ids + 1, ks, median, largest, np.count_nonzero(both, axis=0))
 

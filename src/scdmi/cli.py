@@ -34,12 +34,12 @@ from .bench import (
     RECALL_LEVELS,
     RETRIEVAL_VIEWS,
     DescriptorKind,
-    DescriptorRows,
+    Features,
     assemble_features,
     check_classes,
     check_splits,
     classification_class,
-    descriptor_rows,
+    feature_block,
     invariance_report,
     rank_kind,
     retrieval_class,
@@ -171,27 +171,26 @@ class PoolError(Exception):
 
 def _class_job(
     protocol: str, c: int, transforms: int, size: int, seed: int, clamp: bool, out: Path
-) -> list[tuple[str, str, str, DescriptorRows]]:
+) -> tuple[list[str], Features]:
     """A pool job: generates class ``c`` of the ``protocol``'s synthetic
-    dataset, exports its PPMs and returns (exported name, label, split,
-    descriptor rows) per image. ``transforms`` counts the warped copies of a
+    dataset, exports its PPMs and returns their exported names and the
+    class's feature_block. ``transforms`` counts the warped copies of a
     classification class, or the channel maps of each retrieval view."""
     generate = retrieval_class if protocol == "retrieval" else classification_class
     members = generate(c, transforms, size, seed, clamp)
-    results = []
-    for i, (label, split, img) in enumerate(members, start=c * len(members)):
-        name = f"dataset/{label}_{i:04d}.ppm"
+    names = []
+    for i, (label, _, img) in enumerate(members, start=c * len(members)):
+        names.append(f"dataset/{label}_{i:04d}.ppm")
         # masked-out pixels are baked to black in the exported copies;
         # the benchmark itself runs on the in-memory masked images
-        write_ppm(out / name, RasterImage(np.where(img.mask, img.channels, 0.0), img.mask))
-        results.append((name, label, split, descriptor_rows(img)))
-    return results
+        write_ppm(out / names[-1], RasterImage(np.where(img.mask, img.channels, 0.0), img.mask))
+    return names, feature_block(members)
 
 
-def _manifest_job(path: str, label: str, split: str) -> list[tuple[str, str, str, DescriptorRows]]:
-    """A pool job: one manifest row's (path, label, split) and the
-    descriptor rows of its PPM, as the one item of a _class_job's list."""
-    return [(path, label, split, descriptor_rows(read_ppm(path)))]
+def _manifest_job(path: str, label: str, split: str) -> tuple[list[str], Features]:
+    """A pool job: one manifest row's path and the feature_block of its PPM,
+    a block of one item, in the form of a _class_job's result."""
+    return [path], feature_block([(label, split, read_ppm(path))])
 
 
 def _rank_job(
@@ -239,11 +238,6 @@ def _worker_pool(jobs: int):
     # and concurrent.futures pulls in logging
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-
-    # np.median, which every rank job calls, imports numpy.ma on its first call,
-    # about 20 ms: imported before the fork, it is imported once per process,
-    # not once per worker and bench run
-    import numpy.ma  # noqa: F401
 
     # fork: a worker starts from this process's imports and caches, where a
     # spawned one would import scdmi and build its catalogue again
@@ -307,13 +301,15 @@ def cmd_bench(args) -> int:
     # ranks it, a descriptor kind per job, and reduces its SCDMI50 rows to the
     # invariance report: a pool takes milliseconds to start its first job
     with _worker_pool(max(len(jobs), len(ALL_KINDS))) as pool:
-        results = [item for members in _run_jobs(pool, job, jobs) for item in members]
+        results = _run_jobs(pool, job, jobs)
         if args.synthetic:
             with (out / "dataset_manifest.csv").open("w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(["path", "label", "split"])
-                w.writerows([name, label, split] for name, label, split, _ in results)
-        features = assemble_features((label, split, rows) for _, label, split, rows in results)
+                for names, block in results:
+                    w.writerows(zip(names, block.labels, block.splits))
+        features = assemble_features(block for _, block in results)
+        del results  # the blocks, once concatenated
         ranks = [(*features.matrices[kind], features.labels, features.splits) for kind in ALL_KINDS]
         ranked = list(zip(ALL_KINDS, _run_jobs(pool, _rank_job, ranks)))
         scdmi_rows = (*features.matrices[DescriptorKind.SCDMI50], features.labels)

@@ -5,43 +5,98 @@ random color vectors on a random base color, linearly rescaled into channel
 range. Smoothness keeps interpolation error low under warps, and random blob
 colors keep the three channels linearly independent so the quadratic color
 core stays well away from degeneracy.
+
+Both generators build coordinates from 1-D axes and fill their output one
+band of rows at a time (engine._row_bands, at most 2^16 pixels a band), so
+they hold the image plus one band's temporaries. Each pixel goes through the
+same IEEE operations as in a whole-frame build, so the images do not depend
+on the banding.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
-from .engine import RasterImage
+from .engine import RasterImage, _row_bands
 from .errors import InvalidImage
 
 
 #: every blob image is rescaled jointly into [CHANNEL_LO, CHANNEL_HI]
 CHANNEL_LO, CHANNEL_HI = 0.08, 0.92
 
+#: the largest blob spread or disk radius_frac: a blob centre is drawn from
+#: [-spread, spread], whose width must be a finite float
+MAX_EXTENT = 2.0**1022
+
+
+def _integer(value, what: str, low: int) -> int:
+    """``value`` as an int; raises InvalidImage unless it is an integer, not a bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidImage(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidImage(f"{what} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _extent(value, what: str) -> float:
+    """``value`` as a float; raises InvalidImage unless it is a real number in [0, MAX_EXTENT]."""
+    if isinstance(value, numbers.Real):
+        try:
+            extent = float(value)
+        except OverflowError:
+            extent = math.inf
+        if 0.0 <= extent <= MAX_EXTENT:
+            return extent
+    raise InvalidImage(f"{what} must be a real number in [0, 2**1022], got {value!r}")
+
 
 def blob_image(seed: int, size: int = 128, n_blobs: int = 6, spread: float = 0.30) -> RasterImage:
-    """Full-mask smooth image with blob centers within ``spread``*size of center;
-    raises InvalidImage for a ``size`` under 1 or a ``spread`` that is
-    negative or not finite."""
-    if size < 1:
-        raise InvalidImage(f"image size must be >= 1, got {size}")
-    if not 0.0 <= spread < np.inf:
-        raise InvalidImage(f"blob spread must be finite and >= 0, got {spread}")
-    rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    """Full-mask smooth image with blob centers within ``spread``*size of center.
+
+    Raises InvalidImage for a seed that numpy's default_rng rejects, a
+    ``size`` that is not an integer >= 1, an ``n_blobs`` that is not an
+    integer >= 0 (a bool is neither) and a ``spread`` that is not a real
+    number in [0, MAX_EXTENT].
+    """
+    planes = _blob_planes(seed, size, n_blobs, spread)
+    return RasterImage(planes, np.ones(planes.shape[1:], dtype=bool))
+
+
+def _blob_planes(seed, size, n_blobs, spread) -> np.ndarray:
+    """The (3, size, size) channels of blob_image, with its argument checks."""
+    size = _integer(size, "image size", 1)
+    n_blobs = _integer(n_blobs, "blob count n_blobs", 0)
+    spread = _extent(spread, "blob spread")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidImage(f"seed must be a non-negative integer, got {seed!r}") from None
     c = (size - 1) / 2.0
-    planes = np.tile(rng.uniform(0.2, 0.5, size=3)[:, None, None], (1, size, size))
-    for _ in range(n_blobs):
-        cx, cy = rng.uniform(-spread, spread, size=2) * size + c
-        sigma = rng.uniform(0.06, 0.18) * size
-        bump = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sigma**2))
-        amp = rng.uniform(-0.5, 0.7, size=3)
-        planes += amp[:, None, None] * bump[None, :, :]
-    # joint linear rescale: a diagonal channel map, keeps channels independent
+    base = rng.uniform(0.2, 0.5, size=3)
+    axis = np.arange(size, dtype=np.float64)
+    blobs = []
+    # a blob far past the frame overflows its squared distances to inf, which adds exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        for _ in range(n_blobs):
+            cx, cy = rng.uniform(-spread, spread, size=2) * size + c
+            sigma = rng.uniform(0.06, 0.18) * size
+            amp = rng.uniform(-0.5, 0.7, size=3)
+            blobs.append(((axis - cx) ** 2, (axis - cy) ** 2, 2.0 * sigma**2, amp[:, None, None]))
+        planes = np.empty((3, size, size))
+        planes[:] = base[:, None, None]
+        for band in _row_bands(size, size):
+            for dx2, dy2, denom, amp in blobs:
+                planes[:, band] += amp * np.exp(-(dx2[None, :] + dy2[band, None]) / denom)
+    # joint linear rescale, in place: a diagonal channel map, keeps channels independent
     pmin, pmax = float(planes.min()), float(planes.max())
     scale = (CHANNEL_HI - CHANNEL_LO) / max(pmax - pmin, 1e-9)
-    planes = CHANNEL_LO + (planes - pmin) * scale
-    return RasterImage(planes, np.ones((size, size), dtype=bool))
+    planes -= pmin
+    planes *= scale
+    planes += CHANNEL_LO
+    return planes
 
 
 def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_blobs: int = 6) -> RasterImage:
@@ -50,13 +105,18 @@ def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_b
     A disk domain transported by a warp stays inside the frame as long as the
     transform's largest singular value times the radius fits, so feature
     deviations measure interpolation error rather than domain cropping.
-    Raises InvalidImage for a ``size`` under 1, as blob_image does, and for
-    a ``radius_frac`` that is negative or not finite.
+    Raises InvalidImage for a ``radius_frac`` that is not a real number in
+    [0, MAX_EXTENT], and for every argument blob_image rejects.
     """
-    if not 0.0 <= radius_frac < np.inf:
-        raise InvalidImage(f"disk radius_frac must be finite and >= 0, got {radius_frac}")
-    img = blob_image(seed, size=size, spread=0.7 * radius_frac, n_blobs=n_blobs)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
-    c = (size - 1) / 2.0
-    mask = (xx - c) ** 2 + (yy - c) ** 2 <= (radius_frac * size) ** 2
-    return RasterImage(img.channels, mask)
+    radius_frac = _extent(radius_frac, "disk radius_frac")
+    planes = _blob_planes(seed, size, n_blobs, 0.7 * radius_frac)
+    size = planes.shape[1]
+    sq = (np.arange(size, dtype=np.float64) - (size - 1) / 2.0) ** 2
+    try:
+        limit = (radius_frac * size) ** 2
+    except OverflowError:  # a radius past the float range holds every pixel
+        limit = math.inf
+    mask = np.empty((size, size), dtype=bool)
+    for band in _row_bands(size, size):
+        mask[band] = sq[None, :] + sq[band, None] <= limit
+    return RasterImage(planes, mask)

@@ -115,6 +115,53 @@ class TestFeatureNormalize:
         assert out[1, 0] == 0.0
 
 
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestMedian:
+    """bench._median is np.median bit for bit, without importing numpy.ma."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, -1.0],
+            [1.0, 5.0, 2.0],
+            [4.0, 1.0, 3.0, 2.0],
+            [1.0, 1.0, 1.0, 2.0],
+            [0.0, -0.0, -0.0, 0.0, 1.0],
+            [-0.0, 0.0],
+            [0.1, 0.2],
+            [np.inf, 1.0, 2.0],
+            [np.inf, -np.inf],
+            [np.inf, np.inf, 1.0, 2.0],
+            [1e308, 1.7e308],
+            [np.nan],
+            [1.0, np.nan, 2.0],
+            [np.nan, 1.0, np.inf, -np.inf],
+            [-np.nan, 3.0],
+        ],
+    )
+    def test_equals_numpy_median(self, values):
+        values = np.array(values)
+        # an even count of infinities or of huge values warns as np.mean's sum does
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(bench_mod._median(values.copy()), np.median(values))
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.0])), min_size=1, max_size=40))
+    def test_equals_numpy_median_on_any_floats(self, values):
+        values = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert same_bits(bench_mod._median(values.copy()), np.median(values))
+
+    def test_leaves_its_input_alone(self):
+        values = np.array([3.0, 1.0, 2.0, 0.5])
+        bench_mod._median(values)
+        assert values.tolist() == [3.0, 1.0, 2.0, 0.5]
+
+
 class TestBaselines:
     def test_dimensions_match_kinds(self):
         dims = {
@@ -339,9 +386,10 @@ class TestProtocols:
             return img
 
         monkeypatch.setattr(cli_mod, "read_ppm", keeping)
-        [(path, label, split, rows)] = cli_mod._manifest_job(paths[0], "c0", "train")
-        assert (path, label, split) == (paths[0], "c0", "train")
-        assert set(rows) == set(ALL_KINDS)
+        names, block = cli_mod._manifest_job(paths[0], "c0", "train")
+        assert (names, block.labels.tolist(), block.splits.tolist()) == ([paths[0]], ["c0"], ["train"])
+        assert set(block.matrices) == set(ALL_KINDS)
+        assert all(len(values) == len(valid) == 1 for values, valid in block.matrices.values())
         assert len(loaded) == 1 and loaded[0]() is None
 
 

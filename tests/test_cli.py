@@ -336,9 +336,12 @@ class TestBenchCommand:
         monkeypatch.setattr(bench_mod, "apply_color_affine", recording)
         monkeypatch.setattr(bench_mod, "scdmi50", counting)
         (tmp_path / "dataset").mkdir()
-        results = cli_mod._class_job("classification", 1, 4, 48, 0, False, tmp_path)
+        names, block = cli_mod._class_job("classification", 1, 4, 48, 0, False, tmp_path)
         # class 1 of five images per class is exported under the names of items 5 to 9
-        assert [name for name, _, _, _ in results] == [f"dataset/class001_{i:04d}.ppm" for i in range(5, 10)]
+        assert names == [f"dataset/class001_{i:04d}.ppm" for i in range(5, 10)]
+        # and sent back as one (values, validity) block of five rows per descriptor kind
+        assert block.labels.tolist() == ["class001"] * 5
+        assert all(len(values) == len(valid) == 5 for values, valid in block.matrices.values())
         assert len(copies) == 4 and len(alive_at_scdmi50) == 5
         # the class's base image plus four mapped copies, of which the copies are recorded,
         # while the job runs, and no image once it has returned its rows
@@ -411,8 +414,8 @@ class TestBenchCommand:
             # rank job, run in a worker, finds the class missing from the train split
             real_assemble = cli_mod.assemble_features
 
-            def lonely(items):
-                features = real_assemble(items)
+            def lonely(blocks):
+                features = real_assemble(blocks)
                 features.labels[-1] = "class999"
                 return features
 
@@ -479,8 +482,8 @@ class TestBenchCommand:
         pooled = []
         real = cli_mod.assemble_features
 
-        def capturing(items):
-            features = real(items)
+        def capturing(blocks):
+            features = real(blocks)
             pooled.append(features)
             return features
 
@@ -692,3 +695,20 @@ class TestBenchCommand:
         assert out.split() == ["2", "0"]
         [line] = err.splitlines()
         assert line.startswith(message)
+
+    def test_bench_process_does_not_import_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma, about 0.5 MB of a fresh process's peak RSS; the bench takes its
+        # medians through bench._median, so a bench in a fresh process never loads it
+        script = (
+            "import sys\n"
+            "import scdmi.cli as cli\n"
+            "rc = cli.main(['bench', '--synthetic', '--classes', '2', '--transforms', '2', '--size', '24',"
+            " '--out', sys.argv[1]])\n"
+            "print(rc, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1].split() == ["0", "False"]

@@ -2,7 +2,11 @@
 typed ScdmiError, never a bare exception or a warning.
 
 Every test here turns every warning into an error, not only the numpy
-RuntimeWarnings that Tier-1 already fails on.
+RuntimeWarnings that Tier-1 already fails on. The one exception is the
+DeprecationWarning that hypothesis's own report hook raises on a failing
+example (mypy_extensions.TypedDict): as an error it would end the session
+with an INTERNALERROR, before the falsifying example and the other tests
+are reported. The filter must come after "error" to take precedence.
 """
 
 import numpy as np
@@ -13,9 +17,13 @@ from hypothesis import strategies as st
 from scdmi.engine import RasterImage
 from scdmi.errors import InvalidImage, InvalidTransform
 from scdmi.ppm import read_ppm
+from scdmi.synthetic import CHANNEL_HI, CHANNEL_LO, blob_image, disk_masked_image
 from scdmi.transforms import ColorAffine, ShapeAffine, sample_color_affine, sample_shape_affine
 
-pytestmark = pytest.mark.filterwarnings("error")
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+]
 
 # the one file each example writes and reads back; the fixture outlives the examples
 FUZZ_SETTINGS = settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -146,3 +154,54 @@ def test_sampler_arguments_include_usable_ones():
 
         call()
         assert any(maps), sample.__name__
+
+
+# generator arguments: small usable sizes and counts, and values that are not
+# non-negative integers; extents over every float, and values that are not real numbers
+JUNK = st.sampled_from(["8", b"8", None, 1j, [8], (), 8.5, np.float64(8.0), True, False, np.bool_(True)])
+SIZES = st.one_of(st.integers(-2, 12), st.integers(-2, 12), st.sampled_from([np.int64(5), np.uint8(3)]), JUNK)
+BLOB_COUNTS = st.one_of(st.integers(-2, 8), st.integers(-2, 8), st.sampled_from([np.int64(2)]), JUNK)
+EXTENTS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(),
+    st.integers(-2, 3),
+    st.sampled_from([2.0**1022, 2.0**1023, 1e200, 10**400, np.float64(0.3), np.float32(0.25)]),
+    JUNK,
+)
+GENERATOR_SEEDS = st.one_of(st.integers(0, 2**70), st.integers(0, 2**70), st.sampled_from([-1, 1.5, "1", None]))
+
+
+def _image_or_typed_error(make, seed, size, n_blobs, extent) -> bool:
+    """True where ``make`` returns a blob image in channel range, False where it raises InvalidImage."""
+    extent_name = "spread" if make is blob_image else "radius_frac"
+    try:
+        img = make(seed, size=size, n_blobs=n_blobs, **{extent_name: extent})
+    except InvalidImage:
+        return False
+    assert isinstance(img, RasterImage) and img.width == img.height == size
+    if make is blob_image:
+        assert img.mask.all()
+    slack = 1e-12
+    assert ((img.channels >= CHANNEL_LO - slack) & (img.channels <= CHANNEL_HI + slack)).all()
+    return True
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([blob_image, disk_masked_image]), GENERATOR_SEEDS, SIZES, BLOB_COUNTS, EXTENTS)
+def test_generators_on_arbitrary_arguments(make, seed, size, n_blobs, extent):
+    _image_or_typed_error(make, seed, size, n_blobs, extent)
+
+
+def test_generator_arguments_include_usable_ones():
+    # the draws do not stop at the argument checks: some calls of each generator return images
+    for make in (blob_image, disk_masked_image):
+        images = []
+
+        @settings(max_examples=300, database=None, derandomize=True)
+        @given(GENERATOR_SEEDS, SIZES, BLOB_COUNTS, EXTENTS)
+        def call(seed, size, n_blobs, extent):
+            images.append(_image_or_typed_error(make, seed, size, n_blobs, extent))
+
+        call()
+        assert any(images), make.__name__

@@ -523,6 +523,51 @@ class TestInputBounds:
         with pytest.raises(InvalidImage, match=match):
             make(bad)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"size": 8.5}, "size must be an integer"),
+            ({"size": "8"}, "size must be an integer"),
+            ({"size": True}, "size must be an integer"),
+            ({"size": None}, "size must be an integer"),
+            ({"n_blobs": 2.5}, "n_blobs must be an integer"),
+            ({"n_blobs": True}, "n_blobs must be an integer"),
+            ({"n_blobs": -1}, "n_blobs must be >= 0"),
+        ],
+        ids=["size-float", "size-string", "size-bool", "size-none", "blobs-float", "blobs-bool", "blobs-negative"],
+    )
+    @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
+    def test_non_integer_size_or_blob_count_is_typed(self, make, kwargs, match):
+        # a float, string or None raised a bare TypeError; n_blobs=-1 returned a flat image
+        with pytest.raises(InvalidImage, match=match):
+            make(0, **{"size": 8, **kwargs})
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda bad: blob_image(0, size=8, spread=bad), "spread"),
+            (lambda bad: disk_masked_image(0, size=8, radius_frac=bad), "radius_frac"),
+        ],
+        ids=["spread", "radius_frac"],
+    )
+    @pytest.mark.parametrize("bad", ["0.2", None, 1j, 2.0**1023, 10**400], ids=["string", "none", "complex", "2**1023", "10**400"])
+    def test_extent_that_is_not_a_real_in_range_is_typed(self, make, match, bad):
+        # a string or None raised a bare TypeError; a range past the float maximum, a bare OverflowError
+        with pytest.raises(InvalidImage, match=match):
+            make(bad)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1"])
+    def test_seed_that_default_rng_rejects_is_typed(self, seed):
+        with pytest.raises(InvalidImage, match="seed"):
+            blob_image(seed, size=4)
+
+    def test_integer_like_arguments_are_taken(self):
+        # numpy integers and reals are integers and reals; an extent at the bound still draws
+        ref = blob_image(2, size=6, n_blobs=3, spread=0.25)
+        got = blob_image(np.int64(2), size=np.int64(6), n_blobs=np.uint8(3), spread=np.float64(0.25))
+        assert np.array_equal(got.channels, ref.channels)
+        assert np.isfinite(blob_image(0, size=6, spread=2.0**1022).channels).all()
+
     @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
     def test_one_pixel_image(self, make):
         img = make(3, size=1)
