@@ -43,15 +43,6 @@ _BLOCK = 1 << 16
 _LEAF = 1 << 15
 
 
-def _row_bands(height: int, width: int) -> list[slice]:
-    """The bands of whole rows, top to bottom, in which the image layers
-    outside the engine (generators, warps, PPM output) walk a frame: at most
-    _BLOCK pixels each, or one row where a row is wider. A layer holds its
-    output plus one band's temporaries, never a second frame-sized array."""
-    step = max(1, _BLOCK // max(width, 1))
-    return [slice(lo, min(lo + step, height)) for lo in range(0, height, step)]
-
-
 def _sums(n: int, width: int, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """The ``width`` sums of n elements, ``leaf(lo, hi)`` giving those of lo..hi.
 

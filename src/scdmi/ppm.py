@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import RasterImage, _row_bands
+from .engine import RasterImage
 from .errors import InvalidImage
 
 
@@ -66,18 +66,11 @@ def read_ppm(path) -> RasterImage:
 
 def write_ppm(path, img: RasterImage) -> None:
     """Write ``img`` as a P6 file; raises InvalidImage, before the file is
-    opened, for a frame with no pixels or a non-finite channel value.
-
-    The channels are checked, and then clipped, quantized and written, one
-    band of rows at a time (engine._row_bands), so no frame-sized temporary
-    is formed; each value is quantized as a whole-frame pass quantizes it."""
+    opened, for a frame with no pixels or a non-finite channel value."""
     if img.width == 0 or img.height == 0:
         raise InvalidImage(f"{path}: a PPM needs at least one pixel, got {img.width}x{img.height}")
-    bands = _row_bands(img.height, img.width)
-    if not all(np.isfinite(img.channels[:, band]).all() for band in bands):
+    if not np.isfinite(img.channels).all():
         raise InvalidImage(f"{path}: a PPM needs finite channel values")
-    with Path(path).open("wb") as fh:
-        fh.write(f"P6\n{img.width} {img.height}\n255\n".encode("ascii"))
-        for band in bands:
-            quant = np.rint(np.clip(img.channels[:, band], 0.0, 1.0) * 255.0).astype(np.uint8)
-            fh.write(np.moveaxis(quant, 0, -1).tobytes())
+    quant = np.rint(np.clip(img.channels, 0.0, 1.0) * 255.0).astype(np.uint8)
+    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + np.moveaxis(quant, 0, -1).tobytes())

@@ -6,11 +6,9 @@ range. Smoothness keeps interpolation error low under warps, and random blob
 colors keep the three channels linearly independent so the quadratic color
 core stays well away from degeneracy.
 
-Both generators build coordinates from 1-D axes and fill their output one
-band of rows at a time (engine._row_bands, at most 2^16 pixels a band), so
-they hold the image plus one band's temporaries. Each pixel goes through the
-same IEEE operations as in a whole-frame build, so the images do not depend
-on the banding.
+Both generators build their coordinates from 1-D axes that broadcast over
+the frame, not from coordinate planes, and rescale in place; each pixel goes
+through the same IEEE operations as with coordinate planes.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numbers
 
 import numpy as np
 
-from .engine import RasterImage, _row_bands
+from .engine import RasterImage
 from .errors import InvalidImage
 
 
@@ -75,21 +73,16 @@ def _blob_planes(seed, size, n_blobs, spread) -> np.ndarray:
     except (TypeError, ValueError):
         raise InvalidImage(f"seed must be a non-negative integer, got {seed!r}") from None
     c = (size - 1) / 2.0
-    base = rng.uniform(0.2, 0.5, size=3)
+    planes = np.tile(rng.uniform(0.2, 0.5, size=3)[:, None, None], (1, size, size))
     axis = np.arange(size, dtype=np.float64)
-    blobs = []
     # a blob far past the frame overflows its squared distances to inf, which adds exp(-inf) = 0
     with np.errstate(over="ignore"):
         for _ in range(n_blobs):
             cx, cy = rng.uniform(-spread, spread, size=2) * size + c
             sigma = rng.uniform(0.06, 0.18) * size
+            bump = np.exp(-((axis[None, :] - cx) ** 2 + (axis[:, None] - cy) ** 2) / (2.0 * sigma**2))
             amp = rng.uniform(-0.5, 0.7, size=3)
-            blobs.append(((axis - cx) ** 2, (axis - cy) ** 2, 2.0 * sigma**2, amp[:, None, None]))
-        planes = np.empty((3, size, size))
-        planes[:] = base[:, None, None]
-        for band in _row_bands(size, size):
-            for dx2, dy2, denom, amp in blobs:
-                planes[:, band] += amp * np.exp(-(dx2[None, :] + dy2[band, None]) / denom)
+            planes += amp[:, None, None] * bump[None, :, :]
     # joint linear rescale, in place: a diagonal channel map, keeps channels independent
     pmin, pmax = float(planes.min()), float(planes.max())
     scale = (CHANNEL_HI - CHANNEL_LO) / max(pmax - pmin, 1e-9)
@@ -116,7 +109,5 @@ def disk_masked_image(seed: int, size: int = 256, radius_frac: float = 0.20, n_b
         limit = (radius_frac * size) ** 2
     except OverflowError:  # a radius past the float range holds every pixel
         limit = math.inf
-    mask = np.empty((size, size), dtype=bool)
-    for band in _row_bands(size, size):
-        mask[band] = sq[None, :] + sq[band, None] <= limit
+    mask = sq[None, :] + sq[:, None] <= limit
     return RasterImage(planes, mask)

@@ -10,11 +10,6 @@ leaves the rest 0.0, which is exactly what a whole-frame warp writes there.
 Channel maps act per pixel in unclamped real space, which makes them exact
 on the discrete data: no resampling path exists, so feature deviations under
 channel maps are pure floating-point noise.
-
-A warp forms its per-pixel arrays one band of output rows at a time
-(engine._row_bands, at most 2^16 pixels a band), and a channel map works in
-place on its output, so neither holds a second frame-sized array beside the
-image it returns.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RasterImage, _row_bands
+from .engine import RasterImage
 from .errors import InvalidTransform, Singular
 
 #: relative-deviation denominators never drop below this
@@ -122,9 +117,7 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     whose source point lies in the bounding box of the source mask. No other
     pixel can have all four taps masked, since the taps bracket the source
     point, and each footprint pixel goes through the same IEEE operations as
-    in a whole-frame warp, so the output is that warp's bit for bit. The box
-    is found once; source points, footprint, taps and weights are formed one
-    band of output rows at a time (engine._row_bands).
+    in a whole-frame warp, so the output is that warp's bit for bit.
     """
     w_in, h_in = img.width, img.height
     inv = _shape_inverse(t.matrix)
@@ -134,37 +127,18 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     if rows.size == 0:
         return RasterImage(channels.reshape(3, h_in, w_in), out_mask.reshape(h_in, w_in))
     cols = np.flatnonzero(img.mask.any(axis=0))
-    box = (cols[0], cols[-1], rows[0], rows[-1])
+
     gx = np.arange(w_in, dtype=np.float64)[None, :] - t.offset[0]
     gy = np.arange(h_in, dtype=np.float64)[:, None] - t.offset[1]
-    for band in _row_bands(h_in, w_in):
-        kept, out = _warp_band(img, inv, gx, gy[band], box)
-        kept += band.start * w_in
-        channels[:, kept] = out
-        out_mask[kept] = True
-    return RasterImage(channels.reshape(3, h_in, w_in), out_mask.reshape(h_in, w_in))
-
-
-def _warp_band(
-    img: RasterImage, inv: np.ndarray, gx: np.ndarray, gy: np.ndarray, box: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """The output pixels of one band of rows whose four taps are masked, as
-    flat indices within the band, and their (3, n) interpolated values.
-
-    ``gx`` and ``gy`` are the output columns and the band's rows less the
-    map's offset, and ``box`` is the source mask's bounding box (x_lo, x_hi,
-    y_lo, y_hi). Every array formed here dies when the band returns.
-    """
-    x_lo, x_hi, y_lo, y_hi = box
     with np.errstate(over="ignore", invalid="ignore"):
         sx = inv[0, 0] * gx + inv[0, 1] * gy
         sy = inv[1, 0] * gx + inv[1, 1] * gy
         # an inf or nan source coordinate (a huge offset) is never in the box
-        reach = np.flatnonzero((sx >= x_lo) & (sx <= x_hi) & (sy >= y_lo) & (sy <= y_hi))
+        reach = np.flatnonzero((sx >= cols[0]) & (sx <= cols[-1]) & (sy >= rows[0]) & (sy <= rows[-1]))
     sx = sx.ravel().take(reach)
     sy = sy.ravel().take(reach)
 
-    # inside the box every tap is in the frame: x1 <= ceil(sx) <= x_hi
+    # inside the box every tap is in the frame: x1 <= ceil(sx) <= cols[-1]
     x0f = np.floor(sx)
     y0f = np.floor(sy)
     fx = sx - x0f
@@ -175,7 +149,6 @@ def _warp_band(
     y1 = y0 + (fy > 0)
 
     # one flat index y * W + x per tap serves the mask and all three planes
-    w_in = img.width
     taps = [y * w_in + x for y in (y0, y1) for x in (x0, x1)]
     flat_mask = img.mask.ravel()
     keep = flat_mask.take(taps[0])
@@ -194,15 +167,19 @@ def _warp_band(
     out = w00 * planes.take(taps[0], axis=1)
     for weight, tap in zip((w01, w10, w11), taps[1:]):
         out += weight * planes.take(tap, axis=1)
-    return reach[keep], out
+    kept = reach[keep]
+    channels[:, kept] = out
+    out_mask[kept] = True
+    return RasterImage(channels.reshape(3, h_in, w_in), out_mask.reshape(h_in, w_in))
 
 
 def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) -> RasterImage:
     """Per-pixel channel map in real space; clamps to [0, 1] only on request.
 
     The offset is added, and the clamp applied, in place on the einsum's
-    output, so the map holds no second frame-sized array. The einsum itself
-    stays whole-frame: its rounding depends on the operand layout."""
+    output, so the map holds no second image-sized array. The einsum stays
+    one call over the whole frame: its rounding depends on the operand
+    layout."""
     out = np.einsum("ij,jhw->ihw", t.matrix, img.channels)
     out += t.offset[:, None, None]
     if clamp:
