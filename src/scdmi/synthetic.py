@@ -47,7 +47,8 @@ def _extent(value, what: str) -> float:
         except OverflowError:
             extent = math.inf
         if 0.0 <= extent <= MAX_EXTENT:
-            return extent
+            # -0.0 as 0.0: numpy's uniform(-spread, spread) rejects the range (0.0, -0.0)
+            return abs(extent)
     raise InvalidImage(f"{what} must be a real number in [0, 2**1022], got {value!r}")
 
 

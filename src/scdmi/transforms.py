@@ -188,9 +188,12 @@ def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) ->
 
 
 def upsample_nearest(img: RasterImage, factor: int = 2) -> RasterImage:
-    """Pixel replication: an exact affine map of the sample grid."""
+    """Pixel replication: an exact affine map of the sample grid. Raises
+    InvalidTransform unless ``factor`` is an integer, not a bool, of at least 1."""
+    if isinstance(factor, bool) or not isinstance(factor, numbers.Integral):
+        raise InvalidTransform(f"factor must be an integer, got {factor!r}")
     if factor < 1:
-        raise InvalidTransform("factor must be >= 1")
+        raise InvalidTransform(f"factor must be >= 1, got {factor}")
     channels = img.channels.repeat(factor, axis=1).repeat(factor, axis=2)
     return RasterImage(channels, img.mask.repeat(factor, axis=0).repeat(factor, axis=1))
 

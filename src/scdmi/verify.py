@@ -156,14 +156,13 @@ def scaling_suite(seed: int = 0) -> list[VerifyRow]:
                 passed=bool(ok_small and ok_big and dev <= SCALING_TOL),
             )
         )
-        # rejected reading: replace width by n + N in the area exponent
+        # rejected reading: replace width by n + N in the area exponent; n + N - width
+        # is at least 3 on every catalogue row, so every instance has its control row
         src = spec.source
         e_bad = (
             Fraction(src.shape_point_count + src.color_point_count + src.shape_degree)
             - Fraction(3 * src.color_degree, 2)
         )
-        if e_bad == spec.area_exponent:
-            continue
         shift = float(spec.area_exponent - e_bad)
         b_small = v_small * n_small**shift
         b_big = v_big * n_big**shift

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,11 @@ class TestVerifyCommand:
         lines = (out / "verify.csv").read_text().strip().split("\n")
         assert lines[0] == "suite,id,k,deviation,threshold,status"
         assert all(",pass" in line for line in lines[1:])
+        suites = Counter(line.split(",")[0] for line in lines[1:])
+        assert suites == {"oracle": 250, "color_exactness": 20, "scaling": 25, "scaling_negative_control": 25, "degeneracy": 2}
+        # the rejected exponent differs from the accepted one on every row: each instance has its control
+        control = [line.split(",")[1] for line in lines[1:] if line.startswith("scaling_negative_control,")]
+        assert control == [f"inst{spec.id}" for spec in catalogue_specs()]
 
     @pytest.mark.parametrize("flag", ["--tol-shape", "--tol-color"])
     def test_gates_cannot_be_loosened(self, tmp_path, flag):
@@ -293,31 +299,37 @@ def _invariance_csv(features):
 
 class TestBenchCommand:
     def test_synthetic_outputs_and_determinism(self, tmp_path, monkeypatch):
-        args = ["bench", "--synthetic", "--classes", "3", "--transforms", "4",
-                "--size", "48", "--seed", "5"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a)]) == 0
-        # the second run on a pool of one worker: the outputs do not depend on the pool's size
-        monkeypatch.setattr(cli_mod, "_cpu_count", lambda: 1)
-        assert main(args + ["--out", str(b)]) == 0
-        acc_text = (a / "accuracy.csv").read_text()
-        acc_lines = acc_text.strip().split("\n")
-        assert acc_lines[0] == "descriptor,accuracy"
-        assert len(acc_lines) == 8
-        # round-trip float formatting, no numpy repr leakage
-        assert "np." not in acc_text
-        for line in acc_lines[1:]:
-            value = line.split(",")[1]
-            assert repr(float(value)) == value
-        assert (a / "accuracy.csv").read_bytes() == (b / "accuracy.csv").read_bytes()
-        assert (a / "pr_curves.csv").read_bytes() == (b / "pr_curves.csv").read_bytes()
-        assert (a / "invariance.csv").read_bytes() == (b / "invariance.csv").read_bytes()
-        pr_lines = (a / "pr_curves.csv").read_text().strip().split("\n")
-        assert len(pr_lines) == 1 + 7 * 11
-        assert (a / "dataset_manifest.csv").read_bytes() == (b / "dataset_manifest.csv").read_bytes()
-        ppms = sorted(path.name for path in (a / "dataset").iterdir())
-        assert len(ppms) == 3 * 5 and ppms == sorted(path.name for path in (b / "dataset").iterdir())
-        assert all((a / "dataset" / n).read_bytes() == (b / "dataset" / n).read_bytes() for n in ppms)
+        # each layout's synthetic run, and the manifest re-run of its export, on the default
+        # pool and on a pool of one worker: the outputs do not depend on the pool's size
+        reports = ["accuracy.csv", "pr_curves.csv", "invariance.csv"]
+        for protocol, transforms, n_items in (("classification", 4, 3 * 5), ("retrieval", 2, 3 * 10)):
+            args = ["bench", "--synthetic", "--protocol", protocol, "--classes", "3",
+                    "--transforms", str(transforms), "--size", "48", "--seed", "5"]
+            a, b = tmp_path / protocol / "pool", tmp_path / protocol / "one"
+            for out in (a, b):
+                with monkeypatch.context() as m:
+                    if out is b:
+                        m.setattr(cli_mod, "_cpu_count", lambda: 1)
+                    assert main(args + ["--out", str(out)]) == 0
+                    assert main(["bench", str(a / "dataset_manifest.csv"), "--out", str(out / "manifest")]) == 0
+            acc_text = (a / "accuracy.csv").read_text()
+            acc_lines = acc_text.strip().split("\n")
+            assert acc_lines[0] == "descriptor,accuracy"
+            assert len(acc_lines) == 8
+            # round-trip float formatting, no numpy repr leakage
+            assert "np." not in acc_text
+            for line in acc_lines[1:]:
+                value = line.split(",")[1]
+                assert repr(float(value)) == value
+            pr_lines = (a / "pr_curves.csv").read_text().strip().split("\n")
+            assert len(pr_lines) == 1 + 7 * 11
+            for name in reports + ["dataset_manifest.csv"]:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (protocol, name)
+            for name in reports:
+                assert (a / "manifest" / name).read_bytes() == (b / "manifest" / name).read_bytes(), (protocol, name)
+            ppms = sorted(path.name for path in (a / "dataset").iterdir())
+            assert len(ppms) == n_items and ppms == sorted(path.name for path in (b / "dataset").iterdir())
+            assert all((a / "dataset" / n).read_bytes() == (b / "dataset" / n).read_bytes() for n in ppms)
 
     def test_class_job_holds_one_class_of_images(self, tmp_path, monkeypatch):
         # RasterImage is an unhashable dataclass: a list of weak references, not a WeakSet

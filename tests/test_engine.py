@@ -1,12 +1,9 @@
 import gc
 import math
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -730,6 +727,23 @@ class TestCompiledCatalogue:
         if case.endswith("two-blocks") or case == "red-1e110":
             assert not fv.valid.any()
 
+    def test_sum_that_overflows_from_finite_terms_gives_invalid_entries(self):
+        # a real k=1 vector times 2^236: every expanded term is finite, but one
+        # range's exactly rounded sum passes the float maximum and fsum raises
+        moments = np.ldexp(moment_tables(blob_image(0, size=24))[1], 236)
+        prog = compiled_catalogue()
+        factors = np.append(moments, 1.0)[prog.factors]
+        terms = prog.coefficients * factors[0]
+        for row in factors[1:]:
+            terms = terms * row
+        assert np.isfinite(terms).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = core_sums(moments)
+            values, valid = evaluate_table(moments)
+        assert sums.shape == (26,) and np.isnan(sums).all()
+        assert valid.shape == (25,) and not valid.any() and not values.any()
+
 
 # ---------------------------------------------------------------------------
 # full affine invariance, exactly, on the point set
@@ -782,50 +796,28 @@ def test_point_set_full_affine_invariance(seed, k):
     assert relative_deviation(ref, off)[ok].min() > 1.0
 
 
-_THREADS_SCRIPT = """
-from scdmi import scdmi50
-from scdmi.synthetic import blob_image, disk_masked_image
-for img in (disk_masked_image(13, size=128, radius_frac=0.26), blob_image(11, size=272)):
-    fv = scdmi50(img)
-    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())
-"""
-
-
-@pytest.mark.skipif(
+_OPENBLAS = pytest.mark.skipif(
     np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].find("openblas") < 0,
     reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
 )
-def test_features_do_not_depend_on_blas_threads():
+
+
+@_OPENBLAS
+def test_features_do_not_depend_on_blas_threads(parallelism_probe):
     # nothing in scdmi50 may depend on how many threads numpy's BLAS runs: a
-    # 128 px disk and a 272 px frame of more than 2^16 pixels, each in a
-    # fresh process per thread count
-    src = str(Path(engine.__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
-        runs.append(proc.stdout.splitlines())
-    assert len(runs[0]) == 2 and runs[0] == runs[1]
+    # 128 px disk, and a 272 px frame and a 512 px disk of more than 2^16
+    # pixels, each in the probe's fresh process per thread count
+    runs = [parallelism_probe("all", threads)["frames"] for threads in ("1", "2")]
+    assert len(runs[0]) == 3 and runs[0] == runs[1]
 
 
-@pytest.mark.skipif(
-    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].find("openblas") < 0,
-    reason="only OpenBLAS reads OPENBLAS_NUM_THREADS, so both runs would share one configuration",
-)
-def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+@_OPENBLAS
+def test_verify_report_does_not_depend_on_blas_threads(parallelism_probe):
     # the oracle runs its matrix-shaped contraction steps as np.matmul, a
-    # BLAS product, and the rest in numpy's C einsum loop: scdmi verify writes
-    # the same report byte for byte whatever the number of BLAS threads, each
-    # thread count in a fresh process
-    src = str(Path(engine.__file__).resolve().parents[1])
-    reports = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        out = tmp_path / f"threads{threads}"
-        cmd = [sys.executable, "-m", "scdmi.cli", "verify", "--seed", "3", "--out", str(out)]
-        subprocess.run(cmd, env=env, capture_output=True, check=True)
-        reports.append((out / "verify.csv").read_bytes())
-    assert reports[0] == reports[1]
+    # BLAS product, and the rest in numpy's C einsum loop: verify writes the
+    # same report at seed 3 byte for byte whatever the number of BLAS threads
+    reports = [parallelism_probe("all", threads)["verify"] for threads in ("1", "2")]
+    assert len(reports[0]) == 323 and reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
@@ -881,20 +873,6 @@ def test_k1_error_propagates_with_its_type(monkeypatch):
         assert threading.active_count() == threads
 
 
-def test_import_loads_no_thread_pool():
-    # concurrent.futures (and the logging it pulls in) is imported on the
-    # first threaded moment_tables call, and multiprocessing by the first
-    # bench pool, not by ``import scdmi`` or ``import scdmi.cli``
-    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).resolve().parents[1])}
-    for module in ("scdmi", "scdmi.cli"):
-        script = (
-            f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]", module
-
-
 def test_large_mask_that_erosion_empties():
     # 4-pixel stripes, 4 apart: more than a leaf of pixels, none of them
     # with the stencil's whole cross on the mask
@@ -906,38 +884,6 @@ def test_large_mask_that_erosion_empties():
     assert fv.valid[:25].all() and not fv.valid[25:].any()
     values, _ = evaluate_table(moment_vector(centred_values(img, 0)))
     assert np.array_equal(fv.values[:25].view(np.int64), values.view(np.int64))
-
-
-_AFFINITY_SCRIPT = """
-import os, sys
-from scdmi import engine, scdmi50
-from scdmi.synthetic import blob_image, disk_masked_image
-if sys.argv[1] == "one":
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-print(engine._cpu_count() > 1)
-for img in (blob_image(11, size=272), disk_masked_image(16, size=512, radius_frac=0.45)):
-    fv = scdmi50(img)
-    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())
-"""
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="needs a process that may run on more than one CPU and can be pinned to one",
-)
-def test_features_do_not_depend_on_cpu_count():
-    # a fresh process pinned to one CPU runs the passes one after the other,
-    # one free to use every CPU runs them side by side: the same bytes
-    src = str(Path(engine.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    runs = {}
-    for cpus in ("one", "all"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _AFFINITY_SCRIPT, cpus], env=env, capture_output=True, text=True, check=True
-        )
-        runs[cpus] = proc.stdout.splitlines()
-    assert runs["one"][0] == "False" and runs["all"][0] == "True"
-    assert len(runs["one"]) == 3 and runs["one"][1:] == runs["all"][1:]
 
 
 # ---------------------------------------------------------------------------

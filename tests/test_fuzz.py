@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from scdmi.engine import RasterImage
-from scdmi.errors import InvalidImage, InvalidTransform
+from scdmi.bench import baseline_rows, descriptor_rows
+from scdmi.engine import RasterImage, scdmi50
+from scdmi.errors import InvalidImage, InvalidTransform, ScdmiError
+from scdmi.oracle import brute_force_features
 from scdmi.ppm import read_ppm
 from scdmi.synthetic import CHANNEL_HI, CHANNEL_LO, blob_image, disk_masked_image
-from scdmi.transforms import ColorAffine, ShapeAffine, sample_color_affine, sample_shape_affine
+from scdmi.transforms import ColorAffine, ShapeAffine, sample_color_affine, sample_shape_affine, upsample_nearest
 
 pytestmark = [
     pytest.mark.filterwarnings("error"),
@@ -205,3 +208,100 @@ def test_generator_arguments_include_usable_ones():
 
         call()
         assert any(images), make.__name__
+
+
+# small images: sides 1 to 8 under a random mask, with channel entries in [0, 1]
+# or anywhere in the float range and at its edges
+UNIT = st.floats(0.0, 1.0)
+EDGES = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324, 2.0**-1022, -0.0])
+ENTRIES = st.one_of(UNIT, UNIT, EDGES, st.floats())
+
+
+@st.composite
+def small_images(draw, max_domain: int = 64) -> RasterImage:
+    """A RasterImage of sides 1 to 8 whose entries are all in [0, 1] in one
+    draw of two, and otherwise drawn from ENTRIES, under a full or random mask
+    that keeps at most ``max_domain`` pixels, the first in raster order."""
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    channels = draw(arrays(np.float64, (3, h, w), elements=draw(st.sampled_from([UNIT, ENTRIES]))))
+    mask = draw(st.one_of(st.just(np.ones((h, w), dtype=bool)), arrays(np.bool_, (h, w))))
+    mask.flat[np.flatnonzero(mask)[max_domain:]] = False
+    return RasterImage(channels, mask)
+
+
+def _typed(call, *args):
+    """``call(*args)``, or None where it raises a ScdmiError."""
+    try:
+        return call(*args)
+    except ScdmiError:
+        return None
+
+
+def _finite_where_valid(values, valid) -> bool:
+    """Whether any entry is valid; asserts that no valid entry is non-finite."""
+    assert values.shape == valid.shape and valid.dtype == bool
+    assert np.isfinite(values[valid]).all()
+    return bool(valid.any())
+
+
+@settings(max_examples=100)
+@given(
+    arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=8), elements=ENTRIES),
+    st.one_of(st.none(), arrays(st.sampled_from([np.bool_, np.int8, np.float64]), array_shapes(max_dims=3, max_side=8))),
+)
+def test_raster_image_on_arbitrary_arrays(channels, mask):
+    for make, array in ((RasterImage, channels), (RasterImage.from_array, np.moveaxis(channels, 0, -1))):
+        img = _typed(make, array, mask)
+        if img is not None:
+            assert img.channels.dtype == np.float64 and img.channels.flags.c_contiguous
+            assert img.channels.shape == (3, img.height, img.width) and img.mask.shape == (img.height, img.width)
+            assert img.mask.dtype == bool
+
+
+def _features(img) -> bool:
+    """scdmi50, descriptor_rows and baseline_rows of ``img``, each returning or
+    raising a ScdmiError; whether scdmi50 gives a valid entry."""
+    fv = _typed(scdmi50, img)
+    rows = _typed(descriptor_rows, img)
+    for row in (_typed(baseline_rows, img) or {}).values():
+        assert row.dtype == np.float64
+    for values, valid in (rows or {}).values():
+        _finite_where_valid(values, valid)
+    return fv is not None and _finite_where_valid(fv.values, fv.valid)
+
+
+@settings(max_examples=100)
+@given(small_images())
+def test_features_on_arbitrary_small_images(img):
+    _features(img)
+
+
+@settings(max_examples=60)
+@given(small_images(max_domain=30))
+def test_oracle_on_arbitrary_small_domains(img):
+    fv = _typed(brute_force_features, img)
+    if fv is not None:
+        _finite_where_valid(fv.values, fv.valid)
+
+
+@settings(max_examples=100)
+@given(small_images(), st.one_of(st.integers(-2, 3), st.sampled_from([np.int64(2), np.uint8(1)]), JUNK))
+def test_upsample_on_arbitrary_images_and_factors(img, factor):
+    big = _typed(upsample_nearest, img, factor)
+    if big is not None:
+        assert (big.height, big.width) == (factor * img.height, factor * img.width)
+        assert np.array_equal(big.channels[:, ::factor, ::factor], img.channels, equal_nan=True)
+        assert np.array_equal(big.mask[factor - 1 :: factor, factor - 1 :: factor], img.mask)
+
+
+def test_small_images_include_valid_features():
+    # the draws do not stop at the checks: some images give valid scdmi50 entries
+    found = []
+
+    @settings(max_examples=50, database=None, derandomize=True)
+    @given(small_images())
+    def call(img):
+        found.append(_features(img))
+
+    call()
+    assert any(found)

@@ -360,23 +360,11 @@ class TestBlasProducts:
         brute_force_features(random_image(15))
         assert read and not any(operand.flags.owndata for operand in read)
 
-    def test_features_do_not_depend_on_blas_threads(self):
-        # the same bits from one BLAS thread and from two
-        script = (
-            "import numpy as np\n"
-            "import scdmi\n"
-            "for seed in range(4):\n"
-            "    rgb = np.random.default_rng(seed).uniform(size=(6, 6, 3))\n"
-            "    fv = scdmi.brute_force_features(scdmi.RasterImage.from_array(rgb))\n"
-            "    print(fv.values.tobytes().hex(), fv.valid.tobytes().hex())\n"
-        )
-        src = str(Path(oracle_mod.__file__).resolve().parents[1])
-        outputs = [
-            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                           env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}).stdout
-            for threads in ("1", "2")
-        ]
-        assert len(outputs[0].split()) == 8
+    def test_features_do_not_depend_on_blas_threads(self, parallelism_probe):
+        # the same bits from one BLAS thread and from two: the four 6x6 images
+        # of seeds 0-3 and the 57-pixel domain, in the probe's fresh processes
+        outputs = [parallelism_probe("all", threads)["oracle"] for threads in ("1", "2")]
+        assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
 

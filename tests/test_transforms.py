@@ -568,6 +568,12 @@ class TestInputBounds:
         assert np.array_equal(got.channels, ref.channels)
         assert np.isfinite(blob_image(0, size=6, spread=2.0**1022).channels).all()
 
+    def test_negative_zero_extent_is_zero(self):
+        # numpy's uniform(0.0, -0.0) raised a bare ValueError: "high - low < 0"
+        for make, name in ((blob_image, "spread"), (disk_masked_image, "radius_frac")):
+            got, ref = make(0, size=6, n_blobs=2, **{name: -0.0}), make(0, size=6, n_blobs=2, **{name: 0.0})
+            assert np.array_equal(got.channels, ref.channels) and np.array_equal(got.mask, ref.mask)
+
     @pytest.mark.parametrize("make", [blob_image, disk_masked_image])
     def test_one_pixel_image(self, make):
         img = make(3, size=1)
@@ -575,9 +581,15 @@ class TestInputBounds:
 
     @pytest.mark.parametrize("factor", [0, -2])
     def test_upsample_factor_below_one_is_typed(self, factor):
-        with pytest.raises(InvalidTransform, match="factor") as info:
+        with pytest.raises(InvalidTransform, match="factor must be >= 1") as info:
             upsample_nearest(random_image(0, 4, 4), factor)
         assert isinstance(info.value, ScdmiError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("factor", ["2", None, 2.5, 2.0, True, np.float64(2.0)], ids=["string", "none", "2.5", "2.0", "bool", "float64"])
+    def test_upsample_factor_that_is_not_an_integer_is_typed(self, factor):
+        # a string or None raised a bare TypeError, and 2.5 was taken silently
+        with pytest.raises(InvalidTransform, match="factor must be an integer"):
+            upsample_nearest(random_image(0, 4, 4), factor)
 
 
 class TestInvarianceReport:
