@@ -22,18 +22,22 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import MomentIndex, denominator_polynomial, catalogue_specs
+# core_sums and compiled_catalogue stay importable from here, beside the evaluation that reads them
+from .compiled import compiled_catalogue, core_sum_rows, core_sums  # noqa: F401
 from .errors import EmptyDomain, InvalidImage
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
+
+#: the normal float range, outside which a normaliser makes an entry invalid
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 #: elements per block: numpy sums each block pairwise, math.fsum merges the blocks
 _BLOCK = 1 << 16
@@ -408,10 +412,6 @@ def moment_tables(img: RasterImage) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # invariant evaluation
 
-#: the three channels' centred sums of squares, which set the degeneracy floor
-_SQUARES = (MomentIndex(0, 0, 2, 0, 0), MomentIndex(0, 0, 0, 2, 0), MomentIndex(0, 0, 0, 0, 2))
-
-
 def degeneracy_floor(m00: float, squares: Sequence[float]) -> float:
     """Threshold below which the quadratic color core is treated as zero.
 
@@ -429,85 +429,30 @@ def degeneracy_floor(m00: float, squares: Sequence[float]) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class CompiledCatalogue:
-    """The 25 shared numerators and the quadratic core as one term array.
-
-    Term t is ``coefficients[t] * v[factors[0, t]] * ... * v[factors[-1, t]]``,
-    multiplied left to right, where v holds a moment vector (``indices``
-    order, m00 first) followed by 1.0; the 1.0 slot pads shorter terms, so
-    the padding products are exact. ``bounds[i]:bounds[i+1]`` are the terms
-    of numerator i for i < 25, and the last range is the quadratic core.
-    ``squares`` are the slots of the three channels' sums of squares.
-    ``products[i]`` is moment i + 1 as (p, q, ((channel, e), ...)): its x
-    and y exponents and its non-zero channel powers, channels counted from
-    red, in channel order; _walk forms the product vectors from them.
-    """
-
-    indices: tuple[MomentIndex, ...]
-    factors: np.ndarray
-    coefficients: np.ndarray
-    bounds: tuple[int, ...]
-    area_exponents: tuple[float, ...]
-    denom_exponents: tuple[float, ...]
-    squares: tuple[int, ...]
-    products: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-
-
-@lru_cache(maxsize=1)
-def compiled_catalogue() -> CompiledCatalogue:
-    """Compile the catalogue once; both k share it, as they share numerators.
-
-    The moments are m00, the pixel count, then exactly the indices that some
-    term reads, in sorted order.
-    """
-    shared = catalogue_specs()
-    polys = [spec.numerator for spec in shared] + [denominator_polynomial()]
-    terms = [t for poly in polys for t in poly.terms]
-    indices = (MomentIndex(0, 0, 0, 0, 0), *sorted({f for t in terms for f in t.factors}))
-    slot = {idx: i for i, idx in enumerate(indices)}
-    one = len(indices)
-    width = max(len(t.factors) for t in terms)
-    factors = np.full((width, len(terms)), one, dtype=np.intp)
-    for col, term in enumerate(terms):
-        factors[: len(term.factors), col] = [slot[f] for f in term.factors]
-    bounds = np.cumsum([0] + [len(poly) for poly in polys])
-
-    return CompiledCatalogue(
-        indices=indices,
-        factors=factors,
-        coefficients=np.array([float(t.coefficient) for t in terms]),
-        bounds=tuple(int(b) for b in bounds),
-        area_exponents=tuple(float(s.area_exponent) for s in shared),
-        denom_exponents=tuple(float(s.denom_exponent) for s in shared),
-        squares=tuple(slot[sq] for sq in _SQUARES),
-        products=tuple((idx.p, idx.q, tuple((c, e) for c, e in enumerate(idx[2:]) if e)) for idx in indices[1:]),
-    )
-
-
-def core_sums(moments: np.ndarray) -> np.ndarray:
-    """The 25 numerator sums and the quadratic core D2 of one moment vector.
-
-    Every term is rounded in one fixed order, the coefficient times the
-    factors in sorted order, and each range is summed exactly rounded by
-    fsum, whose result does not depend on the order of the terms. All 26
-    sums are nan when a term is non-finite or a sum overflows.
-    """
+def _evaluate(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The 25 invariants of each of one or two moment vectors, laid end to end, and their validity."""
     prog = compiled_catalogue()
-    v = np.append(moments, 1.0)
-    factors = v[prog.factors]
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = prog.coefficients * factors[0]
-        for row in factors[1:]:
-            terms *= row
-    b = prog.bounds
-    if np.isfinite(terms).all():
-        flat = memoryview(terms)
-        try:
-            return np.array([math.fsum(flat[b[i] : b[i + 1]]) for i in range(len(b) - 1)])
-        except OverflowError:
-            pass
-    return np.full(len(b) - 1, np.nan)
+    values, valid = [0.0] * (25 * len(tables)), [False] * (25 * len(tables))
+    for base, moments, sums in zip(range(0, len(values), 25), tables, core_sum_rows(tables)):
+        *nums, d2 = sums.tolist()
+        m00 = float(moments[0])
+        # a row of core sums is all finite or all nan, and nan passes no floor
+        if not (d2 > degeneracy_floor(m00, moments[list(prog.squares)].tolist())):
+            continue
+        for i, (num, e, d) in enumerate(zip(nums, prog.area_exponents, prog.denom_exponents), base):
+            # Python's float power, not np.power, whose libm may round differently;
+            # a power or their product outside the normal float range, or a
+            # quotient past it, makes the entry invalid instead of raising
+            try:
+                area, core = m00**e, d2**d
+            except OverflowError:
+                continue
+            denominator = area * core
+            if _TINY <= area and _TINY <= core and _TINY <= denominator <= _HUGE:
+                value = num / denominator
+                if abs(value) <= _HUGE:
+                    values[i], valid[i] = value, True
+    return np.array(values), np.array(valid)
 
 
 def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,19 +460,16 @@ def evaluate_table(moments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     D2 and the degeneracy floor are evaluated once. A vector whose core
     sums are not all finite, or whose D2 falls under the floor, as it does
-    whenever m00 is not positive, gives 25 invalid entries.
+    whenever m00 is not positive, gives 25 invalid entries. An entry is also
+    invalid where m00**e, D2**d or their product leaves the normal float
+    range, or where the quotient overflows. Raises InvalidImage unless
+    ``moments`` is one 1-D vector of ``len(compiled_catalogue().indices)``
+    real entries.
     """
-    prog = compiled_catalogue()
-    invalid = np.zeros(25), np.zeros(25, dtype=bool)
-    m00 = float(moments[0])
-    sums = core_sums(moments)
-    if not np.isfinite(sums).all():
-        return invalid
-    *nums, d2 = sums.tolist()
-    if not (d2 > degeneracy_floor(m00, moments[list(prog.squares)].tolist())):
-        return invalid
-    values = [num / (m00**e * d2**d) for num, e, d in zip(nums, prog.area_exponents, prog.denom_exponents)]
-    return np.array(values), np.ones(25, dtype=bool)
+    moments = _real_array(moments, "a moment vector").astype(np.float64, copy=False)
+    if moments.shape != (len(compiled_catalogue().indices),):
+        raise InvalidImage(f"a moment vector must be one 1-D array of {len(compiled_catalogue().indices)} entries")
+    return _evaluate([moments])
 
 
 def scdmi50(img: RasterImage) -> FeatureVector:
@@ -541,5 +483,4 @@ def scdmi50(img: RasterImage) -> FeatureVector:
     the same with one CPU or more. Raises EmptyDomain when the mask has no
     pixels.
     """
-    values, valid = zip(*(evaluate_table(moments) for moments in moment_tables(img)))
-    return FeatureVector(np.concatenate(values), np.concatenate(valid))
+    return FeatureVector(*_evaluate(moment_tables(img)))

@@ -14,6 +14,7 @@ import pytest
 
 import scdmi.bench as bench_mod
 from scdmi.bench import RECALL_LEVELS, retrieval_class
+import scdmi.compiled as compiled_mod
 import scdmi.engine as engine_mod
 import scdmi.verify as verify_mod
 from scdmi.algebra import MomentPolynomial, MonomialTerm, catalogue_specs
@@ -249,13 +250,13 @@ class TestVerifyCommand:
                 )
                 spec = dataclasses.replace(spec, numerator=corrupted)
             specs.append(spec)
-        monkeypatch.setattr(engine_mod, "catalogue_specs", lambda: tuple(specs))
-        engine_mod.compiled_catalogue.cache_clear()
+        monkeypatch.setattr(compiled_mod, "catalogue_specs", lambda: tuple(specs))
+        compiled_mod.compiled_catalogue.cache_clear()
         try:
             rows = verify_mod.oracle_suite(seed=0, n_images=1)
         finally:
             monkeypatch.undo()
-            engine_mod.compiled_catalogue.cache_clear()
+            compiled_mod.compiled_catalogue.cache_clear()
         failing = {(r.id, r.k) for r in rows if not r.passed}
         assert failing == {(f"img0_inst{target_id}", 0), (f"img0_inst{target_id}", 1)}
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scdmi import engine
+from scdmi import compiled, engine
 from scdmi.algebra import MomentIndex, MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.engine import (
     RasterImage,
@@ -680,9 +681,9 @@ class TestCompiledCatalogue:
         # times r squared, a channel power after a channel, a later p that
         # needs more y powers than the p before it, and a jump of two in p at
         # an unchanged q
-        honest = engine.denominator_polynomial()
+        honest = compiled.denominator_polynomial()
         padded = MomentPolynomial(honest.terms + tuple(MonomialTerm(1, (idx,)) for idx in extra))
-        monkeypatch.setattr(engine, "denominator_polynomial", lambda: padded)
+        monkeypatch.setattr(compiled, "denominator_polynomial", lambda: padded)
         compiled_catalogue.cache_clear()
         try:
             assert set(extra) <= set(compiled_catalogue().indices)
@@ -743,6 +744,253 @@ class TestCompiledCatalogue:
             values, valid = evaluate_table(moments)
         assert sums.shape == (26,) and np.isnan(sums).all()
         assert valid.shape == (25,) and not valid.any() and not values.any()
+
+
+# ---------------------------------------------------------------------------
+# exactly rounded core sums: one vectorised pass equals math.fsum range by range
+
+
+def _runs(lengths):
+    """The starts, lengths and scales 2^M (M least with 2^M >= n + 2) of runs laid end to end."""
+    lengths = np.array(lengths, dtype=np.intp)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.intp)
+    return starts, lengths, np.array([2.0 ** (int(n) + 1).bit_length() for n in lengths])
+
+
+def _fsum_runs(terms, lengths):
+    """math.fsum of each run, nan where fsum raises."""
+    sums, lo = [], 0
+    for n in lengths:
+        try:
+            sums.append(math.fsum(terms[lo : lo + n]))
+        except OverflowError:
+            sums.append(math.nan)
+        lo += n
+    return np.array(sums)
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, every nan counting as one value."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(
+        a[~np.isnan(a)].view(np.int64), b[~np.isnan(b)].view(np.int64)
+    )
+
+
+def _kernel(terms, lengths):
+    return compiled._exact_sums(np.array(terms, dtype=np.float64), *_runs(lengths))
+
+
+class _CountingMath:
+    """The math module, counting the calls of math.fsum."""
+
+    def __init__(self):
+        self.fsum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        self.fsum_calls += 1
+        return math.fsum(values)
+
+
+@st.composite
+def term_runs(draw):
+    """One to three runs of 1 to 400 finite terms (the catalogue's longest run
+    holds 372): magnitudes from subnormal up to 2^1015 over a span of 0 to all
+    2,089 binades, of mixed signs or all of one sign, with exact x, -x pairs
+    and signed zeros mixed in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 400))
+        top = draw(st.integers(-1073, 1015))
+        span = draw(st.sampled_from([0, 3, 11, 34, 60, 200, 2089]))
+        t = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(max(top - span, -1073), top + 1, n))
+        t *= rng.choice(draw(st.sampled_from([[-1.0, 1.0], [1.0], [-1.0]])), n)
+        half = n // 2
+        pairs = rng.random(half) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        t[half : 2 * half][pairs] = -t[:half][pairs]
+        zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+        t[zeros] = rng.choice([-0.0, 0.0], int(zeros.sum()))
+        runs.append(rng.permutation(t))
+    return runs
+
+
+class TestExactSums:
+    @settings(max_examples=300, deadline=None)
+    @given(term_runs())
+    def test_equals_fsum_of_each_run(self, runs):
+        terms = np.concatenate(runs)
+        lengths = [len(r) for r in runs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _same_bits(_kernel(terms, lengths), _fsum_runs(terms.tolist(), lengths))
+
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            # three binades 53 apart: 1 + 2^-53 ties to 1, but 2^-106 lifts the exact sum past the tie
+            ([1.0, 2.0**-53, 2.0**-106], 1.0 + 2.0**-52),
+            ([2.0**-106, -1.0, 2.0**-53], -1.0 + 2.0**-53),
+            ([2.0**600, 1.0, 2.0**-600, -(2.0**600)], 1.0),
+            ([5e-324, 1.0, 2.0**-1000], 1.0),
+        ],
+    )
+    def test_more_than_two_levels_are_rounded_by_fsum(self, terms, expected, monkeypatch):
+        spy = _CountingMath()
+        monkeypatch.setattr(compiled, "math", spy)
+        got = _kernel(terms + [3.0, -3.0], [len(terms), 2])
+        assert _same_bits(got, [expected, 0.0]) and _same_bits(got, _fsum_runs(terms + [3.0, -3.0], [len(terms), 2]))
+        assert spy.fsum_calls == 2  # once per run
+
+    @pytest.mark.parametrize(
+        "terms, expected",
+        [
+            ([2.0**1020, 1.0, -(2.0**1020)], 1.0),
+            ([2.0**1023, 2.0**1022, -(2.0**1023)], 2.0**1022),
+            ([1e308, 1e308], math.nan),  # fsum raises: the sum passes the float range
+            ([1e308, math.inf], math.nan),
+            ([math.nan, 1.0], math.nan),
+            ([math.inf, -math.inf], math.nan),
+        ],
+    )
+    def test_runs_past_the_sigma_range_are_summed_aside(self, terms, expected, monkeypatch):
+        # sigma = 2^(M + e) would pass the float range, or a term is not
+        # finite: that run is summed by fsum alone, and the other runs are not
+        spy = _CountingMath()
+        monkeypatch.setattr(compiled, "math", spy)
+        got = _kernel([0.5, 0.25] + terms + [-0.0], [2, len(terms), 1])
+        assert _same_bits(got, [0.75, expected, 0.0])
+        assert spy.fsum_calls == (1 if all(map(math.isfinite, terms)) else 0)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("scale", [-236, -100, 0, 100, 234, 236])
+    def test_core_sums_equal_fsum_of_each_range(self, k, scale, monkeypatch):
+        # real tables times 2^scale: the k=1 table's largest term reaches 2^1014
+        # at 2^234, so some of its ranges are summed aside, and at 2^236 one
+        # range's sum passes the float range and every sum reads nan
+        moments = np.ldexp(moment_tables(blob_image(0, size=24))[k], scale)
+        prog = compiled_catalogue()
+        factors = np.append(moments, 1.0)[prog.factors]
+        terms = prog.coefficients * factors[0]
+        for row in factors[1:]:
+            terms = terms * row
+        expected = _fsum_runs(terms.tolist(), np.diff(prog.bounds))
+        if np.isnan(expected).any():
+            expected[:] = np.nan
+        spy = _CountingMath()
+        monkeypatch.setattr(compiled, "math", spy)
+        assert _same_bits(core_sums(moments), expected)
+        assert (spy.fsum_calls > 0) == (k == 1 and scale >= 234)
+
+    def test_both_tables_in_one_pass_equal_each_alone(self):
+        k0, k1 = moment_tables(disk_masked_image(13, size=128, radius_frac=0.26))
+        for tables in ([k0, k1], [k1, np.zeros(75)], [np.full(75, np.inf), k0]):
+            together = compiled.core_sum_rows(tables)
+            assert together.shape == (2, 26)
+            for moments, sums in zip(tables, together):
+                assert _same_bits(sums, core_sums(moments))
+        assert _same_bits(compiled.core_sum_rows([k1, np.zeros(75)])[1], np.zeros(26))
+        assert np.isnan(compiled.core_sum_rows([np.full(75, np.inf), k0])[0]).all()
+
+    def test_run_tables(self):
+        prog = compiled_catalogue()
+        lengths = np.tile(np.diff(prog.bounds), 2)
+        assert prog.run_lengths.tolist() == lengths.tolist()
+        assert prog.run_starts.tolist() == [0, *np.cumsum(lengths)[:-1]]
+        assert (prog.run_scales >= lengths + 2).all()
+        assert (prog.run_scales / 2 < lengths + 2).all()
+        assert (np.frexp(prog.run_scales)[0] == 0.5).all()
+
+
+class TestNormaliserRange:
+    @pytest.mark.parametrize("scale", [-200, -100, 100, 233])
+    def test_normaliser_out_of_float_range_gives_invalid_entries(self, scale):
+        # the k=1 vector of a 24 px blob times 2^scale: below, m00**e * D2**d
+        # underflowed to 0 and the division raised a bare ZeroDivisionError;
+        # above, m00**e raised a bare OverflowError
+        base = moment_tables(blob_image(0, size=24))[1]
+        expected, expected_ok = evaluate_table(base)
+        assert expected_ok.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, valid = evaluate_table(np.ldexp(base, scale))
+        assert values.shape == valid.shape == (25,) and valid.dtype == bool
+        assert not valid.all() and np.isfinite(values).all() and not values[~valid].any()
+        # a numerator of r moments over m00**e * D2**d, D2 of 3 moments, is
+        # 2^(scale * (r - e - 3d)) times the entry of the unscaled vector
+        assert valid.any() == (scale in (-100, 100))
+        for spec, value, ok, reference in zip(catalogue_specs(), values, valid, expected):
+            if ok:
+                r = len(spec.numerator.terms[0].factors)
+                shift = scale * (r - float(spec.area_exponent) - 3 * float(spec.denom_exponent))
+                assert value / reference > 0 and abs(math.log2(value / reference) - shift) <= 1e-11
+
+    @pytest.mark.parametrize("log2_m00, log2_shape", [(-223, 0), (-231, -200)])
+    def test_m00_far_below_a_pixel_count_gives_invalid_entries(self, log2_m00, log2_shape):
+        # the k=1 vector of a 24 px blob with m00 set to 2^-223: m00**4.5 is
+        # normal, but the quotients pass the float range. With m00 at 2^-231
+        # and every moment of a shape power scaled by 2^-200, the quotients
+        # are finite and m00**4.5 * D2**0.5 is normal, but m00**4.5 is
+        # subnormal, so it has lost bits
+        prog = compiled_catalogue()
+        moments = moment_tables(blob_image(0, size=24))[1].copy()
+        moments[[idx.p + idx.q > 0 for idx in prog.indices]] *= 2.0**log2_shape
+        moments[0] = 2.0**log2_m00
+        *nums, d2 = core_sums(moments).tolist()
+        area = float(moments[0]) ** 4.5
+        assert (area >= sys.float_info.min) == (log2_shape == 0)
+        assert sys.float_info.min <= area * d2**0.5 <= sys.float_info.max
+        assert (abs(nums[0] / (area * d2**0.5)) <= sys.float_info.max) == (log2_shape != 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, valid = evaluate_table(moments)
+        assert not valid.any() and not values.any()
+
+    def test_malformed_moment_vector_raises_typed_error(self):
+        for bad in (np.zeros(74), np.zeros((2, 75)), np.zeros(75, dtype=complex), None, "moments"):
+            with pytest.raises(InvalidImage):
+                evaluate_table(bad)
+
+
+def _gram_vector(base, x):
+    """``base`` with its colour second moments set to the Gram matrix diag(1, 1, x)."""
+    v = base.copy()
+    for idx, value in [((0, 0, 2, 0, 0), 1.0), ((0, 0, 0, 2, 0), 1.0), ((0, 0, 0, 0, 2), x)]:
+        v[slot(MomentIndex(*idx))] = value
+    for idx in [(0, 0, 1, 1, 0), (0, 0, 1, 0, 1), (0, 0, 0, 1, 1)]:
+        v[slot(MomentIndex(*idx))] = 0.0
+    return v
+
+
+class TestDegeneracyFloor:
+    def test_hand_computed_level(self):
+        assert engine.DEGENERACY_EPS == 1e-12
+        assert engine.degeneracy_floor(10.0, [3.0, 3.0, 3.0]) == 1e-12 * 10**3 * 0.3**3
+        assert engine.degeneracy_floor(10.0, [-3.0, 0.0, 0.0]) == 0.0
+        assert engine.degeneracy_floor(0.0, [3.0, 3.0, 3.0]) == engine.degeneracy_floor(-1.0, [1.0] * 3) == math.inf
+        assert engine.degeneracy_floor(1e200, [1e200] * 3) == math.inf
+
+    def test_core_just_above_or_below_the_floor_flips_every_entry(self):
+        # with the Gram matrix diag(1, 1, x), D2 = 6x and the floor is
+        # 1e-12 * ((2 + x) / 3)^3, so D2 meets it near x = 1e-12 * 8 / 162
+        base = moment_tables(random_image(9, 12, 12))[0]
+        prog = compiled_catalogue()
+
+        def above(x):
+            v = _gram_vector(base, x)
+            return core_sums(v)[-1] > engine.degeneracy_floor(v[0], v[list(prog.squares)].tolist())
+
+        lo, hi = 0.0, 1.0
+        while np.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        assert abs(hi - 1e-12 * 8 / 162) <= 1e-9 * hi
+        _, valid_below = evaluate_table(_gram_vector(base, lo))
+        _, valid_above = evaluate_table(_gram_vector(base, hi))
+        assert not valid_below.any() and valid_above.all()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from scdmi.bench import baseline_rows, descriptor_rows
-from scdmi.engine import RasterImage, scdmi50
+from scdmi.engine import RasterImage, compiled_catalogue, evaluate_table, moment_tables, moment_vector, scdmi50
 from scdmi.errors import InvalidImage, InvalidTransform, ScdmiError
 from scdmi.oracle import brute_force_features
 from scdmi.ppm import read_ppm
@@ -292,6 +292,74 @@ def test_upsample_on_arbitrary_images_and_factors(img, factor):
         assert (big.height, big.width) == (factor * img.height, factor * img.width)
         assert np.array_equal(big.channels[:, ::factor, ::factor], img.channels, equal_nan=True)
         assert np.array_equal(big.mask[factor - 1 :: factor, factor - 1 :: factor], img.mask)
+
+
+# moment vectors: real k=0 and k=1 vectors of a small blob image scaled by
+# 2^s over the whole exponent range, with some entries replaced by ENTRIES;
+# vectors of ENTRIES alone; and arrays of other shapes and dtypes
+REAL_MOMENTS = moment_tables(blob_image(0, size=24))
+MOMENT_COUNT = len(compiled_catalogue().indices)
+
+
+@st.composite
+def moment_vectors(draw):
+    """A moment vector to evaluate, mostly of the catalogue's length."""
+    kind = draw(st.integers(0, 4))
+    if kind <= 1:
+        with np.errstate(over="ignore"):
+            vector = np.ldexp(REAL_MOMENTS[kind], draw(st.integers(-1100, 1100)))
+        for i in draw(st.lists(st.integers(0, MOMENT_COUNT - 1), max_size=3)):
+            vector[i] = draw(ENTRIES)
+        return vector
+    if kind == 2:
+        return draw(arrays(np.float64, MOMENT_COUNT, elements=ENTRIES))
+    if kind == 3:
+        return draw(arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]), array_shapes(max_dims=2, max_side=80)))
+    return draw(st.one_of(JUNK, st.lists(st.floats(), min_size=MOMENT_COUNT, max_size=MOMENT_COUNT)))
+
+
+def _evaluated(moments) -> bool:
+    """evaluate_table of ``moments``, returning or raising a ScdmiError; whether an entry is valid."""
+    table = _typed(evaluate_table, moments)
+    if table is None:
+        return False
+    values, valid = table
+    assert values.shape == (25,) and values.dtype == np.float64
+    assert not values[~valid].any()
+    return _finite_where_valid(values, valid)
+
+
+@settings(max_examples=300)
+@given(moment_vectors())
+def test_evaluate_table_on_arbitrary_vectors(moments):
+    _evaluated(moments)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.lists(arrays(np.float64, st.sampled_from([n, n, n, n + 1]), elements=ENTRIES), min_size=4, max_size=6)
+    )
+)
+def test_moment_vector_on_arbitrary_arrays(values):
+    # five arrays of one length in most draws, otherwise a length or a count off
+    vector = _typed(moment_vector, values)
+    if vector is not None:
+        assert vector.shape == (MOMENT_COUNT,) and vector[0] == len(values[0])
+        _evaluated(vector)
+
+
+def test_moment_vectors_include_valid_entries():
+    # the draws do not stop at the checks: some vectors give valid entries, others raise
+    found = []
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(moment_vectors())
+    def call(moments):
+        found.append(_evaluated(moments))
+
+    call()
+    assert any(found) and not all(found)
 
 
 def test_small_images_include_valid_features():
