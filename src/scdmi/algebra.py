@@ -17,6 +17,7 @@ differ only in the moment table they are evaluated against.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,7 +83,8 @@ class CoreSpec:
 
     ``shape_factors`` holds (i, j, exponent) with i < j, one entry per
     distinct coordinate-determinant factor; ``color_triples`` holds
-    (p, q, r, exponent) with p < q < r.
+    (p, q, r, exponent) with p < q < r. Raises InvalidSpec unless each is a
+    sequence of such tuples of integers, bools excluded, within these rules.
     """
 
     shape_factors: tuple[tuple[int, int, int], ...] = ()
@@ -90,7 +92,13 @@ class CoreSpec:
 
     def __post_init__(self):
         for name in ("shape_factors", "color_triples"):
-            object.__setattr__(self, name, tuple(tuple(int(v) for v in f) for f in getattr(self, name)))
+            try:
+                factors = tuple(tuple(f) for f in getattr(self, name))
+            except TypeError:
+                raise InvalidSpec(f"{name} must be a sequence of integer tuples") from None
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for f in factors for v in f):
+                raise InvalidSpec(f"{name} entries must be integers, got {factors!r}")
+            object.__setattr__(self, name, tuple(tuple(int(v) for v in f) for f in factors))
         for f in self.shape_factors:
             if len(f) != 3:
                 raise InvalidSpec(f"shape factor {f} must be (i, j, exponent)")

@@ -21,6 +21,7 @@ in peak memory; the vectors are the same bit for bit either way.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from bisect import bisect_right
@@ -31,7 +32,7 @@ import numpy as np
 
 # core_sums and compiled_catalogue stay importable from here, beside the evaluation that reads them
 from .compiled import compiled_catalogue, core_sum_rows, core_sums  # noqa: F401
-from .errors import EmptyDomain, InvalidImage
+from .errors import EmptyDomain, InvalidImage, InvalidSpec
 
 #: relative floor below which the quadratic color core counts as degenerate
 DEGENERACY_EPS = 1e-12
@@ -156,10 +157,10 @@ class FeatureVector:
     valid: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.valid = np.asarray(self.valid, dtype=bool)
+        self.values = _real_array(self.values, "feature values").astype(np.float64, copy=False)
+        self.valid = _real_array(self.valid, "feature validity").astype(bool, copy=False)
         if self.values.shape != (50,) or self.valid.shape != (50,):
-            raise ValueError("feature vector must hold exactly 50 entries")
+            raise InvalidImage("a feature vector must hold exactly 50 values and 50 flags")
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +279,12 @@ def centred_values(img: RasterImage, k: int) -> tuple[np.ndarray, ...]:
     not mean-subtracted. dC/dx is the unnormalized 5-point difference
     C(x-2) - 8 C(x-1) + 8 C(x+1) - C(x+2), 12 times the true derivative on
     smooth data. This is the whole range of the k-domain's source. Raises
-    EmptyDomain when the mask has no pixels; a k=1 domain that stencil
-    erosion empties, as it does on every frame under 5x5, gives five empty
-    arrays.
+    EmptyDomain when the mask has no pixels, and InvalidSpec unless k is the
+    integer 0 or 1; a k=1 domain that stencil erosion empties, as it does on
+    every frame under 5x5, gives five empty arrays.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k not in (0, 1):
+        raise InvalidSpec(f"k must be the integer 0 or 1, got {k!r}")
     src = _DomainSource(img, k)
     return tuple(src.values(0, src.size))
 

@@ -6,12 +6,14 @@ class ScdmiError(Exception):
 
 
 class InvalidSpec(ScdmiError, ValueError):
-    """A core or invariant specification violates its structural rules."""
+    """A core or invariant specification, or a derivative order k other than
+    0 or 1, violates its structural rules."""
 
 
 class InvalidImage(ScdmiError, ValueError):
     """The channel array and mask do not form one (3, H, W) image, or the
-    centred values are not five 1-D arrays of one length."""
+    centred values, a moment vector or a feature vector do not have their
+    shape and real entries."""
 
 
 class EmptyDomain(ScdmiError, ValueError):

@@ -200,7 +200,8 @@ def brute_force_core_integral(img: RasterImage, spec: CoreSpec, k: int) -> float
     """Nested summation of the core over all point tuples of the k domain.
 
     An empty k=1 domain, one that stencil erosion empties, sums to 0.0.
-    Raises EmptyDomain when the mask has no pixels.
+    Raises EmptyDomain when the mask has no pixels, and InvalidSpec, from
+    centred_values, unless k is the integer 0 or 1.
     """
     return _core_sum(_Domain(img, k, spec.width), spec)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import RasterImage
-from .errors import InvalidTransform, Singular
+from .errors import InvalidImage, InvalidTransform, Singular
 
 #: relative-deviation denominators never drop below this
 DEVIATION_FLOOR = 1e-12
@@ -44,7 +44,8 @@ def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarra
         raise InvalidTransform(f"{what} affine needs a {n}x{n} matrix and length-{n} offset")
     if not (np.isfinite(matrix).all() and np.isfinite(offset).all()):
         raise InvalidTransform(f"{what} affine needs a finite matrix and offset")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # LAPACK's LU can divide by zero on subnormal entries; a non-finite result is refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = float(np.linalg.det(matrix))
     if not np.isfinite(det):
         raise InvalidTransform(f"{what} affine determinant overflows")
@@ -58,14 +59,26 @@ def _shape_inverse(matrix: np.ndarray) -> np.ndarray:
     Determinant and adjugate are formed on the matrix scaled by a power of
     two to a largest entry in [0.5, 1), which is exact and keeps the
     products from overflowing; the scale is taken out again exactly. The
-    adjugate keeps grid-aligned maps exact in floating point.
+    adjugate keeps grid-aligned maps exact in floating point. Where an
+    adjugate entry over the determinant overflows before the scale is taken
+    out, as on diag(1e308, 1), the scale comes out first: scale / det is at
+    most 1e6 / scale and at most 2^1074 * scale, so under 2^543.
     """
-    scale = 2.0 ** -math.frexp(float(np.abs(matrix).max()))[1]
+    exponent = math.frexp(float(np.abs(matrix).max()))[1]
+    # entries under 2^-510 give a determinant under 2^-1019, and 2^-exponent would overflow
+    if exponent < -509:
+        raise Singular("shape transform matrix is singular")
+    scale = 2.0 ** -exponent
     a = matrix * scale
     det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
     if abs(det / scale / scale) < _MIN_DET:
         raise Singular("shape transform matrix is singular")
-    return np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det * scale
+    adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    with np.errstate(over="ignore"):
+        inverse = adjugate / det * scale
+    if not np.isfinite(inverse).all():
+        inverse = adjugate * (scale / det)
+    return inverse
 
 
 @dataclass
@@ -106,6 +119,14 @@ class ColorAffine:
 # applying transforms
 
 
+def _check_operands(img, t, kind: type) -> None:
+    """Raises InvalidImage unless ``img`` is a RasterImage, and InvalidTransform unless ``t`` is a ``kind``."""
+    if not isinstance(img, RasterImage):
+        raise InvalidImage(f"expected a RasterImage, got {type(img).__name__}")
+    if not isinstance(t, kind):
+        raise InvalidTransform(f"expected a {kind.__name__}, got {type(t).__name__}")
+
+
 def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     """Inverse-mapping warp with bilinear interpolation into the input's frame.
 
@@ -118,7 +139,10 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     pixel can have all four taps masked, since the taps bracket the source
     point, and each footprint pixel goes through the same IEEE operations as
     in a whole-frame warp, so the output is that warp's bit for bit.
+    Raises InvalidImage unless ``img`` is a RasterImage, and InvalidTransform
+    unless ``t`` is a ShapeAffine.
     """
+    _check_operands(img, t, ShapeAffine)
     w_in, h_in = img.width, img.height
     inv = _shape_inverse(t.matrix)
     channels = np.zeros((3, h_in * w_in))
@@ -163,10 +187,12 @@ def apply_shape_affine(img: RasterImage, t: ShapeAffine) -> RasterImage:
     w10 = (1.0 - fx) * fy
     w11 = fx * fy
     planes = img.channels.reshape(3, -1)
-    # the weighted taps are added in the fixed order 00, 01, 10, 11, which sets the rounding
-    out = w00 * planes.take(taps[0], axis=1)
-    for weight, tap in zip((w01, w10, w11), taps[1:]):
-        out += weight * planes.take(tap, axis=1)
+    # the weighted taps are added in the fixed order 00, 01, 10, 11, which sets the rounding;
+    # non-finite or overflowing channels give nan or inf pixels, which scdmi50 flags invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = w00 * planes.take(taps[0], axis=1)
+        for weight, tap in zip((w01, w10, w11), taps[1:]):
+            out += weight * planes.take(tap, axis=1)
     kept = reach[keep]
     channels[:, kept] = out
     out_mask[kept] = True
@@ -179,9 +205,13 @@ def apply_color_affine(img: RasterImage, t: ColorAffine, clamp: bool = False) ->
     The offset is added, and the clamp applied, in place on the einsum's
     output, so the map holds no second image-sized array. The einsum stays
     one call over the whole frame: its rounding depends on the operand
-    layout."""
-    out = np.einsum("ij,jhw->ihw", t.matrix, img.channels)
-    out += t.offset[:, None, None]
+    layout. Raises InvalidImage unless ``img`` is a RasterImage, and
+    InvalidTransform unless ``t`` is a ColorAffine."""
+    _check_operands(img, t, ColorAffine)
+    # non-finite or overflowing channels give nan or inf pixels, as in the warp
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.einsum("ij,jhw->ihw", t.matrix, img.channels)
+        out += t.offset[:, None, None]
     if clamp:
         np.clip(out, 0.0, 1.0, out=out)
     return RasterImage(out, img.mask.copy())

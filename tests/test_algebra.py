@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb
@@ -82,6 +83,54 @@ class TestCoreSpec:
             CoreSpec(shape_factors=((1, 2, 0),))
         with pytest.raises(InvalidSpec):
             CoreSpec(color_triples=((1, 2, 3, 0),))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"shape_factors": ((1, 2),)}, "must be (i, j, exponent)"),
+            ({"shape_factors": ((1, 2, 3, 1),)}, "must be (i, j, exponent)"),
+            ({"color_triples": ((1, 2, 3),)}, "must be (p, q, r, exponent)"),
+            ({"color_triples": ((1, 2, 3, 1, 1),)}, "must be (p, q, r, exponent)"),
+        ],
+        ids=["shape-short", "shape-long", "color-short", "color-long"],
+    )
+    def test_factor_of_wrong_length(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            CoreSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"color_triples": ((1, 2, 3.5, 1),)}, "entries must be integers"),
+            ({"color_triples": ((1, 2, 3.0, 1),)}, "entries must be integers"),
+            ({"shape_factors": (("a", 2, 1),)}, "entries must be integers"),
+            ({"shape_factors": ((True, 2, 1),)}, "entries must be integers"),
+            ({"shape_factors": ((1, 2, None),)}, "entries must be integers"),
+            ({"shape_factors": 3}, "must be a sequence of integer tuples"),
+            ({"color_triples": (1, 2, 3, 1)}, "must be a sequence of integer tuples"),
+        ],
+        ids=["fraction", "float", "string", "bool", "none", "not-iterable", "not-nested"],
+    )
+    def test_entries_that_are_not_integers(self, kwargs, message):
+        # 3.5 was truncated to 3, "a" raised a bare ValueError and 3 a bare TypeError
+        with pytest.raises(InvalidSpec, match=message):
+            CoreSpec(**kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        spec = CoreSpec(shape_factors=((np.int64(1), np.uint8(2), 1),))
+        assert spec == CoreSpec(shape_factors=((1, 2, 1),)) and type(spec.shape_factors[0][1]) is int
+
+
+class TestMonomialTerm:
+    def test_zero_coefficient(self):
+        with pytest.raises(InvalidSpec, match="zero-coefficient term"):
+            MonomialTerm(0, (MomentIndex(0, 0, 0, 0, 0),))
+
+    def test_unsorted_factors(self):
+        factors = (MomentIndex(1, 0, 0, 0, 0), MomentIndex(0, 1, 0, 0, 0))
+        with pytest.raises(InvalidSpec, match="sorted order"):
+            MonomialTerm(1, factors)
+        assert MonomialTerm(1, factors[::-1]).factors == factors[::-1]
 
 
 WORKED_NUMERATOR = [

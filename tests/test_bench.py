@@ -12,6 +12,7 @@ from scdmi.bench import (
     DescriptorKind,
     Features,
     baseline_rows,
+    check_splits,
     chi2_matrix,
     classification_class,
     descriptor_rows,
@@ -107,6 +108,11 @@ class TestFeatureNormalize:
         assert out[3, 0] == -np.log1p(1e290 / 1e-12)
         assert out[:, 1].tolist() == (np.sign(raw[:, 1]) * np.log1p(np.abs(raw[:, 1]) / 3.0)).tolist()
         assert np.isfinite(chi2_matrix(out)).all()
+
+    @pytest.mark.parametrize("shape", [(0, 50), (0, 0), (50,), (2, 3, 4)])
+    def test_empty_or_wrong_rank_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="need a nonempty"):
+            feature_normalize(np.zeros(shape), np.ones(shape, dtype=bool))
 
     def test_invalid_entries_zeroed(self):
         raw = np.array([[5.0], [7.0]])
@@ -291,6 +297,11 @@ class TestProtocols:
         ]
         with pytest.raises(ValueError, match="missing from one split"):
             knn_of(items, DescriptorKind.COLOR_MOMENTS)
+
+    @pytest.mark.parametrize("splits", [["train"] * 4, ["test"] * 4], ids=["no-test", "no-train"])
+    def test_empty_split_raises(self, splits):
+        with pytest.raises(ValueError, match="nonempty train and test splits"):
+            check_splits(np.array(["a", "a", "b", "b"]), np.array(splits))
 
     def test_permuted_labels_near_chance(self):
         rng = np.random.default_rng(3)

@@ -2,9 +2,6 @@ import csv
 import dataclasses
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -533,6 +530,21 @@ class TestBenchCommand:
         for name in ("accuracy.csv", "pr_curves.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_blank_manifest_rows_are_skipped(self, tmp_path):
+        # blank lines after the header, between rows and at the end
+        rows = _write_manifest(tmp_path)
+        manifest = tmp_path / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([lines[0], "", *lines[1:4], "", *lines[4:], "", ""]) + "\n")
+        assert cli_mod._load_manifest(manifest) == rows
+
+    @pytest.mark.parametrize("row", ["x.ppm,c0", "x.ppm,c0,train,extra", "x.ppm"], ids=["two", "four", "one"])
+    def test_manifest_row_without_three_columns(self, tmp_path, capsys, row):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"path,label,split\na.ppm,c0,train\n{row}\n")
+        assert main(["bench", str(manifest), "--out", str(tmp_path / "o")]) == 2
+        assert f"m.csv:3: expected 3 columns, got {row.count(',') + 1}" in capsys.readouterr().err
+
     def test_bad_manifest_reports_row(self, tmp_path):
         bad = tmp_path / "m.csv"
         bad.write_text("path,label,split\nx.ppm,c0,bogus\n")
@@ -680,9 +692,9 @@ class TestBenchCommand:
         ],
         ids=["unpicklable-job", "dead-worker"],
     )
-    def test_pool_fault_ends_the_bench(self, tmp_path, fault, message):
-        # run in a subprocess of its own session with a timeout, so that a pool left waiting fails
-        # the test, not the suite, and its workers are killed with it
+    def test_pool_fault_ends_the_bench(self, tmp_path, run_python, fault, message):
+        # run in a fresh interpreter of its own session with a timeout, so that a pool left waiting
+        # fails the test, not the suite, and its workers are killed with it
         script = (
             "import multiprocessing, os, sys\n"
             "import scdmi.bench as bench\n"
@@ -692,24 +704,13 @@ class TestBenchCommand:
             " '--out', sys.argv[1]])\n"
             "print(rc, len(multiprocessing.active_children()))\n"
         )
-        src = str(Path(cli_mod.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-c", script, str(tmp_path)]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-                              start_new_session=True) as proc:
-            try:
-                out, err = proc.communicate(timeout=60)
-            except subprocess.TimeoutExpired:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.communicate()
-                pytest.fail("scdmi bench still running after 60 s")
-        assert proc.returncode == 0, err
+        done = run_python(script, str(tmp_path), timeout=60)
         # exit 2, no worker left, and one line of error
-        assert out.split() == ["2", "0"]
-        [line] = err.splitlines()
+        assert done.stdout.split() == ["2", "0"]
+        [line] = done.stderr.splitlines()
         assert line.startswith(message)
 
-    def test_bench_process_does_not_import_numpy_ma(self, tmp_path):
+    def test_bench_process_does_not_import_numpy_ma(self, tmp_path, run_python):
         # np.median imports numpy.ma, about 0.5 MB of a fresh process's peak RSS; the bench takes its
         # medians through bench._median, so a bench in a fresh process never loads it
         script = (
@@ -719,9 +720,5 @@ class TestBenchCommand:
             " '--out', sys.argv[1]])\n"
             "print(rc, 'numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(cli_mod.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
+        done = run_python(script, str(tmp_path), timeout=120)
         assert done.stdout.splitlines()[-1].split() == ["0", "False"]

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdmi import compiled, engine
-from scdmi.algebra import MomentIndex, MomentPolynomial, MonomialTerm, catalogue_specs
+from scdmi.algebra import CoreSpec, MomentIndex, MomentPolynomial, MonomialTerm, catalogue_specs
 from scdmi.engine import (
+    FeatureVector,
     RasterImage,
     centred_values,
     compiled_catalogue,
@@ -25,8 +26,8 @@ from scdmi.engine import (
     stable_sum,
     stencil_eroded_mask,
 )
-from scdmi.errors import EmptyDomain, InvalidImage, ScdmiError
-from scdmi.oracle import brute_force_features
+from scdmi.errors import EmptyDomain, InvalidImage, InvalidSpec, ScdmiError
+from scdmi.oracle import brute_force_core_integral, brute_force_features
 from scdmi.synthetic import blob_image, disk_masked_image
 from scdmi.transforms import ShapeAffine, apply_shape_affine, relative_deviation
 from scdmi.verify import ORACLE_TOL, oracle_deviations
@@ -75,6 +76,10 @@ def slot(idx):
         lambda plane: moment_vector([[1.0, [2.0]]] * 5),
         lambda plane: moment_vector([plane[0] + 1j] * 5),
         lambda plane: moment_vector(5),
+        lambda plane: FeatureVector(np.zeros(49), np.zeros(49, bool)),
+        lambda plane: FeatureVector(np.zeros(50), np.zeros(25, bool)),
+        lambda plane: FeatureVector(["a"] * 50, np.zeros(50, bool)),
+        lambda plane: FeatureVector(np.zeros(50) + 1j, np.zeros(50, bool)),
     ],
     ids=[
         "planes-differ",
@@ -102,6 +107,10 @@ def slot(idx):
         "values-ragged",
         "values-complex",
         "values-not-a-sequence",
+        "features-49",
+        "features-flags-25",
+        "features-strings",
+        "features-complex",
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -133,6 +142,16 @@ class TestCentroid:
         for call in calls + [lambda: scdmi50(img), lambda: brute_force_features(img)]:
             with pytest.raises(EmptyDomain, match="^mask has no pixels$"):
                 call()
+
+    @pytest.mark.parametrize("k", [2, -1, 7, "0", "1", 1.0, 0.0, True, False, None])
+    def test_k_other_than_0_or_1_raises(self, k):
+        # each of these once read as one of the two domains: 0.0 and False as the mask, the others,
+        # "0" among them, as the eroded k=1 domain
+        img = random_image(0, 6, 6)
+        for call in (lambda: centred_values(img, k), lambda: brute_force_core_integral(img, CoreSpec(), k)):
+            with pytest.raises(InvalidSpec, match="^k must be the integer 0 or 1, got "):
+                call()
+        assert centred_values(img, np.int64(1))[0].size == 4
 
 
 class TestDerivatives:

@@ -15,13 +15,30 @@ from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from scdmi.algebra import CoreSpec
 from scdmi.bench import baseline_rows, descriptor_rows
-from scdmi.engine import RasterImage, compiled_catalogue, evaluate_table, moment_tables, moment_vector, scdmi50
+from scdmi.engine import (
+    FeatureVector,
+    RasterImage,
+    compiled_catalogue,
+    evaluate_table,
+    moment_tables,
+    moment_vector,
+    scdmi50,
+)
 from scdmi.errors import InvalidImage, InvalidTransform, ScdmiError
 from scdmi.oracle import brute_force_features
 from scdmi.ppm import read_ppm
 from scdmi.synthetic import CHANNEL_HI, CHANNEL_LO, blob_image, disk_masked_image
-from scdmi.transforms import ColorAffine, ShapeAffine, sample_color_affine, sample_shape_affine, upsample_nearest
+from scdmi.transforms import (
+    ColorAffine,
+    ShapeAffine,
+    apply_color_affine,
+    apply_shape_affine,
+    sample_color_affine,
+    sample_shape_affine,
+    upsample_nearest,
+)
 
 pytestmark = [
     pytest.mark.filterwarnings("error"),
@@ -373,3 +390,113 @@ def test_small_images_include_valid_features():
 
     call()
     assert any(found)
+
+
+# maps: sampled maps of either kind, maps built from arbitrary matrices and
+# offsets of every shape up to 3x3, of small, tiny or any entries, and values that are not maps
+AFFINE_ARRAYS = st.one_of(
+    arrays(np.float64, st.sampled_from([(2, 2), (3, 3), (2,), (3,), (2, 3), ()]), elements=ENTRIES),
+    arrays(np.float64, st.sampled_from([(2, 2), (3, 3), (2,), (3,)]), elements=st.floats(-4.0, 4.0)),
+    arrays(np.float64, st.sampled_from([(2, 2), (3, 3)]), elements=st.floats(-1e-300, 1e-300)),
+    JUNK,
+)
+
+
+def _affine_or_typed_error(kind, matrix, offset):
+    """``kind(matrix, offset)``, asserted finite and of its shapes, or None where it raises a ScdmiError."""
+    t = _typed(kind, matrix, offset)
+    if t is not None:
+        n = 2 if kind is ShapeAffine else 3
+        assert t.matrix.shape == (n, n) and t.offset.shape == (n,)
+        assert np.isfinite(t.matrix).all() and np.isfinite(t.offset).all()
+    return t
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([ShapeAffine, ColorAffine]), AFFINE_ARRAYS, AFFINE_ARRAYS)
+def test_affine_constructors_on_arbitrary_arrays(kind, matrix, offset):
+    _affine_or_typed_error(kind, matrix, offset)
+
+
+@st.composite
+def affine_maps(draw):
+    """A map to apply, of either kind or none."""
+    source = draw(st.integers(0, 3))
+    if source == 0:
+        return sample_shape_affine(draw(st.integers(0, 99)), src_size=draw(st.sampled_from([None, (4, 4)])))
+    if source == 1:
+        return sample_color_affine(draw(st.integers(0, 99)))
+    if source == 2:
+        kind = draw(st.sampled_from([ShapeAffine, ColorAffine]))
+        return _affine_or_typed_error(kind, draw(AFFINE_ARRAYS), draw(AFFINE_ARRAYS))
+    return draw(JUNK)
+
+
+def _transformed(img, t, clamp) -> bool:
+    """Both transforms of ``img`` by ``t``, each returning an image of its shape
+    or raising a ScdmiError; whether either returned one."""
+    shaped = _typed(apply_shape_affine, img, t)
+    coloured = _typed(apply_color_affine, img, t, clamp)
+    for out in (shaped, coloured):
+        if out is not None:
+            assert isinstance(out, RasterImage) and out.channels.shape == img.channels.shape
+    if coloured is not None:
+        assert np.array_equal(coloured.mask, img.mask)
+    return shaped is not None or coloured is not None
+
+
+@settings(max_examples=200)
+@given(st.one_of(small_images(), small_images(), JUNK), affine_maps(), st.booleans())
+def test_transforms_on_arbitrary_images_and_maps(img, t, clamp):
+    _transformed(img, t, clamp)
+
+
+def test_transform_draws_include_images():
+    # the draws do not stop at the checks: some images and maps give transformed images
+    found = []
+
+    @settings(max_examples=100, database=None, derandomize=True)
+    @given(small_images(), affine_maps(), st.booleans())
+    def call(img, t, clamp):
+        found.append(_transformed(img, t, clamp))
+
+    call()
+    assert any(found) and not all(found)
+
+
+# core specifications: tuples of small integers, and entries, factors and
+# sequences that are not integers, tuples or sequences
+SPEC_ENTRIES = st.one_of(st.integers(-1, 5), st.integers(-1, 5), st.sampled_from([np.int64(2), 2.0, 3.5, 10**30]), JUNK)
+SPEC_FACTORS = st.one_of(
+    st.lists(st.one_of(st.tuples(*[st.integers(1, 5)] * 3), st.tuples(*[st.integers(1, 5)] * 4)), max_size=3),
+    st.lists(st.one_of(st.lists(SPEC_ENTRIES, max_size=5).map(tuple), SPEC_ENTRIES), max_size=3),
+    JUNK,
+)
+
+
+@settings(max_examples=300)
+@given(SPEC_FACTORS, SPEC_FACTORS)
+def test_core_spec_on_arbitrary_factors(shape_factors, color_triples):
+    spec = _typed(CoreSpec, shape_factors, color_triples)
+    if spec is not None:
+        assert all(len(f) == 3 for f in spec.shape_factors) and all(len(f) == 4 for f in spec.color_triples)
+        assert all(type(v) is int for f in spec.shape_factors + spec.color_triples for v in f)
+        assert spec.width >= 0 and hash(spec) == hash(CoreSpec(spec.shape_factors, spec.color_triples))
+
+
+# feature vectors: 50 values and 50 flags, and arrays of other shapes and dtypes
+FEATURE_ARRAYS = st.one_of(
+    arrays(np.float64, 50, elements=ENTRIES),
+    arrays(np.bool_, 50),
+    arrays(st.sampled_from([np.float64, np.int64, np.bool_, np.complex128]), array_shapes(max_dims=2, max_side=60)),
+    JUNK,
+)
+
+
+@settings(max_examples=100)
+@given(FEATURE_ARRAYS, FEATURE_ARRAYS)
+def test_feature_vector_on_arbitrary_arrays(values, valid):
+    fv = _typed(FeatureVector, values, valid)
+    if fv is not None:
+        assert fv.values.shape == fv.valid.shape == (50,)
+        assert fv.values.dtype == np.float64 and fv.valid.dtype == bool

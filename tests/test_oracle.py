@@ -1,16 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import permutations, product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy._core import einsumfunc
 
-from scdmi import oracle as oracle_mod
 from scdmi import verify as verify_mod
 from scdmi.algebra import _PERM_SIGNS, CoreSpec, catalogue_specs
 from scdmi.engine import (
@@ -209,24 +204,12 @@ class TestBruteForceFeatures:
                 reference, scale = naive_core_sum(values, spec)
                 assert abs(brute_force_core_integral(img, spec, k) - reference) <= 1e-12 * scale
 
-    def test_contractions_are_built_on_first_use(self):
+    def test_contractions_are_built_on_first_use(self, parallelism_probe):
         # importing scdmi builds no contraction; one brute_force_features call
         # builds each of the 26 cores' contractions once per domain size (36 px
-        # at k=0, 16 px at k=1), and a second image of those sizes builds none
-        script = (
-            "import numpy as np\n"
-            "import scdmi\n"
-            "from scdmi.oracle import _contraction\n"
-            "print(_contraction.cache_info().misses)\n"
-            "for seed in (0, 1):\n"
-            "    rgb = np.random.default_rng(seed).uniform(size=(6, 6, 3))\n"
-            "    scdmi.brute_force_features(scdmi.RasterImage.from_array(rgb))\n"
-            "    print(_contraction.cache_info().misses)\n"
-        )
-        src = str(Path(oracle_mod.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
-                              capture_output=True, text=True, check=True)
-        assert proc.stdout.split() == ["0", "52", "52"]
+        # at k=0, 16 px at k=1), and a second image of those sizes builds none:
+        # the probe's counts at import and after its first two 6x6 images
+        assert parallelism_probe("all", "1")["contractions"] == ["0 52 52"]
 
     def test_no_array_holds_more_than_three_points(self):
         # every step of a core's contraction takes at most two operands, each

@@ -366,6 +366,32 @@ class TestTransformValidation:
         with pytest.raises(InvalidTransform, match="determinant"):
             cls(scale * np.eye(n))
 
+    @pytest.mark.parametrize("apply, kind", [(apply_shape_affine, ShapeAffine), (apply_color_affine, ColorAffine)])
+    def test_apply_needs_an_image_and_its_map(self, apply, kind):
+        # both raised a bare AttributeError
+        img = RasterImage.from_array(np.zeros((4, 4, 3)))
+        other = ColorAffine if kind is ShapeAffine else ShapeAffine
+        for t in (other.identity(), kind.identity().matrix, None):
+            with pytest.raises(InvalidTransform, match=f"^expected a {kind.__name__}, got "):
+                apply(img, t)
+        with pytest.raises(InvalidImage, match="^expected a RasterImage, got ndarray$"):
+            apply(img.channels, kind.identity())
+
+    def test_inverse_of_a_huge_entry(self):
+        # adjugate / det overflowed with a RuntimeWarning before the scale came out
+        inverse = transforms_mod._shape_inverse(ShapeAffine(np.diag([1e308, 1.0])).matrix)
+        assert inverse.tolist() == [[1e-308, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-4.2e-313, 2.0e-318], [-3.1e-313, 0.0]], [[0.0, -4.4e25], [3.66e-312, 2.36e-253]]],
+        ids=["subnormal-entries", "lu-divides-by-zero"],
+    )
+    def test_tiny_entries_are_singular(self, matrix):
+        # 2.0 ** 1036 raised a bare OverflowError, and LAPACK's LU a divide-by-zero RuntimeWarning
+        with pytest.raises(Singular):
+            ShapeAffine(matrix)
+
     def test_typed_and_exported(self):
         assert issubclass(InvalidTransform, ScdmiError) and issubclass(InvalidTransform, ValueError)
         assert scdmi.InvalidTransform is InvalidTransform
@@ -448,6 +474,12 @@ class TestSamplers:
         # a bare ValueError or a numpy RuntimeWarning before; the message states the rule
         with pytest.raises(InvalidTransform, match=re.escape(rule)):
             sample(0, **kwargs)
+
+    def test_arguments_that_draw_a_singular_map(self):
+        # det_range (1e-9, 1e-9) passes the argument checks, and every map it draws is singular
+        with pytest.raises(InvalidTransform, match="the sampler's arguments drew a singular map") as info:
+            sample_shape_affine(0, det_range=(1e-9, 1e-9))
+        assert not isinstance(info.value, Singular)
 
     def test_largest_allowed_singular_value_samples_a_finite_map(self):
         # high * max_condition at 2**1023 exactly: the draws may round above it, and stay finite
