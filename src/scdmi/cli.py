@@ -146,10 +146,14 @@ def _load_manifest(path: Path) -> list[tuple[str, str, str]]:
     # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" starts with
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        first = True
         for lineno, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if lineno == 1 and [c.strip().lower() for c in row] == ["path", "label", "split"]:
+            # the header, if any, is the first row that is not blank
+            header = first and [c.strip().lower() for c in row] == ["path", "label", "split"]
+            first = False
+            if header:
                 continue
             if len(row) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")

@@ -25,12 +25,30 @@ u_i v_j - v_i u_j: the shape primitive is minor(x, y), and the colour
 determinant is its cofactor expansion along red,
 r (x) minor(g, b) - g (x) minor(r, b) + b (x) minor(r, g).
 
+The cores that one call sums over a domain (the quadratic colour core and
+the 25 numerators in brute_force_features, the one core in
+brute_force_core_integral) run as one program, planned once per domain size
+on first use. A step that two or more of them share up to a renaming of
+points that keeps the points' order (the same operands, and the same
+subscripts once each step's points are renamed in sorted order) runs once,
+and its result is held until its last reader. Every array the program
+builds but the BLAS products and the scalar sums (the primitives, their
+powers and each einsum step that keeps a point) is written into a slot of a
+workspace: arrays of w, w**2 or w**3 values, which each thread keeps for the
+last two domain sizes it summed over (an image's k=0 and k=1 domains) and
+reuses image after image. A slot holds one array from the instruction that
+writes it to its last reader, and is then free for a later array. So a warm
+image allocates no w**3 array but its BLAS products. Renaming in order
+leaves numpy's loops as they were, so every core's sum keeps the bits of
+the core contracted on its own.
+
 Intended for tiny images only; the tuple count is guarded.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -47,10 +65,13 @@ _D2 = CoreSpec(color_triples=((1, 2, 3, 2),))
 #: einsum subscript of integration point p is _LABELS[p - 1]
 _LABELS = "abcdefghijklmnopqrstuvwxyz"
 
+#: per thread, a workspace for each of the last two domain sizes it summed over
+_THREAD = threading.local()
 
-def _minor(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+
+def _minor(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """u_i v_j - v_i u_j over every point pair (i, j)."""
-    return np.multiply.outer(u, v) - np.multiply.outer(v, u)
+    return np.subtract(np.multiply.outer(u, v), np.multiply.outer(v, u), out=out)
 
 
 def _subscripts(points: tuple[int, ...]) -> str:
@@ -59,8 +80,8 @@ def _subscripts(points: tuple[int, ...]) -> str:
 
 def _matmul_kernel(inputs: list[str], kept: str, size: int):
     """The two-operand step ``inputs -> kept`` as one np.matmul: the step's
-    output subscripts and its kernel, or None where the step is no matrix
-    product.
+    output subscripts and its kernel, called as _Plan calls every kernel, or
+    None where the step is no matrix product.
 
     Each operand is C-contiguous in the order of its subscripts. Points both
     operands hold are summed (inner) or kept (batch); a kept point only one
@@ -92,7 +113,7 @@ def _matmul_kernel(inputs: list[str], kept: str, size: int):
     right_shape = stack + (size ** len(inner), size ** len(own[right]))
     out_shape = (size,) * len(out)
 
-    def kernel(*operands):
+    def kernel(_values, operands, _slots):
         a, b = operands[::-1] if swap else operands
         return np.matmul(a.transpose(left_perm).reshape(left_shape),
                          b.transpose(right_perm).reshape(right_shape)).reshape(out_shape)
@@ -107,9 +128,10 @@ def _contraction(spec: CoreSpec, size: int) -> tuple[tuple, tuple]:
     points; built on first use.
 
     A step pops the operands at its positions, highest first, and appends
-    what its kernel makes of them: the points the taken operands share with
-    those still left, in the order its subscripts give. The kernel is a
-    planned np.matmul (see _matmul_kernel) or np.einsum on the subscripts.
+    what it makes of them: the points the taken operands share with those
+    still left, in the order its subscripts give. Its third entry is a
+    planned np.matmul kernel (see _matmul_kernel), or None where the step is
+    np.einsum on the subscripts.
     """
     subscripts = [_subscripts((i, j)) for i, j, _ in spec.shape_factors]
     subscripts += [_subscripts((p, q, r)) for p, q, r, _ in spec.color_triples]
@@ -126,73 +148,174 @@ def _contraction(spec: CoreSpec, size: int) -> tuple[tuple, tuple]:
         taken = tuple(sorted(taken, reverse=True))
         inputs = [subscripts.pop(n) for n in taken]
         kept = "".join(sorted(set("".join(inputs)) & set("".join(subscripts))))
-        matmul = _matmul_kernel(inputs, kept, size) if len(inputs) == 2 else None
-        out, kernel = matmul or (kept, partial(np.einsum, ",".join(inputs) + "->" + kept))
+        out, matmul = (_matmul_kernel(inputs, kept, size) if len(inputs) == 2 else None) or (kept, None)
         subscripts.append(out)
-        steps.append((taken, ",".join(inputs) + "->" + out, kernel))
+        steps.append((taken, ",".join(inputs) + "->" + out, matmul))
     return tuple(factors), tuple(steps)
 
 
-class _Domain:
-    """One k-domain's centred values, with each primitive and factor power
-    built on first use and read-only.
+def _shape(values, operands, out):
+    """x_i y_j - y_i x_j over every point pair (i, j)."""
+    return _minor(*values[:2], out=out[0])
 
-    Raises TooLarge before anything is built when w**width tuples exceed
-    the guard.
+
+def _det(values, operands, out):
+    """The channel determinant over every point triple, by cofactors of the
+    red channel, with a second slot for each cofactor term."""
+    det, term = out
+    rc, gc, bc = values[2:]
+    np.multiply.outer(rc, _minor(gc, bc), out=det)
+    det -= np.multiply.outer(gc, _minor(rc, bc), out=term)
+    det += np.multiply.outer(bc, _minor(rc, gc), out=term)
+    return det
+
+
+def _ones(values, operands, out):
+    """1 at every point: the factor of a point no primitive holds."""
+    out[0].fill(1.0)
+    return out[0]
+
+
+def _power(exp, values, operands, out):
+    """A primitive raised to exp, by the ufunc that ``base**exp`` dispatches to."""
+    (base,), (power,) = operands, out
+    return np.square(base, out=power) if exp == 2 else np.power(base, exp, out=power)
+
+
+def _einsum(subscripts, values, operands, out):
+    return np.einsum(subscripts, *operands, out=out[0] if out else None)
+
+
+#: each primitive's kernel, its number of points and its number of slots
+_PRIMITIVES = {"shape": (_shape, 2, 1), "det": (_det, 3, 2), "ones": (_ones, 1, 1)}
+
+
+def _canonical(subscripts: str) -> str:
+    """The step's subscripts with its points renamed in sorted order: the
+    same for two steps that differ by a renaming that keeps the points'
+    order, which leaves numpy's loops, and so every bit, as they were."""
+    labels = sorted(set(subscripts) - set(",->"))
+    return subscripts.translate({ord(c): _LABELS[n] for n, c in enumerate(labels)})
+
+
+class _Plan:
+    """The cores' contractions over a domain of size points as one program.
+
+    Instruction n makes value n: it calls its kernel on the domain's centred
+    values, the values it reads and the workspace slots it writes, then
+    drops the values it read last. A primitive, a power or a step is one
+    instruction however many cores use it, a step being keyed by its
+    operands and its canonical subscripts. ``cores`` holds, per core, the
+    number of instructions run before its sum is known, and the value that
+    holds it; ``slots`` holds each slot's number of points.
     """
 
-    def __init__(self, img: RasterImage, k: int, width: int):
-        self.values = centred_values(img, k)
-        self.size = self.values[0].size
-        if self.size**width > TUPLE_GUARD:
-            raise TooLarge(f"{self.size} pixels with {width} points exceeds the tuple guard")
-        self._powers: dict[tuple[str, int], np.ndarray] = {}
+    def __init__(self, cores: tuple[CoreSpec, ...], size: int):
+        self.size = size
+        code: list[tuple] = []  # kernel, values read, points written, slots written
+        made: dict[tuple, int] = {}  # a value's key -> the instruction that makes it
+        self.cores: list[tuple[int, int]] = []
 
-    @cached_property
-    def shape(self) -> np.ndarray:
-        """x_i y_j - y_i x_j over every point pair (i, j)."""
-        return _minor(*self.values[:2])
+        def value(key, kernel, reads=(), points=0, slots=1):
+            if key not in made:
+                made[key] = len(code)
+                code.append((kernel, reads, points, slots if points else 0))
+            return made[key]
 
-    @cached_property
-    def det(self) -> np.ndarray:
-        """The channel determinant over every point triple, by cofactors of
-        the red channel."""
-        rc, gc, bc = self.values[2:]
-        det = np.multiply.outer(rc, _minor(gc, bc))
-        det -= np.multiply.outer(gc, _minor(rc, bc))
-        det += np.multiply.outer(bc, _minor(rc, gc))
-        return det
+        for core in cores:
+            factors, steps = _contraction(core, size)
+            operands = []
+            for primitive, exp in factors:
+                kernel, points, slots = _PRIMITIVES[primitive]
+                base = value((primitive, 1), kernel, points=points, slots=slots)
+                operands.append(base if exp == 1 else value((primitive, exp), partial(_power, exp), (base,), points))
+            for taken, subscripts, matmul in steps:
+                reads = tuple(operands.pop(n) for n in taken)
+                key = (_canonical(subscripts), reads)
+                if matmul:  # a BLAS product keeps its own array
+                    operands.append(value(key, matmul, reads))
+                else:
+                    points = len(subscripts.split("->")[1])
+                    operands.append(value(key, partial(_einsum, subscripts), reads, points))
+            self.cores.append((len(code), operands[0]))
 
-    @cached_property
-    def ones(self) -> np.ndarray:
-        """1 at every point: the factor of a point no primitive holds."""
-        return np.ones(self.size)
+        last = {read: n for n, (_, reads, _, _) in enumerate(code) for read in reads}
+        free: dict[int, list[int]] = {}  # points -> the slots of that many points no value holds
+        slot_of: dict[int, int] = {}  # a value in a slot -> its slot
+        self.slots: list[int] = []
+        self.code: list[tuple] = []
+        for n, (kernel, reads, points, slots) in enumerate(code):
+            out = []
+            for _ in range(slots):
+                if not free.get(points):
+                    free.setdefault(points, []).append(len(self.slots))
+                    self.slots.append(points)
+                out.append(free[points].pop())
+            dead = tuple(read for read in dict.fromkeys(reads) if last[read] == n)
+            # a value's slot is free once its last reader has run, a scratch slot at once
+            for slot in [slot_of[read] for read in dead if read in slot_of] + out[1:]:
+                free[self.slots[slot]].append(slot)
+            if out:
+                slot_of[n] = out[0]
+            self.code.append((kernel, reads, tuple(out), dead))
 
-    def power(self, primitive: str, exp: int) -> np.ndarray:
-        """The primitive ("shape", "det" or "ones") raised to exp."""
-        key = primitive, exp
-        if key not in self._powers:
-            base = getattr(self, primitive)
-            self._powers[key] = base if exp == 1 else base**exp
-            self._powers[key].flags.writeable = False
-        return self._powers[key]
+    def sums(self, values: list[np.ndarray]):
+        """Each core's sum over the domain of these centred values, in order:
+        inf or nan on overflow."""
+        arrays = _workspace(self.size, self.slots)
+        held: list = [None] * len(self.code)
+        n = 0
+        for stop, result in self.cores:
+            for kernel, reads, out, dead in self.code[n:stop]:
+                held[n] = kernel(values, [held[read] for read in reads], [arrays[slot] for slot in out])
+                for read in dead:
+                    held[read] = None
+                n += 1
+            yield float(held[result])
 
 
-def _core_sum(dom: _Domain, spec: CoreSpec) -> float:
-    """The core summed over every tuple of domain points, step by step; inf or nan on overflow."""
-    factors, steps = _contraction(spec, dom.size)
-    operands = [dom.power(*factor) for factor in factors]
-    for taken, _, kernel in steps:
-        operands.append(kernel(*[operands.pop(n) for n in taken]))
-    return float(operands[0])
+@lru_cache(maxsize=None)
+def _plan(cores: tuple[CoreSpec, ...], size: int) -> _Plan:
+    return _Plan(cores, size)
 
 
-def _normalizer(dom: _Domain) -> float | None:
-    """The quadratic colour core; None where it underflows the engine's floor,
-    which no core of a zero-point domain passes, or is not finite."""
-    d2 = _core_sum(dom, _D2)
-    squares = [stable_sum(c * c) for c in dom.values[2:]]
-    return d2 if degeneracy_floor(float(dom.size), squares) < d2 < np.inf else None
+def _workspace(size: int, slots: list[int]) -> list[np.ndarray]:
+    """This thread's arrays for a plan's slots over a domain of size points.
+
+    A thread keeps the arrays of the last two domain sizes it used, so an
+    image's k=0 and k=1 domains reuse theirs image after image, and the
+    arrays of a size it has left go. Plans of one size share its arrays.
+    """
+    spaces = vars(_THREAD).setdefault("workspaces", {})
+    pools = spaces.pop(size, {})
+    spaces[size] = pools
+    for old in list(spaces)[:-2]:
+        del spaces[old]
+    arrays: list[np.ndarray] = []
+    for points in slots:
+        pool = pools.setdefault(points, [])
+        taken = sum(a.ndim == points for a in arrays)
+        if taken == len(pool):
+            pool.append(np.empty((size,) * points))
+        arrays.append(pool[taken])
+    return arrays
+
+
+def _domain(img: RasterImage, k: int, width: int) -> list[np.ndarray]:
+    """The k-domain's centred values; raises TooLarge before anything is
+    built when w**width tuples exceed the guard."""
+    values = centred_values(img, k)
+    size = values[0].size
+    if size**width > TUPLE_GUARD:
+        raise TooLarge(f"{size} pixels with {width} points exceeds the tuple guard")
+    return values
+
+
+def _normalizer(values: list[np.ndarray], d2: float) -> float | None:
+    """The quadratic colour core d2; None where it underflows the engine's
+    floor, which no core of a zero-point domain passes, or is not finite."""
+    squares = [stable_sum(c * c) for c in values[2:]]
+    return d2 if degeneracy_floor(float(values[0].size), squares) < d2 < np.inf else None
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -203,7 +326,8 @@ def brute_force_core_integral(img: RasterImage, spec: CoreSpec, k: int) -> float
     Raises EmptyDomain when the mask has no pixels, and InvalidSpec, from
     centred_values, unless k is the integer 0 or 1.
     """
-    return _core_sum(_Domain(img, k, spec.width), spec)
+    values = _domain(img, k, spec.width)
+    return next(_plan((spec,), values[0].size).sums(values))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -211,23 +335,25 @@ def brute_force_features(img: RasterImage) -> FeatureVector:
     """All 50 invariants by brute force, entry for entry as scdmi50 lays them out.
 
     Each k-domain's centred values, primitives and quadratic core are built
-    once. Entries of a k are invalid where the quadratic core underflows the
-    degeneracy floor, as it does on a k=1 domain that stencil erosion
-    empties, and an entry is invalid where it overflows. Raises EmptyDomain,
-    as scdmi50 does, when the mask has no pixels.
+    once, and each step the cores share runs once. Entries of a k are
+    invalid where the quadratic core underflows the degeneracy floor, as it
+    does on a k=1 domain that stencil erosion empties, and an entry is
+    invalid where it overflows. Raises EmptyDomain, as scdmi50 does, when
+    the mask has no pixels.
     """
     specs = catalogue_specs()
-    width = max(max(spec.source.width for spec in specs), _D2.width)
+    cores = (_D2, *(spec.source for spec in specs))
+    width = max(core.width for core in cores)
     values = np.zeros(50)
     valid = np.zeros(50, dtype=bool)
     for k in (0, 1):
-        dom = _Domain(img, k, width)
-        d2 = _normalizer(dom)
+        centred = _domain(img, k, width)
+        sums = _plan(cores, centred[0].size).sums(centred)
+        d2 = _normalizer(centred, next(sums))
         if d2 is None:
             continue
-        for pos, spec in enumerate(specs, start=25 * k):
-            numer = _core_sum(dom, spec.source)
-            value = numer / (float(dom.size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
+        for pos, (spec, numer) in enumerate(zip(specs, sums), start=25 * k):
+            value = numer / (float(centred[0].size) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent))
             if np.isfinite(value):
                 values[pos], valid[pos] = value, True
     return FeatureVector(values, valid)

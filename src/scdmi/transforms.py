@@ -54,30 +54,35 @@ def _validated(matrix, offset, n: int, what: str) -> tuple[np.ndarray, np.ndarra
 
 def _shape_inverse(matrix: np.ndarray) -> np.ndarray:
     """The inverse of a 2x2 coordinate map; raises Singular where its
-    determinant is under _MIN_DET in magnitude.
+    determinant is under _MIN_DET in magnitude or an entry of the inverse
+    overflows.
 
-    Determinant and adjugate are formed on the matrix scaled by a power of
-    two to a largest entry in [0.5, 1), which is exact and keeps the
-    products from overflowing; the scale is taken out again exactly. The
-    adjugate keeps grid-aligned maps exact in floating point. Where an
-    adjugate entry over the determinant overflows before the scale is taken
-    out, as on diag(1e308, 1), the scale comes out first: scale / det is at
-    most 1e6 / scale and at most 2^1074 * scale, so under 2^543.
+    Each entry is split into its mantissa and its power of two, which is
+    exact, so no product overflows or underflows however far apart the
+    entries' magnitudes lie. The determinant's two products are scaled to
+    the larger one's power before they are subtracted, and each adjugate
+    entry is divided by the determinant's mantissa; the powers come back in
+    one exact step. Where no entry, product or quotient leaves the normal
+    range this gives the bits of adjugate / determinant. The adjugate keeps
+    grid-aligned maps exact in floating point.
     """
-    exponent = math.frexp(float(np.abs(matrix).max()))[1]
-    # entries under 2^-510 give a determinant under 2^-1019, and 2^-exponent would overflow
-    if exponent < -509:
+    m, e = np.frexp(matrix)
+    # the determinant's two products, a mantissa and a power each, are scaled to the larger
+    # power that a nonzero product has
+    products = [(m[0, 0] * m[1, 1], int(e[0, 0] + e[1, 1])), (m[0, 1] * m[1, 0], int(e[0, 1] + e[1, 0]))]
+    top = max((power for product, power in products if product), default=0)
+    (p, i), (q, j) = products
+    mantissa, shift = math.frexp(float(np.ldexp(p, i - top) - np.ldexp(q, j - top)))
+    # the determinant is mantissa * 2^shift, so at least 0.5 where shift > 0
+    shift += top
+    if mantissa == 0.0 or (shift <= 0 and math.ldexp(abs(mantissa), shift) < _MIN_DET):
         raise Singular("shape transform matrix is singular")
-    scale = 2.0 ** -exponent
-    a = matrix * scale
-    det = float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if abs(det / scale / scale) < _MIN_DET:
-        raise Singular("shape transform matrix is singular")
-    adjugate = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    adjugate = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+    powers = np.array([[e[1, 1], e[0, 1]], [e[1, 0], e[0, 0]]])
     with np.errstate(over="ignore"):
-        inverse = adjugate / det * scale
+        inverse = np.ldexp(adjugate / mantissa, powers - shift)
     if not np.isfinite(inverse).all():
-        inverse = adjugate * (scale / det)
+        raise Singular("shape transform matrix has no finite inverse")
     return inverse
 
 

@@ -183,6 +183,53 @@ class TestBaselines:
         img = RasterImage.from_array(np.full((16, 16, 3), 0.5))
         assert np.all(baseline_rows(img)[DescriptorKind.HU7] == 0.0)
 
+    def test_hu_under_a_quarter_turn_and_a_transpose(self):
+        # Hu's seven invariants hold under a rotation; a reflection negates the
+        # seventh alone. An off-centre disk: 253 px of a 41 px frame, centred at
+        # x = 14, y = 23
+        rng = np.random.default_rng(31)
+        yy, xx = np.mgrid[:41, :41]
+        img = RasterImage(rng.uniform(0.0, 1.0, (3, 41, 41)), (xx - 14) ** 2 + (yy - 23) ** 2 <= 81)
+        hu = baseline_rows(img)[DescriptorKind.HU7]
+        turned = RasterImage(np.rot90(img.channels, axes=(1, 2)).copy(), np.rot90(img.mask).copy())
+        mirrored = RasterImage(img.channels.transpose(0, 2, 1).copy(), img.mask.T.copy())
+        assert np.all(np.abs(hu) > 1e-12)
+        np.testing.assert_allclose(baseline_rows(turned)[DescriptorKind.HU7], hu, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(baseline_rows(mirrored)[DescriptorKind.HU7], hu * [1, 1, 1, 1, 1, 1, -1], rtol=1e-9, atol=0.0)
+
+    def test_hu_matches_a_per_pixel_loop(self):
+        # Hu's invariants as the textbook writes them, of the density
+        # |lum - mean lum| with lum = (r + g + b) / 3, pixel by pixel
+        rng = np.random.default_rng(32)
+        channels = rng.uniform(0.0, 1.0, (3, 5, 6))
+        mask = np.ones((5, 6), dtype=bool)
+        mask[0, 0] = mask[4, 5] = mask[2, 3] = False
+        lum = [(x, y, (channels[0, y, x] + channels[1, y, x] + channels[2, y, x]) / 3.0)
+               for y in range(5) for x in range(6) if mask[y, x]]
+        mean = sum(v for *_, v in lum) / len(lum)
+        density = [(x, y, abs(v - mean)) for x, y, v in lum]
+        m00 = sum(d for *_, d in density)
+        cx = sum(x * d for x, _, d in density) / m00
+        cy = sum(y * d for _, y, d in density) / m00
+
+        def eta(p, q):
+            return sum((x - cx) ** p * (y - cy) ** q * d for x, y, d in density) / m00 ** (1 + (p + q) / 2)
+
+        e20, e02, e11, e30, e03, e21, e12 = (eta(p, q) for p, q in [(2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1), (1, 2)])
+        expected = [
+            e20 + e02,
+            (e20 - e02) ** 2 + 4 * e11**2,
+            (e30 - 3 * e12) ** 2 + (3 * e21 - e03) ** 2,
+            (e30 + e12) ** 2 + (e21 + e03) ** 2,
+            (e30 - 3 * e12) * (e30 + e12) * ((e30 + e12) ** 2 - 3 * (e21 + e03) ** 2)
+            + (3 * e21 - e03) * (e21 + e03) * (3 * (e30 + e12) ** 2 - (e21 + e03) ** 2),
+            (e20 - e02) * ((e30 + e12) ** 2 - (e21 + e03) ** 2) + 4 * e11 * (e30 + e12) * (e21 + e03),
+            (3 * e21 - e03) * (e30 + e12) * ((e30 + e12) ** 2 - 3 * (e21 + e03) ** 2)
+            - (e30 - 3 * e12) * (e21 + e03) * (3 * (e30 + e12) ** 2 - (e21 + e03) ** 2),
+        ]
+        hu = baseline_rows(RasterImage(channels, mask))[DescriptorKind.HU7]
+        np.testing.assert_allclose(hu, expected, rtol=1e-9, atol=0.0)
+
     def test_rg_histogram_invariant_to_uniform_scaling(self):
         img = random_image(1)
         scaled = apply_color_affine(img, ColorAffine(2.0 * np.eye(3)), clamp=False)

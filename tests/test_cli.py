@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ import scdmi.cli as cli_mod
 from scdmi.engine import RasterImage, scdmi50
 from scdmi.errors import InvalidImage
 from scdmi.ppm import read_ppm, write_ppm
-from scdmi.synthetic import blob_image
-from scdmi.transforms import ColorAffine, apply_color_affine
+from scdmi.synthetic import blob_image, disk_masked_image
+from scdmi.transforms import ColorAffine, apply_color_affine, upsample_nearest
 
 
 class TestPpm:
@@ -257,6 +258,56 @@ class TestVerifyCommand:
         failing = {(r.id, r.k) for r in rows if not r.passed}
         assert failing == {(f"img0_inst{target_id}", 0), (f"img0_inst{target_id}", 1)}
 
+
+    @staticmethod
+    def _bend_red(img):
+        """img with red raised by a fifth of green squared: a channel map that is
+        not affine, under which every feature stays valid and moves."""
+        img.channels[0] += 0.2 * img.channels[1] ** 2
+        return img
+
+    def test_color_exactness_rows_fail_on_a_changed_image(self, monkeypatch):
+        honest = verify_mod.apply_color_affine
+        monkeypatch.setattr(verify_mod, "apply_color_affine", lambda *args, **kwargs: self._bend_red(honest(*args, **kwargs)))
+        rows = verify_mod.color_exactness_suite(seed=0)
+        assert [r.id for r in rows] == [f"transform{t}" for t in range(20)]
+        for r in rows:
+            # a finite deviation: both vectors held valid entries
+            assert r.k == -1 and verify_mod.COLOR_TOL < r.deviation < np.inf and not r.passed
+
+    def test_scaling_rows_fail_on_a_changed_image(self, monkeypatch):
+        honest = verify_mod.upsample_nearest
+        monkeypatch.setattr(verify_mod, "upsample_nearest", lambda *args: self._bend_red(honest(*args)))
+        rows = [r for r in verify_mod.scaling_suite(seed=0) if r.suite == "scaling"]
+        assert [r.id for r in rows] == [f"inst{spec.id}" for spec in catalogue_specs()]
+        for r in rows:
+            assert r.k == 0 and verify_mod.SCALING_TOL < r.deviation < np.inf and not r.passed
+
+    def test_negative_control_rows_fail_without_upsampling(self, monkeypatch):
+        # the same pixel count on both sides: no exponent can be told from another
+        monkeypatch.setattr(verify_mod, "upsample_nearest", lambda img, factor: img)
+        rows = [r for r in verify_mod.scaling_suite(seed=0) if r.suite == "scaling_negative_control"]
+        assert len(rows) == 25
+        assert all(r.k == 0 and r.deviation == 0.0 and not r.passed for r in rows)
+
+    def test_negative_control_deviation_is_the_rejected_exponents_ratio(self):
+        # the rejected exponent e_bad = n + N + m - 3M/2 turns each value v
+        # into v * n**(e - e_bad): the control's deviation is
+        # |(n_big / n_small)**(e - e_bad) * v_big / v_small - 1|
+        img = disk_masked_image(5, size=192, radius_frac=0.40)
+        big = upsample_nearest(img, 2)
+        small_fv, big_fv = scdmi50(img), scdmi50(big)
+        growth = np.count_nonzero(big.mask) / np.count_nonzero(img.mask)
+        rows = [r for r in verify_mod.scaling_suite(seed=0) if r.suite == "scaling_negative_control"]
+        assert len(rows) == 25
+        for pos, (spec, row) in enumerate(zip(catalogue_specs(), rows)):
+            src = spec.source
+            e_bad = src.shape_point_count + src.color_point_count + src.shape_degree - Fraction(3 * src.color_degree, 2)
+            shift = float(spec.area_exponent - e_bad)
+            expected = abs(growth**shift * big_fv.values[pos] / small_fv.values[pos] - 1.0)
+            assert (row.id, row.k) == (f"inst{spec.id}", 0)
+            assert row.deviation == pytest.approx(expected, rel=1e-9, abs=0.0)
+            assert row.passed
 
     def test_scaling_suite_sums_moment_vectors_only_inside_scdmi50(self, monkeypatch):
         # 2 images x 2 k, all inside scdmi50: the negative controls reuse its values;
@@ -531,11 +582,11 @@ class TestBenchCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_blank_manifest_rows_are_skipped(self, tmp_path):
-        # blank lines after the header, between rows and at the end
+        # blank lines before and after the header, between rows and at the end
         rows = _write_manifest(tmp_path)
         manifest = tmp_path / "manifest.csv"
         lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join([lines[0], "", *lines[1:4], "", *lines[4:], "", ""]) + "\n")
+        manifest.write_text("\n".join(["", "", lines[0], "", *lines[1:4], "", *lines[4:], "", ""]) + "\n")
         assert cli_mod._load_manifest(manifest) == rows
 
     @pytest.mark.parametrize("row", ["x.ppm,c0", "x.ppm,c0,train,extra", "x.ppm"], ids=["two", "four", "one"])

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from numpy._core import einsumfunc
 
+from scdmi import oracle as oracle_mod
 from scdmi import verify as verify_mod
 from scdmi.algebra import _PERM_SIGNS, CoreSpec, catalogue_specs
 from scdmi.engine import (
@@ -159,7 +162,8 @@ class TestBruteForceFeatures:
     @pytest.mark.parametrize("img", [random_image(6), corner_masked_image(7)], ids=["6x6", "7x7-corners"])
     def test_equals_per_spec_invariant(self, img):
         # each entry against its own numerator core over n**e * D2**d, every
-        # core summed on its own by brute_force_core_integral
+        # core summed on its own by brute_force_core_integral: bit for bit,
+        # since a step the cores share runs the loops each core would run
         fv = brute_force_features(img)
         assert fv.valid.all()
         sizes = [centred_values(img, k)[0].size for k in (0, 1)]
@@ -168,8 +172,7 @@ class TestBruteForceFeatures:
             for pos, spec in enumerate(catalogue_specs(), start=25 * k):
                 numer = brute_force_core_integral(img, spec.source, k)
                 norm = float(sizes[k]) ** float(spec.area_exponent) * d2 ** float(spec.denom_exponent)
-                reference = numer / norm
-                assert abs(fv.values[pos] - reference) <= 1e-12 * abs(reference)
+                assert fv.values[pos] == numer / norm
 
     def test_empty_erosion_and_grayscale_are_invalid(self):
         rgb = np.random.default_rng(8).uniform(0.0, 1.0, size=(6, 6, 3))
@@ -207,7 +210,7 @@ class TestBruteForceFeatures:
     def test_contractions_are_built_on_first_use(self, parallelism_probe):
         # importing scdmi builds no contraction; one brute_force_features call
         # builds each of the 26 cores' contractions once per domain size (36 px
-        # at k=0, 16 px at k=1), and a second image of those sizes builds none:
+        # at k=0, 4 px at k=1), and a second image of those sizes builds none:
         # the probe's counts at import and after its first two 6x6 images
         assert parallelism_probe("all", "1")["contractions"] == ["0 52 52"]
 
@@ -254,6 +257,50 @@ class TestBruteForceFeatures:
         monkeypatch.setattr(np, "einsum_path", counted)
         brute_force_features(random_image(13))
         assert calls == []
+
+
+class TestSharedPlan:
+    def test_each_shared_step_runs_once(self, monkeypatch):
+        # of the 86 steps of the 26 cores, 30 repeat another core's step up to
+        # a renaming of points that keeps their order: 56 kernels per domain,
+        # of 36 points at k=0 and 4 at k=1
+        brute_force_features(random_image(16))
+        calls = []
+
+        def counted(honest):
+            def kernel(*args, **kwargs):
+                calls.append(honest.__name__)
+                return honest(*args, **kwargs)
+
+            return kernel
+
+        for name in ("einsum", "matmul"):
+            monkeypatch.setattr(np, name, counted(getattr(np, name)))
+        brute_force_features(random_image(17))
+        assert len(calls) == 2 * 56
+
+    def test_threads_at_once_give_the_serial_values(self):
+        # each thread has a workspace of its own: four threads, more than this
+        # suite's CPUs, switched as often as the interpreter allows
+        images = [random_image(seed) for seed in range(20, 24)] + [corner_masked_image(18)]
+        serial = [brute_force_features(img) for img in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(brute_force_features, images * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for fv, ref in zip(threaded, serial * 4):
+            assert fv.values.tobytes() == ref.values.tobytes() and np.array_equal(fv.valid, ref.valid)
+
+    def test_workspace_keeps_the_last_two_sizes(self):
+        # an image's k=0 and k=1 domains reuse theirs; a size left behind is let go
+        for h, w in [(3, 3), (4, 4), (6, 6)]:
+            brute_force_core_integral(random_image(19, h, w), DENOM_CORE, 0)
+        assert list(oracle_mod._THREAD.workspaces) == [16, 36]
+        brute_force_features(random_image(19))
+        assert list(oracle_mod._THREAD.workspaces) == [36, 4]
 
 
 def exact_core_sum(values, spec):

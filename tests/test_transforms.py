@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,30 @@ class TestTransformValidation:
         # adjugate / det overflowed with a RuntimeWarning before the scale came out
         inverse = transforms_mod._shape_inverse(ShapeAffine(np.diag([1e308, 1.0])).matrix)
         assert inverse.tolist() == [[1e-308, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1e-300, 0.0], [0.0, 1e300]],
+            [[2.3818559283406154e132, 2.564867655552452e-187], [-2.6797898306577906e-204, -5.611967046087744e-100]],
+            [[3.94501837e-142, 6.34453196e226], [0.0, -7.82365407e193]],
+        ],
+        ids=["diagonal", "row-spans-2^1060", "row-spans-2^1220"],
+    )
+    def test_entries_that_span_the_float_range(self, matrix):
+        # one power of two for the whole matrix flushed its smallest entries:
+        # the first and third maps, of determinant 1 and -3e52, were Singular,
+        # and the second's inverse lost one entry to 0 and 16 bits of another
+        inverse = transforms_mod._shape_inverse(ShapeAffine(matrix).matrix)
+        (a, b), (c, d) = [[Fraction(v) for v in row] for row in matrix]
+        det = a * d - b * c
+        for got, exact in zip(inverse.ravel().tolist(), [d / det, -b / det, -c / det, a / det]):
+            assert abs(Fraction(got) - exact) <= abs(exact) * Fraction(2.0**-52)
+
+    def test_inverse_that_overflows_is_singular(self):
+        # determinant 1e-6, but 1 / 1e-309 is no float
+        with pytest.raises(Singular, match="no finite inverse"):
+            ShapeAffine(np.diag([1e303, 1e-309]))
 
     @pytest.mark.parametrize(
         "matrix",
